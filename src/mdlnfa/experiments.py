@@ -92,6 +92,9 @@ class SingleSweepConfig:
             raise ConfigError("all deltas must lie in (0, 0.5)")
         if any(s < 1 or s > min(self.width, self.height) for s in self.sides):
             raise ConfigError("sides must fit inside the image")
+        if any(s * s == self.width * self.height for s in self.sides):
+            raise ConfigError("sides must leave background pixels: a square "
+                              "covering the whole image has no MDL score")
 
 
 @dataclass(frozen=True)
@@ -204,6 +207,9 @@ class MultiSweepConfig:
             raise ConfigError("all deltas must lie in (0, 0.5)")
         if not 0.0 < self.margin_delta < 0.5:
             raise ConfigError("margin_delta must lie in (0, 0.5)")
+        for axis, values in (("noise", self.deltas), ("margin", self.margins)):
+            for i in range(len(values)):
+                _cell_layout(self, axis, i)
 
 
 @dataclass(frozen=True)
@@ -224,18 +230,32 @@ def _majority(labels) -> str:
     return max(sorted(counts), key=counts.get)
 
 
-def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
+def _cell_layout(cfg: MultiSweepConfig, axis: str, value_idx: int):
+    """Noise rate, margin and the four hypotheses of one sweep cell.
+
+    Raises ConfigError when the layout does not fit the image or leaves no
+    background around the large square, so configs are checked with the
+    same geometry the sweep uses.
+    """
     if axis == "noise":
-        delta = cfg.deltas[value_idx]
-        extent, margin = cfg.noise_extent, cfg.noise_margin
-        value = delta
+        delta, extent, margin = cfg.deltas[value_idx], cfg.noise_extent, cfg.noise_margin
     else:
-        margin = cfg.margins[value_idx]
-        delta = cfg.margin_delta
-        extent = cfg.margin_extent
-        value = margin
-    hyps = four_square_layout(extent=extent, margin=margin,
-                              width=cfg.width, height=cfg.height)
+        delta, extent, margin = cfg.margin_delta, cfg.margin_extent, cfg.margins[value_idx]
+    where = (f"{axis} layout (extent {extent}, margin {margin}) on "
+             f"{cfg.width}x{cfg.height}")
+    try:
+        hyps = four_square_layout(extent=extent, margin=margin,
+                                  width=cfg.width, height=cfg.height)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+    if extent * extent == cfg.width * cfg.height:
+        raise ConfigError(f"{where}: the large square leaves no background")
+    return delta, margin, hyps
+
+
+def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
+    delta, margin, hyps = _cell_layout(cfg, axis, value_idx)
+    value = delta if axis == "noise" else margin
     truth = hyps[2].squares       # the four small squares are the ground truth
     axis_tag = {"noise": 1, "margin": 2}[axis]
     chosen_mdl, chosen_nfa, rows = [], [], []

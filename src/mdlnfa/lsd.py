@@ -17,7 +17,6 @@ directly.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -213,49 +212,62 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
 
     Seeds are visited in decreasing gradient-magnitude order (scan order when
     the map carries no magnitudes).  A pixel joins a region when its angle is
-    within rho of the region's running mean orientation; every pixel belongs
-    to at most one region.
+    within rho of the region's running mean orientation (the modulo-pi
+    distance of `orientation_distance`); every pixel belongs to at most one
+    region, and regions grow breadth-first.
+
+    The loop runs on Python scalars: pixels are flat indices r*width + c into
+    memoryviews of the map's contiguous arrays, so no numpy scalar is made
+    per neighbor.
     """
     height, width = omap.height, omap.width
-    defined = omap.defined
-    angles = omap.angles
+    defined = memoryview(omap.defined.ravel())
+    angles = memoryview(omap.angles.ravel())
     if omap.magnitude is not None:
-        flat_order = np.argsort(-omap.magnitude, axis=None, kind="stable")
+        order = memoryview(np.argsort(-omap.magnitude, axis=None, kind="stable"))
     else:
-        flat_order = np.arange(height * width)
-    used = np.zeros((height, width), dtype=bool)
+        order = range(height * width)
+    rho = cfg.rho
+    pi = math.pi
+    cos, sin, atan2 = math.cos, math.sin, math.atan2
+    used = bytearray(height * width)
+    offsets = [dr * width + dc for dr, dc in _NEIGHBORS]
+    last_row, last_col = height - 1, width - 1
+    min_size = max(2, min_region_size)
     candidates = []
-    for flat in flat_order:
-        r0, c0 = divmod(int(flat), width)
-        if used[r0, c0] or not defined[r0, c0]:
+    for seed in order:
+        if used[seed] or not defined[seed]:
             continue
-        used[r0, c0] = True
-        region = [(r0, c0)]
-        sx = math.cos(2.0 * angles[r0, c0])
-        sy = math.sin(2.0 * angles[r0, c0])
-        mean_angle = angles[r0, c0]
-        frontier = deque(region)
-        while frontier:
-            r, c = frontier.popleft()
-            for dr, dc in _NEIGHBORS:
-                rr, cc = r + dr, c + dc
-                if not (0 <= rr < height and 0 <= cc < width):
+        used[seed] = 1
+        region = [seed]
+        mean_angle = angles[seed]
+        sx = cos(2.0 * mean_angle)
+        sy = sin(2.0 * mean_angle)
+        for flat in region:        # breadth-first: appended pixels come later
+            r, c = divmod(flat, width)
+            if 0 < r < last_row and 0 < c < last_col:
+                neighbors = [flat + off for off in offsets]
+            else:
+                neighbors = [(r + dr) * width + c + dc for dr, dc in _NEIGHBORS
+                             if 0 <= r + dr < height and 0 <= c + dc < width]
+            for nb in neighbors:
+                if used[nb] or not defined[nb]:
                     continue
-                if used[rr, cc] or not defined[rr, cc]:
+                a = angles[nb]
+                d = (a - mean_angle) % pi
+                if d > rho and pi - d > rho:      # min(d, pi - d) > rho
                     continue
-                if orientation_distance(angles[rr, cc], mean_angle) > cfg.rho:
-                    continue
-                used[rr, cc] = True
-                region.append((rr, cc))
-                frontier.append((rr, cc))
-                sx += math.cos(2.0 * angles[rr, cc])
-                sy += math.sin(2.0 * angles[rr, cc])
-                mean_angle = 0.5 * math.atan2(sy, sx)
-        if len(region) < max(2, min_region_size):
+                used[nb] = 1
+                region.append(nb)
+                sx += cos(2.0 * a)
+                sy += sin(2.0 * a)
+                mean_angle = 0.5 * atan2(sy, sx)
+        if len(region) < min_size:
             continue
-        coords = np.array([(c, r) for r, c in region], dtype=np.float64)
+        rows, cols = np.divmod(np.array(region), width)
+        coords = np.column_stack((cols, rows)).astype(np.float64)
         if omap.magnitude is not None:
-            weights = np.array([omap.magnitude[r, c] for r, c in region])
+            weights = omap.magnitude.ravel()[region]
         else:
             weights = None
         try:

@@ -34,6 +34,7 @@ def _log2_factorial_table(size: int) -> np.ndarray:
 
 
 _LOG2_FACT = _log2_factorial_table(_TABLE_SIZE)
+_LOG2_FACT_LIST = _LOG2_FACT.tolist()   # Python floats for the scalar path
 
 _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
@@ -73,7 +74,21 @@ def log_binomial(n, k) -> Bits:
     Uses an exact cumulative log2-factorial table for n < 10^4 and a
     log-gamma difference above, so accuracy is limited only by float64
     rounding where tests bite and large sweeps stay cheap.
+
+    Two Python `int` arguments take a scalar path on Python floats (a list
+    copy of the table, `math.lgamma` above it) that performs the same
+    float64 operations as the array path and so returns the same bits.
+    Arrays, numpy integers, bools and integral floats take the array path.
     """
+    if type(n) is int and type(k) is int:
+        if n < 0 or k < 0 or k > n:
+            raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
+        if n < _TABLE_SIZE:
+            t = _LOG2_FACT_LIST
+            return t[n] - t[k] - t[n - k]
+        nf, kf = float(n), float(k)
+        return (math.lgamma(nf + 1.0) - math.lgamma(kf + 1.0)
+                - math.lgamma(nf - kf + 1.0)) / _LN2
     n_arr = _as_count_array(n, "n")
     k_arr = _as_count_array(k, "k")
     if np.any(n_arr < 0) or np.any(k_arr < 0) or np.any(k_arr > n_arr):

@@ -84,6 +84,8 @@ class Score:
         return self.mdl_bits < 0.0
 
     def nfa_detects(self, epsilon: float = 1.0) -> bool:
+        if not epsilon > 0.0:
+            raise DomainError(f"epsilon must be positive, got {epsilon}")
         return self.log2_nfa <= math.log2(epsilon)
 
 

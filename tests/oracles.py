@@ -1,7 +1,8 @@
 """Independent brute-force oracles shared by the test modules.
 
 These deliberately avoid the library's own code paths: exact integer /
-rational arithmetic and per-pixel loops only.
+rational arithmetic and per-pixel loops only, or the plain first version of
+a loop the library has since made fast.
 """
 
 from __future__ import annotations
@@ -94,3 +95,73 @@ def split_term_extrema_table(n: int):
         best_min = min(best_min, float(np.nanmin(term)))
         best_max = max(best_max, float(np.nanmax(term)))
     return best_min, best_max
+
+
+_NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
+              (0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
+    """Reference region grower: numpy arrays and numpy scalar distances per
+    neighbor, as the library's grower was first written.
+
+    Only the grow loop is the oracle here; rectangles are fitted with the
+    library's `fit_rectangle`, so candidate lists compare with `==`.
+    """
+    from collections import deque
+
+    import numpy as np
+
+    from mdlnfa.lsd import fit_rectangle
+
+    def orientation_distance(a, b):
+        d = np.mod(np.asarray(a) - np.asarray(b), math.pi)
+        return np.minimum(d, math.pi - d)
+
+    height, width = omap.height, omap.width
+    defined = omap.defined
+    angles = omap.angles
+    if omap.magnitude is not None:
+        flat_order = np.argsort(-omap.magnitude, axis=None, kind="stable")
+    else:
+        flat_order = np.arange(height * width)
+    used = np.zeros((height, width), dtype=bool)
+    candidates = []
+    for flat in flat_order:
+        r0, c0 = divmod(int(flat), width)
+        if used[r0, c0] or not defined[r0, c0]:
+            continue
+        used[r0, c0] = True
+        region = [(r0, c0)]
+        sx = math.cos(2.0 * angles[r0, c0])
+        sy = math.sin(2.0 * angles[r0, c0])
+        mean_angle = angles[r0, c0]
+        frontier = deque(region)
+        while frontier:
+            r, c = frontier.popleft()
+            for dr, dc in _NEIGHBORS:
+                rr, cc = r + dr, c + dc
+                if not (0 <= rr < height and 0 <= cc < width):
+                    continue
+                if used[rr, cc] or not defined[rr, cc]:
+                    continue
+                if orientation_distance(angles[rr, cc], mean_angle) > cfg.rho:
+                    continue
+                used[rr, cc] = True
+                region.append((rr, cc))
+                frontier.append((rr, cc))
+                sx += math.cos(2.0 * angles[rr, cc])
+                sy += math.sin(2.0 * angles[rr, cc])
+                mean_angle = 0.5 * math.atan2(sy, sx)
+        if len(region) < max(2, min_region_size):
+            continue
+        coords = np.array([(c, r) for r, c in region], dtype=np.float64)
+        if omap.magnitude is not None:
+            weights = np.array([omap.magnitude[r, c] for r, c in region])
+        else:
+            weights = None
+        try:
+            candidates.append(fit_rectangle(coords, weights))
+        except ValueError:
+            continue
+    return candidates

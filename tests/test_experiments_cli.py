@@ -46,6 +46,35 @@ class TestConfigs:
         with pytest.raises(ConfigError):
             MultiSweepConfig(margin_delta=0.7)
 
+    @pytest.mark.parametrize("size", [(100, 100), (60, 60)])
+    def test_single_rejects_side_covering_the_image(self, size):
+        width, height = size
+        with pytest.raises(ConfigError, match="background"):
+            SingleSweepConfig(width=width, height=height, sides=(10, width))
+        # A full-width square on a taller image still leaves background.
+        SingleSweepConfig(width=width, height=height + 20, sides=(width,))
+
+    @pytest.mark.parametrize("kwargs,match", [
+        (dict(width=50), "noise layout"),
+        (dict(height=60), "noise layout"),
+        (dict(noise_margin=41), "noise layout"),
+        (dict(noise_extent=300), "noise layout"),
+        (dict(margins=(0, 26)), "margin layout"),
+        (dict(margins=(3,)), "margin layout"),
+        (dict(width=70, height=70, noise_extent=70, noise_margin=0),
+         "no background"),
+    ])
+    def test_multi_rejects_layouts_the_sweep_cannot_build(self, kwargs, match):
+        with pytest.raises(ConfigError, match=match):
+            MultiSweepConfig(**kwargs)
+
+    def test_multi_accepts_tight_layouts(self):
+        cfg = MultiSweepConfig(width=70, height=71, noise_extent=70,
+                               margin_extent=26, margins=(0, 24),
+                               deltas=(0.1,), seeds_per_cell=1)
+        for axis in ("noise", "margin"):
+            assert len(run_sweep_multi(cfg, axis)) == 1 + (axis == "margin")
+
     def test_from_dict_roundtrip(self):
         cfg = config_from_dict(SingleSweepConfig,
                                {"sides": [10], "deltas": [0.2],

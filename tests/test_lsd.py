@@ -23,6 +23,7 @@ from mdlnfa.lsd import (
     write_candidates_file,
     write_segments_file,
 )
+from oracles import region_grow_candidates_numpy
 
 N_512 = 512 * 512
 
@@ -219,6 +220,30 @@ class TestRegionGrowing:
         # this is a smoke check that growth terminates and yields many
         # small regions.
         assert len(candidates) < 64 * 64
+
+    @pytest.mark.parametrize("width,height,seed,min_size", [
+        (64, 64, 0, 5), (96, 96, 1, 5), (90, 70, 2, 5), (70, 90, 3, 2),
+    ])
+    def test_matches_numpy_reference_on_isotropic_maps(self, width, height,
+                                                        seed, min_size):
+        cfg = LsdConfig()
+        omap = isotropic_orientation_map(width, height, seed=seed)
+        got = region_grow_candidates(omap, cfg, min_region_size=min_size)
+        assert got
+        assert got == region_grow_candidates_numpy(omap, cfg, min_size)
+
+    def test_matches_numpy_reference_with_magnitudes_and_undefined(self):
+        rng = np.random.default_rng(4)
+        rows, cols = np.mgrid[0:72, 0:88]
+        gray = 128 + 90 * np.sin(0.25 * cols + 0.1 * rows) + rng.normal(0, 8, rows.shape)
+        gray[20:45, 30:60] = 40.0              # flat patch: undefined pixels
+        omap = gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
+        assert omap.magnitude is not None
+        assert 0 < omap.defined.sum() < omap.defined.size
+        cfg = LsdConfig(rho=math.pi / 8)
+        got = region_grow_candidates(omap, cfg)
+        assert got
+        assert got == region_grow_candidates_numpy(omap, cfg)
 
 
 class TestDetectSegments:

@@ -75,6 +75,36 @@ class TestLogBinomial:
         expected = [math.log2(math.comb(20, int(k))) for k in ks]
         np.testing.assert_allclose(vals, expected, atol=1e-10)
 
+    def test_scalar_path_matches_array_path_small_n(self):
+        # Python ints take the scalar path, arrays the numpy path; the bits
+        # must agree exactly over the whole table range checked here.
+        for n in range(301):
+            ks = np.arange(n + 1)
+            expected = log_binomial(np.full(n + 1, n), ks)
+            got = [log_binomial(n, int(k)) for k in ks]
+            assert got == expected.tolist(), n
+
+    def test_scalar_path_matches_array_path_at_table_edge_and_large_n(self):
+        rng = np.random.default_rng(11)
+        for n in (9_999, 10_000, 10_001, 65_536, 10**6):
+            ks = [0, 1, n // 2, n - 1, n] + [int(k) for k in rng.integers(0, n + 1, 50)]
+            expected = log_binomial(np.full(len(ks), n), np.array(ks))
+            got = [log_binomial(n, k) for k in ks]
+            assert got == expected.tolist(), n
+
+    def test_numpy_integers_and_bools_keep_the_array_path(self):
+        for n, k in [(0, 0), (20, 7), (9_999, 4_000), (10_000, 3), (65_536, 1234)]:
+            scalar = log_binomial(n, k)
+            assert type(scalar) is float
+            assert log_binomial(np.int64(n), np.int64(k)) == scalar
+            assert log_binomial(n, np.int64(k)) == scalar
+            assert log_binomial(np.int32(n), k) == scalar
+        # bool is an int subclass but never was a count.
+        with pytest.raises(DomainError):
+            log_binomial(True, False)
+        with pytest.raises(DomainError):
+            log_binomial(5, True)
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             log_binomial(5, 6)

@@ -52,6 +52,11 @@ class TestTypes:
         t = Score(mdl_bits=0.0, log2_nfa=0.1)
         assert not t.mdl_detects() and not t.nfa_detects()
 
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_nfa_detects_rejects_non_positive_epsilon(self, epsilon):
+        with pytest.raises(DomainError, match="epsilon must be positive"):
+            Score(mdl_bits=0.0, log2_nfa=-5.0).nfa_detects(epsilon)
+
 
 class TestL0:
     def test_examples(self):
