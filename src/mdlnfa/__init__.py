@@ -5,11 +5,15 @@ from .numeric import (
     Bits,
     DomainError,
     RegionCounts,
+    Score,
     bernoulli_kld,
     binary_entropy,
     binomial_tail_log,
+    code_length,
+    complement,
     g_term,
     hoeffding_tail_bound,
+    l0_code_length,
     log_binomial,
     stirling_log_binomial,
 )
@@ -26,12 +30,10 @@ from .imaging import (
     write_pgm,
 )
 from .square_detect import (
-    Score,
     Square,
     SquareHypothesis,
     approx_log_nfa,
     approx_mdl_score,
-    l0_code_length,
     mdl_score_multi,
     mdl_score_single,
     nfa_score_multi,

@@ -85,14 +85,17 @@ def cmd_sweep_single(args) -> int:
 def cmd_sweep_multi(args) -> int:
     overrides = {"base_seed": args.seed, "epsilon": args.epsilon,
                  "seeds_per_cell": args.seeds, "workers": args.workers}
-    if args.axis == "margin" and args.delta is not None:
+    if args.delta is not None:
+        if args.axis == "noise":
+            raise ex.ConfigError("--delta sets the noise level of the margin "
+                                 "axis; the noise axis sweeps its own deltas")
         overrides["margin_delta"] = args.delta
     cfg = _merge_config(ex.MultiSweepConfig, _load_json_config(args.config),
                         overrides)
     cells = ex.run_sweep_multi(cfg, args.axis, out_dir=_out_dir(args))
     for criterion in ("mdl", "nfa"):
-        four = ex.threshold_along(cells, criterion, "four")
-        large = ex.threshold_along(cells, criterion, "large")
+        four = ex.threshold_along(cells, criterion, ("four",))
+        large = ex.threshold_along(cells, criterion, ("large",))
         print(f"sweep-multi[{args.axis}] {criterion}: four-square majority up "
               f"to {four}, large-square up to {large}")
     return EXIT_OK
@@ -110,9 +113,7 @@ def cmd_polygon(args) -> int:
         initial = PolygonHypothesis(read_polygon_file(args.polygon))
     elif args.trace:
         initial = PolygonHypothesis(trace_contour(image, every=args.trace_every))
-    elif not args.image:
-        pass  # synthetic instance already provided an initial polygon
-    else:
+    elif args.image:   # a synthetic instance comes with its initial polygon
         raise ex.ConfigError("provide --polygon FILE or --trace with --image")
     criteria = ("mdl", "nfa") if args.criterion == "both" else (args.criterion,)
     trajectories = ex.run_polygon(image, initial, out_dir=out, criteria=criteria)

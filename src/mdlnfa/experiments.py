@@ -29,7 +29,8 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify
+from .numeric import Score
+from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_scores
 from .square_detect import (
     Square,
     four_square_layout,
@@ -62,10 +63,25 @@ def _trial_seed(base_seed: int, *coords: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(base_seed),) + tuple(int(c) for c in coords))
 
 
-def _resolve_workers(workers: int) -> int:
+def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
+    """[fn(*task) for task in tasks], in order; spread over worker
+    processes when more than one worker, CPU and task are available."""
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
-    return min(workers, os.cpu_count() or 1)
+    workers = min(workers, os.cpu_count() or 1, len(tasks))
+    if workers <= 1:
+        return [fn(*task) for task in tasks]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, *zip(*tasks), chunksize=chunksize))
+
+
+def _write_csv(out_dir, name: str, header, rows) -> None:
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    with open(out_dir / name, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +136,16 @@ def _single_cell(cfg: SingleSweepConfig, side_idx: int,
     row0 = (cfg.height - side) // 2
     col0 = (cfg.width - side) // 2
     square = Square(row0, col0, side)
-    log2_eps = math.log2(cfg.epsilon)
     out = []
     for trial in range(cfg.seeds_per_cell):
         seed = _trial_seed(cfg.base_seed, side_idx, delta_idx, trial)
         image = synthesize_squares([square], cfg.width, cfg.height,
                                    NoiseConfig(delta, seed=seed))
-        mdl = mdl_score_single(image, square)
-        nfa = nfa_score_single(image, square)
-        out.append((side, delta, trial, mdl, nfa,
-                    mdl < 0.0, nfa <= log2_eps))
+        score = Score(mdl_bits=mdl_score_single(image, square),
+                      log2_nfa=nfa_score_single(image, square))
+        out.append((side, delta, trial, score.mdl_bits, score.log2_nfa,
+                    score.mdl_detects(), score.nfa_detects(cfg.epsilon)))
     return out
-
-
-def _single_cell_star(args) -> list[tuple]:
-    return _single_cell(*args)
 
 
 def run_sweep_single(cfg: SingleSweepConfig,
@@ -142,12 +153,7 @@ def run_sweep_single(cfg: SingleSweepConfig,
     """Score the true square location per (side, delta, seed) cell."""
     tasks = [(cfg, si, di)
              for si in range(len(cfg.sides)) for di in range(len(cfg.deltas))]
-    workers = _resolve_workers(cfg.workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_single_cell_star, tasks, chunksize=4))
-    else:
-        chunks = [_single_cell_star(t) for t in tasks]
+    chunks = _map(_single_cell, tasks, cfg.workers, chunksize=4)
     rows = [row for chunk in chunks for row in chunk]
     cells = []
     for chunk in chunks:
@@ -159,22 +165,16 @@ def run_sweep_single(cfg: SingleSweepConfig,
                                nfa_rate=nfa_rate, agree_rate=agree))
     result = SingleSweepResult(config=cfg, rows=tuple(rows), cells=tuple(cells))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "sweep_single.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["side", "delta", "seed", "mdl_bits", "log10_nfa",
-                             "mdl_detect", "nfa_detect"])
-            for side, delta, trial, mdl, nfa, mdl_d, nfa_d in rows:
-                writer.writerow([side, delta, trial, f"{mdl:.6f}",
-                                 f"{nfa * LOG10_2:.6f}", int(mdl_d), int(nfa_d)])
-        with open(out_dir / "sweep_single_rates.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["side", "delta", "mdl_rate", "nfa_rate",
-                             "agree_rate"])
-            for cell in cells:
-                writer.writerow([cell.side, cell.delta, cell.mdl_rate,
-                                 cell.nfa_rate, cell.agree_rate])
+        _write_csv(out_dir, "sweep_single.csv",
+                   ["side", "delta", "seed", "mdl_bits", "log10_nfa",
+                    "mdl_detect", "nfa_detect"],
+                   ([side, delta, trial, f"{mdl:.6f}", f"{nfa * LOG10_2:.6f}",
+                     int(mdl_d), int(nfa_d)]
+                    for side, delta, trial, mdl, nfa, mdl_d, nfa_d in rows))
+        _write_csv(out_dir, "sweep_single_rates.csv",
+                   ["side", "delta", "mdl_rate", "nfa_rate", "agree_rate"],
+                   ([c.side, c.delta, c.mdl_rate, c.nfa_rate, c.agree_rate]
+                    for c in cells))
     return result
 
 
@@ -266,10 +266,8 @@ def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
         sel_mdl = select_hypothesis(image, hyps, "mdl", cfg.epsilon)
         sel_nfa = select_hypothesis(image, hyps, "nfa", cfg.epsilon)
         lab_mdl = HYPOTHESIS_LABELS[hyps.index(sel_mdl.chosen)]
-        if sel_nfa.chosen in hyps:
-            lab_nfa = HYPOTHESIS_LABELS[hyps.index(sel_nfa.chosen)]
-        else:
-            lab_nfa = "background"   # nothing passed epsilon
+        # Nothing passing epsilon selects the empty hypothesis, hyps[0].
+        lab_nfa = HYPOTHESIS_LABELS[hyps.index(sel_nfa.chosen)]
         chosen_mdl.append(lab_mdl)
         chosen_nfa.append(lab_nfa)
         scores = [item[1] for item in sel_mdl.table]
@@ -283,10 +281,6 @@ def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
                      majority_nfa=_majority(chosen_nfa), rows=tuple(rows))
 
 
-def _multi_cell_star(args) -> MultiCell:
-    return _multi_cell(*args)
-
-
 def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
                     out_dir: Path | None = None) -> tuple[MultiCell, ...]:
     """Evaluate the four standard hypotheses along the noise or margin axis."""
@@ -294,34 +288,24 @@ def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
         raise ConfigError(f"axis must be 'noise' or 'margin', got {axis!r}")
     values = cfg.deltas if axis == "noise" else cfg.margins
     tasks = [(cfg, axis, i) for i in range(len(values))]
-    workers = _resolve_workers(cfg.workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            cells = tuple(pool.map(_multi_cell_star, tasks))
-    else:
-        cells = tuple(_multi_cell_star(t) for t in tasks)
+    cells = tuple(_map(_multi_cell, tasks, cfg.workers))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / f"sweep_multi_{axis}.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            header = (["axis", "value", "delta", "margin", "seed"]
-                      + [f"mdl_{lab}" for lab in HYPOTHESIS_LABELS]
-                      + [f"log2nfa_{lab}" for lab in HYPOTHESIS_LABELS]
-                      + ["chosen_mdl", "chosen_nfa"])
-            writer.writerow(header)
-            for cell in cells:
-                for row in cell.rows:
-                    writer.writerow(row)
+        _write_csv(out_dir, f"sweep_multi_{axis}.csv",
+                   ["axis", "value", "delta", "margin", "seed"]
+                   + [f"mdl_{lab}" for lab in HYPOTHESIS_LABELS]
+                   + [f"log2nfa_{lab}" for lab in HYPOTHESIS_LABELS]
+                   + ["chosen_mdl", "chosen_nfa"],
+                   (row for cell in cells for row in cell.rows))
     return cells
 
 
-def threshold_along(cells, criterion: str, label: str = "four"):
-    """Last axis value whose majority choice is `label` (None if never)."""
+def threshold_along(cells, criterion: str, labels=("four",)):
+    """Last axis value whose majority choice is one of `labels` (None if
+    never)."""
     chosen = None
     for cell in cells:
         majority = cell.majority_mdl if criterion == "mdl" else cell.majority_nfa
-        if majority == label:
+        if majority in labels:
             chosen = cell.value
     return chosen
 
@@ -373,25 +357,19 @@ def run_polygon(image: BinaryImage, initial: PolygonHypothesis,
     the two score-vs-vertex-count curves can be plotted from either file.
     """
     from .imaging import write_polygon_file
-    from .polygon import polygon_scores
 
     trajectories = {}
     for criterion in criteria:
         traj = bss_simplify(image, initial, criterion)
         trajectories[criterion] = traj
         if out_dir is not None:
-            out_dir = Path(out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            with open(out_dir / f"bss_{criterion}.csv", "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["step", "vertex_count", "mdl_bits",
-                                 "log10_nfa"])
-                for step_idx, step in enumerate(traj.steps):
-                    both = polygon_scores(image, step.polygon)
-                    writer.writerow([step_idx, step.vertex_count,
-                                     f"{both.mdl_bits:.6f}",
-                                     f"{both.log2_nfa * LOG10_2:.6f}"])
-            write_polygon_file(out_dir / f"chosen_{criterion}.txt",
+            scores = [polygon_scores(image, step.polygon) for step in traj.steps]
+            _write_csv(out_dir, f"bss_{criterion}.csv",
+                       ["step", "vertex_count", "mdl_bits", "log10_nfa"],
+                       ([i, step.vertex_count, f"{both.mdl_bits:.6f}",
+                         f"{both.log2_nfa * LOG10_2:.6f}"]
+                        for i, (step, both) in enumerate(zip(traj.steps, scores))))
+            write_polygon_file(Path(out_dir) / f"chosen_{criterion}.txt",
                                traj.chosen.polygon.vertices)
     return trajectories
 
@@ -433,29 +411,23 @@ def lsd_boundary_table(cfg: LsdConfig, n_image: int = 512 * 512,
         min_nfa = min_mdl = None
         for k_r in range(0, n_r + 1):
             counts = AlignmentCounts(n_r=n_r, k_r=k_r)
-            if min_nfa is None and nfa_rect(n_image, counts, cfg) <= \
-                    math.log2(cfg.epsilon):
+            score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
+                          log2_nfa=nfa_rect(n_image, counts, cfg))
+            if min_nfa is None and score.nfa_detects(cfg.epsilon):
                 min_nfa = k_r
-            if min_mdl is None and mdl_rect(n_image, counts, cfg) < 0.0:
+            if min_mdl is None and score.mdl_detects():
                 min_mdl = k_r
             if min_nfa is not None and min_mdl is not None:
                 break
         rows.append(BoundaryRow(n_r=n_r, min_k_nfa=min_nfa, min_k_mdl=min_mdl))
     if out_dir is not None:
-        out_dir = Path(out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        with open(out_dir / "lsd_boundary.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_r", "min_k_nfa", "min_k_mdl"])
-            for row in rows:
-                writer.writerow([row.n_r,
-                                 "" if row.min_k_nfa is None else row.min_k_nfa,
-                                 "" if row.min_k_mdl is None else row.min_k_mdl])
+        # csv writes None, "not detected at any k_r", as an empty field.
+        _write_csv(out_dir, "lsd_boundary.csv", ["n_r", "min_k_nfa", "min_k_mdl"],
+                   ([row.n_r, row.min_k_nfa, row.min_k_mdl] for row in rows))
     return rows
 
 
-def _h0_map_detections(args) -> int:
-    cfg, width, height, seed = args
+def _h0_map_detections(cfg: LsdConfig, width: int, height: int, seed) -> int:
     omap = isotropic_orientation_map(width, height, seed)
     candidates = region_grow_candidates(omap, cfg)
     detections = score_candidates(omap, candidates, cfg)
@@ -468,11 +440,7 @@ def h0_false_alarm_counts(cfg: LsdConfig, n_maps: int = 100, width: int = 256,
     """NFA detection counts over isotropic random orientation maps."""
     tasks = [(cfg, width, height, _trial_seed(base_seed, 0xFA, i))
              for i in range(n_maps)]
-    workers = _resolve_workers(workers)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(_h0_map_detections, tasks, chunksize=2))
-    return [_h0_map_detections(t) for t in tasks]
+    return _map(_h0_map_detections, tasks, workers, chunksize=2)
 
 
 # ---------------------------------------------------------------------------
@@ -482,24 +450,17 @@ def h0_false_alarm_counts(cfg: LsdConfig, n_maps: int = 100, width: int = 256,
 def default_equivalence_runs() -> list[tuple[int, list[PartSpec]]]:
     """The standard exhaustive family: alphabets {2, 3}, lengths {4, 6, 8},
     three ordering functions, uniform and non-uniform risk weights."""
+    families = [(length, name, xi)
+                for length in (4, 6, 8) for name, xi in XI_FAMILIES.items()]
+    weights = [Fraction(2 ** i) for i in range(1, 9)] + [Fraction(256)]
     runs = []
     for alphabet in (2, 3):
-        uniform = []
-        for length in (4, 6, 8):
-            for name, xi in XI_FAMILIES.items():
-                uniform.append(PartSpec(length=length, eta=Fraction(9), xi=xi,
-                                        name=f"{name}_{length}"))
-        runs.append((alphabet, uniform))
-        weights = [Fraction(2), Fraction(4), Fraction(8), Fraction(16),
-                   Fraction(32), Fraction(64), Fraction(128), Fraction(256),
-                   Fraction(256)]
-        nonuniform = []
-        for (length, (name, xi)), eta in zip(
-                ((l, item) for l in (4, 6, 8) for item in XI_FAMILIES.items()),
-                weights):
-            nonuniform.append(PartSpec(length=length, eta=eta, xi=xi,
-                                       name=f"{name}_{length}_w{eta}"))
-        runs.append((alphabet, nonuniform))
+        runs.append((alphabet, [PartSpec(length=length, eta=Fraction(9), xi=xi,
+                                         name=f"{name}_{length}")
+                                for length, name, xi in families]))
+        runs.append((alphabet, [PartSpec(length=length, eta=eta, xi=xi,
+                                         name=f"{name}_{length}_w{eta}")
+                                for (length, name, xi), eta in zip(families, weights)]))
     return runs
 
 

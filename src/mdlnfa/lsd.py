@@ -23,8 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import OrientationMap, gradient_orientation
-from .numeric import DomainError, binomial_tail_log, log_binomial
-from .square_detect import Score
+from .numeric import Score, binomial_tail_log, code_length
 
 DEFAULT_RHO = math.pi / 16.0
 
@@ -34,8 +33,9 @@ class LsdConfig:
     """Tolerance and test-count bookkeeping for rectangle validation.
 
     theta = 2*rho/pi is the isotropic alignment probability for the modulo-pi
-    angle metric; gamma counts how many tolerance values are tested (each one
-    multiplies the test family).
+    angle metric; rho < pi/2 keeps it below 1, where aligned angles are
+    cheaper to code.  gamma counts how many tolerance values are tested (each
+    one multiplies the test family).
     """
 
     rho: float = DEFAULT_RHO
@@ -44,8 +44,8 @@ class LsdConfig:
     tau: float = 2.0
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.pi:
-            raise ValueError(f"rho must lie in (0, pi), got {self.rho}")
+        if not 0.0 < self.rho < math.pi / 2.0:
+            raise ValueError(f"rho must lie in (0, pi/2), got {self.rho}")
         if self.gamma < 1:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not self.epsilon > 0.0:
@@ -53,12 +53,12 @@ class LsdConfig:
 
     @property
     def theta(self) -> float:
-        return min(1.0, 2.0 * self.rho / math.pi)
+        return 2.0 * self.rho / math.pi
 
     @classmethod
     def from_theta(cls, theta: float, **kwargs) -> "LsdConfig":
-        if not 0.0 < theta <= 1.0:
-            raise ValueError(f"theta must lie in (0, 1], got {theta}")
+        if not 0.0 < theta < 1.0:
+            raise ValueError(f"theta must lie in (0, 1), got {theta}")
         return cls(rho=theta * math.pi / 2.0, **kwargs)
 
 
@@ -163,11 +163,7 @@ def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
     (24 bits under the 2^24-value gradient alphabet) cancels and never
     appears.  Negative means the rectangle pays for itself.
     """
-    if not cfg.theta < 1.0:
-        raise DomainError("code-length saving requires theta < 1")
-    return (2.5 * math.log2(n_image)
-            + math.log2(counts.n_r)
-            + log_binomial(counts.n_r, counts.k_r)
+    return (code_length(2.5 * math.log2(n_image), [(counts.n_r, counts.k_r)])
             + counts.k_r * math.log2(cfg.theta))
 
 
@@ -290,21 +286,20 @@ def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
     """Score an identical candidate set under both criteria."""
     n_image = omap.height * omap.width
-    log2_eps = math.log2(cfg.epsilon)
     out = []
     for cand in candidates:
         try:
             counts = count_aligned(cand, omap, cfg.rho)
         except ValueError:
             continue
-        log2_nfa = nfa_rect(n_image, counts, cfg)
-        mdl_bits = mdl_rect(n_image, counts, cfg)
+        score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
+                      log2_nfa=nfa_rect(n_image, counts, cfg))
         out.append(SegmentDetection(
             candidate=cand,
             counts=counts,
-            score=Score(mdl_bits=mdl_bits, log2_nfa=log2_nfa),
-            nfa_keep=log2_nfa <= log2_eps,
-            mdl_keep=mdl_bits < 0.0,
+            score=score,
+            nfa_keep=score.nfa_detects(cfg.epsilon),
+            mdl_keep=score.mdl_detects(),
         ))
     return out
 

@@ -7,6 +7,10 @@ convention 0*log(0) = 0 applies throughout.
 The elementwise operations (`log_binomial`, `binary_entropy`, `bernoulli_kld`,
 `g_term`, `stirling_log_binomial`) accept scalars or numpy arrays and return
 the matching kind.  `binomial_tail_log` is a scalar reduction.
+
+`code_length` is the two-part code every MDL score is built from, and
+`Score` pairs such a code-length delta with a log2 NFA and holds both
+decision rules.
 """
 
 from __future__ import annotations
@@ -106,6 +110,50 @@ def log_binomial(n, k) -> Bits:
         raw = _lgamma(nl + 1.0) - _lgamma(kl + 1.0) - _lgamma(nl - kl + 1.0)
         out[~small] = raw.astype(np.float64) / _LN2
     return float(out[0]) if scalar else out
+
+
+def code_length(header: Bits, parts) -> Bits:
+    """Two-part code length: `header` bits for the model, then for each
+    (n, k) part log2(n) bits for its ones count and log2 C(n, k) for the
+    enumerative rank of its pattern.
+
+    Terms are summed left to right in that order, so every scorer written
+    as this expression gets the same float bit for bit.
+    """
+    bits = header
+    for n, k in parts:
+        bits += math.log2(n)
+        bits += log_binomial(n, k)
+    return bits
+
+
+def complement(total: RegionCounts, parts) -> tuple[int, int]:
+    """Counts (n, k) of `total` outside the disjoint regions `parts`."""
+    n0 = total.n - sum(p.n for p in parts)
+    if n0 == 0:
+        raise DomainError("regions cover the whole image; no background left")
+    return n0, total.k - sum(p.k for p in parts)
+
+
+def l0_code_length(counts: RegionCounts) -> Bits:
+    """Background code length: the whole image as a single part."""
+    return code_length(0.0, [(counts.n, counts.k)])
+
+
+@dataclass(frozen=True)
+class Score:
+    """Paired decision record: code-length delta and log2 NFA, both in bits."""
+
+    mdl_bits: float
+    log2_nfa: float
+
+    def mdl_detects(self) -> bool:
+        return self.mdl_bits < 0.0
+
+    def nfa_detects(self, epsilon: float = 1.0) -> bool:
+        if not epsilon > 0.0:
+            raise DomainError(f"epsilon must be positive, got {epsilon}")
+        return self.log2_nfa <= math.log2(epsilon)
 
 
 def binomial_tail_log(n: int, k: int, q: float) -> Bits:

@@ -18,8 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .imaging import BinaryImage, count_region, rasterize_polygon
-from .numeric import DomainError, binomial_tail_log, log_binomial
-from .square_detect import Score, l0_code_length
+from .numeric import Score, binomial_tail_log, code_length, complement, l0_code_length
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,11 +92,7 @@ def _is_simple(verts: np.ndarray) -> bool:
 def _region_counts(image: BinaryImage, poly: PolygonHypothesis):
     mask = rasterize_polygon(poly.vertices, image.width, image.height)
     inside = count_region(image, mask)
-    n0 = image.n - inside.n
-    if n0 == 0:
-        raise DomainError("polygon covers the whole image; no exterior left")
-    k0 = image.count_ones - inside.k
-    return inside, n0, k0
+    return inside, complement(image.counts, [inside])
 
 
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -106,11 +101,9 @@ def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     1 + c(1 + log2 n) for the vertex count and coordinates, plus enumerative
     codes for the interior and exterior pixel patterns.
     """
-    inside, n0, k0 = _region_counts(image, poly)
-    n = image.n
-    return (1.0 + poly.c * (1.0 + math.log2(n))
-            + math.log2(inside.n) + log_binomial(inside.n, inside.k)
-            + math.log2(n0) + log_binomial(n0, k0))
+    inside, exterior = _region_counts(image, poly)
+    return code_length(1.0 + poly.c * (1.0 + math.log2(image.n)),
+                       [(inside.n, inside.k), exterior])
 
 
 def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -120,7 +113,7 @@ def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
 
 def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     """log2 NFA = s (1 + log2 n) + log2 B(n1, k1, q), with s = c sides."""
-    inside, _, _ = _region_counts(image, poly)
+    inside, _ = _region_counts(image, poly)
     s = poly.c
     return (s * (1.0 + math.log2(image.n))
             + binomial_tail_log(inside.n, inside.k, image.counts.q))
@@ -184,7 +177,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
             try:
                 child = current.without_vertex(i)
                 child_score = score_fn(image, child)
-            except (ValueError, DomainError):
+            except ValueError:   # DomainError is a ValueError
                 continue
             if child_score < best_score:
                 best_child, best_score = child, child_score

@@ -19,10 +19,13 @@ from .imaging import BinaryImage
 from .numeric import (
     DomainError,
     RegionCounts,
+    Score,
     bernoulli_kld,
     binomial_tail_log,
+    code_length,
+    complement,
     g_term,
-    log_binomial,
+    l0_code_length,
 )
 
 _HALF_LOG2_2PI = 0.5 * math.log2(2.0 * math.pi)
@@ -73,33 +76,11 @@ class SquareHypothesis:
         return len(self.squares)
 
 
-@dataclass(frozen=True)
-class Score:
-    """Paired decision record: code-length delta and log2 NFA, both in bits."""
-
-    mdl_bits: float
-    log2_nfa: float
-
-    def mdl_detects(self) -> bool:
-        return self.mdl_bits < 0.0
-
-    def nfa_detects(self, epsilon: float = 1.0) -> bool:
-        if not epsilon > 0.0:
-            raise DomainError(f"epsilon must be positive, got {epsilon}")
-        return self.log2_nfa <= math.log2(epsilon)
-
-
 def _square_counts(image: BinaryImage, sq: Square) -> RegionCounts:
     if sq.row + sq.side > image.height or sq.col + sq.side > image.width:
         raise ValueError(f"{sq} does not fit in {image.width}x{image.height}")
     block = image.pixels[sq.row:sq.row + sq.side, sq.col:sq.col + sq.side]
     return RegionCounts(n=sq.n1, k=int(block.sum()))
-
-
-def l0_code_length(counts: RegionCounts) -> float:
-    """Background code length: log2(n) for the ones count, then the
-    enumerative rank among all length-n sequences with k ones."""
-    return math.log2(counts.n) + log_binomial(counts.n, counts.k)
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:
@@ -110,13 +91,8 @@ def mdl_score_single(image: BinaryImage, sq: Square) -> float:
     """
     inside = _square_counts(image, sq)
     total = image.counts
-    n0 = total.n - inside.n
-    if n0 == 0:
-        raise DomainError("square covers the whole image; no background left")
-    k0 = total.k - inside.k
-    l1 = (1.5 * math.log2(total.n)
-          + math.log2(n0) + log_binomial(n0, k0)
-          + math.log2(inside.n) + log_binomial(inside.n, inside.k))
+    l1 = code_length(1.5 * math.log2(total.n),
+                     [complement(total, [inside]), (inside.n, inside.k)])
     return l1 - l0_code_length(total)
 
 
@@ -176,14 +152,9 @@ def mdl_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
         # identity (multi = single + 2) exact in floating point.
         return mdl_score_single(image, hyp.squares[0]) + 2.0
     insides = [_square_counts(image, sq) for sq in hyp.squares]
-    n0 = total.n - sum(c.n for c in insides)
-    k0 = total.k - sum(c.k for c in insides)
-    if n0 == 0:
-        raise DomainError("squares cover the whole image; no background left")
-    l_h = math.log2(n0) + log_binomial(n0, k0) + hyp.c + 1.0
+    l_h = code_length(0.0, [complement(total, insides)]) + hyp.c + 1.0
     for counts in insides:
-        l_h += (1.5 * math.log2(total.n)
-                + math.log2(counts.n) + log_binomial(counts.n, counts.k))
+        l_h += code_length(1.5 * math.log2(total.n), [(counts.n, counts.k)])
     return l_h - l0_code_length(total)
 
 
@@ -232,12 +203,9 @@ def select_hypothesis(image: BinaryImage, candidates, criterion: str,
     if criterion == "mdl":
         chosen = min(table, key=lambda item: item[1].mdl_bits)[0]
     else:
-        log2_eps = math.log2(epsilon)
-        passing = [item for item in table if item[1].log2_nfa <= log2_eps]
-        if passing:
-            chosen = min(passing, key=lambda item: item[1].log2_nfa)[0]
-        else:
-            chosen = SquareHypothesis()
+        passing = [item for item in table if item[1].nfa_detects(epsilon)]
+        chosen = min(passing, key=lambda item: item[1].log2_nfa,
+                     default=(SquareHypothesis(),))[0]
     return SelectionResult(chosen=chosen, table=tuple(table))
 
 

@@ -165,3 +165,82 @@ def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
         except ValueError:
             continue
     return candidates
+
+
+# ---------------------------------------------------------------------------
+# MDL scores as first written: each spells out its enumerative code by hand.
+# The library now routes them all through `numeric.code_length`; these
+# copies pin that every float stays bit-identical.
+# ---------------------------------------------------------------------------
+
+def _square_counts(image, sq):
+    from mdlnfa.numeric import RegionCounts
+
+    block = image.pixels[sq.row:sq.row + sq.side, sq.col:sq.col + sq.side]
+    return RegionCounts(n=sq.n1, k=int(block.sum()))
+
+
+def _l0_code_length(counts):
+    from mdlnfa.numeric import log_binomial
+
+    return math.log2(counts.n) + log_binomial(counts.n, counts.k)
+
+
+def mdl_score_single(image, sq):
+    from mdlnfa.numeric import DomainError, log_binomial
+
+    inside = _square_counts(image, sq)
+    total = image.counts
+    n0 = total.n - inside.n
+    if n0 == 0:
+        raise DomainError("square covers the whole image; no background left")
+    k0 = total.k - inside.k
+    l1 = (1.5 * math.log2(total.n)
+          + math.log2(n0) + log_binomial(n0, k0)
+          + math.log2(inside.n) + log_binomial(inside.n, inside.k))
+    return l1 - _l0_code_length(total)
+
+
+def mdl_score_multi(image, hyp):
+    from mdlnfa.numeric import DomainError, log_binomial
+
+    total = image.counts
+    if hyp.c == 0:
+        return 1.0
+    if hyp.c == 1:
+        return mdl_score_single(image, hyp.squares[0]) + 2.0
+    insides = [_square_counts(image, sq) for sq in hyp.squares]
+    n0 = total.n - sum(c.n for c in insides)
+    k0 = total.k - sum(c.k for c in insides)
+    if n0 == 0:
+        raise DomainError("squares cover the whole image; no background left")
+    l_h = math.log2(n0) + log_binomial(n0, k0) + hyp.c + 1.0
+    for counts in insides:
+        l_h += (1.5 * math.log2(total.n)
+                + math.log2(counts.n) + log_binomial(counts.n, counts.k))
+    return l_h - _l0_code_length(total)
+
+
+def mdl_polygon_score(image, poly):
+    from mdlnfa.imaging import count_region, rasterize_polygon
+    from mdlnfa.numeric import DomainError, log_binomial
+
+    mask = rasterize_polygon(poly.vertices, image.width, image.height)
+    inside = count_region(image, mask)
+    n0 = image.n - inside.n
+    if n0 == 0:
+        raise DomainError("polygon covers the whole image; no exterior left")
+    k0 = image.count_ones - inside.k
+    n = image.n
+    return (1.0 + poly.c * (1.0 + math.log2(n))
+            + math.log2(inside.n) + log_binomial(inside.n, inside.k)
+            + math.log2(n0) + log_binomial(n0, k0))
+
+
+def mdl_rect(n_image, counts, cfg):
+    from mdlnfa.numeric import log_binomial
+
+    return (2.5 * math.log2(n_image)
+            + math.log2(counts.n_r)
+            + log_binomial(counts.n_r, counts.k_r)
+            + counts.k_r * math.log2(cfg.theta))

@@ -32,6 +32,7 @@ from mdlnfa.experiments import (
     run_polygon,
     run_sweep_multi,
     run_sweep_single,
+    threshold_along,
 )
 from mdlnfa.lsd import LsdConfig
 from mdlnfa.numeric import binomial_tail_log, hoeffding_tail_bound
@@ -221,32 +222,26 @@ def test_oversized_square_divergence_regime():
 # 7. Multi-square selection thresholds
 # ---------------------------------------------------------------------------
 
-def last_value(cells, criterion, labels=("four", "large", "single")):
-    picked = None
-    for cell in cells:
-        majority = cell.majority_mdl if criterion == "mdl" else cell.majority_nfa
-        if majority in labels:
-            picked = cell.value
-    return picked
+DETECTED = ("four", "large", "single")
 
 
 def test_criterion_7_multi_square_thresholds():
     cfg = MultiSweepConfig(seeds_per_cell=20, base_seed=7)
     noise_cells = run_sweep_multi(cfg, "noise")
-    nfa_noise = last_value(noise_cells, "nfa", labels=("four",))
-    mdl_noise = last_value(noise_cells, "mdl", labels=("four",))
+    nfa_noise = threshold_along(noise_cells, "nfa", ("four",))
+    mdl_noise = threshold_along(noise_cells, "mdl", ("four",))
 
     margin_low = run_sweep_multi(
         MultiSweepConfig(seeds_per_cell=20, base_seed=7, margin_delta=0.2),
         "margin")
-    low_mdl = last_value(margin_low, "mdl")
-    low_nfa = last_value(margin_low, "nfa")
+    low_mdl = threshold_along(margin_low, "mdl", DETECTED)
+    low_nfa = threshold_along(margin_low, "nfa", DETECTED)
 
     margin_high = run_sweep_multi(
         MultiSweepConfig(seeds_per_cell=20, base_seed=7, margin_delta=0.4),
         "margin")
-    high_mdl = last_value(margin_high, "mdl", labels=("large",))
-    high_nfa = last_value(margin_high, "nfa", labels=("large",))
+    high_mdl = threshold_along(margin_high, "mdl", ("large",))
+    high_nfa = threshold_along(margin_high, "nfa", ("large",))
 
     ok_noise = (nfa_noise is not None and 0.36 <= nfa_noise <= 0.44
                 and mdl_noise is not None and mdl_noise <= nfa_noise

@@ -1,0 +1,144 @@
+"""Tests for the two-part code kernel and the scorers built on it.
+
+Every MDL scorer is `numeric.code_length` plus its own header; the oracle
+copies in `oracles.py` spell each formula out by hand as first written, and
+the kernel versions must equal them bit for bit (`==`, never approx).
+"""
+
+import math
+
+import numpy as np
+import pytest
+
+import oracles
+import test_polygon as polygon_tests
+from mdlnfa import lsd, square_detect
+from mdlnfa.imaging import NoiseConfig, synthesize_squares
+from mdlnfa.lsd import AlignmentCounts, LsdConfig, mdl_rect
+from mdlnfa.numeric import (
+    DomainError,
+    RegionCounts,
+    Score,
+    code_length,
+    complement,
+    l0_code_length,
+    log_binomial,
+)
+from mdlnfa.polygon import PolygonHypothesis, bss_simplify, mdl_polygon_score
+from mdlnfa.square_detect import (
+    Square,
+    SquareHypothesis,
+    four_square_layout,
+    mdl_score_multi,
+    mdl_score_single,
+)
+
+
+class TestKernel:
+    def test_header_only(self):
+        assert code_length(3.25, []) == 3.25
+
+    def test_one_part(self):
+        assert code_length(0.0, [(16, 0)]) == 4.0
+        assert code_length(1.0, [(10, 3)]) == \
+            1.0 + math.log2(10) + log_binomial(10, 3)
+
+    def test_parts_sum_left_to_right(self):
+        parts = [(100, 37), (25, 20), (7, 7)]
+        expected = 2.5
+        for n, k in parts:
+            expected += math.log2(n)
+            expected += log_binomial(n, k)
+        assert code_length(2.5, parts) == expected
+
+    def test_l0_is_the_whole_image_as_one_part(self):
+        for n, k in [(1, 0), (16, 16), (100, 50), (65_536, 20_000)]:
+            counts = RegionCounts(n, k)
+            assert l0_code_length(counts) == oracles._l0_code_length(counts)
+
+    def test_complement(self):
+        total = RegionCounts(100, 40)
+        assert complement(total, [RegionCounts(10, 7), RegionCounts(5, 0)]) \
+            == (85, 33)
+        assert complement(total, []) == (100, 40)
+
+    def test_complement_rejects_full_cover(self):
+        with pytest.raises(DomainError, match="no background left"):
+            complement(RegionCounts(16, 3), [RegionCounts(16, 3)])
+
+    def test_score_moved_but_still_importable(self):
+        assert square_detect.Score is Score
+        assert lsd.Score is Score
+        assert square_detect.l0_code_length is l0_code_length
+
+
+def noisy_squares(seed, delta, size=64):
+    hyps = four_square_layout(extent=40, margin=10, width=size, height=size)
+    image = synthesize_squares(hyps[2].squares, size, size,
+                               NoiseConfig(delta, seed=seed))
+    small = hyps[2].squares
+    two = SquareHypothesis((small[0], small[3]))
+    return image, (hyps[0], hyps[1], two, hyps[2], hyps[3])
+
+
+class TestSquaresAgainstOracle:
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("delta", [0.0, 0.1, 0.3, 0.45])
+    def test_multi_every_c(self, seed, delta):
+        image, hyps = noisy_squares(seed, delta)
+        assert sorted({h.c for h in hyps}) == [0, 1, 2, 4]
+        for hyp in hyps:
+            assert mdl_score_multi(image, hyp) == \
+                oracles.mdl_score_multi(image, hyp)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_single_every_side_and_place(self, seed):
+        image, _ = noisy_squares(seed, 0.2)
+        for side in (1, 2, 5, 17, 40, 63):
+            for at in (0, (64 - side) // 2, 64 - side):
+                sq = Square(at, (at * 7) % (65 - side), side)
+                assert mdl_score_single(image, sq) == \
+                    oracles.mdl_score_single(image, sq)
+
+    def test_full_cover_rejected_by_both(self):
+        image = synthesize_squares([], 8, 8, NoiseConfig(0.3, seed=1))
+        whole = Square(0, 0, 8)
+        for fn in (mdl_score_single, oracles.mdl_score_single):
+            with pytest.raises(DomainError):
+                fn(image, whole)
+
+
+class TestPolygonAgainstOracle:
+    @pytest.mark.parametrize("seed,c", [(0, 6), (1, 7), (2, 8), (3, 8)])
+    def test_star_instances_and_their_children(self, seed, c):
+        maker = polygon_tests.TestBssAgainstExhaustiveOracle()
+        image, verts = maker.make_instance(seed, c)
+        initial = PolygonHypothesis(verts)
+        polygons = [initial]
+        for i in range(c):
+            try:
+                polygons.append(initial.without_vertex(i))
+            except ValueError:
+                continue
+        polygons += [s.polygon for s in bss_simplify(image, initial, "mdl").steps]
+        for poly in polygons:
+            assert mdl_polygon_score(image, poly) == \
+                oracles.mdl_polygon_score(image, poly)
+
+
+class TestRectAgainstOracle:
+    @pytest.mark.parametrize("cfg", [LsdConfig(), LsdConfig.from_theta(0.5),
+                                     LsdConfig(rho=math.pi / 8, gamma=3)])
+    @pytest.mark.parametrize("n_image", [4096, 96 * 96, 512 * 512])
+    def test_every_count_up_to_60(self, cfg, n_image):
+        for n_r in range(1, 61):
+            for k_r in range(n_r + 1):
+                counts = AlignmentCounts(n_r=n_r, k_r=k_r)
+                assert mdl_rect(n_image, counts, cfg) == \
+                    oracles.mdl_rect(n_image, counts, cfg)
+
+    def test_theta_below_one_by_construction(self):
+        rng = np.random.default_rng(0)
+        for rho in rng.uniform(1e-9, math.pi / 2, 1000):
+            assert 0.0 < LsdConfig(rho=float(rho)).theta < 1.0
+        assert LsdConfig(rho=math.nextafter(math.pi / 2, 0.0)).theta < 1.0

@@ -4,6 +4,7 @@ import csv
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -124,7 +125,7 @@ class TestMultiSweep:
         assert cells[1].majority_mdl == "four"
         assert cells[2].majority_mdl == "background"
         assert (tmp_path / "sweep_multi_margin.csv").exists()
-        assert threshold_along(cells, "mdl", "four") == 8
+        assert threshold_along(cells, "mdl", ("four",)) == 8
 
     def test_noise_axis_tiny(self):
         cfg = MultiSweepConfig(deltas=(0.1, 0.45), seeds_per_cell=3)
@@ -172,6 +173,56 @@ class TestLsdRuns:
                                        height=96)
         assert len(counts) == 2
         assert sum(counts) <= 1
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Pin two usable CPUs and record the worker count of every pool made."""
+    import mdlnfa.experiments as experiments
+
+    made = []
+
+    class RecordingPool(experiments.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            made.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    return made
+
+
+class TestWorkerPool:
+    """workers=2 goes through a process pool and must equal workers=1."""
+
+    def test_sweep_single(self, pools):
+        one = run_sweep_single(TINY_SINGLE)
+        two = run_sweep_single(replace(TINY_SINGLE, workers=2))
+        assert pools == [2]
+        assert two.rows == one.rows and two.cells == one.cells
+
+    @pytest.mark.parametrize("axis", ["noise", "margin"])
+    def test_sweep_multi(self, pools, axis):
+        cfg = MultiSweepConfig(width=96, height=96, deltas=(0.1, 0.3, 0.45),
+                               margins=(0, 8, 24), seeds_per_cell=2)
+        one = run_sweep_multi(cfg, axis)
+        two = run_sweep_multi(replace(cfg, workers=2), axis)
+        assert pools == [2]
+        assert two == one
+
+    @pytest.mark.parametrize("n_maps", [0, 1, 4])
+    def test_h0_counts(self, pools, n_maps):
+        # A huge epsilon gives each map a different count, so order shows.
+        cfg = LsdConfig(epsilon=1e7)
+        kwargs = dict(n_maps=n_maps, width=48, height=48, base_seed=4)
+        one = h0_false_alarm_counts(cfg, workers=1, **kwargs)
+        two = h0_false_alarm_counts(cfg, workers=2, **kwargs)
+        assert pools == ([2] if n_maps > 1 else [])
+        assert len(two) == n_maps and two == one
+
+    def test_workers_below_one_rejected(self):
+        with pytest.raises(ConfigError):
+            h0_false_alarm_counts(LsdConfig(), n_maps=0, workers=0)
 
 
 class TestEquivalenceRun:
@@ -251,6 +302,17 @@ class TestCli:
     def test_equiv_cli(self, tmp_path):
         assert main(["equiv", "--out", str(tmp_path)]) == EXIT_OK
         assert (tmp_path / "equivalence_report.txt").exists()
+
+    def test_sweep_multi_noise_axis_rejects_delta(self, tmp_path):
+        assert main(["sweep-multi", "--axis", "noise", "--delta", "0.3",
+                     "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "sweep_multi_noise.csv").exists()
+
+    @pytest.mark.parametrize("flag,value", [("--rho", "2.0"),
+                                            ("--theta", "1.0")])
+    def test_lsd_rejects_theta_at_least_one(self, tmp_path, flag, value):
+        assert main(["lsd", flag, value, "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert not (tmp_path / "lsd_boundary.csv").exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

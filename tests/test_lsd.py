@@ -44,6 +44,14 @@ class TestConfig:
         with pytest.raises(ValueError):
             LsdConfig(rho=4.0)
         with pytest.raises(ValueError):
+            LsdConfig(rho=2.0)
+        with pytest.raises(ValueError):
+            LsdConfig(rho=math.pi / 2)
+        with pytest.raises(ValueError):
+            LsdConfig.from_theta(1.0)
+        with pytest.raises(ValueError):
+            LsdConfig.from_theta(0.0)
+        with pytest.raises(ValueError):
             LsdConfig(gamma=0)
         with pytest.raises(ValueError):
             LsdConfig(epsilon=0.0)
