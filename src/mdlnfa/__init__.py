@@ -38,6 +38,7 @@ from .square_detect import (
     mdl_score_single,
     nfa_score_multi,
     nfa_score_single,
+    pick_hypothesis,
     select_hypothesis,
 )
 from .polygon import (

@@ -221,21 +221,26 @@ def build_parser() -> argparse.ArgumentParser:
                     "experiments.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="JSON file overriding config defaults")
-        p.add_argument("--seed", type=int, help="base seed")
-        p.add_argument("--epsilon", type=float,
-                       help="NFA detection threshold (default 1)")
+    shared = {
+        "config": dict(help="JSON file overriding config defaults"),
+        "seed": dict(type=int, help="base seed"),
+        "epsilon": dict(type=float, help="NFA detection threshold (default 1)"),
+    }
+
+    def common(p, *flags):
+        """--out, plus those of --config/--seed/--epsilon the command reads."""
+        for flag in flags:
+            p.add_argument(f"--{flag}", **shared[flag])
         p.add_argument("--out", default="out", help="output directory")
 
     p = sub.add_parser("sweep-single", help="side x noise detection-rate grid")
-    common(p)
+    common(p, "config", "seed", "epsilon")
     p.add_argument("--seeds", type=int, help="seeds per cell")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep_single)
 
     p = sub.add_parser("sweep-multi", help="four-square model selection sweep")
-    common(p)
+    common(p, "config", "seed", "epsilon")
     p.add_argument("--axis", choices=("noise", "margin"), required=True)
     p.add_argument("--delta", type=float,
                    help="noise level for the margin axis")
@@ -244,7 +249,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_sweep_multi)
 
     p = sub.add_parser("polygon", help="backward-stepwise polygon selection")
-    common(p)
+    common(p, "seed", "epsilon")
     p.add_argument("--image", help="binary PGM input (synthetic if omitted)")
     p.add_argument("--polygon", help="initial polygon vertex file")
     p.add_argument("--trace", action="store_true",
@@ -258,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_polygon)
 
     p = sub.add_parser("lsd", help="line-segment validation experiments")
-    common(p)
+    common(p, "epsilon")
     p.add_argument("--image", help="grayscale PGM input")
     p.add_argument("--candidates", help="rectangle candidate file "
                                         "(ax ay bx by w per line)")
@@ -280,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_equiv)
 
     p = sub.add_parser("gen", help="synthesize test inputs")
-    common(p)
+    common(p, "seed")
     p.add_argument("--kind", choices=("single-square", "four-squares",
                                       "shape", "edge"), required=True)
     p.add_argument("--width", type=int, default=100)

@@ -36,6 +36,7 @@ from .square_detect import (
     four_square_layout,
     mdl_score_single,
     nfa_score_single,
+    pick_hypothesis,
     select_hypothesis,
 )
 
@@ -104,6 +105,8 @@ class SingleSweepConfig:
             raise ConfigError("sides and deltas grids must be non-empty")
         if self.seeds_per_cell < 1:
             raise ConfigError("seeds_per_cell must be >= 1")
+        if not self.epsilon > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if any(not 0.0 < d < 0.5 for d in self.deltas):
             raise ConfigError("all deltas must lie in (0, 0.5)")
         if any(s < 1 or s > min(self.width, self.height) for s in self.sides):
@@ -203,6 +206,8 @@ class MultiSweepConfig:
     def __post_init__(self):
         if self.seeds_per_cell < 1:
             raise ConfigError("seeds_per_cell must be >= 1")
+        if not self.epsilon > 0.0:
+            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if any(not 0.0 < d < 0.5 for d in self.deltas):
             raise ConfigError("all deltas must lie in (0, 0.5)")
         if not 0.0 < self.margin_delta < 0.5:
@@ -263,14 +268,14 @@ def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
         seed = _trial_seed(cfg.base_seed, axis_tag, value_idx, trial)
         image = synthesize_squares(truth, cfg.width, cfg.height,
                                    NoiseConfig(delta, seed=seed))
-        sel_mdl = select_hypothesis(image, hyps, "mdl", cfg.epsilon)
-        sel_nfa = select_hypothesis(image, hyps, "nfa", cfg.epsilon)
-        lab_mdl = HYPOTHESIS_LABELS[hyps.index(sel_mdl.chosen)]
+        sel = select_hypothesis(image, hyps, "mdl", cfg.epsilon)
+        lab_mdl = HYPOTHESIS_LABELS[hyps.index(sel.chosen)]
         # Nothing passing epsilon selects the empty hypothesis, hyps[0].
-        lab_nfa = HYPOTHESIS_LABELS[hyps.index(sel_nfa.chosen)]
+        lab_nfa = HYPOTHESIS_LABELS[
+            hyps.index(pick_hypothesis(sel.table, "nfa", cfg.epsilon))]
         chosen_mdl.append(lab_mdl)
         chosen_nfa.append(lab_nfa)
-        scores = [item[1] for item in sel_mdl.table]
+        scores = [item[1] for item in sel.table]
         rows.append((axis, value, delta, margin, trial,
                      *(s.mdl_bits for s in scores),
                      *(s.log2_nfa for s in scores),

@@ -174,62 +174,37 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     if abs(shoelace) < 1e-12:
         raise ValueError("polygon is degenerate (zero area)")
     mask = np.zeros((height, width), dtype=bool)
-
-    xs1, ys1 = verts[:, 0], verts[:, 1]
-    xs2, ys2 = np.roll(xs1, -1), np.roll(ys1, -1)
-
-    # Interior: even-odd crossings per integer scanline (half-open in y).
-    crossing_rows: list[np.ndarray] = []
-    crossing_xs: list[np.ndarray] = []
-    for x1, y1, x2, y2 in zip(xs1, ys1, xs2, ys2):
+    pts = verts.tolist()
+    eps = 1e-9
+    crossings: dict[int, list[float]] = {}
+    # One pass over the edges.  Pixel centers have integer y, so walking the
+    # integer rows of each closed edge finds every center lying on it; the
+    # rows of its half-open y-range also give the even-odd crossings.
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
         if y1 == y2:
-            continue
-        lo, hi = min(y1, y2), max(y1, y2)
-        rows = np.arange(max(0, math.ceil(lo)), min(height - 1, math.ceil(hi) - 1) + 1)
-        if rows.size == 0:
-            continue
-        x_cross = x1 + (rows - y1) * (x2 - x1) / (y2 - y1)
-        crossing_rows.append(rows)
-        crossing_xs.append(x_cross)
-    if crossing_rows:
-        rows_all = np.concatenate(crossing_rows)
-        xs_all = np.concatenate(crossing_xs)
-        order = np.lexsort((xs_all, rows_all))
-        rows_all, xs_all = rows_all[order], xs_all[order]
-        start = 0
-        while start < len(rows_all):
-            row = rows_all[start]
-            end = start
-            while end < len(rows_all) and rows_all[end] == row:
-                end += 1
-            xs_row = xs_all[start:end]
-            for j in range(0, len(xs_row) - 1, 2):
-                left = max(0, math.floor(xs_row[j]) + 1)
-                right = min(width - 1, math.ceil(xs_row[j + 1]) - 1)
+            row = round(y1)
+            if abs(y1 - row) < eps and 0 <= row < height:
+                left = max(0, math.ceil(min(x1, x2) - eps))
+                right = min(width - 1, math.floor(max(x1, x2) + eps))
                 if right >= left:
                     mask[row, left:right + 1] = True
-            start = end
-
-    # Boundary: any pixel center on a closed edge (centers have integer y,
-    # so walking integer scanlines catches every such pixel).
-    eps = 1e-9
-    for x1, y1, x2, y2 in zip(xs1, ys1, xs2, ys2):
-        if y1 == y2:
-            if abs(y1 - round(y1)) < eps:
-                row = int(round(y1))
-                if 0 <= row < height:
-                    left = max(0, math.ceil(min(x1, x2) - eps))
-                    right = min(width - 1, math.floor(max(x1, x2) + eps))
-                    if right >= left:
-                        mask[row, left:right + 1] = True
             continue
         lo, hi = min(y1, y2), max(y1, y2)
         for row in range(max(0, math.ceil(lo - eps)), min(height - 1, math.floor(hi + eps)) + 1):
-            x_cross = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
-            if abs(x_cross - round(x_cross)) < 1e-7:
-                col = int(round(x_cross))
-                if 0 <= col < width:
-                    mask[row, col] = True
+            # Keep this operation order: boundary pixels depend on its rounding.
+            x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
+            if lo <= row < hi:
+                crossings.setdefault(row, []).append(x)
+            col = round(x)
+            if abs(x - col) < 1e-7 and 0 <= col < width:
+                mask[row, col] = True
+    for row, xs in crossings.items():
+        xs.sort()
+        for x_in, x_out in zip(xs[::2], xs[1::2]):
+            left = max(0, math.floor(x_in) + 1)
+            right = min(width - 1, math.ceil(x_out) - 1)
+            if right >= left:
+                mask[row, left:right + 1] = True
 
     if not mask.any():
         raise ValueError("polygon has an empty pixel footprint (degenerate)")

@@ -182,31 +182,36 @@ class SelectionResult:
 
 def select_hypothesis(image: BinaryImage, candidates, criterion: str,
                       epsilon: float = 1.0) -> SelectionResult:
-    """Pick the best hypothesis from a candidate list.
-
-    MDL: minimal code length, the empty hypothesis (cost L0 + 1) playing the
-    role of "no detection".  NFA: minimal log2 NFA among candidates passing
-    the epsilon threshold; if none passes, the empty hypothesis is returned.
-    """
+    """Score every candidate and pick one with `pick_hypothesis`."""
     candidates = list(candidates)
     if not candidates:
         raise ValueError("candidate list must not be empty")
-    if criterion not in ("mdl", "nfa"):
-        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
     table = []
     for hyp in candidates:
         mdl = mdl_score_multi(image, hyp)
         nfa = nfa_score_multi(image, hyp) if hyp.c > 0 else math.inf
         table.append((hyp, Score(mdl_bits=mdl, log2_nfa=nfa)))
+    return SelectionResult(chosen=pick_hypothesis(table, criterion, epsilon),
+                           table=tuple(table))
+
+
+def pick_hypothesis(table, criterion: str,
+                    epsilon: float = 1.0) -> SquareHypothesis:
+    """Pick the best hypothesis from a scored `(hypothesis, Score)` table.
+
+    MDL: minimal code length, the empty hypothesis (cost L0 + 1) playing the
+    role of "no detection".  NFA: minimal log2 NFA among candidates passing
+    the epsilon threshold; if none passes, the empty hypothesis is returned.
+    """
+    if criterion not in ("mdl", "nfa"):
+        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
+    if not epsilon > 0.0:
+        raise ValueError(f"epsilon must be positive, got {epsilon}")
     if criterion == "mdl":
-        chosen = min(table, key=lambda item: item[1].mdl_bits)[0]
-    else:
-        passing = [item for item in table if item[1].nfa_detects(epsilon)]
-        chosen = min(passing, key=lambda item: item[1].log2_nfa,
-                     default=(SquareHypothesis(),))[0]
-    return SelectionResult(chosen=chosen, table=tuple(table))
+        return min(table, key=lambda item: item[1].mdl_bits)[0]
+    passing = [item for item in table if item[1].nfa_detects(epsilon)]
+    return min(passing, key=lambda item: item[1].log2_nfa,
+               default=(SquareHypothesis(),))[0]
 
 
 def four_square_layout(extent: int, margin: int, width: int,

@@ -2,15 +2,19 @@
 
 import csv
 import json
+import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mdlnfa.cli import EXIT_CONFIG, EXIT_OK, main
 from mdlnfa.experiments import (
+    HYPOTHESIS_LABELS,
     ConfigError,
     MultiSweepConfig,
     ShapeSpec,
@@ -46,6 +50,11 @@ class TestConfigs:
             SingleSweepConfig(seeds_per_cell=0)
         with pytest.raises(ConfigError):
             MultiSweepConfig(margin_delta=0.7)
+        for epsilon in (0.0, -1.0, math.nan):
+            with pytest.raises(ConfigError, match="epsilon"):
+                SingleSweepConfig(epsilon=epsilon)
+            with pytest.raises(ConfigError, match="epsilon"):
+                MultiSweepConfig(epsilon=epsilon)
 
     @pytest.mark.parametrize("size", [(100, 100), (60, 60)])
     def test_single_rejects_side_covering_the_image(self, size):
@@ -137,6 +146,21 @@ class TestMultiSweep:
     def test_bad_axis(self):
         with pytest.raises(ConfigError):
             run_sweep_multi(MultiSweepConfig(), "margins")
+
+    def test_each_hypothesis_scored_once_per_trial(self, monkeypatch):
+        import mdlnfa.square_detect as square_detect
+
+        score = square_detect.mdl_score_multi
+        calls = []
+
+        def counting(image, hyp):
+            calls.append(hyp)
+            return score(image, hyp)
+
+        monkeypatch.setattr(square_detect, "mdl_score_multi", counting)
+        cfg = MultiSweepConfig(deltas=(0.1, 0.3), seeds_per_cell=3)
+        run_sweep_multi(cfg, "noise")
+        assert len(calls) == 2 * 3 * len(HYPOTHESIS_LABELS)
 
 
 class TestPolygonRun:
@@ -330,9 +354,31 @@ class TestCli:
                      str(tmp_path / "single_square.pgm"),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("argv", [
+        ["polygon", "--config", "c.json"],
+        ["lsd", "--config", "c.json"],
+        ["equiv", "--config", "c.json"],
+        ["gen", "--kind", "edge", "--config", "c.json"],
+        ["lsd", "--seed", "9"],
+        ["equiv", "--seed", "9"],
+        ["equiv", "--epsilon", "0.5"],
+        ["gen", "--kind", "edge", "--epsilon", "-3"],
+    ])
+    def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", str(tmp_path)])
+        assert exc.value.code == 2
+
     def test_console_script_help(self):
+        import mdlnfa
+
+        # The child finds the package where this process found it, whether
+        # it is installed or only on the pytest path.
+        src = str(Path(mdlnfa.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-m", "mdlnfa.cli", "--help"],
-                              capture_output=True, text=True)
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0
         assert "sweep-single" in proc.stdout
 

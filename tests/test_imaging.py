@@ -27,7 +27,8 @@ from mdlnfa.imaging import (
     write_polygon_file,
 )
 from mdlnfa.numeric import DomainError
-from oracles import rasterize_polygon_bruteforce
+from mdlnfa.experiments import ShapeSpec, make_shape_instance
+from oracles import rasterize_polygon_bruteforce, rasterize_polygon_two_pass
 
 
 def blank(width, height):
@@ -191,6 +192,95 @@ class TestRasterizePolygon:
         expected = rasterize_polygon_bruteforce(verts, 64, 64)
         got = {(r, col) for r, col in zip(*np.nonzero(mask))}
         assert got == expected
+
+
+def _mask_or_error(rasterize, vertices, width, height):
+    try:
+        return rasterize(vertices, width, height)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+def assert_matches_two_pass(vertices, width, height):
+    got = _mask_or_error(rasterize_polygon, vertices, width, height)
+    expected = _mask_or_error(rasterize_polygon_two_pass, vertices, width,
+                              height)
+    if isinstance(expected, tuple):
+        assert got == expected
+    else:
+        assert isinstance(got, np.ndarray), got
+        assert got.dtype == bool and np.array_equal(got, expected)
+
+
+class TestRasterizeAgainstTwoPass:
+    """The one-pass rasterizer returns the masks, and raises the errors, of
+    the two-pass numpy version it replaced."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_one_vertex_bss_child(self, seed):
+        image, initial = make_shape_instance(ShapeSpec(seed=seed))
+        assert_matches_two_pass(initial.vertices, image.width, image.height)
+        for i in range(initial.c):
+            child = np.delete(initial.vertices, i, axis=0)
+            assert_matches_two_pass(child, image.width, image.height)
+
+    @pytest.mark.parametrize("vertices", [
+        [(2, 3), (9, 3), (9, 8), (2, 8)],
+        [(2.5, 3), (9.5, 3), (9.5, 8), (2.5, 8)],
+        [(1.2, 4), (7.8, 4), (7.8, 11), (1.2, 11)],
+        [(-3, 0), (30, 0), (30, 15), (-3, 15)],
+        [(0, 0), (10, 0), (5, 7)],
+        [(1, 5), (11, 5), (6, -2)],
+        [(3, 15), (12, 15), (7.5, 4)],
+        [(0.5, 2), (8.5, 2), (4.5, 9.5)],
+        [(2, 16), (10, 16), (6, 10)],
+        [(-10, 0), (8, 6), (-10, 12)],
+        [(25, 1), (6, 7), (25, 13)],
+    ])
+    def test_rectangles_and_triangles_with_horizontal_edges(self, vertices):
+        assert_matches_two_pass(vertices, 16, 16)
+
+    def test_crossing_one_ulp_from_the_boundary_tolerance(self):
+        # At row 3 the left edge crosses at x = 5.0000001, just over the 1e-7
+        # on-edge tolerance from column 5.  Taking the slope (x2 - x1) /
+        # (y2 - y1) first rounds x one ulp lower, inside the tolerance, and
+        # would set pixel (3, 5).
+        top = 10.677585737962909
+        vertices = [(0.0, 0.0), (17.795976585857705, top), (20.0, top),
+                    (20.0, 0.0)]
+        assert_matches_two_pass(vertices, 16, 16)
+        assert not rasterize_polygon(vertices, 16, 16)[3, 5]
+
+    @pytest.mark.parametrize("vertices", [
+        [(0, 0), (5, 5)],
+        [(1, 2, 3), (4, 5, 6), (7, 8, 9)],
+        [(0.5, 0.5), (3.5, 3.5), (6.5, 6.5)],
+        [(0.2, 0.2), (0.8, 0.2), (0.5, 0.8)],
+        [(-20, 2), (-20, 8), (-5, 8), (-5, 2)],
+        [(20, 2), (20, 8), (35, 8), (35, 2)],
+        [(2, -9), (8, -9), (5, -2)],
+        [(0, 0), (math.nan, 5), (5, 5)],
+        [(0, 0), (5, math.inf), (1, 5)],
+    ])
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_degenerate_inputs(self, vertices):
+        assert_matches_two_pass(vertices, 16, 16)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_random_polygons(self, data):
+        # Integer and half-integer vertices put crossings and pixel centres
+        # exactly on edges; the range reaches past every side of the image.
+        grid = data.draw(st.sampled_from([None, 1.0, 0.5]))
+        coord = st.floats(min_value=-12.0, max_value=36.0)
+        if grid is not None:
+            coord = coord.map(lambda v: round(v / grid) * grid)
+        c = data.draw(st.integers(min_value=3, max_value=9))
+        vertices = data.draw(st.lists(st.tuples(coord, coord),
+                                      min_size=c, max_size=c))
+        width = data.draw(st.integers(min_value=1, max_value=24))
+        height = data.draw(st.integers(min_value=1, max_value=24))
+        assert_matches_two_pass(vertices, width, height)
 
 
 class TestCountRegion:

@@ -24,6 +24,7 @@ from mdlnfa.square_detect import (
     mdl_score_single,
     nfa_score_multi,
     nfa_score_single,
+    pick_hypothesis,
     select_hypothesis,
 )
 
@@ -292,6 +293,22 @@ class TestSelectHypothesis:
         assert strict.chosen.c == 0  # threshold too strict for a noisy square
         with pytest.raises(ValueError):
             select_hypothesis(img, [hyp], "nfa", epsilon=0.0)
+
+    @pytest.mark.parametrize("delta,seed", [(0.0, 0), (0.2, 3), (0.3, 5),
+                                            (0.45, 8)])
+    def test_pick_from_one_table_matches_select(self, delta, seed):
+        hyps = four_square_layout(extent=26, margin=8, width=96, height=96)
+        img = synthesize_squares(hyps[2].squares, 96, 96,
+                                 NoiseConfig(delta, seed=seed))
+        table = select_hypothesis(img, hyps, "mdl").table
+        for criterion in ("mdl", "nfa"):
+            for epsilon in (1e-30, 1.0, 1e6):
+                assert pick_hypothesis(table, criterion, epsilon) == \
+                    select_hypothesis(img, hyps, criterion, epsilon).chosen
+        with pytest.raises(ValueError):
+            pick_hypothesis(table, "best")
+        with pytest.raises(ValueError):
+            pick_hypothesis(table, "nfa", epsilon=math.nan)
 
 
 class TestFourSquareLayout:
