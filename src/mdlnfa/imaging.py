@@ -334,12 +334,17 @@ def write_polygon_file(path, vertices) -> None:
 
 def read_polygon_file(path) -> np.ndarray:
     verts = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        x, y = line.split()
-        verts.append((float(x), float(y)))
+        try:
+            x, y = (float(v) for v in line.split())
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: expected 'x y', got {line!r}") from None
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"{path}:{lineno}: vertex ({x}, {y}) is not finite")
+        verts.append((x, y))
     if len(verts) < 3:
         raise ValueError(f"polygon file {path} holds fewer than 3 vertices")
     return np.asarray(verts, dtype=np.float64)

@@ -73,6 +73,8 @@ class RectangleCandidate:
     width: float
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by, self.width))):
+            raise ValueError(f"rectangle values must be finite, got {self}")
         if self.width < 1.0:
             raise ValueError(f"rectangle width must be >= 1, got {self.width}")
         if self.ax == self.bx and self.ay == self.by:
@@ -212,23 +214,24 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     distance of `orientation_distance`); every pixel belongs to at most one
     region, and regions grow breadth-first.
 
-    The loop runs on Python scalars: pixels are flat indices r*width + c into
-    memoryviews of the map's contiguous arrays, so no numpy scalar is made
-    per neighbor.
+    The loop runs on Python scalars over flat memoryviews of the map's
+    arrays, copied onto a grid with a one-pixel undefined border: every
+    pixel reaches its 8 neighbors by fixed flat offsets, with no bounds
+    check, and the seed order and regions are those of the unbordered map.
     """
-    height, width = omap.height, omap.width
-    defined = memoryview(omap.defined.ravel())
-    angles = memoryview(omap.angles.ravel())
-    if omap.magnitude is not None:
-        order = memoryview(np.argsort(-omap.magnitude, axis=None, kind="stable"))
+    height, width = omap.height + 2, omap.width + 2     # bordered grid
+    defined = memoryview(np.pad(omap.defined, 1).ravel())
+    angles = memoryview(np.pad(omap.angles, 1).ravel())
+    if omap.magnitude is None:
+        magnitude, order = None, range(height * width)
     else:
-        order = range(height * width)
+        magnitude = np.pad(omap.magnitude, 1).ravel()
+        order = memoryview(np.argsort(-magnitude, kind="stable"))
     rho = cfg.rho
     pi = math.pi
     cos, sin, atan2 = math.cos, math.sin, math.atan2
     used = bytearray(height * width)
     offsets = [dr * width + dc for dr, dc in _NEIGHBORS]
-    last_row, last_col = height - 1, width - 1
     min_size = max(2, min_region_size)
     candidates = []
     for seed in order:
@@ -240,13 +243,8 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         sx = cos(2.0 * mean_angle)
         sy = sin(2.0 * mean_angle)
         for flat in region:        # breadth-first: appended pixels come later
-            r, c = divmod(flat, width)
-            if 0 < r < last_row and 0 < c < last_col:
-                neighbors = [flat + off for off in offsets]
-            else:
-                neighbors = [(r + dr) * width + c + dc for dr, dc in _NEIGHBORS
-                             if 0 <= r + dr < height and 0 <= c + dc < width]
-            for nb in neighbors:
+            for off in offsets:
+                nb = flat + off
                 if used[nb] or not defined[nb]:
                     continue
                 a = angles[nb]
@@ -261,11 +259,8 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         if len(region) < min_size:
             continue
         rows, cols = np.divmod(np.array(region), width)
-        coords = np.column_stack((cols, rows)).astype(np.float64)
-        if omap.magnitude is not None:
-            weights = omap.magnitude.ravel()[region]
-        else:
-            weights = None
+        coords = np.column_stack((cols - 1, rows - 1)).astype(np.float64)
+        weights = None if magnitude is None else magnitude[region]
         try:
             candidates.append(fit_rectangle(coords, weights))
         except ValueError:
@@ -344,12 +339,15 @@ def write_candidates_file(path, candidates) -> None:
 
 def read_candidates_file(path) -> list[RectangleCandidate]:
     cands = []
-    for line in Path(path).read_text().splitlines():
+    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
-        ax, ay, bx, by, w = (float(v) for v in line.split()[:5])
-        cands.append(RectangleCandidate(ax=ax, ay=ay, bx=bx, by=by, width=w))
+        try:
+            ax, ay, bx, by, w = (float(v) for v in line.split()[:5])
+            cands.append(RectangleCandidate(ax=ax, ay=ay, bx=bx, by=by, width=w))
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return cands
 
 

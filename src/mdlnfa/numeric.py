@@ -6,7 +6,8 @@ convention 0*log(0) = 0 applies throughout.
 
 The elementwise operations (`log_binomial`, `binary_entropy`, `bernoulli_kld`,
 `g_term`, `stirling_log_binomial`) accept scalars or numpy arrays and return
-the matching kind.  `binomial_tail_log` is a scalar reduction.
+the matching kind; `log_binomial` maps arrays over its Python-int code.
+`binomial_tail_log` is a scalar reduction.
 
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
@@ -31,16 +32,9 @@ class DomainError(ValueError):
     """Arguments outside an operation's mathematical domain."""
 
 
-def _log2_factorial_table(size: int) -> np.ndarray:
-    table = np.zeros(size + 1)
-    table[1:] = np.cumsum(np.log2(np.arange(1, size + 1, dtype=np.float64)))
-    return table
-
-
-_LOG2_FACT = _log2_factorial_table(_TABLE_SIZE)
-_LOG2_FACT_LIST = _LOG2_FACT.tolist()   # Python floats for the scalar path
-
-_lgamma = np.frompyfunc(math.lgamma, 1, 1)
+# log2(m!) for 0 <= m <= _TABLE_SIZE, as Python floats.
+_LOG2_FACT = [0.0] + np.cumsum(np.log2(np.arange(1, _TABLE_SIZE + 1,
+                                                  dtype=np.float64))).tolist()
 
 
 @dataclass(frozen=True)
@@ -79,16 +73,16 @@ def log_binomial(n, k) -> Bits:
     log-gamma difference above, so accuracy is limited only by float64
     rounding where tests bite and large sweeps stay cheap.
 
-    Two Python `int` arguments take a scalar path on Python floats (a list
-    copy of the table, `math.lgamma` above it) that performs the same
-    float64 operations as the array path and so returns the same bits.
-    Arrays, numpy integers, bools and integral floats take the array path.
+    Two Python `int` arguments are computed directly on Python floats;
+    arrays, numpy integers and integral floats are checked, broadcast and
+    mapped over that code, giving a float64 array of the broadcast shape (a
+    float when both are 0-d).  Bools are rejected.
     """
     if type(n) is int and type(k) is int:
         if n < 0 or k < 0 or k > n:
             raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
         if n < _TABLE_SIZE:
-            t = _LOG2_FACT_LIST
+            t = _LOG2_FACT
             return t[n] - t[k] - t[n - k]
         nf, kf = float(n), float(k)
         return (math.lgamma(nf + 1.0) - math.lgamma(kf + 1.0)
@@ -97,19 +91,10 @@ def log_binomial(n, k) -> Bits:
     k_arr = _as_count_array(k, "k")
     if np.any(n_arr < 0) or np.any(k_arr < 0) or np.any(k_arr > n_arr):
         raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
-    scalar = n_arr.ndim == 0 and k_arr.ndim == 0
-    n_arr, k_arr = np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr))
-    out = np.empty(n_arr.shape)
-    small = n_arr < _TABLE_SIZE
-    if np.any(small):
-        ns, ks = n_arr[small], k_arr[small]
-        out[small] = _LOG2_FACT[ns] - _LOG2_FACT[ks] - _LOG2_FACT[ns - ks]
-    if not np.all(small):
-        nl = n_arr[~small].astype(np.float64)
-        kl = k_arr[~small].astype(np.float64)
-        raw = _lgamma(nl + 1.0) - _lgamma(kl + 1.0) - _lgamma(nl - kl + 1.0)
-        out[~small] = raw.astype(np.float64) / _LN2
-    return float(out[0]) if scalar else out
+    n_arr, k_arr = np.broadcast_arrays(n_arr, k_arr)
+    bits = map(log_binomial, n_arr.ravel().tolist(), k_arr.ravel().tolist())
+    out = np.array(list(bits), dtype=np.float64).reshape(n_arr.shape)
+    return float(out) if out.ndim == 0 else out
 
 
 def code_length(header: Bits, parts) -> Bits:

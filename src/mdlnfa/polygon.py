@@ -33,6 +33,8 @@ class PolygonHypothesis:
             raise ValueError("vertices must be an ordered list of (x, y) pairs")
         if len(verts) < 3:
             raise ValueError(f"polygon needs >= 3 vertices, got {len(verts)}")
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
         if np.any(np.all(verts == np.roll(verts, -1, axis=0), axis=1)):
             raise ValueError("polygon has duplicate consecutive vertices")
         if not _is_simple(verts):

@@ -33,6 +33,42 @@ def exact_log2_binomial_tail(n: int, k: int, q: float) -> float:
     return math.log2(value.numerator) - math.log2(value.denominator)
 
 
+def log_binomial_numpy(n, k):
+    """Reference log2 C(n, k): the array path of `numeric.log_binomial` as
+    first written, a numpy gather from a numpy table below n = 10^4 and an
+    element-wise `math.lgamma` difference above.  The library now maps
+    arrays over its integer code; the bits must not change.
+    """
+    import numpy as np
+
+    from mdlnfa.numeric import DomainError, _as_count_array
+
+    _TABLE_SIZE = 10_000
+    _LN2 = math.log(2.0)
+    _LOG2_FACT = np.zeros(_TABLE_SIZE + 1)
+    _LOG2_FACT[1:] = np.cumsum(np.log2(np.arange(1, _TABLE_SIZE + 1,
+                                                 dtype=np.float64)))
+    _lgamma = np.frompyfunc(math.lgamma, 1, 1)
+
+    n_arr = _as_count_array(n, "n")
+    k_arr = _as_count_array(k, "k")
+    if np.any(n_arr < 0) or np.any(k_arr < 0) or np.any(k_arr > n_arr):
+        raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
+    scalar = n_arr.ndim == 0 and k_arr.ndim == 0
+    n_arr, k_arr = np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr))
+    out = np.empty(n_arr.shape)
+    small = n_arr < _TABLE_SIZE
+    if np.any(small):
+        ns, ks = n_arr[small], k_arr[small]
+        out[small] = _LOG2_FACT[ns] - _LOG2_FACT[ks] - _LOG2_FACT[ns - ks]
+    if not np.all(small):
+        nl = n_arr[~small].astype(np.float64)
+        kl = k_arr[~small].astype(np.float64)
+        raw = _lgamma(nl + 1.0) - _lgamma(kl + 1.0) - _lgamma(nl - kl + 1.0)
+        out[~small] = raw.astype(np.float64) / _LN2
+    return float(out[0]) if scalar else out
+
+
 def point_in_polygon(px: float, py: float, vertices) -> bool:
     """Even-odd crossing test with inclusive boundary, one point at a time."""
     c = len(vertices)

@@ -276,6 +276,25 @@ class TestCli:
         assert (tmp_path / "segments.txt").exists()
         assert (tmp_path / "lsd_boundary.csv").exists()
 
+    @pytest.mark.parametrize("line", ["0 0 10 10 inf", "0 0 nan 10 2"])
+    def test_lsd_rejects_non_finite_candidates(self, tmp_path, capsys, line):
+        assert main(["gen", "--kind", "edge", "--out", str(tmp_path)]) == EXIT_OK
+        cands = tmp_path / "c.txt"
+        cands.write_text(f"49 5 49 90 1\n{line}\n")
+        assert main(["lsd", "--image", str(tmp_path / "edge.pgm"),
+                     "--candidates", str(cands), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "c.txt:2: " in capsys.readouterr().err
+        assert not (tmp_path / "segments.txt").exists()
+
+    @pytest.mark.parametrize("line", ["inf 40", "30 40 5"])
+    def test_polygon_rejects_bad_vertex_lines(self, tmp_path, capsys, line):
+        assert main(["gen", "--kind", "shape", "--out", str(tmp_path)]) == EXIT_OK
+        poly = tmp_path / "p.txt"
+        poly.write_text(f"10 10\n50 10\n{line}\n")
+        assert main(["polygon", "--image", str(tmp_path / "shape.pgm"),
+                     "--polygon", str(poly), "--out", str(tmp_path)]) == EXIT_CONFIG
+        assert "p.txt:3: " in capsys.readouterr().err
+
     def test_gen_kinds(self, tmp_path):
         out = str(tmp_path)
         assert main(["gen", "--kind", "single-square", "--out", out,

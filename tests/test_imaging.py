@@ -413,6 +413,19 @@ class TestPolygonFileIO:
         with pytest.raises(ValueError):
             read_polygon_file(path)
 
+    @pytest.mark.parametrize("bad,match", [
+        ("inf 40", r"poly\.txt:3: vertex \(inf, 40\.0\) is not finite"),
+        ("30 nan", r"poly\.txt:3: vertex \(30\.0, nan\) is not finite"),
+        ("30 40 5", r"poly\.txt:3: expected 'x y', got '30 40 5'"),
+        ("30", r"poly\.txt:3: expected 'x y'"),
+        ("30 y", r"poly\.txt:3: expected 'x y'"),
+    ])
+    def test_bad_vertex_line_names_file_and_line(self, tmp_path, bad, match):
+        path = tmp_path / "poly.txt"
+        path.write_text(f"10 10\n# comment\n{bad}\n50 10\n")
+        with pytest.raises(ValueError, match=match):
+            read_polygon_file(path)
+
 
 class TestTraceContour:
     def test_square_blob(self):

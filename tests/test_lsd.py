@@ -253,6 +253,44 @@ class TestRegionGrowing:
         assert got
         assert got == region_grow_candidates_numpy(omap, cfg)
 
+    @pytest.mark.parametrize("height,width", [(1, 40), (40, 1), (2, 2)])
+    def test_matches_numpy_reference_on_thin_maps(self, height, width):
+        # Every pixel of these maps lies on the image border.
+        cfg = LsdConfig()
+        for seed in range(4):
+            omap = isotropic_orientation_map(width, height, seed=seed)
+            assert (region_grow_candidates(omap, cfg, 2)
+                    == region_grow_candidates_numpy(omap, cfg, 2))
+        const = OrientationMap(angles=np.full((height, width), 0.3),
+                               defined=np.ones((height, width), bool))
+        got = region_grow_candidates(const, cfg, 2)
+        assert len(got) == 1
+        assert got == region_grow_candidates_numpy(const, cfg, 2)
+
+    def test_single_region_touching_all_four_sides(self):
+        defined = np.ones((23, 31), bool)
+        defined[8:12, 10:20] = False           # a hole the region grows around
+        omap = OrientationMap(angles=np.full((23, 31), -1.2), defined=defined)
+        cfg = LsdConfig()
+        got = region_grow_candidates(omap, cfg)
+        assert len(got) == 1
+        assert got == region_grow_candidates_numpy(omap, cfg)
+        assert got[0].length > 29.0            # spans the 31 columns
+
+    def test_matches_numpy_reference_with_tied_magnitudes(self):
+        # A slowly turning orientation field whose magnitudes take three
+        # values, so the seed order rests on the stable tie-break.
+        rng = np.random.default_rng(12)
+        rows, cols = np.mgrid[0:37, 0:45]
+        angles = (0.05 * cols - 0.03 * rows + math.pi) % (2 * math.pi) - math.pi
+        magnitude = rng.integers(1, 4, size=angles.shape).astype(float)
+        defined = rng.random(angles.shape) > 0.1
+        omap = OrientationMap(angles=angles, defined=defined, magnitude=magnitude)
+        cfg = LsdConfig()
+        got = region_grow_candidates(omap, cfg, 2)
+        assert len(got) > 1
+        assert got == region_grow_candidates_numpy(omap, cfg, 2)
+
 
 class TestDetectSegments:
     def facade(self):
@@ -323,6 +361,14 @@ class TestFiles:
         back = read_candidates_file(path)
         assert back == cands
 
+    @pytest.mark.parametrize("bad", ["0 0 10 10 inf", "0 0 nan 10 2",
+                                     "0 0 10 10", "0 0 10 x 2"])
+    def test_bad_candidate_line_names_file_and_line(self, tmp_path, bad):
+        path = tmp_path / "cands.txt"
+        path.write_text(f"# header\n1 2 30 40 3.5\n{bad}\n")
+        with pytest.raises(ValueError, match=r"cands\.txt:3: "):
+            read_candidates_file(path)
+
     def test_segments_file_schema(self, tmp_path):
         cfg = LsdConfig()
         cand = RectangleCandidate(ax=49.0, ay=5.0, bx=49.0, by=90.0, width=1.0)
@@ -341,5 +387,11 @@ def test_rectangle_candidate_validation():
         RectangleCandidate(0.0, 0.0, 0.0, 0.0, 2.0)
     with pytest.raises(ValueError):
         RectangleCandidate(0.0, 0.0, 1.0, 1.0, 0.5)
+    for i in range(5):
+        for value in (math.inf, -math.inf, math.nan):
+            args = [0.0, 0.0, 10.0, 10.0, 2.0]
+            args[i] = value
+            with pytest.raises(ValueError, match="finite"):
+                RectangleCandidate(*args)
     rect = RectangleCandidate(0.0, 0.0, 10.0, 0.0, 2.0)
     assert rect.normal_angle == pytest.approx(math.pi / 2)

@@ -18,7 +18,7 @@ from mdlnfa.numeric import (
     log_binomial,
     stirling_log_binomial,
 )
-from oracles import exact_log2_binomial_tail
+from oracles import exact_log2_binomial_tail, log_binomial_numpy
 
 
 class TestRegionCounts:
@@ -76,21 +76,43 @@ class TestLogBinomial:
         np.testing.assert_allclose(vals, expected, atol=1e-10)
 
     def test_scalar_path_matches_array_path_small_n(self):
-        # Python ints take the scalar path, arrays the numpy path; the bits
-        # must agree exactly over the whole table range checked here.
+        # The numpy reference gathers from a numpy table; Python ints and
+        # arrays mapped over them must give the same bits.
         for n in range(301):
             ks = np.arange(n + 1)
-            expected = log_binomial(np.full(n + 1, n), ks)
-            got = [log_binomial(n, int(k)) for k in ks]
-            assert got == expected.tolist(), n
+            expected = log_binomial_numpy(np.full(n + 1, n), ks).tolist()
+            assert [log_binomial(n, int(k)) for k in ks] == expected, n
+            assert log_binomial(np.full(n + 1, n), ks).tolist() == expected, n
 
     def test_scalar_path_matches_array_path_at_table_edge_and_large_n(self):
         rng = np.random.default_rng(11)
         for n in (9_999, 10_000, 10_001, 65_536, 10**6):
             ks = [0, 1, n // 2, n - 1, n] + [int(k) for k in rng.integers(0, n + 1, 50)]
-            expected = log_binomial(np.full(len(ks), n), np.array(ks))
-            got = [log_binomial(n, k) for k in ks]
-            assert got == expected.tolist(), n
+            expected = log_binomial_numpy(np.full(len(ks), n), np.array(ks)).tolist()
+            assert [log_binomial(n, k) for k in ks] == expected, n
+            assert log_binomial(np.full(len(ks), n), np.array(ks)).tolist() == expected, n
+
+    def test_2d_broadcast_matches_reference(self):
+        ns = np.array([[3], [50], [9_999], [10_000], [123_456]])
+        ks = np.array([0, 1, 2, 3])
+        got = log_binomial(ns, ks)
+        expected = log_binomial_numpy(ns, ks)
+        assert got.shape == expected.shape == (5, 4)
+        assert got.dtype == expected.dtype == np.float64
+        assert got.tolist() == expected.tolist()
+        # Integral floats broadcast the same way.
+        assert log_binomial(ns.astype(float), 2.0).tolist() == expected[:, 2:3].tolist()
+
+    def test_empty_and_0d_arrays_keep_their_shapes(self):
+        for n, k in [(np.array([], dtype=np.int64), np.array([], dtype=np.int64)),
+                     (7, np.zeros((0, 3), dtype=np.int64)),
+                     (np.zeros((2, 0), dtype=np.int64), 0)]:
+            got = log_binomial(n, k)
+            expected = log_binomial_numpy(n, k)
+            assert got.shape == expected.shape and got.dtype == np.float64
+        got = log_binomial(np.array(20), np.array(7))
+        assert type(got) is float and got == log_binomial_numpy(np.array(20), np.array(7))
+        assert log_binomial(np.array([20]), 7).shape == (1,)
 
     def test_numpy_integers_and_bools_keep_the_array_path(self):
         for n, k in [(0, 0), (20, 7), (9_999, 4_000), (10_000, 3), (65_536, 1234)]:
@@ -114,6 +136,13 @@ class TestLogBinomial:
             log_binomial(5, -2)
         with pytest.raises(DomainError):
             log_binomial(5.5, 2)
+        # Arrays are checked whole before any element is computed.
+        with pytest.raises(DomainError, match=r"need 0 <= k <= n"):
+            log_binomial(np.array([5, 3]), np.array([2, 4]))
+        with pytest.raises(DomainError, match=r"n must be integral"):
+            log_binomial(np.array([5.5]), 2)
+        with pytest.raises(DomainError, match=r"k must be integral"):
+            log_binomial(5, np.array([True]))
 
 
 class TestBinomialTailLog:

@@ -63,6 +63,13 @@ class TestPolygonHypothesis:
             PolygonHypothesis(np.asarray([(0, 0), (0, 0), (5, 5), (0, 5)],
                                          dtype=float))
 
+    @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+    def test_non_finite_vertices_rejected(self, value):
+        verts = np.asarray(SQUARE_POLY, dtype=float)
+        verts[2, 0] = value
+        with pytest.raises(ValueError, match="finite"):
+            PolygonHypothesis(verts)
+
     def test_collinear_vertex_allowed(self):
         verts = [(10, 10), (10, 49), (49, 49), (49, 10), (29, 10)]
         poly = PolygonHypothesis(np.asarray(verts, dtype=float))
