@@ -159,6 +159,20 @@ def synthesize_squares(layout, width: int, height: int,
     return flip_noise(image, cfg.delta, cfg.seed)
 
 
+# Pixel-center rows within this distance of an edge's y-range belong to it.
+_ROW_EPS = 1e-9
+
+
+def _shoelace(verts) -> np.ndarray:
+    """Twice the signed area of each polygon in a (..., c, 2) vertex stack.
+
+    Row-wise numpy sums, so a stack of polygons gets the same float for
+    each polygon as that polygon alone.
+    """
+    nxt = np.roll(verts, -1, axis=-2)
+    return (verts[..., 0] * nxt[..., 1] - verts[..., 1] * nxt[..., 0]).sum(axis=-1)
+
+
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     """Boolean mask of pixels whose centers fall inside the closed polygon.
 
@@ -169,46 +183,55 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     verts = np.asarray(vertices, dtype=np.float64)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("polygon needs at least 3 (x, y) vertices")
-    nxt = np.roll(verts, -1, axis=0)
-    shoelace = float((verts[:, 0] * nxt[:, 1] - verts[:, 1] * nxt[:, 0]).sum())
-    if abs(shoelace) < 1e-12:
+    if abs(float(_shoelace(verts))) < 1e-12:
         raise ValueError("polygon is degenerate (zero area)")
-    mask = np.zeros((height, width), dtype=bool)
-    pts = verts.tolist()
-    eps = 1e-9
+    mask = _scanline_rows(verts.tolist(), width, 0, height - 1)
+    if not mask.any():
+        raise ValueError("polygon has an empty pixel footprint (degenerate)")
+    return mask
+
+
+def _scanline_rows(pts, width: int, r0: int, r1: int) -> np.ndarray:
+    """Rows r0..r1 of the mask of the closed polygon `pts`, a list of
+    (x, y) float pairs; row r of the result is mask row r0 + r.
+
+    Each row depends only on the edges that reach it, so any band of rows
+    comes out exactly as in the full mask.
+    """
+    rows = np.zeros((r1 - r0 + 1, width), dtype=bool)
+    eps, inf = _ROW_EPS, math.inf
     crossings: dict[int, list[float]] = {}
     # One pass over the edges.  Pixel centers have integer y, so walking the
     # integer rows of each closed edge finds every center lying on it; the
     # rows of its half-open y-range also give the even-odd crossings.
     for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
+        if (hi + eps < r0 or lo - eps > r1) and -inf < lo and hi < inf:
+            continue   # a finite edge that reaches no row of the band
         if y1 == y2:
             row = round(y1)
-            if abs(y1 - row) < eps and 0 <= row < height:
+            if abs(y1 - row) < eps and r0 <= row <= r1:
                 left = max(0, math.ceil(min(x1, x2) - eps))
                 right = min(width - 1, math.floor(max(x1, x2) + eps))
                 if right >= left:
-                    mask[row, left:right + 1] = True
+                    rows[row - r0, left:right + 1] = True
             continue
-        lo, hi = min(y1, y2), max(y1, y2)
-        for row in range(max(0, math.ceil(lo - eps)), min(height - 1, math.floor(hi + eps)) + 1):
+        for row in range(max(r0, math.ceil(lo - eps)), min(r1, math.floor(hi + eps)) + 1):
             # Keep this operation order: boundary pixels depend on its rounding.
             x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
             if lo <= row < hi:
                 crossings.setdefault(row, []).append(x)
             col = round(x)
             if abs(x - col) < 1e-7 and 0 <= col < width:
-                mask[row, col] = True
+                rows[row - r0, col] = True
     for row, xs in crossings.items():
         xs.sort()
         for x_in, x_out in zip(xs[::2], xs[1::2]):
             left = max(0, math.floor(x_in) + 1)
             right = min(width - 1, math.ceil(x_out) - 1)
             if right >= left:
-                mask[row, left:right + 1] = True
-
-    if not mask.any():
-        raise ValueError("polygon has an empty pixel footprint (degenerate)")
-    return mask
+                rows[row - r0, left:right + 1] = True
+    return rows
 
 
 def count_region(image: BinaryImage, mask: np.ndarray) -> RegionCounts:

@@ -58,7 +58,8 @@ class RegionCounts:
 def _as_count_array(x, name: str) -> np.ndarray:
     arr = np.asarray(x)
     if arr.dtype.kind == "f":
-        if not np.all(arr == np.floor(arr)):
+        # inf == floor(inf), so non-finite values are rejected first.
+        if not (np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr))):
             raise DomainError(f"{name} must be integral, got {x!r}")
         arr = arr.astype(np.int64)
     elif arr.dtype.kind not in "iu":

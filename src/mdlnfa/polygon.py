@@ -17,8 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import BinaryImage, count_region, rasterize_polygon
-from .numeric import Score, binomial_tail_log, code_length, complement, l0_code_length
+from .imaging import (_ROW_EPS, BinaryImage, _scanline_rows, _shoelace, count_region,
+                      rasterize_polygon)
+from .numeric import (DomainError, RegionCounts, Score, binomial_tail_log, code_length,
+                      complement, l0_code_length)
 
 
 @dataclass(frozen=True, eq=False)
@@ -51,44 +53,44 @@ class PolygonHypothesis:
         return PolygonHypothesis(np.delete(self.vertices, index, axis=0))
 
 
-def _is_simple(verts: np.ndarray) -> bool:
-    """No two non-adjacent edges intersect or touch."""
-    c = len(verts)
-    a = verts
-    b = np.roll(verts, -1, axis=0)
-    ii, jj = np.triu_indices(c, k=2)
-    keep = ~((ii == 0) & (jj == c - 1))   # first and last edge are adjacent
-    ii, jj = ii[keep], jj[keep]
-    if ii.size == 0:
-        return True
-    p1, p2 = a[ii], b[ii]
-    p3, p4 = a[jj], b[jj]
+def _segments_touch(p1, p2, p3, p4) -> np.ndarray:
+    """Element-wise: does segment p1p2 intersect or touch segment p3p4?
 
+    Points are (..., 2) arrays that broadcast against each other.
+    """
     def cross(o, u, v):
-        return ((u[:, 0] - o[:, 0]) * (v[:, 1] - o[:, 1])
-                - (u[:, 1] - o[:, 1]) * (v[:, 0] - o[:, 0]))
+        return ((u[..., 0] - o[..., 0]) * (v[..., 1] - o[..., 1])
+                - (u[..., 1] - o[..., 1]) * (v[..., 0] - o[..., 0]))
 
     d1 = cross(p3, p4, p1)
     d2 = cross(p3, p4, p2)
     d3 = cross(p1, p2, p3)
     d4 = cross(p1, p2, p4)
     proper = (d1 * d2 < 0) & (d3 * d4 < 0)
-    if proper.any():
-        return False
 
     # Touching or collinear-overlap cases: a zero cross product with the
     # point inside the other segment's bounding box.
     def on_segment(o, e, p):
-        return ((np.minimum(o[:, 0], e[:, 0]) - 1e-12 <= p[:, 0])
-                & (p[:, 0] <= np.maximum(o[:, 0], e[:, 0]) + 1e-12)
-                & (np.minimum(o[:, 1], e[:, 1]) - 1e-12 <= p[:, 1])
-                & (p[:, 1] <= np.maximum(o[:, 1], e[:, 1]) + 1e-12))
+        return ((np.minimum(o[..., 0], e[..., 0]) - 1e-12 <= p[..., 0])
+                & (p[..., 0] <= np.maximum(o[..., 0], e[..., 0]) + 1e-12)
+                & (np.minimum(o[..., 1], e[..., 1]) - 1e-12 <= p[..., 1])
+                & (p[..., 1] <= np.maximum(o[..., 1], e[..., 1]) + 1e-12))
 
-    touch = (((d1 == 0) & on_segment(p3, p4, p1))
-             | ((d2 == 0) & on_segment(p3, p4, p2))
-             | ((d3 == 0) & on_segment(p1, p2, p3))
-             | ((d4 == 0) & on_segment(p1, p2, p4)))
-    return not touch.any()
+    return (proper
+            | ((d1 == 0) & on_segment(p3, p4, p1))
+            | ((d2 == 0) & on_segment(p3, p4, p2))
+            | ((d3 == 0) & on_segment(p1, p2, p3))
+            | ((d4 == 0) & on_segment(p1, p2, p4)))
+
+
+def _is_simple(verts: np.ndarray) -> bool:
+    """No two non-adjacent edges intersect or touch."""
+    c = len(verts)
+    ii, jj = np.triu_indices(c, k=2)
+    keep = ~((ii == 0) & (jj == c - 1))   # first and last edge are adjacent
+    ii, jj = ii[keep], jj[keep]
+    nxt = np.roll(verts, -1, axis=0)
+    return not _segments_touch(verts[ii], nxt[ii], verts[jj], nxt[jj]).any()
 
 
 def _region_counts(image: BinaryImage, poly: PolygonHypothesis):
@@ -97,15 +99,22 @@ def _region_counts(image: BinaryImage, poly: PolygonHypothesis):
     return inside, complement(image.counts, [inside])
 
 
+def _polygon_score(criterion: str, image: BinaryImage, c: int,
+                   inside: RegionCounts, exterior) -> float:
+    """Score in bits of a c-vertex polygon with the given region counts."""
+    unit = 1.0 + math.log2(image.n)
+    if criterion == "mdl":
+        return code_length(1.0 + c * unit, [(inside.n, inside.k), exterior])
+    return c * unit + binomial_tail_log(inside.n, inside.k, image.counts.q)
+
+
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     """Raw code length L(x, P) of the image given the polygon, in bits.
 
     1 + c(1 + log2 n) for the vertex count and coordinates, plus enumerative
     codes for the interior and exterior pixel patterns.
     """
-    inside, exterior = _region_counts(image, poly)
-    return code_length(1.0 + poly.c * (1.0 + math.log2(image.n)),
-                       [(inside.n, inside.k), exterior])
+    return _polygon_score("mdl", image, poly.c, *_region_counts(image, poly))
 
 
 def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -115,15 +124,71 @@ def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
 
 def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     """log2 NFA = s (1 + log2 n) + log2 B(n1, k1, q), with s = c sides."""
-    inside, _ = _region_counts(image, poly)
-    s = poly.c
-    return (s * (1.0 + math.log2(image.n))
-            + binomial_tail_log(inside.n, inside.k, image.counts.q))
+    return _polygon_score("nfa", image, poly.c, *_region_counts(image, poly))
 
 
 def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
-    return Score(mdl_bits=mdl_polygon_relative(image, poly),
-                 log2_nfa=nfa_polygon_score(image, poly))
+    counts = _region_counts(image, poly)
+    return Score(mdl_bits=(_polygon_score("mdl", image, poly.c, *counts)
+                           - l0_code_length(image.counts)),
+                 log2_nfa=_polygon_score("nfa", image, poly.c, *counts))
+
+
+def _removable(verts: np.ndarray) -> np.ndarray:
+    """Per vertex i of a simple polygon: does removing it pass the checks of
+    PolygonHypothesis and the zero-area check of rasterize_polygon?
+
+    Every edge pair of the child that does not hold its new chord
+    v[i-1]v[i+1] is a pair of the parent, so only the chord is tested,
+    against the edges it is not adjacent to.  v[i-1] == v[i+1] needs no
+    test: the parent's edges ending at v[i-1] and starting at v[i+1] would
+    touch.
+    """
+    c = len(verts)
+    prv, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
+    i = np.arange(c)
+    gap = (i[None, :] - i[:, None]) % c   # edge k = v[k]v[k+1] seen from vertex i
+    far = (gap >= 2) & (gap <= c - 3)
+    touch = _segments_touch(prv[:, None], nxt[:, None], verts[None], nxt[None])
+    keep = i[:-1]
+    children = verts[keep[None, :] + (keep[None, :] >= i[:, None])]
+    return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
+
+
+def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
+                  mask: np.ndarray, inside: RegionCounts) -> list:
+    """(inside, exterior) counts of each one-vertex removal from `poly`, or
+    None where the child is not a valid polygon; `mask` and `inside` are
+    `poly`'s own.
+
+    Removing vertex i changes only the edges v[i-1]v[i], v[i]v[i+1] and
+    v[i-1]v[i+1], and no edge reaches a row outside its y-range, so the
+    child differs from `poly` only on the rows of that triangle; those rows
+    are rasterized from the child's own edges.
+    """
+    width, height = image.width, image.height
+    ones = image.pixels.view(bool)
+    row_n = np.count_nonzero(mask, axis=1).tolist()
+    row_k = np.count_nonzero(mask & ones, axis=1).tolist()
+    pts = poly.vertices.tolist()
+    c = len(pts)
+    out = [None] * c
+    for i in np.flatnonzero(_removable(poly.vertices)).tolist():
+        ys = (pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1])
+        r0 = max(0, math.ceil(min(ys) - _ROW_EPS))
+        r1 = min(height - 1, math.floor(max(ys) + _ROW_EPS))
+        n, k = inside.n, inside.k
+        if r0 <= r1:
+            band = _scanline_rows(pts[:i] + pts[i + 1:], width, r0, r1)
+            n += int(np.count_nonzero(band)) - sum(row_n[r0:r1 + 1])
+            k += (int(np.count_nonzero(band & ones[r0:r1 + 1]))
+                  - sum(row_k[r0:r1 + 1]))
+        try:
+            child = RegionCounts(n, k)
+            out[i] = child, complement(image.counts, [child])
+        except DomainError:   # empty footprint or no exterior
+            pass
+    return out
 
 
 @dataclass(frozen=True)
@@ -164,27 +229,30 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     child if it strictly improves the current score; stops otherwise, or at
     the 3-vertex floor.  Children that degenerate (self-intersect, empty
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
-    vertex index, which keeps trajectories deterministic.
+    vertex index, which keeps trajectories deterministic.  Children are
+    counted from the current polygon's mask (see `_child_counts`); only the
+    polygon each step moves to is built and rasterized in full.
     """
     if criterion not in _SCORE_FN:
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    score_fn = _SCORE_FN[criterion]
     current = initial
-    current_score = score_fn(image, current)
+    mask = rasterize_polygon(current.vertices, image.width, image.height)
+    inside = count_region(image, mask)
+    current_score = _polygon_score(criterion, image, current.c, inside,
+                                   complement(image.counts, [inside]))
     steps = [BssStep(polygon=current, score=current_score)]
     while current.c > 3:
-        best_child = None
-        best_score = math.inf
-        for i in range(current.c):
-            try:
-                child = current.without_vertex(i)
-                child_score = score_fn(image, child)
-            except ValueError:   # DomainError is a ValueError
+        best, best_score = None, math.inf
+        for i, counts in enumerate(_child_counts(image, current, mask, inside)):
+            if counts is None:
                 continue
+            child_score = _polygon_score(criterion, image, current.c - 1, *counts)
             if child_score < best_score:
-                best_child, best_score = child, child_score
-        if best_child is None or not best_score < current_score:
+                best, best_score, best_inside = i, child_score, counts[0]
+        if best is None or not best_score < current_score:
             break
-        current, current_score = best_child, best_score
+        current, current_score, inside = (current.without_vertex(best),
+                                          best_score, best_inside)
+        mask = rasterize_polygon(current.vertices, image.width, image.height)
         steps.append(BssStep(polygon=current, score=current_score))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -364,3 +364,43 @@ def mdl_rect(n_image, counts, cfg):
             + math.log2(counts.n_r)
             + log_binomial(counts.n_r, counts.k_r)
             + counts.k_r * math.log2(cfg.theta))
+
+
+def bss_simplify_full(image, initial, criterion):
+    """Reference BSS: `polygon.bss_simplify` as first written, every child
+    built as a `PolygonHypothesis` and scored through a full rasterization.
+    The incremental library version must visit the same polygons with the
+    same scores.
+
+    Backward stepwise selection under the MDL or NFA score.
+
+    Each step evaluates every single-vertex removal and moves to the best
+    child if it strictly improves the current score; stops otherwise, or at
+    the 3-vertex floor.  Children that degenerate (self-intersect, empty
+    footprint) are skipped.  Equal-scoring removals resolve to the lowest
+    vertex index, which keeps trajectories deterministic.
+    """
+    from mdlnfa.polygon import _SCORE_FN, BssStep, BssTrajectory
+
+    if criterion not in _SCORE_FN:
+        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
+    score_fn = _SCORE_FN[criterion]
+    current = initial
+    current_score = score_fn(image, current)
+    steps = [BssStep(polygon=current, score=current_score)]
+    while current.c > 3:
+        best_child = None
+        best_score = math.inf
+        for i in range(current.c):
+            try:
+                child = current.without_vertex(i)
+                child_score = score_fn(image, child)
+            except ValueError:   # DomainError is a ValueError
+                continue
+            if child_score < best_score:
+                best_child, best_score = child, child_score
+        if best_child is None or not best_score < current_score:
+            break
+        current, current_score = best_child, best_score
+        steps.append(BssStep(polygon=current, score=current_score))
+    return BssTrajectory(criterion=criterion, steps=tuple(steps))

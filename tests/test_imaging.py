@@ -261,6 +261,7 @@ class TestRasterizeAgainstTwoPass:
         [(2, -9), (8, -9), (5, -2)],
         [(0, 0), (math.nan, 5), (5, 5)],
         [(0, 0), (5, math.inf), (1, 5)],
+        [(0, -math.inf), (5, -5), (5, 10), (-3, -4)],
     ])
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_degenerate_inputs(self, vertices):

@@ -1,6 +1,7 @@
 """Tests for the log-domain coding/probability primitives."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -311,6 +312,27 @@ class TestGTerm:
             g_term(0, 6)
         with pytest.raises(DomainError):
             g_term(6, 6)
+
+
+COUNT_FUNCTIONS = {
+    "log_binomial": log_binomial,
+    "stirling_log_binomial": stirling_log_binomial,
+    "g_term": lambda n, k: g_term(k, n),
+}
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(COUNT_FUNCTIONS))
+def test_non_finite_counts_rejected_without_warning(name, value):
+    fn = COUNT_FUNCTIONS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^n must be integral"):
+            fn(value, 2.0)
+        with pytest.raises(DomainError, match=r"^k must be integral"):
+            fn(10.0, value)
+        with pytest.raises(DomainError, match=r"^n must be integral"):
+            fn(np.array([6.0, value]), 2.0)
 
 
 def split_term_extrema(n: int):

@@ -2,21 +2,27 @@
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdlnfa.polygon as polygon_module
+from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
+    count_region,
     flip_noise,
     rasterize_polygon,
     synthesize_squares,
 )
+from mdlnfa.numeric import Score, complement
 from mdlnfa.polygon import (
     PolygonHypothesis,
+    _child_counts,
     bss_simplify,
     mdl_polygon_relative,
     mdl_polygon_score,
@@ -24,6 +30,7 @@ from mdlnfa.polygon import (
     polygon_scores,
 )
 from mdlnfa.square_detect import Square, l0_code_length, mdl_score_single
+from oracles import bss_simplify_full
 
 SQUARE_POLY = [(10, 10), (10, 49), (49, 49), (49, 10)]
 
@@ -117,6 +124,17 @@ class TestPolygonScores:
         assert score.mdl_bits == pytest.approx(
             mdl_polygon_relative(img, poly))
         assert score.mdl_bits < 0 and score.log2_nfa < 0
+
+    def test_scores_record_rasterizes_once(self, monkeypatch):
+        img = square_image(delta=0.1, seed=1)
+        poly = PolygonHypothesis(np.asarray(SQUARE_POLY, dtype=float))
+        expected = Score(mdl_bits=mdl_polygon_relative(img, poly),
+                         log2_nfa=nfa_polygon_score(img, poly))
+        calls = []
+        monkeypatch.setattr(polygon_module, "rasterize_polygon",
+                            lambda *args: calls.append(args) or rasterize_polygon(*args))
+        assert polygon_scores(img, poly) == expected
+        assert len(calls) == 1
 
 
 class TestBss:
@@ -219,3 +237,172 @@ def test_bss_property_small_instances(seed):
     assert all(a > b for a, b in zip(scores, scores[1:]))
     assert traj.chosen.score <= scores[0]
     assert traj.steps[-1].vertex_count >= 3
+
+
+# ---------------------------------------------------------------------------
+# Incremental BSS against the full path
+# ---------------------------------------------------------------------------
+
+def trajectory_record(traj):
+    return [(s.polygon.vertices.tobytes(), s.score, type(s.score))
+            for s in traj.steps]
+
+
+def full_child_counts(image, poly, i):
+    """The counts the full path gives child i, or None where it skips it."""
+    try:
+        child = poly.without_vertex(i)
+        inside = count_region(image, rasterize_polygon(child.vertices,
+                                                       image.width, image.height))
+        return inside, complement(image.counts, [inside])
+    except ValueError:   # DomainError is a ValueError
+        return None
+
+
+def assert_children_match_full_path(image, poly):
+    mask = rasterize_polygon(poly.vertices, image.width, image.height)
+    incremental = _child_counts(image, poly, mask, count_region(image, mask))
+    full = [full_child_counts(image, poly, i) for i in range(poly.c)]
+    assert incremental == full
+    return full
+
+
+def noise_image(size, seed=0, density=0.4):
+    rng = np.random.default_rng(seed)
+    return BinaryImage((rng.random((size, size)) < density).astype(np.uint8))
+
+
+@pytest.fixture(scope="module")
+def shape_instances():
+    return {seed: make_shape_instance(ShapeSpec(seed=seed)) for seed in range(3)}
+
+
+class TestIncrementalBss:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_shape_trajectory_matches_full_oracle(self, shape_instances, seed,
+                                                  criterion):
+        image, initial = shape_instances[seed]
+        assert (trajectory_record(bss_simplify(image, initial, criterion))
+                == trajectory_record(bss_simplify_full(image, initial, criterion)))
+
+    @pytest.mark.parametrize("seed,c", [(0, 6), (1, 7), (2, 8), (3, 8)])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_star_trajectory_matches_full_oracle(self, seed, c, criterion):
+        image, verts = TestBssAgainstExhaustiveOracle().make_instance(seed, c)
+        initial = PolygonHypothesis(verts)
+        assert (trajectory_record(bss_simplify(image, initial, criterion))
+                == trajectory_record(bss_simplify_full(image, initial, criterion)))
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_every_child_along_shape_trajectories(self, shape_instances, seed):
+        image, initial = shape_instances[seed]
+        polygons = {}
+        for criterion in ("mdl", "nfa"):
+            for step in bss_simplify(image, initial, criterion).steps:
+                polygons.setdefault(step.polygon.vertices.tobytes(), step.polygon)
+        for poly in polygons.values():
+            assert_children_match_full_path(image, poly)
+        assert len(polygons) > 40
+
+    def test_collinear_middle_vertex(self):
+        poly = PolygonHypothesis(np.array(
+            [(2, 2), (2, 12), (12, 12), (12, 2), (7, 2)], dtype=float))
+        full = assert_children_match_full_path(noise_image(16), poly)
+        assert full[4] is not None   # dropping the collinear vertex is valid
+
+    def test_collinear_triangle_child(self):
+        # (6, 6) sits on the edge (10, 10) -> (2, 2); dropping (10, 2)
+        # leaves three collinear vertices, a zero-area triangle.
+        poly = PolygonHypothesis(np.array(
+            [(2, 2), (10, 2), (10, 10), (6, 6)], dtype=float))
+        full = assert_children_match_full_path(noise_image(14), poly)
+        assert full[1] is None and full[3] is not None
+
+    def test_chord_touching_a_non_adjacent_vertex(self):
+        # Dropping (8, 14) leaves the chord (14, 8) -> (0, 8) through (2, 8).
+        poly = PolygonHypothesis(np.array(
+            [(2, 8), (8, 2), (14, 8), (8, 14), (0, 8)], dtype=float))
+        full = assert_children_match_full_path(noise_image(16), poly)
+        assert full[3] is None
+
+    def test_horizontal_chord_on_an_integer_row(self):
+        poly = PolygonHypothesis(np.array(
+            [(2, 10), (5, 4), (11, 4), (14, 10), (8, 15)], dtype=float))
+        full = assert_children_match_full_path(noise_image(18, seed=1), poly)
+        assert full[4] is not None
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_vertices_on_pixel_centres(self, seed):
+        rng = np.random.default_rng(seed)
+        radii = rng.integers(4, 9, size=9).astype(float)
+        verts = np.round(star_polygon((10, 10), radii))
+        poly = PolygonHypothesis(verts)
+        assert_children_match_full_path(noise_image(20, seed=seed), poly)
+
+    def test_triangle_inside_one_row(self):
+        # The triangles at vertex 1 span row 10 only; at vertex 3 no row.
+        poly = PolygonHypothesis(np.array(
+            [(2, 10.2), (6, 9.7), (10, 10.3), (14, 10.4), (18, 10.7),
+             (12, 16), (4, 16)], dtype=float))
+        full = assert_children_match_full_path(noise_image(20, seed=2), poly)
+        assert full[1] is not None and full[3] is not None
+
+    def test_triangle_rows_outside_the_image(self):
+        image = noise_image(20, seed=3)
+        poly = PolygonHypothesis(np.array(
+            [(5, -6), (9, -8), (13, -6), (13, 10), (5, 10)], dtype=float))
+        full = assert_children_match_full_path(image, poly)
+        inside = count_region(image, rasterize_polygon(poly.vertices, 20, 20))
+        assert full[1] == (inside, complement(image.counts, [inside]))
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_builds_and_rasterizes_once_per_step(self, monkeypatch, criterion):
+        image, initial = TestBssAgainstExhaustiveOracle().make_instance(2, 8)
+        initial = PolygonHypothesis(initial)
+        calls = Counter()
+        rasterize, post_init = rasterize_polygon, PolygonHypothesis.__post_init__
+
+        def counting_rasterize(*args, **kwargs):
+            calls["rasterize_polygon"] += 1
+            return rasterize(*args, **kwargs)
+
+        def counting_post_init(self):
+            calls["PolygonHypothesis"] += 1
+            post_init(self)
+
+        monkeypatch.setattr(polygon_module, "rasterize_polygon", counting_rasterize)
+        monkeypatch.setattr(PolygonHypothesis, "__post_init__", counting_post_init)
+        steps = bss_simplify(image, initial, criterion).steps
+        assert len(steps) > 2
+        assert calls["rasterize_polygon"] <= len(steps) + 1
+        assert calls["PolygonHypothesis"] <= len(steps) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+       st.sampled_from([None, 1.0, 2.0]), st.booleans())
+def test_incremental_child_counts_match_full_path(seed, star, grid, nudge):
+    # 4-8 random vertices on 12-40 px images, often past the borders; star
+    # polygons order them by angle around their mean, the others keep the
+    # draw order and are used when simple.  Grid 1 and 2 snap vertices to
+    # pixel centres and half pixels; a nudge then moves them by less than
+    # the rasterizer's 1e-9 row tolerance.
+    rng = np.random.default_rng(seed)
+    size = int(rng.integers(12, 41))
+    verts = rng.uniform(-0.2 * size, 1.2 * size, size=(int(rng.integers(4, 9)), 2))
+    if star:
+        d = verts - verts.mean(axis=0)
+        verts = verts[np.argsort(np.arctan2(d[:, 1], d[:, 0]))]
+    if grid:
+        verts = np.round(verts * grid) / grid
+        if nudge:
+            verts += rng.uniform(-9e-10, 9e-10, size=verts.shape)
+    image = noise_image(size, seed=seed % 1000)
+    try:
+        poly = PolygonHypothesis(verts)
+        inside = count_region(image, rasterize_polygon(poly.vertices, size, size))
+        complement(image.counts, [inside])
+    except ValueError:
+        return   # the parent itself is no valid polygon
+    assert_children_match_full_path(image, poly)
