@@ -50,6 +50,8 @@ class LsdConfig:
             raise ValueError(f"gamma must be >= 1, got {self.gamma}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        if not 0.0 <= self.tau < math.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
     def theta(self) -> float:
@@ -115,10 +117,27 @@ def orientation_distance(a, b):
     return np.minimum(d, math.pi - d)
 
 
+def _walk(lo: float, hi: float, first: int, last: int) -> range:
+    """The integers of first..last within one of [lo, hi], and perhaps one
+    more on each side; lo and hi may be infinite."""
+    if lo > last + 1 or hi < first - 1:
+        return range(0)
+    return range(first if lo < first + 1 else math.floor(lo) - 1,
+                 (last if hi > last - 1 else math.ceil(hi) + 1) + 1)
+
+
 def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
                   rho: float) -> AlignmentCounts:
     """Count pixels whose centers fall inside the rectangle and whose
-    orientation lies within rho of the rectangle normal (modulo pi)."""
+    orientation lies within rho of the rectangle normal (modulo pi).
+
+    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + 1e-9
+    and |-dx*uy + dy*ux| <= width/2 + 1e-9, with dx = c - cx, dy = r - cy;
+    that float test alone decides membership.  The loop runs on Python
+    scalars and visits only the rectangle's rows, and in each row only the
+    columns between its two slab limits.  Each limit is widened by a bound
+    on the rounding of the test and of the limit, and then by one pixel.
+    """
     height, width = omap.height, omap.width
     cx = 0.5 * (rect.ax + rect.bx)
     cy = 0.5 * (rect.ay + rect.by)
@@ -132,22 +151,51 @@ def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
     row_hi = min(height - 1, math.ceil(cy + reach))
     if col_hi < col_lo or row_hi < row_lo:
         raise ValueError("rectangle lies fully outside the image")
-    cols, rows = np.meshgrid(np.arange(col_lo, col_hi + 1),
-                             np.arange(row_lo, row_hi + 1))
-    dx = cols - cx
-    dy = rows - cy
-    along = dx * ux + dy * uy
-    across = -dx * uy + dy * ux
-    inside = (np.abs(along) <= half_len + 1e-9) & (np.abs(across) <= half_wid + 1e-9)
-    if not inside.any():
+    len_tol = half_len + 1e-9
+    wid_tol = half_wid + 1e-9
+    # The rounding of the test and of the limits stays within a few ulps
+    # of the largest magnitude involved; pad bounds it generously.
+    pad = 1e-13 * max(abs(cx), abs(cy), width, height, half_len, half_wid)
+    len_lim, wid_lim = len_tol + pad, wid_tol + pad
+    ext_y = len_lim * abs(uy) + wid_lim * abs(ux)
+    # Signed so that (-len_lim - b) / ux <= (len_lim - b) / ux, and alike
+    # for uy; cos of a float angle is never 0, but sin is 0 at angle 0.
+    len_lim = math.copysign(len_lim, ux)
+    wid_lim = math.copysign(wid_lim, uy)
+    defined = memoryview(omap.defined.reshape(-1))
+    angles = memoryview(omap.angles.reshape(-1))
+    normal = rect.normal_angle
+    pi = math.pi
+    tol = rho + 1e-12
+    n_r = u_r = k_r = 0
+    for r in _walk(cy - ext_y, cy + ext_y, row_lo, row_hi):
+        dy = r - cy
+        dy_uy, dy_ux = dy * uy, dy * ux
+        lo = (-len_lim - dy_uy) / ux
+        hi = (len_lim - dy_uy) / ux
+        if uy:
+            x = (dy_ux - wid_lim) / uy
+            if x > lo:
+                lo = x
+            x = (dy_ux + wid_lim) / uy
+            if x < hi:
+                hi = x
+        base = r * width
+        for c in _walk(cx + lo, cx + hi, col_lo, col_hi):
+            dx = c - cx
+            if not (-len_tol <= dx * ux + dy_uy <= len_tol
+                    and -wid_tol <= -dx * uy + dy_ux <= wid_tol):
+                continue
+            n_r += 1
+            if not defined[base + c]:
+                u_r += 1
+                continue
+            d = (angles[base + c] - normal) % pi
+            if d <= tol or pi - d <= tol:     # min(d, pi - d) <= tol
+                k_r += 1
+    if not n_r:
         raise ValueError("rectangle covers no pixel centers inside the image")
-    sub_defined = omap.defined[rows[inside], cols[inside]]
-    sub_angles = omap.angles[rows[inside], cols[inside]]
-    n_r = int(inside.sum())
-    u_r = int((~sub_defined).sum())
-    aligned = sub_defined & (orientation_distance(sub_angles, rect.normal_angle)
-                             <= rho + 1e-12)
-    return AlignmentCounts(n_r=n_r, k_r=int(aligned.sum()), u_r=u_r)
+    return AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
 
 
 def nfa_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
@@ -171,33 +219,40 @@ def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
 
 def fit_rectangle(coords: np.ndarray, weights=None) -> RectangleCandidate:
     """Fit a rectangle to region pixels: weighted centroid, principal axis of
-    the weighted scatter, extents covering the pixel centers."""
+    the weighted scatter, extents covering the pixel centers.
+
+    The sums, the scatter product, the eigen-decomposition and the two
+    projections stay numpy calls, whose summation order the output bytes
+    depend on; the few scalars after them are Python floats.
+    """
     coords = np.asarray(coords, dtype=np.float64)  # (m, 2) as (col=x, row=y)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must be (m, 2) pixel centers")
     if len(coords) < 2:
         raise ValueError("cannot fit a rectangle to fewer than 2 pixels")
     if weights is None:
-        w = np.ones(len(coords))
+        w_col, w_sum = 1.0, float(len(coords))   # unit weights: x * 1.0 == x
     else:
         w = np.asarray(weights, dtype=np.float64)
-    w_sum = w.sum()
-    center = (coords * w[:, None]).sum(axis=0) / w_sum
+        w_col, w_sum = w[:, None], w.sum()
+    center = (coords * w_col).sum(axis=0) / w_sum
     centered = coords - center
-    scatter = (centered * w[:, None]).T @ centered / w_sum
+    # `centered * w_col` is a new buffer even for unit weights: an array
+    # times its own transpose takes another BLAS path, with other bytes.
+    scatter = (centered * w_col).T @ centered / w_sum
     eigvals, eigvecs = np.linalg.eigh(scatter)
     if eigvals[1] <= 0.0:
         raise ValueError("degenerate region: zero scatter")
-    axis = eigvecs[:, 1]           # principal direction
-    along = centered @ axis
-    across = centered @ np.array([-axis[1], axis[0]])
-    a = center + axis * along.min()
-    b = center + axis * along.max()
-    width = max(1.0, across.max() - across.min() + 1.0)
-    if along.max() == along.min():
-        b = center + axis * (along.max() + 0.5)  # guard zero-length line
-    return RectangleCandidate(ax=float(a[0]), ay=float(a[1]),
-                              bx=float(b[0]), by=float(b[1]), width=float(width))
+    (_, vx), (_, vy) = eigvecs.tolist()      # principal direction (vx, vy)
+    along = (centered @ eigvecs[:, 1]).tolist()
+    across = (centered @ np.array([-vy, vx])).tolist()
+    cx, cy = center.tolist()
+    lo, hi = min(along), max(along)
+    if hi == lo:
+        hi += 0.5                             # guard zero-length line
+    width = max(1.0, max(across) - min(across) + 1.0)
+    return RectangleCandidate(ax=cx + vx * lo, ay=cy + vy * lo,
+                              bx=cx + vx * hi, by=cy + vy * hi, width=width)
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -258,8 +313,8 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
                 mean_angle = 0.5 * atan2(sy, sx)
         if len(region) < min_size:
             continue
-        rows, cols = np.divmod(np.array(region), width)
-        coords = np.column_stack((cols - 1, rows - 1)).astype(np.float64)
+        coords = np.array([(flat % width - 1, flat // width - 1)
+                           for flat in region], dtype=np.float64)
         weights = None if magnitude is None else magnitude[region]
         try:
             candidates.append(fit_rectangle(coords, weights))
@@ -281,21 +336,23 @@ def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
     """Score an identical candidate set under both criteria."""
     n_image = omap.height * omap.width
+    decided = {}        # (n_r, k_r) -> (score, nfa_keep, mdl_keep)
     out = []
     for cand in candidates:
         try:
             counts = count_aligned(cand, omap, cfg.rho)
         except ValueError:
             continue
-        score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
-                      log2_nfa=nfa_rect(n_image, counts, cfg))
-        out.append(SegmentDetection(
-            candidate=cand,
-            counts=counts,
-            score=score,
-            nfa_keep=score.nfa_detects(cfg.epsilon),
-            mdl_keep=score.mdl_detects(),
-        ))
+        # Both scores read only n_r and k_r, so many candidates share one.
+        key = (counts.n_r, counts.k_r)
+        if key not in decided:
+            score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
+                          log2_nfa=nfa_rect(n_image, counts, cfg))
+            decided[key] = (score, score.nfa_detects(cfg.epsilon),
+                            score.mdl_detects())
+        score, nfa_keep, mdl_keep = decided[key]
+        out.append(SegmentDetection(candidate=cand, counts=counts, score=score,
+                                    nfa_keep=nfa_keep, mdl_keep=mdl_keep))
     return out
 
 

@@ -287,6 +287,130 @@ def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
     return candidates
 
 
+def count_aligned_numpy(rect, omap, rho):
+    """Reference alignment count: `lsd.count_aligned` as first written, a
+    numpy meshgrid over the rectangle's 2*reach bounding box.  The scalar
+    row walk must give the same counts and raise the same errors.
+
+    Count pixels whose centers fall inside the rectangle and whose
+    orientation lies within rho of the rectangle normal (modulo pi).
+    """
+    import numpy as np
+
+    from mdlnfa.lsd import AlignmentCounts, orientation_distance
+
+    height, width = omap.height, omap.width
+    cx = 0.5 * (rect.ax + rect.bx)
+    cy = 0.5 * (rect.ay + rect.by)
+    ux, uy = math.cos(rect.angle), math.sin(rect.angle)
+    half_len = rect.length / 2.0
+    half_wid = rect.width / 2.0
+    reach = half_len + half_wid + 1.0
+    col_lo = max(0, math.floor(cx - reach))
+    col_hi = min(width - 1, math.ceil(cx + reach))
+    row_lo = max(0, math.floor(cy - reach))
+    row_hi = min(height - 1, math.ceil(cy + reach))
+    if col_hi < col_lo or row_hi < row_lo:
+        raise ValueError("rectangle lies fully outside the image")
+    cols, rows = np.meshgrid(np.arange(col_lo, col_hi + 1),
+                             np.arange(row_lo, row_hi + 1))
+    dx = cols - cx
+    dy = rows - cy
+    along = dx * ux + dy * uy
+    across = -dx * uy + dy * ux
+    inside = (np.abs(along) <= half_len + 1e-9) & (np.abs(across) <= half_wid + 1e-9)
+    if not inside.any():
+        raise ValueError("rectangle covers no pixel centers inside the image")
+    sub_defined = omap.defined[rows[inside], cols[inside]]
+    sub_angles = omap.angles[rows[inside], cols[inside]]
+    n_r = int(inside.sum())
+    u_r = int((~sub_defined).sum())
+    aligned = sub_defined & (orientation_distance(sub_angles, rect.normal_angle)
+                             <= rho + 1e-12)
+    return AlignmentCounts(n_r=n_r, k_r=int(aligned.sum()), u_r=u_r)
+
+
+def fit_rectangle_numpy(coords, weights=None):
+    """Reference rectangle fit: `lsd.fit_rectangle` as first written, every
+    step a numpy operation.  The library keeps the sums, the scatter
+    product, `eigh` and the projections in numpy and the rest on Python
+    floats; the rectangles must compare equal.
+
+    Fit a rectangle to region pixels: weighted centroid, principal axis of
+    the weighted scatter, extents covering the pixel centers.
+    """
+    import numpy as np
+
+    from mdlnfa.lsd import RectangleCandidate
+
+    coords = np.asarray(coords, dtype=np.float64)  # (m, 2) as (col=x, row=y)
+    if coords.ndim != 2 or coords.shape[1] != 2:
+        raise ValueError("coords must be (m, 2) pixel centers")
+    if len(coords) < 2:
+        raise ValueError("cannot fit a rectangle to fewer than 2 pixels")
+    if weights is None:
+        w = np.ones(len(coords))
+    else:
+        w = np.asarray(weights, dtype=np.float64)
+    w_sum = w.sum()
+    center = (coords * w[:, None]).sum(axis=0) / w_sum
+    centered = coords - center
+    scatter = (centered * w[:, None]).T @ centered / w_sum
+    eigvals, eigvecs = np.linalg.eigh(scatter)
+    if eigvals[1] <= 0.0:
+        raise ValueError("degenerate region: zero scatter")
+    axis = eigvecs[:, 1]           # principal direction
+    along = centered @ axis
+    across = centered @ np.array([-axis[1], axis[0]])
+    a = center + axis * along.min()
+    b = center + axis * along.max()
+    width = max(1.0, across.max() - across.min() + 1.0)
+    if along.max() == along.min():
+        b = center + axis * (along.max() + 0.5)  # guard zero-length line
+    return RectangleCandidate(ax=float(a[0]), ay=float(a[1]),
+                              bx=float(b[0]), by=float(b[1]), width=float(width))
+
+
+def score_candidates_plain(omap, candidates, cfg):
+    """Reference scorer: `lsd.score_candidates` as first written, both
+    scores and both keep flags computed afresh for every candidate."""
+    from mdlnfa.lsd import (SegmentDetection, count_aligned, mdl_rect,
+                            nfa_rect)
+    from mdlnfa.numeric import Score
+
+    n_image = omap.height * omap.width
+    out = []
+    for cand in candidates:
+        try:
+            counts = count_aligned(cand, omap, cfg.rho)
+        except ValueError:
+            continue
+        score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
+                      log2_nfa=nfa_rect(n_image, counts, cfg))
+        out.append(SegmentDetection(
+            candidate=cand,
+            counts=counts,
+            score=score,
+            nfa_keep=score.nfa_detects(cfg.epsilon),
+            mdl_keep=score.mdl_detects(),
+        ))
+    return out
+
+
+def exact_lsd_decisions(log2_tests: int, n_r: int, k: int) -> tuple[bool, bool]:
+    """(NFA keep, MDL keep) of a rectangle in integer arithmetic, for
+    theta = 1/8, gamma = 1, epsilon = 1 and 2.5 log2 n = log2_tests.
+
+    The tail is S / 8^n_r with S = sum_{i>=k} C(n_r, i) 7^(n_r - i), so
+    log2 NFA <= 0 is 2^log2_tests * S <= 2^(3 n_r); the MDL delta
+    log2_tests + log2 n_r + log2 C(n_r, k) - 3k < 0 is
+    2^log2_tests * n_r * C(n_r, k) < 2^(3k).
+    """
+    tail = sum(math.comb(n_r, i) * 7 ** (n_r - i) for i in range(k, n_r + 1))
+    return (2 ** log2_tests * tail <= 2 ** (3 * n_r),
+            2 ** log2_tests * n_r * math.comb(n_r, k) < 2 ** (3 * k))
+
+
 # ---------------------------------------------------------------------------
 # MDL scores as first written: each spells out its enumerative code by hand.
 # The library now routes them all through `numeric.code_length`; these

@@ -357,6 +357,17 @@ class TestCli:
         assert main(["lsd", flag, value, "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "lsd_boundary.csv").exists()
 
+    @pytest.mark.parametrize("tau", ["nan", "inf", "-1"])
+    def test_lsd_rejects_bad_tau(self, tmp_path, capsys, tau):
+        # `magnitude > nan` is false everywhere: without the check this run
+        # exits 0 and reports 0 candidates.
+        assert main(["gen", "--kind", "edge", "--width", "40", "--height",
+                     "40", "--out", str(tmp_path)]) == EXIT_OK
+        assert main(["lsd", "--image", str(tmp_path / "edge.pgm"),
+                     f"--tau={tau}", "--out", str(tmp_path)]) == 2
+        assert "tau" in capsys.readouterr().err
+        assert not (tmp_path / "segments.txt").exists()
+
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus_key": 1}))

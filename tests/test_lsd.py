@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import mdlnfa.lsd as lsd_module
+from mdlnfa.experiments import lsd_boundary_table
 from mdlnfa.imaging import OrientationMap, gradient_orientation
 from mdlnfa.lsd import (
     AlignmentCounts,
@@ -23,7 +25,13 @@ from mdlnfa.lsd import (
     write_candidates_file,
     write_segments_file,
 )
-from oracles import region_grow_candidates_numpy
+from oracles import (
+    count_aligned_numpy,
+    exact_lsd_decisions,
+    fit_rectangle_numpy,
+    region_grow_candidates_numpy,
+    score_candidates_plain,
+)
 
 N_512 = 512 * 512
 
@@ -55,6 +63,16 @@ class TestConfig:
             LsdConfig(gamma=0)
         with pytest.raises(ValueError):
             LsdConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5])
+    def test_tau_must_be_finite_and_non_negative(self, tau):
+        with pytest.raises(ValueError, match="tau"):
+            LsdConfig(tau=tau)
+        with pytest.raises(ValueError, match="tau"):
+            LsdConfig.from_theta(0.125, tau=tau)
+
+    def test_tau_zero_allowed(self):
+        assert LsdConfig(tau=0.0).tau == 0.0
 
 
 class TestOrientationDistance:
@@ -290,6 +308,249 @@ class TestRegionGrowing:
         got = region_grow_candidates(omap, cfg, 2)
         assert len(got) > 1
         assert got == region_grow_candidates_numpy(omap, cfg, 2)
+
+
+def outcome(fn, *args):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.fixture
+def fits_against_oracle(monkeypatch):
+    """Make `lsd.fit_rectangle` check each fit against the numpy oracle;
+    returns the list of (coords, weights) it is called with."""
+    real = lsd_module.fit_rectangle
+    seen = []
+
+    def checked(coords, weights=None):
+        seen.append((coords, weights))
+        got = outcome(real, coords, weights)
+        assert got == outcome(fit_rectangle_numpy, coords, weights)
+        if isinstance(got, tuple):
+            raise got[0](got[1])
+        return got
+
+    monkeypatch.setattr(lsd_module, "fit_rectangle", checked)
+    return seen
+
+
+def random_rectangles(rng, width, height, count):
+    """Rectangles around a width x height map: integer, half-integer (pixel
+    centres on the boundary) and arbitrary endpoints; exactly horizontal
+    and vertical lines; width 1; partly and fully outside the map; and
+    long ones whose far end puts the centre 1e8 to 1e17 away."""
+
+    def coord(lo, hi):
+        value = rng.uniform(lo, hi)
+        mode = rng.integers(3)
+        if mode == 0:
+            return float(round(value))
+        return math.floor(value) + 0.5 if mode == 1 else value
+
+    rects = []
+    while len(rects) < count:
+        kind = len(rects) % 6
+        ax, bx = coord(-8, width + 8), coord(-8, width + 8)
+        ay, by = coord(-8, height + 8), coord(-8, height + 8)
+        if kind == 0:
+            by = ay                            # horizontal, either direction
+        elif kind == 1:
+            bx = ax                            # vertical
+        elif kind == 2:                        # mostly or fully outside
+            shift = float(rng.choice([-1, 1]) * rng.integers(width, 3 * width))
+            ax, bx = ax + shift, bx + shift
+        elif kind == 3:                        # far centre: coarse rounding
+            far = 10.0 ** rng.uniform(8, 17)
+            turn = rng.choice([0.0, math.pi / 2, rng.uniform(0, 2 * math.pi)])
+            bx, by = ax + far * math.cos(turn), ay + far * math.sin(turn)
+        wid = 1.0 if rng.random() < 0.3 else coord(1.0, 7.0)
+        if (ax, ay) == (bx, by) or wid < 1.0:
+            continue
+        rects.append(RectangleCandidate(ax=ax, ay=ay, bx=bx, by=by, width=wid))
+    return rects
+
+
+class TestScalarPathsMatchNumpyOracles:
+    """count_aligned and fit_rectangle against their numpy originals:
+    equal results, or the same exception type and message."""
+
+    @pytest.mark.parametrize("seed", [20, 21, 22])
+    def test_every_candidate_of_h0_maps(self, seed, fits_against_oracle):
+        cfg = LsdConfig()
+        omap = isotropic_orientation_map(256, 256, seed=seed)
+        candidates = region_grow_candidates(omap, cfg)
+        assert len(candidates) > 1000
+        assert len(fits_against_oracle) >= len(candidates)
+        for cand in candidates:
+            assert (count_aligned(cand, omap, cfg.rho)
+                    == count_aligned_numpy(cand, omap, cfg.rho))
+
+    def test_weighted_fits_and_undefined_pixels(self, fits_against_oracle):
+        rng = np.random.default_rng(4)
+        rows, cols = np.mgrid[0:72, 0:88]
+        gray = (128 + 90 * np.sin(0.25 * cols + 0.1 * rows)
+                + rng.normal(0, 8, rows.shape))
+        gray[20:45, 30:60] = 40.0              # flat patch: undefined pixels
+        omap = gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
+        for rho in (math.pi / 16, math.pi / 8):
+            candidates = region_grow_candidates(omap, LsdConfig(rho=rho), 2)
+            counts = [outcome(count_aligned, c, omap, rho) for c in candidates]
+            assert counts == [outcome(count_aligned_numpy, c, omap, rho)
+                              for c in candidates]
+            assert any(isinstance(c, AlignmentCounts) and c.u_r > 0
+                       for c in counts)
+        assert all(w is not None for _, w in fits_against_oracle)
+        assert len(fits_against_oracle) > 50
+
+    def test_random_rectangles_on_map_with_holes(self):
+        rng = np.random.default_rng(31)
+        omap = isotropic_orientation_map(29, 23, seed=8)
+        defined = rng.random((23, 29)) > 0.15
+        defined[5:11, 8:20] = False
+        omap = OrientationMap(angles=omap.angles, defined=defined)
+        kinds = {"counted": 0, "no pixel": 0, "outside": 0}
+        for i, rect in enumerate(random_rectangles(rng, 29, 23, 10_000)):
+            rho = (math.pi / 16, math.pi / 5)[i % 2]
+            got = outcome(count_aligned, rect, omap, rho)
+            assert got == outcome(count_aligned_numpy, rect, omap, rho), rect
+            if isinstance(got, AlignmentCounts):
+                kinds["counted"] += 1
+            else:
+                kinds["outside" if "fully" in got[1] else "no pixel"] += 1
+        assert min(kinds.values()) > 100
+
+    def test_hand_rectangles(self):
+        omap = isotropic_orientation_map(12, 9, seed=2)
+        for rect in [
+            RectangleCandidate(2.0, 4.0, 9.0, 4.0, 1.0),     # ends on pixel centres
+            RectangleCandidate(9.0, 4.0, 2.0, 4.0, 3.0),     # reversed: sin(pi) != 0
+            RectangleCandidate(5.0, 0.0, 5.0, 8.0, 1.0),     # vertical through a column
+            RectangleCandidate(4.5, 0.5, 4.5, 7.5, 2.0),     # half-integer box edges
+            RectangleCandidate(-3.0, -3.0, 20.0, 15.0, 1.0),  # diagonal past the map
+            RectangleCandidate(-0.5, 2.0, -0.5, 6.0, 1.0),   # edge one half-pixel off
+            RectangleCandidate(40.0, 4.0, 60.0, 4.0, 2.0),   # fully outside
+            RectangleCandidate(0.0, 0.0, 1e-300, 1e-300, 1.0),
+            RectangleCandidate(-1e6, 4.0, 1e6, 4.0 + 1e-9, 1.0),
+            RectangleCandidate(3.3, 4.0, 2e16, 4.0, 1.0),    # centre 1e16 away
+            RectangleCandidate(2e16, 4.5, 5.7, 4.5, 2.0),
+            RectangleCandidate(6.0, -2e16, 6.0, 3.3, 1.0),
+        ]:
+            assert (outcome(count_aligned, rect, omap, math.pi / 16)
+                    == outcome(count_aligned_numpy, rect, omap, math.pi / 16))
+
+    def test_angles_on_the_tolerance_are_aligned(self):
+        # rho chosen so that the modulo-pi distance d of every pixel to the
+        # normal is exactly the tolerance rho + 1e-12, on either side.
+        rect = RectangleCandidate(ax=0.0, ay=1.0, bx=7.0, by=1.0, width=3.0)
+        normal = rect.normal_angle
+        for angle in (normal + 0.2, normal - 0.2):
+            d = (angle - normal) % math.pi
+            edge = min(d, math.pi - d)
+            rho = edge - 1e-12
+            while rho + 1e-12 < edge:
+                rho = math.nextafter(rho, math.inf)
+            assert rho + 1e-12 == edge
+            omap = OrientationMap(angles=np.full((3, 8), angle),
+                                  defined=np.ones((3, 8), bool))
+            counts = count_aligned(rect, omap, rho)
+            assert counts == AlignmentCounts(n_r=24, k_r=24)
+            assert counts == count_aligned_numpy(rect, omap, rho)
+            below = math.nextafter(rho, -math.inf)
+            assert count_aligned(rect, omap, below).k_r == 0
+
+    def test_random_regions_fit(self):
+        rng = np.random.default_rng(5)
+        for trial in range(3000):
+            # BLAS changes its kernel for long regions (a few hundred pixels).
+            m = int(rng.integers(2, 30) if trial % 10 > 1
+                    else rng.integers(300, 1500))
+            coords = rng.integers(0, 40, size=(m, 2)).astype(float)
+            if trial % 7 == 0:
+                coords[:, 1] = coords[0, 1]    # one row: zero-width region
+            if trial % 11 == 0:
+                coords[:] = coords[0]          # one point: zero scatter
+            if trial % 3 == 0:
+                coords += rng.random((m, 2))
+            weights = None if trial % 2 else rng.uniform(0.5, 50.0, m)
+            layout = trial % 5
+            if layout == 1:
+                coords = np.asfortranarray(coords)
+            elif layout == 2:
+                coords = np.repeat(coords, 2, axis=0)[::2]
+            elif layout == 3:
+                coords = coords.tolist()
+            assert (outcome(fit_rectangle, coords, weights)
+                    == outcome(fit_rectangle_numpy, coords, weights))
+        for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2))):
+            assert (outcome(fit_rectangle, bad)
+                    == outcome(fit_rectangle_numpy, bad))
+
+
+class TestScoreCandidates:
+    def test_one_score_per_distinct_counts(self, monkeypatch):
+        cfg = LsdConfig()
+        omap = isotropic_orientation_map(128, 128, seed=6)
+        candidates = region_grow_candidates(omap, cfg)
+        candidates.append(RectangleCandidate(500.0, 5.0, 600.0, 5.0, 2.0))
+        calls = []
+        real = lsd_module.nfa_rect
+
+        def counted(n_image, counts, cfg):
+            calls.append((counts.n_r, counts.k_r))
+            return real(n_image, counts, cfg)
+
+        monkeypatch.setattr(lsd_module, "nfa_rect", counted)
+        got = score_candidates(omap, candidates, cfg)
+        monkeypatch.undo()
+        assert len(got) == len(candidates) - 1
+        assert sorted(calls) == sorted({(d.counts.n_r, d.counts.k_r) for d in got})
+        assert len(calls) < len(got) / 3
+        assert got == score_candidates_plain(omap, candidates, cfg)
+
+
+class TestExactDecisions:
+    """At theta = 1/8, gamma = 1 and epsilon = 1 both float decisions are
+    integer inequalities (`oracles.exact_lsd_decisions`)."""
+
+    def test_premises_are_exact(self):
+        cfg = LsdConfig()
+        assert cfg.theta == 0.125 and math.log2(cfg.theta) == -3.0
+        assert 2.5 * math.log2(256 * 256) == 40.0
+        assert 2.5 * math.log2(512 * 512) == 45.0
+
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_every_candidate_of_h0_maps(self, seed):
+        cfg = LsdConfig()
+        omap = isotropic_orientation_map(256, 256, seed=seed)
+        detections = score_candidates(
+            omap, region_grow_candidates(omap, cfg), cfg)
+        assert len(detections) > 1000
+        for d in detections:
+            assert ((d.nfa_keep, d.mdl_keep)
+                    == exact_lsd_decisions(40, d.counts.n_r, d.counts.k_r)), d
+
+    def test_criterion_9_boundary_table(self):
+        cfg = LsdConfig.from_theta(0.125)
+        assert cfg.theta == 0.125
+        n_image = 512 * 512
+        expected = []
+        for n_r in range(4, 61):
+            keeps = []
+            for k in range(n_r + 1):
+                counts = AlignmentCounts(n_r=n_r, k_r=k)
+                score_nfa = nfa_rect(n_image, counts, cfg) <= 0.0
+                score_mdl = mdl_rect(n_image, counts, cfg) < 0.0
+                assert (score_nfa, score_mdl) == exact_lsd_decisions(45, n_r, k)
+                keeps.append((score_nfa, score_mdl))
+            expected.append(
+                (n_r,
+                 next((k for k, (nfa, _) in enumerate(keeps) if nfa), None),
+                 next((k for k, (_, mdl) in enumerate(keeps) if mdl), None)))
+        rows = lsd_boundary_table(cfg, n_image=n_image, max_n_r=60)
+        assert [(r.n_r, r.min_k_nfa, r.min_k_mdl) for r in rows] == expected
 
 
 class TestDetectSegments:
