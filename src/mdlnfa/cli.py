@@ -102,6 +102,10 @@ def cmd_sweep_multi(args) -> int:
 
 
 def cmd_polygon(args) -> int:
+    if args.epsilon is not None and not args.epsilon > 0.0:
+        raise ex.ConfigError(f"epsilon must be positive, got {args.epsilon}")
+    if args.trace_every < 1:
+        raise ex.ConfigError(f"--trace-every must be >= 1, got {args.trace_every}")
     out = _out_dir(args)
     if args.image:
         image = read_binary_pgm(args.image)

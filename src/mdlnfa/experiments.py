@@ -30,7 +30,7 @@ from .lsd import (
     score_candidates,
 )
 from .numeric import Score
-from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_scores
+from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, scores_from_counts
 from .square_detect import (
     Square,
     four_square_layout,
@@ -368,7 +368,8 @@ def run_polygon(image: BinaryImage, initial: PolygonHypothesis,
         traj = bss_simplify(image, initial, criterion)
         trajectories[criterion] = traj
         if out_dir is not None:
-            scores = [polygon_scores(image, step.polygon) for step in traj.steps]
+            scores = [scores_from_counts(image, step.vertex_count, step.inside)
+                      for step in traj.steps]
             _write_csv(out_dir, f"bss_{criterion}.csv",
                        ["step", "vertex_count", "mdl_bits", "log10_nfa"],
                        ([i, step.vertex_count, f"{both.mdl_bits:.6f}",

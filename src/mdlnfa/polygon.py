@@ -127,11 +127,17 @@ def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     return _polygon_score("nfa", image, poly.c, *_region_counts(image, poly))
 
 
-def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
-    counts = _region_counts(image, poly)
-    return Score(mdl_bits=(_polygon_score("mdl", image, poly.c, *counts)
+def scores_from_counts(image: BinaryImage, c: int, inside: RegionCounts) -> Score:
+    """Both scores of a c-vertex polygon whose interior has counts `inside`."""
+    exterior = complement(image.counts, [inside])
+    return Score(mdl_bits=(_polygon_score("mdl", image, c, inside, exterior)
                            - l0_code_length(image.counts)),
-                 log2_nfa=_polygon_score("nfa", image, poly.c, *counts))
+                 log2_nfa=_polygon_score("nfa", image, c, inside, exterior))
+
+
+def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
+    mask = rasterize_polygon(poly.vertices, image.width, image.height)
+    return scores_from_counts(image, poly.c, count_region(image, mask))
 
 
 def _removable(verts: np.ndarray) -> np.ndarray:
@@ -155,36 +161,53 @@ def _removable(verts: np.ndarray) -> np.ndarray:
     return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
 
 
+def _triple(pts: list, i: int) -> tuple:
+    """Key of removing vertex i: the coordinates of v[i-1], v[i], v[i+1]."""
+    return (*pts[i - 1], *pts[i], *pts[(i + 1) % len(pts)])
+
+
 def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
-                  mask: np.ndarray, inside: RegionCounts) -> list:
+                  mask: np.ndarray, inside: RegionCounts, bands: dict) -> list:
     """(inside, exterior) counts of each one-vertex removal from `poly`, or
     None where the child is not a valid polygon; `mask` and `inside` are
     `poly`'s own.
 
     Removing vertex i changes only the edges v[i-1]v[i], v[i]v[i+1] and
     v[i-1]v[i+1], and no edge reaches a row outside its y-range, so the
-    child differs from `poly` only on the rows of that triangle; those rows
-    are rasterized from the child's own edges.
+    child differs from `poly` only on the rows r0..r1 of that triangle;
+    those rows are rasterized from the child's own edges.
+
+    `bands` maps `_triple(pts, i)` to (r0, r1, rows, dn, dk): the child's
+    mask rows r0..r1 (None if r0 > r1) and its change of (n, k) on them.
+    That entry depends only on the triple and on rows r0..r1 of `mask`, so
+    it is reused as long as the caller drops it when those rows change
+    (see `bss_simplify`); missing entries are computed and stored.
     """
     width, height = image.width, image.height
     ones = image.pixels.view(bool)
-    row_n = np.count_nonzero(mask, axis=1).tolist()
-    row_k = np.count_nonzero(mask & ones, axis=1).tolist()
+    row_n = row_k = None
     pts = poly.vertices.tolist()
     c = len(pts)
     out = [None] * c
     for i in np.flatnonzero(_removable(poly.vertices)).tolist():
-        ys = (pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1])
-        r0 = max(0, math.ceil(min(ys) - _ROW_EPS))
-        r1 = min(height - 1, math.floor(max(ys) + _ROW_EPS))
-        n, k = inside.n, inside.k
-        if r0 <= r1:
-            band = _scanline_rows(pts[:i] + pts[i + 1:], width, r0, r1)
-            n += int(np.count_nonzero(band)) - sum(row_n[r0:r1 + 1])
-            k += (int(np.count_nonzero(band & ones[r0:r1 + 1]))
-                  - sum(row_k[r0:r1 + 1]))
+        key = _triple(pts, i)
+        entry = bands.get(key)
+        if entry is None:
+            ys = (pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1])
+            r0 = max(0, math.ceil(min(ys) - _ROW_EPS))
+            r1 = min(height - 1, math.floor(max(ys) + _ROW_EPS))
+            rows, dn, dk = None, 0, 0
+            if r0 <= r1:
+                if row_n is None:
+                    row_n = np.count_nonzero(mask, axis=1).tolist()
+                    row_k = np.count_nonzero(mask & ones, axis=1).tolist()
+                rows = _scanline_rows(pts[:i] + pts[i + 1:], width, r0, r1)
+                dn = int(np.count_nonzero(rows)) - sum(row_n[r0:r1 + 1])
+                dk = (int(np.count_nonzero(rows & ones[r0:r1 + 1]))
+                      - sum(row_k[r0:r1 + 1]))
+            entry = bands[key] = (r0, r1, rows, dn, dk)
         try:
-            child = RegionCounts(n, k)
+            child = RegionCounts(inside.n + entry[3], inside.k + entry[4])
             out[i] = child, complement(image.counts, [child])
         except DomainError:   # empty footprint or no exterior
             pass
@@ -195,6 +218,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
 class BssStep:
     polygon: PolygonHypothesis
     score: float
+    inside: RegionCounts   # interior (n, k) of the polygon
 
     @property
     def vertex_count(self) -> int:
@@ -230,8 +254,10 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     the 3-vertex floor.  Children that degenerate (self-intersect, empty
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
     vertex index, which keeps trajectories deterministic.  Children are
-    counted from the current polygon's mask (see `_child_counts`); only the
-    polygon each step moves to is built and rasterized in full.
+    counted from the current polygon's mask (see `_child_counts`), and a
+    child's band count is kept from step to step until a removal changes
+    its rows.  The initial polygon is the only one rasterized in full: each
+    step splices the winner's band into the mask.
     """
     if criterion not in _SCORE_FN:
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
@@ -240,10 +266,12 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     inside = count_region(image, mask)
     current_score = _polygon_score(criterion, image, current.c, inside,
                                    complement(image.counts, [inside]))
-    steps = [BssStep(polygon=current, score=current_score)]
+    steps = [BssStep(polygon=current, score=current_score, inside=inside)]
+    bands: dict = {}
     while current.c > 3:
         best, best_score = None, math.inf
-        for i, counts in enumerate(_child_counts(image, current, mask, inside)):
+        for i, counts in enumerate(_child_counts(image, current, mask, inside,
+                                                 bands)):
             if counts is None:
                 continue
             child_score = _polygon_score(criterion, image, current.c - 1, *counts)
@@ -251,8 +279,13 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                 best, best_score, best_inside = i, child_score, counts[0]
         if best is None or not best_score < current_score:
             break
+        r0, r1, rows, _, _ = bands[_triple(current.vertices.tolist(), best)]
+        if rows is not None:
+            mask[r0:r1 + 1] = rows
+        # Only rows r0..r1 changed, for the mask and for every later child.
+        bands = {key: entry for key, entry in bands.items()
+                 if entry[1] < r0 or entry[0] > r1}
         current, current_score, inside = (current.without_vertex(best),
                                           best_score, best_inside)
-        mask = rasterize_polygon(current.vertices, image.width, image.height)
-        steps.append(BssStep(polygon=current, score=current_score))
+        steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

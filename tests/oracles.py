@@ -504,6 +504,7 @@ def bss_simplify_full(image, initial, criterion):
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
     vertex index, which keeps trajectories deterministic.
     """
+    from mdlnfa.imaging import count_region, rasterize_polygon
     from mdlnfa.polygon import _SCORE_FN, BssStep, BssTrajectory
 
     if criterion not in _SCORE_FN:
@@ -511,7 +512,12 @@ def bss_simplify_full(image, initial, criterion):
     score_fn = _SCORE_FN[criterion]
     current = initial
     current_score = score_fn(image, current)
-    steps = [BssStep(polygon=current, score=current_score)]
+
+    def step(poly, score):
+        mask = rasterize_polygon(poly.vertices, image.width, image.height)
+        return BssStep(polygon=poly, score=score, inside=count_region(image, mask))
+
+    steps = [step(current, current_score)]
     while current.c > 3:
         best_child = None
         best_score = math.inf
@@ -526,5 +532,5 @@ def bss_simplify_full(image, initial, criterion):
         if best_child is None or not best_score < current_score:
             break
         current, current_score = best_child, best_score
-        steps.append(BssStep(polygon=current, score=current_score))
+        steps.append(step(current, current_score))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -377,6 +377,20 @@ class TestCli:
         assert main(["sweep-single", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--epsilon", "-1"),
+                                            ("--epsilon", "nan"),
+                                            ("--trace-every", "0"),
+                                            ("--trace-every", "-3")])
+    def test_polygon_rejects_bad_flags_before_any_work(self, tmp_path, capsys,
+                                                       flag, value):
+        # Without the checks a bad epsilon fails only after both BSS runs
+        # wrote their files (nan never fails), and a trace step below 1
+        # runs as 1.
+        assert main(["polygon", f"{flag}={value}", "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert flag.lstrip("-") in capsys.readouterr().err
+        assert not list(tmp_path.glob("bss_*.csv"))
+
     def test_polygon_requires_initial_source(self, tmp_path):
         assert main(["gen", "--kind", "single-square", "--out",
                      str(tmp_path)]) == EXIT_OK

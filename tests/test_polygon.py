@@ -244,7 +244,7 @@ def test_bss_property_small_instances(seed):
 # ---------------------------------------------------------------------------
 
 def trajectory_record(traj):
-    return [(s.polygon.vertices.tobytes(), s.score, type(s.score))
+    return [(s.polygon.vertices.tobytes(), s.score, type(s.score), s.inside)
             for s in traj.steps]
 
 
@@ -261,7 +261,7 @@ def full_child_counts(image, poly, i):
 
 def assert_children_match_full_path(image, poly):
     mask = rasterize_polygon(poly.vertices, image.width, image.height)
-    incremental = _child_counts(image, poly, mask, count_region(image, mask))
+    incremental = _child_counts(image, poly, mask, count_region(image, mask), {})
     full = [full_child_counts(image, poly, i) for i in range(poly.c)]
     assert incremental == full
     return full
@@ -357,7 +357,7 @@ class TestIncrementalBss:
         assert full[1] == (inside, complement(image.counts, [inside]))
 
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
-    def test_builds_and_rasterizes_once_per_step(self, monkeypatch, criterion):
+    def test_builds_once_per_step_and_rasterizes_once(self, monkeypatch, criterion):
         image, initial = TestBssAgainstExhaustiveOracle().make_instance(2, 8)
         initial = PolygonHypothesis(initial)
         calls = Counter()
@@ -375,8 +375,81 @@ class TestIncrementalBss:
         monkeypatch.setattr(PolygonHypothesis, "__post_init__", counting_post_init)
         steps = bss_simplify(image, initial, criterion).steps
         assert len(steps) > 2
-        assert calls["rasterize_polygon"] <= len(steps) + 1
-        assert calls["PolygonHypothesis"] <= len(steps) + 1
+        assert calls["rasterize_polygon"] == 1
+        assert calls["PolygonHypothesis"] == len(steps) - 1
+
+
+def checked_bss(monkeypatch, image, initial, criterion):
+    """bss_simplify, with the mask, counts and live band cache of every step
+    checked against a fresh rasterization and an empty cache; also returns
+    the number of cached entries each step starts with."""
+    child_counts = polygon_module._child_counts
+    cached = []
+
+    def checking_child_counts(image, poly, mask, inside, bands):
+        fresh = rasterize_polygon(poly.vertices, image.width, image.height)
+        assert np.array_equal(mask, fresh)
+        assert inside == count_region(image, fresh)
+        expected = child_counts(image, poly, fresh, inside, {})
+        cached.append(len(bands))
+        assert child_counts(image, poly, mask, inside, bands) == expected
+        return expected
+
+    monkeypatch.setattr(polygon_module, "_child_counts", checking_child_counts)
+    return bss_simplify(image, initial, criterion), cached
+
+
+class TestBandCache:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_live_cache_along_shape_trajectories(self, monkeypatch,
+                                                 shape_instances, seed, criterion):
+        image, initial = shape_instances[seed]
+        traj, cached = checked_bss(monkeypatch, image, initial, criterion)
+        assert len(traj.steps) > 40 and min(cached[1:]) > 0
+
+    @pytest.mark.parametrize("seed,c", [(0, 6), (1, 7), (2, 8), (3, 8)])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_live_cache_along_star_trajectories(self, monkeypatch, seed, c,
+                                                criterion):
+        image, verts = TestBssAgainstExhaustiveOracle().make_instance(seed, c)
+        checked_bss(monkeypatch, image, PolygonHypothesis(verts), criterion)
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_successive_bands_sharing_one_row(self, monkeypatch, criterion):
+        # BSS removes (2, 8), which changes rows 5..8, then (7, 10), whose
+        # band 8..10 shares row 8: its count from before the first removal
+        # is stale, though the two triangles meet in no pixel.
+        verts = np.array([(8, 10), (7, 10), (5, 8), (4, 8), (2, 8), (4, 5)],
+                         dtype=float)
+        target = rasterize_polygon(verts[[0, 2, 3, 5]], 12, 12)
+        image = BinaryImage(target.astype(np.uint8))
+        traj, _ = checked_bss(monkeypatch, image, PolygonHypothesis(verts),
+                              criterion)
+        kept = [set(map(tuple, s.polygon.vertices.tolist())) for s in traj.steps]
+        assert [a - b for a, b in zip(kept, kept[1:3])] == [{(2.0, 8.0)},
+                                                            {(7.0, 10.0)}]
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_reuses_bands_across_steps(self, monkeypatch, shape_instances,
+                                       criterion):
+        # Re-counting every child at every step takes one band per child.
+        image, initial = shape_instances[0]
+        calls = Counter()
+
+        def counting(name):
+            f = getattr(polygon_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return f(*args)
+            return wrapper
+
+        for name in ("rasterize_polygon", "_scanline_rows"):
+            monkeypatch.setattr(polygon_module, name, counting(name))
+        steps = bss_simplify(image, initial, criterion).steps
+        assert calls["rasterize_polygon"] <= 1
+        assert calls["_scanline_rows"] < sum(s.vertex_count for s in steps) / 2
 
 
 @settings(max_examples=150, deadline=None)
