@@ -16,6 +16,10 @@ comparisons reduce to the same exact rational inequality; the checker
 evaluates them in exact arithmetic so that boundary ties (eta * tail equal to
 |X|^n) are decided by arithmetic rather than floating-point rounding, and it
 reports how many such boundary-exact configurations occur.
+
+Both decisions depend on a configuration only through its tail, so the
+checker decides each distinct tail of a part once and weights the outcome by
+the number of configurations that share it.
 """
 
 from __future__ import annotations
@@ -73,9 +77,13 @@ def _xi_values(spec: PartSpec, alphabet_size: int) -> np.ndarray:
         raise EnumerationRefused(
             f"part {spec.name or spec.length} has {states} configurations, "
             f"beyond the {MAX_STATES} exhaustive-enumeration cap")
-    return np.array([spec.xi(v) for v in enumerate_configs(alphabet_size,
-                                                           spec.length)],
-                    dtype=np.float64)
+    values = np.array([spec.xi(v) for v in enumerate_configs(alphabet_size,
+                                                             spec.length)],
+                      dtype=np.float64)
+    if not np.isfinite(values).all():
+        raise ValueError(f"part {spec.name or spec.length}: xi values must be "
+                         f"finite (NaN or infinity found)")
+    return values
 
 
 def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
@@ -169,7 +177,8 @@ class EquivalenceReport:
 
 
 def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
-    """Run both decisions on every configuration of every part.
+    """Run both decisions on every configuration of every part (each
+    distinct tail is decided once and counted for all its configurations).
 
     Requires the risk weights to satisfy the Kraft-style budget
     sum(1/eta) <= 1 (otherwise the weight family is not a valid allocation
@@ -188,18 +197,21 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
         states = spec.states(alphabet_size)
         values = _xi_values(spec, alphabet_size)
         order = np.sort(values)
-        # tail(v) = #configs with value >= xi(v), via binary search.
-        tails = states - np.searchsorted(order, values, side="left")
+        # tail(v) = #configs with value >= xi(v), via binary search.  Both
+        # decisions read only the tail, so each distinct tail is decided
+        # once and counted for each of the weights[tail] configurations
+        # that have it.
+        weights = np.bincount(states - np.searchsorted(order, values, side="left"))
+        tails = np.flatnonzero(weights)
         detections = mismatches = boundary = 0
         eta = spec.eta
-        for tail in tails:
-            tail = int(tail)
+        for tail, weight in zip(tails.tolist(), weights[tails].tolist()):
             nfa_detect = _nfa_detects(eta, tail, states)
             mdl_detect = _mdl_detects(eta, tail, states)
             if eta.numerator * tail == eta.denominator * states:
-                boundary += 1
-            detections += nfa_detect
-            mismatches += nfa_detect != mdl_detect
+                boundary += weight
+            detections += weight * nfa_detect
+            mismatches += weight * (nfa_detect != mdl_detect)
         reports.append(PartReport(name=spec.name, length=spec.length,
                                   eta=eta, n_configs=states,
                                   detections=detections,
@@ -212,14 +224,19 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
 # Standard ordering-function families for the exhaustive runs.
 
 def xi_count_ones(v) -> float:
-    return float(sum(1 for s in v if s == 1))
+    return float(v.count(1))
 
 
 def xi_longest_run(v) -> float:
     best = run = 1
-    for a, b in zip(v, v[1:]):
-        run = run + 1 if a == b else 1
-        best = max(best, run)
+    prev = None   # equal to no symbol, so the first one starts a run
+    for s in v:
+        if s == prev:
+            run += 1
+            if run > best:
+                best = run
+        else:
+            prev, run = s, 1
     return float(best)
 
 

@@ -380,6 +380,9 @@ def trace_contour(image: BinaryImage, every: int = 1) -> np.ndarray:
     returns every `every`-th boundary pixel as (x, y) vertices.  Intended
     only to bootstrap an initial polygon from a thresholded image.
     """
+    if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
+            or every < 1):
+        raise ValueError(f"every must be an integer >= 1, got {every!r}")
     pixels = image.pixels
     height, width = pixels.shape
     labels = np.zeros_like(pixels, dtype=np.int32)
@@ -438,7 +441,7 @@ def trace_contour(image: BinaryImage, every: int = 1) -> np.ndarray:
         if len(boundary) > 4 * inside.sum() + 8:
             break          # safety net against pathological loops
     verts = np.array([(c, r) for r, c in boundary], dtype=np.float64)
-    verts = verts[::max(1, int(every))]
+    verts = verts[::every]
     if len(verts) < 3:
         raise ValueError("traced contour has fewer than 3 vertices")
     return verts

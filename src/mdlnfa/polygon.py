@@ -100,12 +100,21 @@ def _region_counts(image: BinaryImage, poly: PolygonHypothesis):
 
 
 def _polygon_score(criterion: str, image: BinaryImage, c: int,
-                   inside: RegionCounts, exterior) -> float:
-    """Score in bits of a c-vertex polygon with the given region counts."""
+                   inside: RegionCounts, exterior, tails: dict) -> float:
+    """Score in bits of a c-vertex polygon with the given region counts.
+
+    `tails` maps an interior (n, k) to its log2 binomial tail on `image`; a
+    missing entry is computed and stored, so a caller scoring many polygons
+    of one image computes each tail once.
+    """
     unit = 1.0 + math.log2(image.n)
     if criterion == "mdl":
         return code_length(1.0 + c * unit, [(inside.n, inside.k), exterior])
-    return c * unit + binomial_tail_log(inside.n, inside.k, image.counts.q)
+    key = (inside.n, inside.k)
+    tail = tails.get(key)
+    if tail is None:
+        tail = tails[key] = binomial_tail_log(inside.n, inside.k, image.counts.q)
+    return c * unit + tail
 
 
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -114,7 +123,7 @@ def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     1 + c(1 + log2 n) for the vertex count and coordinates, plus enumerative
     codes for the interior and exterior pixel patterns.
     """
-    return _polygon_score("mdl", image, poly.c, *_region_counts(image, poly))
+    return _polygon_score("mdl", image, poly.c, *_region_counts(image, poly), {})
 
 
 def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -124,15 +133,15 @@ def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
 
 def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     """log2 NFA = s (1 + log2 n) + log2 B(n1, k1, q), with s = c sides."""
-    return _polygon_score("nfa", image, poly.c, *_region_counts(image, poly))
+    return _polygon_score("nfa", image, poly.c, *_region_counts(image, poly), {})
 
 
 def scores_from_counts(image: BinaryImage, c: int, inside: RegionCounts) -> Score:
     """Both scores of a c-vertex polygon whose interior has counts `inside`."""
     exterior = complement(image.counts, [inside])
-    return Score(mdl_bits=(_polygon_score("mdl", image, c, inside, exterior)
+    return Score(mdl_bits=(_polygon_score("mdl", image, c, inside, exterior, {})
                            - l0_code_length(image.counts)),
-                 log2_nfa=_polygon_score("nfa", image, c, inside, exterior))
+                 log2_nfa=_polygon_score("nfa", image, c, inside, exterior, {}))
 
 
 def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
@@ -257,15 +266,17 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     counted from the current polygon's mask (see `_child_counts`), and a
     child's band count is kept from step to step until a removal changes
     its rows.  The initial polygon is the only one rasterized in full: each
-    step splices the winner's band into the mask.
+    step splices the winner's band into the mask.  Interior counts recur
+    from step to step, so each NFA tail is computed once per run.
     """
     if criterion not in _SCORE_FN:
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     current = initial
     mask = rasterize_polygon(current.vertices, image.width, image.height)
     inside = count_region(image, mask)
+    tails: dict = {}
     current_score = _polygon_score(criterion, image, current.c, inside,
-                                   complement(image.counts, [inside]))
+                                   complement(image.counts, [inside]), tails)
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     bands: dict = {}
     while current.c > 3:
@@ -274,7 +285,8 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                                                  bands)):
             if counts is None:
                 continue
-            child_score = _polygon_score(criterion, image, current.c - 1, *counts)
+            child_score = _polygon_score(criterion, image, current.c - 1,
+                                         *counts, tails)
             if child_score < best_score:
                 best, best_score, best_inside = i, child_score, counts[0]
         if best is None or not best_score < current_score:

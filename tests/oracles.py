@@ -534,3 +534,68 @@ def bss_simplify_full(image, initial, criterion):
         current, current_score = best_child, best_score
         steps.append(step(current, current_score))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))
+
+
+def check_equivalence_per_config(alphabet_size, parts):
+    """Reference checker: `equivalence.check_equivalence` as first written,
+    both decisions made and counted once per configuration.  The library
+    version, which decides each distinct tail once, must give equal reports.
+    """
+    import numpy as np
+
+    from mdlnfa.equivalence import (
+        EnumerationRefused,
+        EquivalenceReport,
+        PartReport,
+        _check_alphabet,
+        _mdl_detects,
+        _nfa_detects,
+        _xi_values,
+        kraft_sum,
+    )
+
+    _check_alphabet(alphabet_size)
+    parts = list(parts)
+    if not parts:
+        raise ValueError("at least one part is required")
+    budget = kraft_sum(parts)
+    if budget > 1:
+        raise EnumerationRefused(f"risk weights violate sum(1/eta) <= 1: "
+                                 f"sum is {budget}")
+    reports = []
+    for spec in parts:
+        states = spec.states(alphabet_size)
+        values = _xi_values(spec, alphabet_size)
+        order = np.sort(values)
+        tails = states - np.searchsorted(order, values, side="left")
+        detections = mismatches = boundary = 0
+        eta = spec.eta
+        for tail in tails:
+            tail = int(tail)
+            nfa_detect = _nfa_detects(eta, tail, states)
+            mdl_detect = _mdl_detects(eta, tail, states)
+            if eta.numerator * tail == eta.denominator * states:
+                boundary += 1
+            detections += nfa_detect
+            mismatches += nfa_detect != mdl_detect
+        reports.append(PartReport(name=spec.name, length=spec.length,
+                                  eta=eta, n_configs=states,
+                                  detections=detections,
+                                  mismatches=mismatches,
+                                  boundary_exact=boundary))
+    return EquivalenceReport(alphabet_size=alphabet_size, parts=tuple(reports),
+                             kraft=budget)
+
+
+def xi_count_ones(v) -> float:
+    """`equivalence.xi_count_ones` as first written."""
+    return float(sum(1 for s in v if s == 1))
+
+
+def xi_longest_run(v) -> float:
+    """`equivalence.xi_longest_run` as first written."""
+    best = run = 1
+    for a, b in zip(v, v[1:]):
+        run = run + 1 if a == b else 1
+        best = max(best, run)
+    return float(best)

@@ -449,6 +449,18 @@ class TestTraceContour:
         with pytest.raises(ValueError):
             trace_contour(blank(5, 5))
 
+    @pytest.mark.parametrize("every", [0, -3, 2.7, 2.0, "2", True, None])
+    def test_every_must_be_a_positive_integer(self, every):
+        img = synthesize_squares([(2, 2, 6)], 10, 10, NoiseConfig(0.0))
+        with pytest.raises(ValueError, match="every must be an integer >= 1"):
+            trace_contour(img, every=every)
+
+    def test_every_takes_each_nth_vertex(self):
+        img = synthesize_squares([(2, 2, 6)], 10, 10, NoiseConfig(0.0))
+        verts = trace_contour(img)
+        assert np.array_equal(trace_contour(img, every=3), verts[::3])
+        assert np.array_equal(trace_contour(img, every=np.int64(3)), verts[::3])
+
 
 def test_orientation_map_validation():
     with pytest.raises(ValueError):

@@ -379,6 +379,26 @@ class TestIncrementalBss:
         assert calls["PolygonHypothesis"] == len(steps) - 1
 
 
+class TestTailMemo:
+    def test_one_tail_per_distinct_counts(self, monkeypatch, shape_instances):
+        # Interior counts recur from step to step; each (n, k) gets its NFA
+        # tail computed once per run.
+        image, initial = shape_instances[0]
+        calls = Counter()
+        tail = polygon_module.binomial_tail_log
+
+        def counting(n, k, q):
+            calls[n, k] += 1
+            return tail(n, k, q)
+
+        monkeypatch.setattr(polygon_module, "binomial_tail_log", counting)
+        traj = bss_simplify(image, initial, "nfa")
+        assert calls and max(calls.values()) == 1
+        monkeypatch.undo()
+        assert (trajectory_record(traj)
+                == trajectory_record(bss_simplify_full(image, initial, "nfa")))
+
+
 def checked_bss(monkeypatch, image, initial, criterion):
     """bss_simplify, with the mask, counts and live band cache of every step
     checked against a fresh rasterization and an empty cache; also returns
