@@ -64,6 +64,16 @@ def _trial_seed(base_seed: int, *coords: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(base_seed),) + tuple(int(c) for c in coords))
 
 
+def _check_run_fields(cfg) -> None:
+    """Reject a base seed, trial count or worker count that is not an
+    integer in range (bools included), naming the field."""
+    for name, low in (("base_seed", 0), ("seeds_per_cell", 1), ("workers", 1)):
+        value = getattr(cfg, name)
+        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
+                or value < low):
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     """[fn(*task) for task in tasks], in order; spread over worker
     processes when more than one worker, CPU and task are available."""
@@ -103,8 +113,7 @@ class SingleSweepConfig:
     def __post_init__(self):
         if not self.sides or not self.deltas:
             raise ConfigError("sides and deltas grids must be non-empty")
-        if self.seeds_per_cell < 1:
-            raise ConfigError("seeds_per_cell must be >= 1")
+        _check_run_fields(self)
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if any(not 0.0 < d < 0.5 for d in self.deltas):
@@ -204,8 +213,7 @@ class MultiSweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        if self.seeds_per_cell < 1:
-            raise ConfigError("seeds_per_cell must be >= 1")
+        _check_run_fields(self)
         if not self.epsilon > 0.0:
             raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
         if any(not 0.0 < d < 0.5 for d in self.deltas):

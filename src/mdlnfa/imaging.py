@@ -55,7 +55,7 @@ class BinaryImage:
 
     @cached_property
     def count_ones(self) -> int:
-        return int(self.pixels.sum())
+        return int(np.count_nonzero(self.pixels))
 
     @property
     def counts(self) -> RegionCounts:
@@ -128,7 +128,7 @@ def flip_noise(image: BinaryImage, delta: float, seed) -> BinaryImage:
     if not 0.0 <= delta <= 1.0:
         raise ValueError(f"delta must lie in [0, 1], got {delta}")
     flips = _rng(seed).random(image.pixels.shape) < delta
-    return BinaryImage(np.where(flips, 1 - image.pixels, image.pixels))
+    return BinaryImage(image.pixels ^ flips)   # pixels are 0/1: XOR flips them
 
 
 def _square_bounds(square) -> tuple[int, int, int]:

@@ -170,6 +170,17 @@ def _removable(verts: np.ndarray) -> np.ndarray:
     return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
 
 
+def _without_removable_vertex(poly: PolygonHypothesis, index: int) -> PolygonHypothesis:
+    """`poly.without_vertex(index)` for an `index` that `_removable` has
+    passed, which has already made the checks of `PolygonHypothesis` that
+    the removal can break, so `_is_simple` is not run again."""
+    verts = np.delete(poly.vertices, index, axis=0)
+    verts.setflags(write=False)
+    child = object.__new__(PolygonHypothesis)
+    object.__setattr__(child, "vertices", verts)
+    return child
+
+
 def _triple(pts: list, i: int) -> tuple:
     """Key of removing vertex i: the coordinates of v[i-1], v[i], v[i+1]."""
     return (*pts[i - 1], *pts[i], *pts[(i + 1) % len(pts)])
@@ -297,7 +308,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
         # Only rows r0..r1 changed, for the mask and for every later child.
         bands = {key: entry for key, entry in bands.items()
                  if entry[1] < r0 or entry[0] > r1}
-        current, current_score, inside = (current.without_vertex(best),
+        current, current_score, inside = (_without_removable_vertex(current, best),
                                           best_score, best_inside)
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .imaging import BinaryImage
 from .numeric import (
     DomainError,
@@ -80,7 +82,7 @@ def _square_counts(image: BinaryImage, sq: Square) -> RegionCounts:
     if sq.row + sq.side > image.height or sq.col + sq.side > image.width:
         raise ValueError(f"{sq} does not fit in {image.width}x{image.height}")
     block = image.pixels[sq.row:sq.row + sq.side, sq.col:sq.col + sq.side]
-    return RegionCounts(n=sq.n1, k=int(block.sum()))
+    return RegionCounts(n=sq.n1, k=int(np.count_nonzero(block)))
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:

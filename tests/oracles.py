@@ -412,6 +412,29 @@ def exact_lsd_decisions(log2_tests: int, n_r: int, k: int) -> tuple[bool, bool]:
 
 
 # ---------------------------------------------------------------------------
+# Binary-image kernels as first written: noise through `np.where` and ones
+# counted with `.sum()`.  The library flips by XOR and counts with
+# `np.count_nonzero`; these copies pin every output byte and count.
+# ---------------------------------------------------------------------------
+
+def flip_noise_where(image, delta, seed):
+    """`imaging.flip_noise` as first written, on its own PCG64 generator."""
+    import numpy as np
+
+    from mdlnfa.imaging import BinaryImage
+
+    if not 0.0 <= delta <= 1.0:
+        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    flips = np.random.Generator(np.random.PCG64(seed)).random(image.pixels.shape) < delta
+    return BinaryImage(np.where(flips, 1 - image.pixels, image.pixels))
+
+
+def count_ones_sum(pixels) -> int:
+    """Number of ones among 0/1 pixels, as `.sum()` counted them."""
+    return int(pixels.sum())
+
+
+# ---------------------------------------------------------------------------
 # MDL scores as first written: each spells out its enumerative code by hand.
 # The library now routes them all through `numeric.code_length`; these
 # copies pin that every float stays bit-identical.
@@ -421,7 +444,7 @@ def _square_counts(image, sq):
     from mdlnfa.numeric import RegionCounts
 
     block = image.pixels[sq.row:sq.row + sq.side, sq.col:sq.col + sq.side]
-    return RegionCounts(n=sq.n1, k=int(block.sum()))
+    return RegionCounts(n=sq.n1, k=count_ones_sum(block))
 
 
 def _l0_code_length(counts):

@@ -56,6 +56,22 @@ class TestConfigs:
             with pytest.raises(ConfigError, match="epsilon"):
                 MultiSweepConfig(epsilon=epsilon)
 
+    @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
+    @pytest.mark.parametrize("field,value", [
+        ("base_seed", 1.5), ("base_seed", -1), ("base_seed", True),
+        ("base_seed", "3"), ("seeds_per_cell", 2.5), ("seeds_per_cell", 0),
+        ("seeds_per_cell", False), ("workers", 0), ("workers", -2),
+        ("workers", 1.0)])
+    def test_rejects_bad_run_fields(self, cls, field, value):
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
+    @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
+    def test_accepts_numpy_integer_run_fields(self, cls):
+        cfg = cls(base_seed=np.int64(3), seeds_per_cell=np.int32(2),
+                  workers=np.uint8(1))
+        assert (cfg.base_seed, cfg.seeds_per_cell, cfg.workers) == (3, 2, 1)
+
     @pytest.mark.parametrize("size", [(100, 100), (60, 60)])
     def test_single_rejects_side_covering_the_image(self, size):
         width, height = size
@@ -376,6 +392,30 @@ class TestCli:
         cfg_path.write_text(json.dumps({"deltas": [0.9]}))
         assert main(["sweep-single", "--config", str(cfg_path),
                      "--out", str(tmp_path)]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("command,small,csv_name", [
+        (["sweep-single"], {"sides": [20], "deltas": [0.1]}, "sweep_single.csv"),
+        (["sweep-multi", "--axis", "margin"], {"margins": [8]},
+         "sweep_multi_margin.csv")])
+    @pytest.mark.parametrize("config,flags,field", [
+        ({"base_seed": 1.5}, [], "base_seed"),
+        ({"base_seed": True}, [], "base_seed"),
+        ({}, ["--seed", "-1"], "base_seed"),
+        ({"seeds_per_cell": 2.5}, [], "seeds_per_cell"),
+        ({}, ["--seeds", "0"], "seeds_per_cell"),
+        ({}, ["--workers", "0"], "workers")])
+    def test_sweeps_reject_bad_run_fields(self, tmp_path, capsys, command, small,
+                                          csv_name, config, flags, field):
+        # Without the checks a float base_seed runs as its integer part
+        # (exit 0), a negative --seed fails inside numpy's SeedSequence and
+        # a float seeds_per_cell crashes the sweep with a TypeError.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**small, **config}))
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg_path), *flags,
+                               "--out", str(out)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (out / csv_name).exists()
 
     @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--epsilon", "-1"),
                                             ("--epsilon", "nan"),

@@ -28,7 +28,12 @@ from mdlnfa.imaging import (
 )
 from mdlnfa.numeric import DomainError
 from mdlnfa.experiments import ShapeSpec, make_shape_instance
-from oracles import rasterize_polygon_bruteforce, rasterize_polygon_two_pass
+from oracles import (
+    count_ones_sum,
+    flip_noise_where,
+    rasterize_polygon_bruteforce,
+    rasterize_polygon_two_pass,
+)
 
 
 def blank(width, height):
@@ -50,6 +55,16 @@ class TestBinaryImage:
         img = blank(3, 3)
         with pytest.raises(ValueError):
             img.pixels[0, 0] = 1
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (7, 13), (100, 100),
+                                       (256, 256)])
+    def test_count_ones_matches_sum_oracle(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        for pixels in (rng.integers(0, 2, size=shape), np.zeros(shape),
+                       np.ones(shape)):
+            img = BinaryImage(pixels.astype(np.uint8))
+            assert img.count_ones == count_ones_sum(img.pixels)
+            assert type(img.count_ones) is int
 
 
 class TestFlipNoise:
@@ -92,6 +107,23 @@ class TestFlipNoise:
     def test_delta_range_checked(self):
         with pytest.raises(ValueError):
             flip_noise(blank(2, 2), 1.5, seed=0)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (7, 13), (100, 100),
+                                       (256, 256)])
+    @pytest.mark.parametrize("truth", ["random", "ones"])
+    def test_matches_where_oracle_byte_for_byte(self, shape, truth):
+        rng = np.random.default_rng(7)
+        pixels = (rng.integers(0, 2, size=shape) if truth == "random"
+                  else np.ones(shape))
+        img = BinaryImage(pixels.astype(np.uint8))
+        for delta in (0.0, 1e-9, 0.02, 0.3, 0.5, 1.0):
+            for seed in (0, 12345, np.random.SeedSequence((3, 1, 4)),
+                         np.random.SeedSequence(2**70)):
+                out = flip_noise(img, delta, seed)
+                expected = flip_noise_where(img, delta, seed)
+                assert out.pixels.dtype == expected.pixels.dtype == np.uint8
+                assert out.pixels.shape == shape
+                assert out.pixels.tobytes() == expected.pixels.tobytes()
 
 
 class TestNoiseConfig:

@@ -376,7 +376,26 @@ class TestIncrementalBss:
         steps = bss_simplify(image, initial, criterion).steps
         assert len(steps) > 2
         assert calls["rasterize_polygon"] == 1
-        assert calls["PolygonHypothesis"] == len(steps) - 1
+        assert calls["PolygonHypothesis"] == 0
+
+
+@pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+def test_step_polygons_pass_full_validation(shape_instances, criterion):
+    # bss_simplify builds each step's polygon without re-running the
+    # PolygonHypothesis checks, which `_removable` has already made.
+    stars = [TestBssAgainstExhaustiveOracle().make_instance(seed, c)
+             for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)]]
+    instances = list(shape_instances.values()) + [
+        (image, PolygonHypothesis(verts)) for image, verts in stars]
+    checked = 0
+    for image, initial in instances:
+        for step in bss_simplify(image, initial, criterion).steps[1:]:
+            verts = step.polygon.vertices
+            assert verts.dtype == np.float64 and verts.flags.c_contiguous
+            assert not verts.flags.writeable
+            assert np.array_equal(PolygonHypothesis(verts.copy()).vertices, verts)
+            checked += 1
+    assert checked > 120
 
 
 class TestTailMemo:

@@ -16,6 +16,7 @@ from mdlnfa.square_detect import (
     Score,
     Square,
     SquareHypothesis,
+    _square_counts,
     approx_log_nfa,
     approx_mdl_score,
     four_square_layout,
@@ -27,6 +28,7 @@ from mdlnfa.square_detect import (
     pick_hypothesis,
     select_hypothesis,
 )
+from oracles import _square_counts as square_counts_sum
 
 
 def noiseless_square_image(side=40, at=(10, 20), size=100):
@@ -57,6 +59,25 @@ class TestTypes:
     def test_nfa_detects_rejects_non_positive_epsilon(self, epsilon):
         with pytest.raises(DomainError, match="epsilon must be positive"):
             Score(mdl_bits=0.0, log2_nfa=-5.0).nfa_detects(epsilon)
+
+
+class TestSquareCounts:
+    @pytest.mark.parametrize("fill", ["random", "zeros", "ones"])
+    def test_matches_sum_oracle(self, fill):
+        rng = np.random.default_rng(11)
+        shape = (37, 53)
+        pixels = {"random": rng.integers(0, 2, size=shape),
+                  "zeros": np.zeros(shape), "ones": np.ones(shape)}[fill]
+        image = BinaryImage(pixels.astype(np.uint8))
+        squares = [Square(0, 0, 1), Square(36, 52, 1), Square(0, 0, 37),
+                   Square(0, 16, 37), Square(5, 9, 13)]
+        squares += [Square(int(r), int(c), int(s)) for s, r, c in
+                    ((s, rng.integers(0, 38 - s), rng.integers(0, 54 - s))
+                     for s in rng.integers(1, 38, size=20))]
+        for sq in squares:
+            counts = _square_counts(image, sq)
+            assert counts == square_counts_sum(image, sq)
+            assert type(counts.k) is int
 
 
 class TestL0:
