@@ -4,6 +4,7 @@ on binary images and gradient-orientation maps."""
 from .numeric import (
     Bits,
     DomainError,
+    HypothesisCounts,
     RegionCounts,
     Score,
     bernoulli_kld,

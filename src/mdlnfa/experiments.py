@@ -24,20 +24,17 @@ from .lsd import (
     AlignmentCounts,
     LsdConfig,
     isotropic_orientation_map,
-    mdl_rect,
-    nfa_rect,
+    rect_counts,
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import Score
-from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, scores_from_counts
+from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
     four_square_layout,
-    mdl_score_single,
-    nfa_score_single,
     pick_hypothesis,
     select_hypothesis,
+    single_counts,
 )
 
 LOG10_2 = math.log10(2.0)
@@ -64,14 +61,21 @@ def _trial_seed(base_seed: int, *coords: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(base_seed),) + tuple(int(c) for c in coords))
 
 
-def _check_run_fields(cfg) -> None:
-    """Reject a base seed, trial count or worker count that is not an
-    integer in range (bools included), naming the field."""
-    for name, low in (("base_seed", 0), ("seeds_per_cell", 1), ("workers", 1)):
+def _check_sweep(cfg, **lows) -> None:
+    """Check the fields both sweep configs share, and reject a run or
+    geometry field, or an entry of a grid field, that is not an integer at
+    least its low bound (bools included), naming the field."""
+    for name, low in dict(base_seed=0, seeds_per_cell=1, workers=1, **lows).items():
         value = getattr(cfg, name)
-        if (isinstance(value, bool) or not isinstance(value, (int, np.integer))
-                or value < low):
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+        grid = isinstance(value, (tuple, list))
+        if not all(not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= low
+                   for v in (value if grid else (value,))):
+            raise ConfigError(f"{name} must be {'integers' if grid else 'an integer'} "
+                              f">= {low}, got {value!r}")
+    if not cfg.epsilon > 0.0:
+        raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}")
+    if any(not 0.0 < d < 0.5 for d in cfg.deltas):
+        raise ConfigError("all deltas must lie in (0, 0.5)")
 
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
@@ -113,12 +117,8 @@ class SingleSweepConfig:
     def __post_init__(self):
         if not self.sides or not self.deltas:
             raise ConfigError("sides and deltas grids must be non-empty")
-        _check_run_fields(self)
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if any(not 0.0 < d < 0.5 for d in self.deltas):
-            raise ConfigError("all deltas must lie in (0, 0.5)")
-        if any(s < 1 or s > min(self.width, self.height) for s in self.sides):
+        _check_sweep(self, width=1, height=1, sides=1)
+        if any(s > min(self.width, self.height) for s in self.sides):
             raise ConfigError("sides must fit inside the image")
         if any(s * s == self.width * self.height for s in self.sides):
             raise ConfigError("sides must leave background pixels: a square "
@@ -153,8 +153,7 @@ def _single_cell(cfg: SingleSweepConfig, side_idx: int,
         seed = _trial_seed(cfg.base_seed, side_idx, delta_idx, trial)
         image = synthesize_squares([square], cfg.width, cfg.height,
                                    NoiseConfig(delta, seed=seed))
-        score = Score(mdl_bits=mdl_score_single(image, square),
-                      log2_nfa=nfa_score_single(image, square))
+        score = single_counts(image, square).score()
         out.append((side, delta, trial, score.mdl_bits, score.log2_nfa,
                     score.mdl_detects(), score.nfa_detects(cfg.epsilon)))
     return out
@@ -213,11 +212,8 @@ class MultiSweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_run_fields(self)
-        if not self.epsilon > 0.0:
-            raise ConfigError(f"epsilon must be positive, got {self.epsilon}")
-        if any(not 0.0 < d < 0.5 for d in self.deltas):
-            raise ConfigError("all deltas must lie in (0, 0.5)")
+        _check_sweep(self, width=1, height=1, noise_extent=1, noise_margin=0,
+                     margin_extent=1, margins=0)
         if not 0.0 < self.margin_delta < 0.5:
             raise ConfigError("margin_delta must lie in (0, 0.5)")
         for axis, values in (("noise", self.deltas), ("margin", self.margins)):
@@ -376,7 +372,9 @@ def run_polygon(image: BinaryImage, initial: PolygonHypothesis,
         traj = bss_simplify(image, initial, criterion)
         trajectories[criterion] = traj
         if out_dir is not None:
-            scores = [scores_from_counts(image, step.vertex_count, step.inside)
+            scores = [polygon_counts(image, step.vertex_count,
+                                     (step.inside.n, step.inside.k),
+                                     relative=True).score()
                       for step in traj.steps]
             _write_csv(out_dir, f"bss_{criterion}.csv",
                        ["step", "vertex_count", "mdl_bits", "log10_nfa"],
@@ -425,8 +423,7 @@ def lsd_boundary_table(cfg: LsdConfig, n_image: int = 512 * 512,
         min_nfa = min_mdl = None
         for k_r in range(0, n_r + 1):
             counts = AlignmentCounts(n_r=n_r, k_r=k_r)
-            score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
-                          log2_nfa=nfa_rect(n_image, counts, cfg))
+            score = rect_counts(n_image, counts, cfg).score()
             if min_nfa is None and score.nfa_detects(cfg.epsilon):
                 min_nfa = k_r
             if min_mdl is None and score.mdl_detects():

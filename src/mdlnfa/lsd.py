@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import OrientationMap, gradient_orientation
-from .numeric import Score, binomial_tail_log, code_length
+from .numeric import HypothesisCounts, Score
 
 DEFAULT_RHO = math.pi / 16.0
 
@@ -46,8 +46,9 @@ class LsdConfig:
     def __post_init__(self):
         if not 0.0 < self.rho < math.pi / 2.0:
             raise ValueError(f"rho must lie in (0, pi/2), got {self.rho}")
-        if self.gamma < 1:
-            raise ValueError(f"gamma must be >= 1, got {self.gamma}")
+        if isinstance(self.gamma, bool) or not (1 <= self.gamma < math.inf
+                                                and self.gamma % 1 == 0):
+            raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
         if not self.epsilon > 0.0:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not 0.0 <= self.tau < math.inf:
@@ -198,10 +199,19 @@ def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
     return AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
 
 
+def rect_counts(n_image: int, counts: AlignmentCounts,
+                cfg: LsdConfig) -> HypothesisCounts:
+    """Counts of a rectangle against the isotropic background (`mdl_rect`,
+    `nfa_rect`)."""
+    return HypothesisCounts(2.5 * math.log2(n_image), ((counts.n_r, counts.k_r),),
+                            2.5 * math.log2(n_image) + math.log2(cfg.gamma),
+                            (counts.n_r, counts.k_r, cfg.theta),
+                            extra=counts.k_r * math.log2(cfg.theta))
+
+
 def nfa_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
     """log2 NFA = 5/2 log2 n + log2 gamma + log2 B(n_r, k_r, theta)."""
-    return (2.5 * math.log2(n_image) + math.log2(cfg.gamma)
-            + binomial_tail_log(counts.n_r, counts.k_r, cfg.theta))
+    return rect_counts(n_image, counts, cfg).log2_nfa()
 
 
 def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
@@ -213,8 +223,7 @@ def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
     (24 bits under the 2^24-value gradient alphabet) cancels and never
     appears.  Negative means the rectangle pays for itself.
     """
-    return (code_length(2.5 * math.log2(n_image), [(counts.n_r, counts.k_r)])
-            + counts.k_r * math.log2(cfg.theta))
+    return rect_counts(n_image, counts, cfg).mdl_bits()
 
 
 def fit_rectangle(coords: np.ndarray, weights=None) -> RectangleCandidate:
@@ -336,23 +345,17 @@ def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
     """Score an identical candidate set under both criteria."""
     n_image = omap.height * omap.width
-    decided = {}        # (n_r, k_r) -> (score, nfa_keep, mdl_keep)
+    tails: dict = {}    # many candidates share (n_r, k_r): one tail each
     out = []
     for cand in candidates:
         try:
             counts = count_aligned(cand, omap, cfg.rho)
         except ValueError:
             continue
-        # Both scores read only n_r and k_r, so many candidates share one.
-        key = (counts.n_r, counts.k_r)
-        if key not in decided:
-            score = Score(mdl_bits=mdl_rect(n_image, counts, cfg),
-                          log2_nfa=nfa_rect(n_image, counts, cfg))
-            decided[key] = (score, score.nfa_detects(cfg.epsilon),
-                            score.mdl_detects())
-        score, nfa_keep, mdl_keep = decided[key]
+        score = rect_counts(n_image, counts, cfg).score(tails)
         out.append(SegmentDetection(candidate=cand, counts=counts, score=score,
-                                    nfa_keep=nfa_keep, mdl_keep=mdl_keep))
+                                    nfa_keep=score.nfa_detects(cfg.epsilon),
+                                    mdl_keep=score.mdl_detects()))
     return out
 
 

@@ -11,13 +11,15 @@ the matching kind; `log_binomial` maps arrays over its Python-int code.
 
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
-decision rules.
+decision rules.  `HypothesisCounts.score` is the one place that turns counts
+into both scores; the scenario modules only turn geometry into counts.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +142,43 @@ class Score:
         if not epsilon > 0.0:
             raise DomainError(f"epsilon must be positive, got {epsilon}")
         return self.log2_nfa <= math.log2(epsilon)
+
+
+class HypothesisCounts(NamedTuple):
+    """The counts of one hypothesis, which are all that its two scores read.
+
+    MDL codes the whole image: `header` bits and the code of each (n, k) of
+    `parts` (`code_length`), then each (header, parts) code of `codes`; less
+    L0 of the `whole` image's counts, when given; plus `extra` bits.  NFA
+    tests one part: `log2_tests` plus the log2 binomial tail of `tail` =
+    (n, k, q).  The terms are added in that order.
+    """
+
+    header: Bits
+    parts: tuple
+    log2_tests: Bits
+    tail: tuple
+    codes: tuple = ()
+    whole: RegionCounts | None = None
+    extra: Bits = 0.0
+
+    def mdl_bits(self) -> Bits:
+        bits = code_length(self.header, self.parts)
+        for header, parts in self.codes:
+            bits += code_length(header, parts)
+        if self.whole is not None:
+            bits -= l0_code_length(self.whole)
+        return bits + self.extra
+
+    def log2_nfa(self, tails: dict | None = None) -> Bits:
+        """`tails` memoizes the log2 tail of each (n, k, q) across calls."""
+        tails = {} if tails is None else tails
+        if self.tail not in tails:
+            tails[self.tail] = binomial_tail_log(*self.tail)
+        return self.log2_tests + tails[self.tail]
+
+    def score(self, tails: dict | None = None) -> Score:
+        return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa(tails))
 
 
 def binomial_tail_log(n: int, k: int, q: float) -> Bits:

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .imaging import (_ROW_EPS, BinaryImage, _scanline_rows, _shoelace, count_region,
                       rasterize_polygon)
-from .numeric import (DomainError, RegionCounts, Score, binomial_tail_log, code_length,
-                      complement, l0_code_length)
+from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
 
 
 @dataclass(frozen=True, eq=False)
@@ -93,28 +93,25 @@ def _is_simple(verts: np.ndarray) -> bool:
     return not _segments_touch(verts[ii], nxt[ii], verts[jj], nxt[jj]).any()
 
 
-def _region_counts(image: BinaryImage, poly: PolygonHypothesis):
+def polygon_counts(image: BinaryImage, c: int, inside: tuple,
+                   relative: bool = False) -> HypothesisCounts:
+    """Counts of a c-vertex polygon whose interior has counts `inside` =
+    (n, k): raw MDL code length (less L0 if `relative`) and c sides of 2n
+    tests each (`mdl_polygon_score`, `nfa_polygon_score`)."""
+    n, ones = image.n, image.count_ones
+    if inside[0] == n:
+        raise DomainError("polygon covers the whole image; no exterior left")
+    unit = 1.0 + math.log2(n)
+    return HypothesisCounts(1.0 + c * unit, (inside, (n - inside[0], ones - inside[1])),
+                            c * unit, (*inside, ones / n),
+                            whole=image.counts if relative else None)
+
+
+def _counts(image: BinaryImage, poly: PolygonHypothesis,
+            relative: bool = False) -> HypothesisCounts:
     mask = rasterize_polygon(poly.vertices, image.width, image.height)
     inside = count_region(image, mask)
-    return inside, complement(image.counts, [inside])
-
-
-def _polygon_score(criterion: str, image: BinaryImage, c: int,
-                   inside: RegionCounts, exterior, tails: dict) -> float:
-    """Score in bits of a c-vertex polygon with the given region counts.
-
-    `tails` maps an interior (n, k) to its log2 binomial tail on `image`; a
-    missing entry is computed and stored, so a caller scoring many polygons
-    of one image computes each tail once.
-    """
-    unit = 1.0 + math.log2(image.n)
-    if criterion == "mdl":
-        return code_length(1.0 + c * unit, [(inside.n, inside.k), exterior])
-    key = (inside.n, inside.k)
-    tail = tails.get(key)
-    if tail is None:
-        tail = tails[key] = binomial_tail_log(inside.n, inside.k, image.counts.q)
-    return c * unit + tail
+    return polygon_counts(image, poly.c, (inside.n, inside.k), relative)
 
 
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -123,30 +120,16 @@ def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     1 + c(1 + log2 n) for the vertex count and coordinates, plus enumerative
     codes for the interior and exterior pixel patterns.
     """
-    return _polygon_score("mdl", image, poly.c, *_region_counts(image, poly), {})
-
-
-def mdl_polygon_relative(image: BinaryImage, poly: PolygonHypothesis) -> float:
-    """Polygon code length minus the background-only code length L0."""
-    return mdl_polygon_score(image, poly) - l0_code_length(image.counts)
+    return _counts(image, poly).mdl_bits()
 
 
 def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
     """log2 NFA = s (1 + log2 n) + log2 B(n1, k1, q), with s = c sides."""
-    return _polygon_score("nfa", image, poly.c, *_region_counts(image, poly), {})
-
-
-def scores_from_counts(image: BinaryImage, c: int, inside: RegionCounts) -> Score:
-    """Both scores of a c-vertex polygon whose interior has counts `inside`."""
-    exterior = complement(image.counts, [inside])
-    return Score(mdl_bits=(_polygon_score("mdl", image, c, inside, exterior, {})
-                           - l0_code_length(image.counts)),
-                 log2_nfa=_polygon_score("nfa", image, c, inside, exterior, {}))
+    return _counts(image, poly).log2_nfa()
 
 
 def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
-    mask = rasterize_polygon(poly.vertices, image.width, image.height)
-    return scores_from_counts(image, poly.c, count_region(image, mask))
+    return _counts(image, poly, relative=True).score()
 
 
 def _removable(verts: np.ndarray) -> np.ndarray:
@@ -188,9 +171,9 @@ def _triple(pts: list, i: int) -> tuple:
 
 def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
                   mask: np.ndarray, inside: RegionCounts, bands: dict) -> list:
-    """(inside, exterior) counts of each one-vertex removal from `poly`, or
-    None where the child is not a valid polygon; `mask` and `inside` are
-    `poly`'s own.
+    """Interior (n, k) of each one-vertex removal from `poly`, or None where
+    the child is not a valid polygon or leaves no exterior; `mask` and
+    `inside` are `poly`'s own.
 
     Removing vertex i changes only the edges v[i-1]v[i], v[i]v[i+1] and
     v[i-1]v[i+1], and no edge reaches a row outside its y-range, so the
@@ -203,7 +186,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
     it is reused as long as the caller drops it when those rows change
     (see `bss_simplify`); missing entries are computed and stored.
     """
-    width, height = image.width, image.height
+    width, height, total = image.width, image.height, image.n
     ones = image.pixels.view(bool)
     row_n = row_k = None
     pts = poly.vertices.tolist()
@@ -226,11 +209,9 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
                 dk = (int(np.count_nonzero(rows & ones[r0:r1 + 1]))
                       - sum(row_k[r0:r1 + 1]))
             entry = bands[key] = (r0, r1, rows, dn, dk)
-        try:
-            child = RegionCounts(inside.n + entry[3], inside.k + entry[4])
-            out[i] = child, complement(image.counts, [child])
-        except DomainError:   # empty footprint or no exterior
-            pass
+        n = inside.n + entry[3]
+        if 0 < n < total:   # a footprint and an exterior
+            out[i] = n, inside.k + entry[4]
     return out
 
 
@@ -262,9 +243,6 @@ class BssTrajectory:
         return self.steps[self.chosen_index]
 
 
-_SCORE_FN = {"mdl": mdl_polygon_score, "nfa": nfa_polygon_score}
-
-
 def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                  criterion: str) -> BssTrajectory:
     """Backward stepwise selection under the MDL or NFA score.
@@ -280,26 +258,26 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     step splices the winner's band into the mask.  Interior counts recur
     from step to step, so each NFA tail is computed once per run.
     """
-    if criterion not in _SCORE_FN:
+    if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
+    tails: dict = {}
+    bits = (HypothesisCounts.mdl_bits if criterion == "mdl"
+            else partial(HypothesisCounts.log2_nfa, tails=tails))
     current = initial
     mask = rasterize_polygon(current.vertices, image.width, image.height)
     inside = count_region(image, mask)
-    tails: dict = {}
-    current_score = _polygon_score(criterion, image, current.c, inside,
-                                   complement(image.counts, [inside]), tails)
+    current_score = bits(polygon_counts(image, current.c, (inside.n, inside.k)))
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     bands: dict = {}
     while current.c > 3:
         best, best_score = None, math.inf
-        for i, counts in enumerate(_child_counts(image, current, mask, inside,
-                                                 bands)):
-            if counts is None:
+        for i, child in enumerate(_child_counts(image, current, mask, inside,
+                                                bands)):
+            if child is None:
                 continue
-            child_score = _polygon_score(criterion, image, current.c - 1,
-                                         *counts, tails)
+            child_score = bits(polygon_counts(image, current.c - 1, child))
             if child_score < best_score:
-                best, best_score, best_inside = i, child_score, counts[0]
+                best, best_score, best_inside = i, child_score, child
         if best is None or not best_score < current_score:
             break
         r0, r1, rows, _, _ = bands[_triple(current.vertices.tolist(), best)]
@@ -309,6 +287,6 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
         bands = {key: entry for key, entry in bands.items()
                  if entry[1] < r0 or entry[0] > r1}
         current, current_score, inside = (_without_removable_vertex(current, best),
-                                          best_score, best_inside)
+                                          best_score, RegionCounts(*best_inside))
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -20,14 +20,14 @@ import numpy as np
 from .imaging import BinaryImage
 from .numeric import (
     DomainError,
+    HypothesisCounts,
     RegionCounts,
     Score,
     bernoulli_kld,
-    binomial_tail_log,
-    code_length,
     complement,
     g_term,
-    l0_code_length,
+    hoeffding_tail_bound,
+    l0_code_length,  # re-exported
 )
 
 _HALF_LOG2_2PI = 0.5 * math.log2(2.0 * math.pi)
@@ -42,6 +42,9 @@ class Square:
     side: int
 
     def __post_init__(self):
+        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                   for v in (self.row, self.col, self.side)):
+            raise ValueError(f"square fields must be integers, got {self}")
         if self.side < 1:
             raise ValueError(f"square side must be >= 1, got {self.side}")
         if self.row < 0 or self.col < 0:
@@ -85,24 +88,28 @@ def _square_counts(image: BinaryImage, sq: Square) -> RegionCounts:
     return RegionCounts(n=sq.n1, k=int(np.count_nonzero(block)))
 
 
+def single_counts(image: BinaryImage, sq: Square) -> HypothesisCounts:
+    """Counts of one square against background only (`mdl_score_single`,
+    `nfa_score_single`)."""
+    inside = _square_counts(image, sq)
+    total = image.counts
+    part = (inside.n, inside.k)
+    return HypothesisCounts(1.5 * math.log2(total.n), (complement(total, [inside]), part),
+                            1.5 * math.log2(total.n), (*part, total.q), whole=total)
+
+
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:
     """L1 - L0 for a single square hypothesis.
 
     L1 = 3/2 log n (position and side) plus separate enumerative codes for
     the background and square interiors.
     """
-    inside = _square_counts(image, sq)
-    total = image.counts
-    l1 = code_length(1.5 * math.log2(total.n),
-                     [complement(total, [inside]), (inside.n, inside.k)])
-    return l1 - l0_code_length(total)
+    return single_counts(image, sq).mdl_bits()
 
 
 def nfa_score_single(image: BinaryImage, sq: Square) -> float:
     """log2 NFA = 3/2 log2 n + log2 B(n1, k1, q) with q the image density."""
-    inside = _square_counts(image, sq)
-    total = image.counts
-    return 1.5 * math.log2(total.n) + binomial_tail_log(inside.n, inside.k, total.q)
+    return single_counts(image, sq).log2_nfa()
 
 
 def approx_log_nfa(square: RegionCounts, image: RegionCounts) -> float:
@@ -111,10 +118,7 @@ def approx_log_nfa(square: RegionCounts, image: RegionCounts) -> float:
     Valid only when the square is denser than the image (q1 > q); an upper
     bound on (and large-n proxy for) nfa_score_single.
     """
-    if not square.q > image.q:
-        raise DomainError(f"approximation requires q1 > q, got q1={square.q}, "
-                          f"q={image.q}")
-    return 1.5 * math.log2(image.n) - square.n * bernoulli_kld(square.q, image.q)
+    return 1.5 * math.log2(image.n) + hoeffding_tail_bound(square.n, square.k, image.q)
 
 
 def approx_mdl_score(square: RegionCounts, background: RegionCounts,
@@ -124,11 +128,9 @@ def approx_mdl_score(square: RegionCounts, background: RegionCounts,
     3/2 log2 n - n0 D(q0||q) - n1 D(q1||q)
       + (g(k0,n0) + g(k1,n1) - g(k,n)) / 2 - log2(2 pi)/2.
     Boundary counts (k hitting 0 or n in any part) fall outside the
-    expansion's domain; the exact mdl_score_single has no such limit.
+    expansion's domain (`g_term` rejects them); the exact mdl_score_single
+    has no such limit.
     """
-    for part in (square, background, image):
-        if part.k == 0 or part.k == part.n:
-            raise DomainError("Stirling expansion undefined at boundary counts")
     n = image.n
     residual = 0.5 * (g_term(background.k, background.n)
                       + g_term(square.k, square.n)
@@ -139,6 +141,28 @@ def approx_mdl_score(square: RegionCounts, background: RegionCounts,
             + residual - _HALF_LOG2_2PI)
 
 
+def multi_counts(image: BinaryImage,
+                 hyp: SquareHypothesis) -> HypothesisCounts | None:
+    """Counts of c disjoint squares (`mdl_score_multi`, `nfa_score_multi`);
+    None for the empty hypothesis, which has no test."""
+    if hyp.c == 0:
+        return None
+    total = image.counts
+    log2_tests = hyp.c + 1.5 * hyp.c * math.log2(total.n)
+    if hyp.c == 1:
+        # The single-square code, then the 2 count bits: keeps the c=1
+        # identity (multi = single + 2) exact in floating point.
+        return single_counts(image, hyp.squares[0])._replace(log2_tests=log2_tests,
+                                                              extra=2.0)
+    insides = [_square_counts(image, sq) for sq in hyp.squares]
+    geometry = 1.5 * math.log2(total.n)
+    return HypothesisCounts(
+        0.0, (complement(total, insides),), log2_tests,
+        (sum(c.n for c in insides), sum(c.k for c in insides), total.q),
+        codes=((hyp.c, ()), (1.0, ()), *((geometry, ((c.n, c.k),)) for c in insides)),
+        whole=total)
+
+
 def mdl_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
     """L_H - L0 for a hypothesis of c disjoint squares.
 
@@ -146,18 +170,8 @@ def mdl_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
     code; the count c is sent with the geometric prior (c + 1 bits).  The
     empty hypothesis therefore scores exactly +1.
     """
-    total = image.counts
-    if hyp.c == 0:
-        return 1.0
-    if hyp.c == 1:
-        # Same counts path as the single-square score; keeps the c=1
-        # identity (multi = single + 2) exact in floating point.
-        return mdl_score_single(image, hyp.squares[0]) + 2.0
-    insides = [_square_counts(image, sq) for sq in hyp.squares]
-    l_h = code_length(0.0, [complement(total, insides)]) + hyp.c + 1.0
-    for counts in insides:
-        l_h += code_length(1.5 * math.log2(total.n), [(counts.n, counts.k)])
-    return l_h - l0_code_length(total)
+    counts = multi_counts(image, hyp)
+    return 1.0 if counts is None else counts.mdl_bits()
 
 
 def nfa_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
@@ -168,12 +182,7 @@ def nfa_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
     """
     if hyp.c == 0:
         raise DomainError("no NFA test is defined for the empty hypothesis")
-    total = image.counts
-    insides = [_square_counts(image, sq) for sq in hyp.squares]
-    pooled_n = sum(c.n for c in insides)
-    pooled_k = sum(c.k for c in insides)
-    return (hyp.c + 1.5 * hyp.c * math.log2(total.n)
-            + binomial_tail_log(pooled_n, pooled_k, total.q))
+    return multi_counts(image, hyp).log2_nfa()
 
 
 @dataclass(frozen=True)
@@ -190,9 +199,9 @@ def select_hypothesis(image: BinaryImage, candidates, criterion: str,
         raise ValueError("candidate list must not be empty")
     table = []
     for hyp in candidates:
-        mdl = mdl_score_multi(image, hyp)
-        nfa = nfa_score_multi(image, hyp) if hyp.c > 0 else math.inf
-        table.append((hyp, Score(mdl_bits=mdl, log2_nfa=nfa)))
+        counts = multi_counts(image, hyp)
+        table.append((hyp, Score(mdl_bits=1.0, log2_nfa=math.inf) if counts is None
+                      else counts.score()))
     return SelectionResult(chosen=pick_hypothesis(table, criterion, epsilon),
                            table=tuple(table))
 

@@ -373,9 +373,9 @@ def fit_rectangle_numpy(coords, weights=None):
 
 def score_candidates_plain(omap, candidates, cfg):
     """Reference scorer: `lsd.score_candidates` as first written, both
-    scores and both keep flags computed afresh for every candidate."""
-    from mdlnfa.lsd import (SegmentDetection, count_aligned, mdl_rect,
-                            nfa_rect)
+    scores (by the scorers below) and both keep flags computed afresh for
+    every candidate."""
+    from mdlnfa.lsd import SegmentDetection, count_aligned
     from mdlnfa.numeric import Score
 
     n_image = omap.height * omap.width
@@ -435,9 +435,10 @@ def count_ones_sum(pixels) -> int:
 
 
 # ---------------------------------------------------------------------------
-# MDL scores as first written: each spells out its enumerative code by hand.
-# The library now routes them all through `numeric.code_length`; these
-# copies pin that every float stays bit-identical.
+# MDL and NFA scores as first written: each spells out its enumerative code
+# or its test count and tail by hand.  The library now routes them all
+# through `numeric.HypothesisCounts`; these copies pin that every float
+# stays bit-identical.
 # ---------------------------------------------------------------------------
 
 def _square_counts(image, sq):
@@ -468,6 +469,14 @@ def mdl_score_single(image, sq):
     return l1 - _l0_code_length(total)
 
 
+def nfa_score_single(image, sq):
+    from mdlnfa.numeric import binomial_tail_log
+
+    inside = _square_counts(image, sq)
+    total = image.counts
+    return 1.5 * math.log2(total.n) + binomial_tail_log(inside.n, inside.k, total.q)
+
+
 def mdl_score_multi(image, hyp):
     from mdlnfa.numeric import DomainError, log_binomial
 
@@ -488,6 +497,19 @@ def mdl_score_multi(image, hyp):
     return l_h - _l0_code_length(total)
 
 
+def nfa_score_multi(image, hyp):
+    from mdlnfa.numeric import DomainError, binomial_tail_log
+
+    if hyp.c == 0:
+        raise DomainError("no NFA test is defined for the empty hypothesis")
+    total = image.counts
+    insides = [_square_counts(image, sq) for sq in hyp.squares]
+    pooled_n = sum(c.n for c in insides)
+    pooled_k = sum(c.k for c in insides)
+    return (hyp.c + 1.5 * hyp.c * math.log2(total.n)
+            + binomial_tail_log(pooled_n, pooled_k, total.q))
+
+
 def mdl_polygon_score(image, poly):
     from mdlnfa.imaging import count_region, rasterize_polygon
     from mdlnfa.numeric import DomainError, log_binomial
@@ -504,6 +526,18 @@ def mdl_polygon_score(image, poly):
             + math.log2(n0) + log_binomial(n0, k0))
 
 
+def nfa_polygon_score(image, poly):
+    from mdlnfa.imaging import count_region, rasterize_polygon
+    from mdlnfa.numeric import DomainError, binomial_tail_log
+
+    mask = rasterize_polygon(poly.vertices, image.width, image.height)
+    inside = count_region(image, mask)
+    if inside.n == image.n:
+        raise DomainError("polygon covers the whole image; no exterior left")
+    return (poly.c * (1.0 + math.log2(image.n))
+            + binomial_tail_log(inside.n, inside.k, image.counts.q))
+
+
 def mdl_rect(n_image, counts, cfg):
     from mdlnfa.numeric import log_binomial
 
@@ -513,11 +547,18 @@ def mdl_rect(n_image, counts, cfg):
             + counts.k_r * math.log2(cfg.theta))
 
 
+def nfa_rect(n_image, counts, cfg):
+    from mdlnfa.numeric import binomial_tail_log
+
+    return (2.5 * math.log2(n_image) + math.log2(cfg.gamma)
+            + binomial_tail_log(counts.n_r, counts.k_r, cfg.theta))
+
+
 def bss_simplify_full(image, initial, criterion):
     """Reference BSS: `polygon.bss_simplify` as first written, every child
-    built as a `PolygonHypothesis` and scored through a full rasterization.
-    The incremental library version must visit the same polygons with the
-    same scores.
+    built as a `PolygonHypothesis` and scored through a full rasterization
+    by the scorers above.  The incremental library version must visit the
+    same polygons with the same scores.
 
     Backward stepwise selection under the MDL or NFA score.
 
@@ -528,11 +569,12 @@ def bss_simplify_full(image, initial, criterion):
     vertex index, which keeps trajectories deterministic.
     """
     from mdlnfa.imaging import count_region, rasterize_polygon
-    from mdlnfa.polygon import _SCORE_FN, BssStep, BssTrajectory
+    from mdlnfa.polygon import BssStep, BssTrajectory
 
-    if criterion not in _SCORE_FN:
+    score_fns = {"mdl": mdl_polygon_score, "nfa": nfa_polygon_score}
+    if criterion not in score_fns:
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    score_fn = _SCORE_FN[criterion]
+    score_fn = score_fns[criterion]
     current = initial
     current_score = score_fn(image, current)
 

@@ -1,0 +1,29 @@
+"""The names the benchmark traces and calls still exist in the library.
+
+`perfbench/tracing.py` resolves each entry of `TARGETS` by name when a
+traced run starts, and `perfbench/workloads.py` imports library names at
+load time.  A refactor that drops or renames one of them would only show
+in a `--trace 1` run; these tests make it fail here instead.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing
+import workloads
+
+
+@pytest.mark.parametrize("name,module,attr", tracing.TARGETS,
+                         ids=[f"{module}.{attr}" for _, module, attr in tracing.TARGETS])
+def test_trace_target_resolves_to_a_callable(name, module, attr):
+    holder, leaf = tracing._resolve(module, attr)
+    assert callable(getattr(holder, leaf))
+
+
+def test_every_workload_has_a_pass_and_a_warm_up():
+    for workload in workloads.WORKLOADS.values():
+        assert callable(workload.build) and callable(workload.warm_up)

@@ -1,8 +1,10 @@
 """Tests for the two-part code kernel and the scorers built on it.
 
-Every MDL scorer is `numeric.code_length` plus its own header; the oracle
-copies in `oracles.py` spell each formula out by hand as first written, and
-the kernel versions must equal them bit for bit (`==`, never approx).
+Every scorer is a `numeric.HypothesisCounts` record turned into bits: MDL
+is `numeric.code_length` plus its own header, NFA a test count plus one
+binomial tail.  The oracle copies in `oracles.py` spell each formula out by
+hand as first written, and the record versions must equal them bit for bit
+(`==`, never approx).
 """
 
 import math
@@ -14,7 +16,7 @@ import oracles
 import test_polygon as polygon_tests
 from mdlnfa import lsd, square_detect
 from mdlnfa.imaging import NoiseConfig, synthesize_squares
-from mdlnfa.lsd import AlignmentCounts, LsdConfig, mdl_rect
+from mdlnfa.lsd import AlignmentCounts, LsdConfig, mdl_rect, nfa_rect
 from mdlnfa.numeric import (
     DomainError,
     RegionCounts,
@@ -24,13 +26,20 @@ from mdlnfa.numeric import (
     l0_code_length,
     log_binomial,
 )
-from mdlnfa.polygon import PolygonHypothesis, bss_simplify, mdl_polygon_score
+from mdlnfa.polygon import (
+    PolygonHypothesis,
+    bss_simplify,
+    mdl_polygon_score,
+    nfa_polygon_score,
+)
 from mdlnfa.square_detect import (
     Square,
     SquareHypothesis,
     four_square_layout,
     mdl_score_multi,
     mdl_score_single,
+    nfa_score_multi,
+    nfa_score_single,
 )
 
 
@@ -90,6 +99,9 @@ class TestSquaresAgainstOracle:
         for hyp in hyps:
             assert mdl_score_multi(image, hyp) == \
                 oracles.mdl_score_multi(image, hyp)
+            if hyp.c > 0:
+                assert nfa_score_multi(image, hyp) == \
+                    oracles.nfa_score_multi(image, hyp)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_every_side_and_place(self, seed):
@@ -99,6 +111,8 @@ class TestSquaresAgainstOracle:
                 sq = Square(at, (at * 7) % (65 - side), side)
                 assert mdl_score_single(image, sq) == \
                     oracles.mdl_score_single(image, sq)
+                assert nfa_score_single(image, sq) == \
+                    oracles.nfa_score_single(image, sq)
 
     def test_full_cover_rejected_by_both(self):
         image = synthesize_squares([], 8, 8, NoiseConfig(0.3, seed=1))
@@ -124,6 +138,8 @@ class TestPolygonAgainstOracle:
         for poly in polygons:
             assert mdl_polygon_score(image, poly) == \
                 oracles.mdl_polygon_score(image, poly)
+            assert nfa_polygon_score(image, poly) == \
+                oracles.nfa_polygon_score(image, poly)
 
 
 class TestRectAgainstOracle:
@@ -136,6 +152,8 @@ class TestRectAgainstOracle:
                 counts = AlignmentCounts(n_r=n_r, k_r=k_r)
                 assert mdl_rect(n_image, counts, cfg) == \
                     oracles.mdl_rect(n_image, counts, cfg)
+                assert nfa_rect(n_image, counts, cfg) == \
+                    oracles.nfa_rect(n_image, counts, cfg)
 
     def test_theta_below_one_by_construction(self):
         rng = np.random.default_rng(0)

@@ -66,6 +66,26 @@ class TestConfigs:
         with pytest.raises(ConfigError, match=field):
             cls(**{field: value})
 
+    @pytest.mark.parametrize("cls,field,value", [
+        (SingleSweepConfig, "width", 100.0), (SingleSweepConfig, "height", True),
+        (SingleSweepConfig, "sides", (5.5,)), (SingleSweepConfig, "sides", [10, True]),
+        (MultiSweepConfig, "width", 256.0), (MultiSweepConfig, "height", "256"),
+        (MultiSweepConfig, "noise_extent", 70.0),
+        (MultiSweepConfig, "noise_margin", math.nan),
+        (MultiSweepConfig, "margin_extent", 26.0),
+        (MultiSweepConfig, "margins", (0, 2.0)), (MultiSweepConfig, "margins", [False])])
+    def test_rejects_non_integer_geometry(self, cls, field, value):
+        # Without the checks these configs build and the sweep crashes with
+        # a TypeError once it slices the image.
+        with pytest.raises(ConfigError, match=field):
+            cls(**{field: value})
+
+    def test_accepts_numpy_integer_geometry(self):
+        cfg = MultiSweepConfig(width=np.int64(256), noise_extent=np.int32(70),
+                               margins=(np.int64(8),))
+        assert (cfg.width, cfg.noise_extent, cfg.margins) == (256, 70, (8,))
+        assert SingleSweepConfig(sides=[np.int16(20)]).sides == [20]
+
     @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
     def test_accepts_numpy_integer_run_fields(self, cls):
         cfg = cls(base_seed=np.int64(3), seeds_per_cell=np.int32(2),
@@ -166,17 +186,42 @@ class TestMultiSweep:
     def test_each_hypothesis_scored_once_per_trial(self, monkeypatch):
         import mdlnfa.square_detect as square_detect
 
-        score = square_detect.mdl_score_multi
+        count = square_detect.multi_counts
         calls = []
 
         def counting(image, hyp):
             calls.append(hyp)
-            return score(image, hyp)
+            return count(image, hyp)
 
-        monkeypatch.setattr(square_detect, "mdl_score_multi", counting)
+        monkeypatch.setattr(square_detect, "multi_counts", counting)
         cfg = MultiSweepConfig(deltas=(0.1, 0.3), seeds_per_cell=3)
         run_sweep_multi(cfg, "noise")
         assert len(calls) == 2 * 3 * len(HYPOTHESIS_LABELS)
+
+
+@pytest.mark.parametrize("sweep,blocks_per_trial", [("single", 1), ("multi", 6)])
+def test_each_square_block_counted_once_per_trial(monkeypatch, sweep,
+                                                  blocks_per_trial):
+    # A single-sweep trial has one square; a multi trial has 1 + 4 + 1
+    # squares over its three non-empty hypotheses.  Both scores of a
+    # hypothesis read one count of each block.
+    import mdlnfa.square_detect as square_detect
+
+    count = square_detect._square_counts
+    calls = []
+
+    def counting(image, sq):
+        calls.append(sq)
+        return count(image, sq)
+
+    monkeypatch.setattr(square_detect, "_square_counts", counting)
+    if sweep == "single":   # 2 sides x 1 noise rate x 3 trials
+        run_sweep_single(SingleSweepConfig(sides=(10, 20), deltas=(0.1,),
+                                           seeds_per_cell=3))
+    else:                   # 2 noise rates x 3 trials
+        run_sweep_multi(MultiSweepConfig(deltas=(0.1, 0.3), seeds_per_cell=3),
+                        "noise")
+    assert len(calls) == blocks_per_trial * 6
 
 
 class TestPolygonRun:
@@ -413,6 +458,22 @@ class TestCli:
         cfg_path.write_text(json.dumps({**small, **config}))
         out = tmp_path / "out"
         assert main(command + ["--config", str(cfg_path), *flags,
+                               "--out", str(out)]) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+        assert not (out / csv_name).exists()
+
+    @pytest.mark.parametrize("command,config,field,csv_name", [
+        (["sweep-single"], {"sides": [5.5]}, "sides", "sweep_single.csv"),
+        (["sweep-multi", "--axis", "noise"], {"noise_extent": 70.0},
+         "noise_extent", "sweep_multi_noise.csv")])
+    def test_sweeps_reject_non_integer_geometry(self, tmp_path, capsys, command,
+                                                config, field, csv_name):
+        # Without the checks both commands crash with a TypeError traceback
+        # and exit 1.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({**config, "seeds_per_cell": 1}))
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg_path),
                                "--out", str(out)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (out / csv_name).exists()

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import mdlnfa.lsd as lsd_module
+import mdlnfa.numeric as numeric_module
 from mdlnfa.experiments import lsd_boundary_table
 from mdlnfa.imaging import OrientationMap, gradient_orientation
 from mdlnfa.lsd import (
@@ -63,6 +64,19 @@ class TestConfig:
             LsdConfig(gamma=0)
         with pytest.raises(ValueError):
             LsdConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 2.5,
+                                       True, 0.0])
+    def test_gamma_must_be_an_integer_at_least_one(self, gamma):
+        # A NaN gamma made every log2 NFA NaN, so no segment was ever kept.
+        with pytest.raises(ValueError, match="gamma"):
+            LsdConfig(gamma=gamma)
+
+    def test_integral_gamma_scores_as_its_integer(self):
+        counts = AlignmentCounts(n_r=30, k_r=12)
+        for gamma in (2.0, np.int64(2)):
+            assert (nfa_rect(N_512, counts, LsdConfig(gamma=gamma))
+                    == nfa_rect(N_512, counts, LsdConfig(gamma=2)))
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5])
     def test_tau_must_be_finite_and_non_negative(self, tau):
@@ -496,13 +510,13 @@ class TestScoreCandidates:
         candidates = region_grow_candidates(omap, cfg)
         candidates.append(RectangleCandidate(500.0, 5.0, 600.0, 5.0, 2.0))
         calls = []
-        real = lsd_module.nfa_rect
+        real = numeric_module.binomial_tail_log
 
-        def counted(n_image, counts, cfg):
-            calls.append((counts.n_r, counts.k_r))
-            return real(n_image, counts, cfg)
+        def counted(n, k, q):
+            calls.append((n, k))
+            return real(n, k, q)
 
-        monkeypatch.setattr(lsd_module, "nfa_rect", counted)
+        monkeypatch.setattr(numeric_module, "binomial_tail_log", counted)
         got = score_candidates(omap, candidates, cfg)
         monkeypatch.undo()
         assert len(got) == len(candidates) - 1

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mdlnfa.numeric as numeric_module
 import mdlnfa.polygon as polygon_module
 from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from mdlnfa.imaging import (
@@ -24,7 +25,6 @@ from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
     bss_simplify,
-    mdl_polygon_relative,
     mdl_polygon_score,
     nfa_polygon_score,
     polygon_scores,
@@ -122,13 +122,13 @@ class TestPolygonScores:
         poly = PolygonHypothesis(np.asarray(SQUARE_POLY, dtype=float))
         score = polygon_scores(img, poly)
         assert score.mdl_bits == pytest.approx(
-            mdl_polygon_relative(img, poly))
+            mdl_polygon_score(img, poly) - l0_code_length(img.counts))
         assert score.mdl_bits < 0 and score.log2_nfa < 0
 
     def test_scores_record_rasterizes_once(self, monkeypatch):
         img = square_image(delta=0.1, seed=1)
         poly = PolygonHypothesis(np.asarray(SQUARE_POLY, dtype=float))
-        expected = Score(mdl_bits=mdl_polygon_relative(img, poly),
+        expected = Score(mdl_bits=mdl_polygon_score(img, poly) - l0_code_length(img.counts),
                          log2_nfa=nfa_polygon_score(img, poly))
         calls = []
         monkeypatch.setattr(polygon_module, "rasterize_polygon",
@@ -204,9 +204,8 @@ class TestBssAgainstExhaustiveOracle:
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_chosen_score_is_enumerated_and_not_worse_than_start(self, seed, c,
                                                                  criterion):
-        from mdlnfa.polygon import _SCORE_FN
         image, verts = self.make_instance(seed, c)
-        score_fn = _SCORE_FN[criterion]
+        score_fn = {"mdl": mdl_polygon_score, "nfa": nfa_polygon_score}[criterion]
         initial = PolygonHypothesis(verts)
         traj = bss_simplify(image, initial, criterion)
         all_scores = exhaustive_subset_scores(image, verts, score_fn)
@@ -249,12 +248,14 @@ def trajectory_record(traj):
 
 
 def full_child_counts(image, poly, i):
-    """The counts the full path gives child i, or None where it skips it."""
+    """The interior (n, k) the full path gives child i, or None where it
+    skips it."""
     try:
         child = poly.without_vertex(i)
         inside = count_region(image, rasterize_polygon(child.vertices,
                                                        image.width, image.height))
-        return inside, complement(image.counts, [inside])
+        complement(image.counts, [inside])
+        return inside.n, inside.k
     except ValueError:   # DomainError is a ValueError
         return None
 
@@ -354,7 +355,7 @@ class TestIncrementalBss:
             [(5, -6), (9, -8), (13, -6), (13, 10), (5, 10)], dtype=float))
         full = assert_children_match_full_path(image, poly)
         inside = count_region(image, rasterize_polygon(poly.vertices, 20, 20))
-        assert full[1] == (inside, complement(image.counts, [inside]))
+        assert full[1] == (inside.n, inside.k)
 
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_builds_once_per_step_and_rasterizes_once(self, monkeypatch, criterion):
@@ -404,13 +405,13 @@ class TestTailMemo:
         # tail computed once per run.
         image, initial = shape_instances[0]
         calls = Counter()
-        tail = polygon_module.binomial_tail_log
+        tail = numeric_module.binomial_tail_log
 
         def counting(n, k, q):
             calls[n, k] += 1
             return tail(n, k, q)
 
-        monkeypatch.setattr(polygon_module, "binomial_tail_log", counting)
+        monkeypatch.setattr(numeric_module, "binomial_tail_log", counting)
         traj = bss_simplify(image, initial, "nfa")
         assert calls and max(calls.values()) == 1
         monkeypatch.undo()

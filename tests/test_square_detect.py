@@ -43,6 +43,15 @@ class TestTypes:
             Square(-1, 0, 5)
         assert Square(2, 3, 4).n1 == 16
 
+    @pytest.mark.parametrize("fields", [(2, 2, math.nan), (2, 2, 4.0),
+                                        (2.5, 2, 4), (2, True, 4), ("2", 2, 4)])
+    def test_square_rejects_non_integer_fields(self, fields):
+        with pytest.raises(ValueError, match="must be integers"):
+            Square(*fields)
+
+    def test_square_accepts_numpy_integers(self):
+        assert Square(np.int64(2), np.int32(3), np.uint8(4)).n1 == 16
+
     def test_hypothesis_rejects_overlap(self):
         with pytest.raises(ValueError):
             SquareHypothesis((Square(0, 0, 10), Square(5, 5, 10)))
