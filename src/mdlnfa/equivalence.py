@@ -20,37 +20,53 @@ reports how many such boundary-exact configurations occur.
 Both decisions depend on a configuration only through its tail, so the
 checker decides each distinct tail of a part once and weights the outcome by
 the number of configurations that share it.
+
+Configurations are enumerated as digit matrices: `enumerate_configs` yields
+int64 blocks of at most `BLOCK_ROWS` rows, one configuration per row, in
+lexicographic order.  An ordering function `xi` takes such a matrix and
+returns one value per row, so each part costs one `xi` call per block.  A
+single configuration `x` is scored as a one-row matrix.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable
 
 import numpy as np
 
 MAX_STATES = 2**24   # desk-scale exhaustiveness cap per part
+BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
 
 
 class EnumerationRefused(ValueError):
     """The requested check violates an enumerability or budget constraint."""
 
 
+def _is_count(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class PartSpec:
-    """One tested part: its length, risk weight, and ordering function."""
+    """One tested part: its length, risk weight, and ordering function.
+
+    `xi` maps an int64 matrix with one configuration per row to one float
+    per row.
+    """
 
     length: int
     eta: Fraction
-    xi: Callable[[tuple[int, ...]], float]
+    xi: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
     def __post_init__(self):
-        if self.length < 1:
-            raise ValueError(f"part length must be >= 1, got {self.length}")
+        if not _is_count(self.length) or self.length < 1:
+            raise ValueError(f"part length must be an integer >= 1, "
+                             f"got {self.length!r}")
         eta = Fraction(self.eta)
         if eta <= 0:
             raise ValueError(f"risk weight eta must be positive, got {self.eta}")
@@ -61,27 +77,68 @@ class PartSpec:
 
 
 def _check_alphabet(alphabet_size: int) -> None:
-    if alphabet_size < 2:
-        raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
+    if not _is_count(alphabet_size) or alphabet_size < 2:
+        raise ValueError(f"alphabet size must be an integer >= 2, "
+                         f"got {alphabet_size!r}")
 
 
 def enumerate_configs(alphabet_size: int, length: int):
-    """All |X|^length configurations, lexicographically."""
+    """All |X|^length configurations, lexicographically, as int64 digit
+    matrices of at most `BLOCK_ROWS` rows (one configuration per row)."""
     _check_alphabet(alphabet_size)
-    return product(range(alphabet_size), repeat=length)
+    if not _is_count(length) or length < 0:
+        raise ValueError(f"length must be an integer >= 0, got {length!r}")
+    trailing = 0
+    while trailing < length and alphabet_size ** (trailing + 1) <= BLOCK_ROWS:
+        trailing += 1
+    leading = length - trailing
+    # Column-major, so that each digit column is contiguous.
+    tail = np.indices((alphabet_size,) * trailing, dtype=np.int64).reshape(
+        trailing, alphabet_size ** trailing).T
+    return (_with_prefix(tail, prefix, leading, alphabet_size)
+            for prefix in range(alphabet_size ** leading))
+
+
+def _with_prefix(tail: np.ndarray, prefix: int, leading: int,
+                 alphabet_size: int) -> np.ndarray:
+    """The block of configurations whose `leading` digits spell `prefix`."""
+    if not leading:
+        return tail
+    block = np.empty((len(tail), leading + tail.shape[1]), dtype=np.int64,
+                     order="F")
+    block[:, leading:] = tail
+    for j in range(leading - 1, -1, -1):
+        prefix, block[:, j] = divmod(prefix, alphabet_size)
+    return block
+
+
+def _name(spec: PartSpec):
+    return spec.name or spec.length
+
+
+def _xi_rows(spec: PartSpec, rows: np.ndarray) -> np.ndarray:
+    values = np.asarray(spec.xi(rows), dtype=np.float64)
+    if values.shape != (len(rows),):
+        raise ValueError(f"part {_name(spec)}: xi must return one value per "
+                         f"row, got shape {values.shape} for {len(rows)} rows")
+    return values
+
+
+def _xi_of(spec: PartSpec, x) -> float:
+    return float(_xi_rows(spec, np.asarray(x, dtype=np.int64).reshape(1, -1))[0])
 
 
 def _xi_values(spec: PartSpec, alphabet_size: int) -> np.ndarray:
+    _check_alphabet(alphabet_size)
     states = spec.states(alphabet_size)
     if states > MAX_STATES:
         raise EnumerationRefused(
-            f"part {spec.name or spec.length} has {states} configurations, "
+            f"part {_name(spec)} has {states} configurations, "
             f"beyond the {MAX_STATES} exhaustive-enumeration cap")
-    values = np.array([spec.xi(v) for v in enumerate_configs(alphabet_size,
-                                                             spec.length)],
-                      dtype=np.float64)
+    values = np.concatenate([_xi_rows(spec, block) for block in
+                             enumerate_configs(alphabet_size, spec.length)])
     if not np.isfinite(values).all():
-        raise ValueError(f"part {spec.name or spec.length}: xi values must be "
+        raise ValueError(f"part {_name(spec)}: xi values must be "
                          f"finite (NaN or infinity found)")
     return values
 
@@ -105,13 +162,13 @@ def _mdl_detects(eta: Fraction, tail: int, states: int) -> bool:
 
 def nfa_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
     """True iff eta * P[xi(V) >= xi(x)] < 1 under the uniform null model."""
-    tail = tail_count(spec, alphabet_size, spec.xi(tuple(x)))
+    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
     return _nfa_detects(spec.eta, tail, spec.states(alphabet_size))
 
 
 def part_code_length(spec: PartSpec, alphabet_size: int, x) -> float:
     """Ideal code length of describing x as a part: log2(eta) + log2(tail)."""
-    tail = tail_count(spec, alphabet_size, spec.xi(tuple(x)))
+    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
     return math.log2(spec.eta) + math.log2(tail)
 
 
@@ -123,7 +180,7 @@ def mdl_parts_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
     The inequality is evaluated in exact rational form (it is the log of
     eta * tail < |X|^n), keeping boundary ties rounding-free.
     """
-    tail = tail_count(spec, alphabet_size, spec.xi(tuple(x)))
+    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
     return _mdl_detects(spec.eta, tail, spec.states(alphabet_size))
 
 
@@ -196,16 +253,14 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
     for spec in parts:
         states = spec.states(alphabet_size)
         values = _xi_values(spec, alphabet_size)
-        order = np.sort(values)
-        # tail(v) = #configs with value >= xi(v), via binary search.  Both
-        # decisions read only the tail, so each distinct tail is decided
-        # once and counted for each of the weights[tail] configurations
-        # that have it.
-        weights = np.bincount(states - np.searchsorted(order, values, side="left"))
-        tails = np.flatnonzero(weights)
+        # Both decisions read only tail(v) = #configs with value >= xi(v),
+        # so the tail of each distinct value is decided once and counted
+        # for each of the `weight` configurations that have that value.
+        weights = np.unique(values, return_counts=True)[1]
+        tails = np.cumsum(weights[::-1])[::-1]
         detections = mismatches = boundary = 0
         eta = spec.eta
-        for tail, weight in zip(tails.tolist(), weights[tails].tolist()):
+        for tail, weight in zip(tails.tolist(), weights.tolist()):
             nfa_detect = _nfa_detects(eta, tail, states)
             mdl_detect = _mdl_detects(eta, tail, states)
             if eta.numerator * tail == eta.denominator * states:
@@ -221,39 +276,38 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
                              kraft=budget)
 
 
-# Standard ordering-function families for the exhaustive runs.
+# Standard ordering-function families for the exhaustive runs: each takes
+# a digit matrix and returns one float per row.
 
-def xi_count_ones(v) -> float:
-    return float(v.count(1))
-
-
-def xi_longest_run(v) -> float:
-    best = run = 1
-    prev = None   # equal to no symbol, so the first one starts a run
-    for s in v:
-        if s == prev:
-            run += 1
-            if run > best:
-                best = run
-        else:
-            prev, run = s, 1
-    return float(best)
+def xi_count_ones(v: np.ndarray) -> np.ndarray:
+    return np.count_nonzero(v == 1, axis=1).astype(np.float64)
 
 
-def xi_weighted_sum(v) -> float:
-    return float(sum((j + 1) * s for j, s in enumerate(v)))
+def xi_longest_run(v: np.ndarray) -> np.ndarray:
+    best = run = np.ones(len(v), dtype=np.int64)
+    for j in range(1, v.shape[1]):
+        run = np.where(v[:, j] == v[:, j - 1], run + 1, 1)
+        best = np.maximum(best, run)
+    return best.astype(np.float64)
+
+
+def xi_weighted_sum(v: np.ndarray) -> np.ndarray:
+    return (v @ np.arange(1, v.shape[1] + 1)).astype(np.float64)
 
 
 def make_random_xi(seed: int, low: int = 0, high: int = 100):
-    """Deterministic random integer-valued ordering function (memoized)."""
+    """Deterministic random integer-valued ordering function (memoized per
+    configuration; values are drawn in the order rows are first seen)."""
     rng = np.random.Generator(np.random.PCG64(seed))
     table: dict[tuple, float] = {}
 
-    def xi(v) -> float:
-        key = tuple(v)
-        if key not in table:
-            table[key] = float(rng.integers(low, high + 1))
-        return table[key]
+    def xi(v: np.ndarray) -> np.ndarray:
+        out = np.empty(len(v))
+        for i, row in enumerate(map(tuple, v.tolist())):
+            if row not in table:
+                table[row] = float(rng.integers(low, high + 1))
+            out[i] = table[row]
+        return out
 
     return xi
 

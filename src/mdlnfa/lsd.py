@@ -345,14 +345,17 @@ def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
     """Score an identical candidate set under both criteria."""
     n_image = omap.height * omap.width
-    tails: dict = {}    # many candidates share (n_r, k_r): one tail each
+    scores: dict = {}   # many candidates share (n_r, k_r): one score each
     out = []
     for cand in candidates:
         try:
             counts = count_aligned(cand, omap, cfg.rho)
         except ValueError:
             continue
-        score = rect_counts(n_image, counts, cfg).score(tails)
+        record = rect_counts(n_image, counts, cfg)
+        if record not in scores:
+            scores[record] = record.score()
+        score = scores[record]
         out.append(SegmentDetection(candidate=cand, counts=counts, score=score,
                                     nfa_keep=score.nfa_detects(cfg.epsilon),
                                     mdl_keep=score.mdl_detects()))

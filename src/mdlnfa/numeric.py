@@ -177,8 +177,8 @@ class HypothesisCounts(NamedTuple):
             tails[self.tail] = binomial_tail_log(*self.tail)
         return self.log2_tests + tails[self.tail]
 
-    def score(self, tails: dict | None = None) -> Score:
-        return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa(tails))
+    def score(self) -> Score:
+        return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa())
 
 
 def binomial_tail_log(n: int, k: int, q: float) -> Bits:

@@ -603,23 +603,27 @@ def bss_simplify_full(image, initial, criterion):
 
 def check_equivalence_per_config(alphabet_size, parts):
     """Reference checker: `equivalence.check_equivalence` as first written,
-    both decisions made and counted once per configuration.  The library
-    version, which decides each distinct tail once, must give equal reports.
+    enumerating with `itertools.product`, calling `spec.xi` on one
+    configuration (a one-row matrix) at a time, and making and counting both
+    decisions once per configuration.  The library version, which scores
+    digit-matrix blocks and decides each distinct value once, must give
+    equal reports.
     """
+    from itertools import product
+
     import numpy as np
 
     from mdlnfa.equivalence import (
         EnumerationRefused,
         EquivalenceReport,
         PartReport,
-        _check_alphabet,
         _mdl_detects,
         _nfa_detects,
-        _xi_values,
         kraft_sum,
     )
 
-    _check_alphabet(alphabet_size)
+    if alphabet_size < 2:
+        raise ValueError(f"alphabet size must be >= 2, got {alphabet_size}")
     parts = list(parts)
     if not parts:
         raise ValueError("at least one part is required")
@@ -630,7 +634,9 @@ def check_equivalence_per_config(alphabet_size, parts):
     reports = []
     for spec in parts:
         states = spec.states(alphabet_size)
-        values = _xi_values(spec, alphabet_size)
+        values = np.array([float(spec.xi(np.array([v], dtype=np.int64))[0])
+                           for v in product(range(alphabet_size),
+                                            repeat=spec.length)])
         order = np.sort(values)
         tails = states - np.searchsorted(order, values, side="left")
         detections = mismatches = boundary = 0
@@ -664,3 +670,8 @@ def xi_longest_run(v) -> float:
         run = run + 1 if a == b else 1
         best = max(best, run)
     return float(best)
+
+
+def xi_weighted_sum(v) -> float:
+    """`equivalence.xi_weighted_sum` as first written."""
+    return float(sum((j + 1) * s for j, s in enumerate(v)))

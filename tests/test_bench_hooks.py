@@ -3,7 +3,8 @@
 `perfbench/tracing.py` resolves each entry of `TARGETS` by name when a
 traced run starts, and `perfbench/workloads.py` imports library names at
 load time.  A refactor that drops or renames one of them would only show
-in a `--trace 1` run; these tests make it fail here instead.
+in a `--trace 1` run; these tests make it fail here instead.  Each
+workload's warm-up is run as well, so a changed signature fails too.
 """
 
 import sys
@@ -27,3 +28,10 @@ def test_trace_target_resolves_to_a_callable(name, module, attr):
 def test_every_workload_has_a_pass_and_a_warm_up():
     for workload in workloads.WORKLOADS.values():
         assert callable(workload.build) and callable(workload.warm_up)
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_every_workload_warms_up(name):
+    # Each warm-up runs its timed code paths once on a small input, so an
+    # API change that breaks the benchmark fails here.
+    workloads.WORKLOADS[name].warm_up()

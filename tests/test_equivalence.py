@@ -4,14 +4,17 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 import mdlnfa.equivalence as equivalence_module
 from mdlnfa.equivalence import (
+    BLOCK_ROWS,
     XI_FAMILIES,
     EnumerationRefused,
     PartSpec,
     check_equivalence,
+    enumerate_configs,
     kraft_sum,
     make_random_xi,
     mdl_parts_decision,
@@ -26,11 +29,55 @@ from mdlnfa.experiments import default_equivalence_runs
 from oracles import check_equivalence_per_config
 from oracles import xi_count_ones as xi_count_ones_plain
 from oracles import xi_longest_run as xi_longest_run_plain
+from oracles import xi_weighted_sum as xi_weighted_sum_plain
 
 
 def count_ones_part(length=4, eta=16):
     return PartSpec(length=length, eta=Fraction(eta), xi=xi_count_ones,
                     name="count_ones")
+
+
+def rows(*configs):
+    return np.array(configs, dtype=np.int64)
+
+
+def all_ones_xi(value):
+    """Ordering function that scores `value` on rows of all ones, else 0."""
+    return lambda v: np.where((v == 1).all(axis=1), value, 0.0)
+
+
+class TestEnumerateConfigs:
+    @pytest.mark.parametrize("alphabet,length", [(2, 5), (4, 8)])
+    def test_matches_itertools_product(self, alphabet, length):
+        (block,) = enumerate_configs(alphabet, length)
+        want = np.array(list(itertools.product(range(alphabet),
+                                               repeat=length)))
+        assert block.dtype == np.int64 and np.array_equal(block, want)
+
+    # 2^17 and 3^11 have one leading digit, 2^18 has two.
+    @pytest.mark.parametrize("alphabet,length", [(2, 1), (2, 17), (3, 11),
+                                                 (2, 18)])
+    def test_blocks_in_lexicographic_order(self, alphabet, length):
+        # Row r of the enumeration holds the base-|X| digits of r.
+        place = alphabet ** np.arange(length - 1, -1, -1)
+        start = 0
+        for block in enumerate_configs(alphabet, length):
+            assert block.dtype == np.int64 and block.shape[1] == length
+            assert 0 < len(block) <= BLOCK_ROWS
+            index = np.arange(start, start + len(block))[:, None]
+            assert np.array_equal(block, index // place % alphabet)
+            start += len(block)
+        assert start == alphabet**length
+
+    def test_empty_configuration(self):
+        (block,) = enumerate_configs(3, 0)
+        assert block.shape == (1, 0)
+
+    @pytest.mark.parametrize("alphabet,length", [(2.0, 3), (True, 3), (1, 3),
+                                                 (2, -1), (2, 3.0), (2, True)])
+    def test_rejected_when_called(self, alphabet, length):
+        with pytest.raises(ValueError):
+            enumerate_configs(alphabet, length)
 
 
 class TestTailCount:
@@ -72,7 +119,8 @@ class TestDecisions:
         assert nfa_decision(spec, 2, (0, 0, 0, 0)) is False  # tail is all 16
 
     def test_constant_xi_never_selected(self):
-        spec = PartSpec(length=4, eta=Fraction(1), xi=lambda v: 7.0)
+        spec = PartSpec(length=4, eta=Fraction(1),
+                        xi=lambda v: np.full(len(v), 7.0))
         for x in [(0, 0, 0, 0), (1, 0, 1, 0)]:
             assert mdl_parts_decision(spec, 2, x) is False
             assert nfa_decision(spec, 2, x) is False
@@ -128,21 +176,45 @@ class TestCheckEquivalence:
         with pytest.raises(ValueError):
             check_equivalence(2, [])
 
+    @pytest.mark.parametrize("alphabet", [2.0, True, "2", 2.5])
+    def test_alphabet_must_be_an_integer(self, alphabet):
+        # 2.0 used to raise a TypeError from deep inside the enumeration.
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            check_equivalence(alphabet, [count_ones_part()])
+        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+            tail_count(count_ones_part(), alphabet, 0.0)
+
+    def test_numpy_integer_alphabet_accepted(self):
+        assert check_equivalence(np.int64(2), [count_ones_part()]) == \
+            check_equivalence(2, [count_ones_part()])
+
 
 class TestXiFamilies:
     def test_longest_run(self):
-        assert xi_longest_run((0, 0, 1, 1, 1, 0)) == 3.0
-        assert xi_longest_run((0, 1, 0, 1)) == 1.0
-        assert xi_longest_run((2, 2, 2, 2)) == 4.0
+        assert xi_longest_run(rows((0, 0, 1, 1, 1, 0))).tolist() == [3.0]
+        assert xi_longest_run(rows((0, 1, 0, 1), (2, 2, 2, 2))).tolist() == \
+            [1.0, 4.0]
 
     def test_weighted_sum(self):
-        assert xi_weighted_sum((1, 0, 2)) == 1 + 6
+        assert xi_weighted_sum(rows((1, 0, 2))).tolist() == [1 + 6]
 
     def test_random_xi_deterministic(self):
         xi_a = make_random_xi(42)
         xi_b = make_random_xi(42)
-        configs = [(0, 1, 2), (2, 2, 2), (0, 0, 0), (0, 1, 2)]
-        assert [xi_a(c) for c in configs] == [xi_b(c) for c in configs]
+        configs = rows((0, 1, 2), (2, 2, 2), (0, 0, 0), (0, 1, 2))
+        assert xi_a(configs).tolist() == xi_b(configs).tolist()
+
+    def test_random_xi_draws_once_per_new_row_in_row_order(self):
+        configs = [(0, 1, 2), (2, 2, 2), (0, 0, 0), (0, 1, 2), (2, 2, 2)]
+        rng = np.random.Generator(np.random.PCG64(7))
+        drawn = {}
+        for config in configs:
+            if config not in drawn:
+                drawn[config] = float(rng.integers(0, 101))
+        xi = make_random_xi(7)
+        # Split over two calls: the memo carries across blocks.
+        got = xi(rows(*configs[:2])).tolist() + xi(rows(*configs[2:])).tolist()
+        assert got == [drawn[c] for c in configs]
 
     def test_part_spec_validation(self):
         with pytest.raises(ValueError):
@@ -150,12 +222,22 @@ class TestXiFamilies:
         with pytest.raises(ValueError):
             PartSpec(length=4, eta=Fraction(0), xi=xi_count_ones)
 
+    @pytest.mark.parametrize("length", [4.0, True, "4", 3.5])
+    def test_part_length_must_be_an_integer(self, length):
+        # 4.0 used to build and fail mid-run; True was reported as "part True".
+        with pytest.raises(ValueError, match="part length must be an integer"):
+            PartSpec(length=length, eta=Fraction(2), xi=xi_count_ones)
+
+    def test_numpy_integer_length_accepted(self):
+        spec = PartSpec(length=np.int64(4), eta=Fraction(16), xi=xi_count_ones)
+        assert tail_count(spec, 2, 3.0) == 5
+
 
 class TestNonFiniteXi:
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejected_on_every_path(self, bad):
         spec = PartSpec(length=2, eta=Fraction(2), name="bad_part",
-                        xi=lambda v: bad if tuple(v) == (1, 1) else 0.0)
+                        xi=all_ones_xi(bad))
         for check in (lambda: tail_count(spec, 2, 0.0),
                       lambda: nfa_decision(spec, 2, (1, 1)),
                       lambda: check_equivalence(2, [spec])):
@@ -165,12 +247,25 @@ class TestNonFiniteXi:
     def test_unnamed_part_named_by_length(self):
         # A NaN xi used to get tail 0 from tail_count but tail 1 (and one
         # detection) from check_equivalence.
-        spec = PartSpec(length=2, eta=Fraction(2),
-                        xi=lambda v: math.nan if tuple(v) == (1, 1) else 0.0)
+        spec = PartSpec(length=2, eta=Fraction(2), xi=all_ones_xi(math.nan))
         with pytest.raises(ValueError, match="part 2: xi values"):
             check_equivalence(2, [spec])
         with pytest.raises(ValueError, match="part 2: xi values"):
             tail_count(spec, 2, math.nan)
+
+
+class TestXiShape:
+    @pytest.mark.parametrize("xi", [lambda v: 1.0,
+                                    lambda v: np.zeros((len(v), 1)),
+                                    lambda v: np.zeros(len(v) + 1)])
+    def test_one_value_per_row_required(self, xi):
+        spec = PartSpec(length=3, eta=Fraction(2), xi=xi, name="flat")
+        for check in (lambda: tail_count(spec, 2, 0.0),
+                      lambda: nfa_decision(spec, 2, (1, 1, 1)),
+                      lambda: check_equivalence(2, [spec])):
+            with pytest.raises(ValueError,
+                               match="part flat: xi must return one value per row"):
+                check()
 
 
 class TestAgainstPerConfigOracle:
@@ -213,19 +308,34 @@ class TestAgainstPerConfigOracle:
         assert report == check_equivalence_per_config(2, parts)
         assert report.total_mismatches == report.parts[0].detections > 1
 
+    def test_part_spanning_several_blocks(self):
+        # 3^11 configurations make three digit-matrix blocks.
+        assert len(list(enumerate_configs(3, 11))) == 3
+        parts = [PartSpec(length=11, eta=Fraction(2), xi=xi_weighted_sum,
+                          name="weighted_sum_11")]
+        report = check_equivalence(3, parts)
+        assert report == check_equivalence_per_config(3, parts)
+        assert 0 < report.parts[0].detections < 3**11
+
 
 class TestXiAgainstPlainVersions:
+    PAIRS = ((xi_count_ones, xi_count_ones_plain),
+             (xi_longest_run, xi_longest_run_plain),
+             (xi_weighted_sum, xi_weighted_sum_plain))
+
     @pytest.mark.parametrize("alphabet", [2, 3, 4])
     def test_identical_floats(self, alphabet):
         for length in range(1, 9):
-            for v in itertools.product(range(alphabet), repeat=length):
-                for config in (v, list(v)):
-                    for new, plain in ((xi_count_ones, xi_count_ones_plain),
-                                       (xi_longest_run, xi_longest_run_plain)):
-                        got, want = new(config), plain(config)
-                        assert type(got) is float and got == want
+            configs = list(itertools.product(range(alphabet), repeat=length))
+            matrix = rows(*configs)
+            for new, plain in self.PAIRS:
+                got = new(matrix)
+                assert got.dtype == np.float64 and got.shape == (len(configs),)
+                assert got.tolist() == [plain(v) for v in configs]
 
     def test_empty_configuration(self):
-        assert xi_longest_run(()) == 1.0 == xi_longest_run_plain(())
-        assert xi_longest_run([]) == 1.0
-        assert xi_count_ones(()) == 0.0
+        empty = np.zeros((1, 0), dtype=np.int64)
+        for new, plain in self.PAIRS:
+            assert new(empty).tolist() == [plain(())]
+        assert xi_longest_run(empty).tolist() == [1.0]
+        assert xi_count_ones(empty).tolist() == [0.0]
