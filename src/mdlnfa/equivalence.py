@@ -67,6 +67,9 @@ class PartSpec:
         if not _is_count(self.length) or self.length < 1:
             raise ValueError(f"part length must be an integer >= 1, "
                              f"got {self.length!r}")
+        if isinstance(self.eta, bool):
+            raise ValueError(f"risk weight eta must be a number, "
+                             f"got {self.eta!r}")
         eta = Fraction(self.eta)
         if eta <= 0:
             raise ValueError(f"risk weight eta must be positive, got {self.eta}")
@@ -124,10 +127,6 @@ def _xi_rows(spec: PartSpec, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _xi_of(spec: PartSpec, x) -> float:
-    return float(_xi_rows(spec, np.asarray(x, dtype=np.int64).reshape(1, -1))[0])
-
-
 def _xi_values(spec: PartSpec, alphabet_size: int) -> np.ndarray:
     _check_alphabet(alphabet_size)
     states = spec.states(alphabet_size)
@@ -149,6 +148,19 @@ def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
     return int((values >= threshold).sum())
 
 
+def _tail_of(spec: PartSpec, alphabet_size: int, x) -> int:
+    """tail_count at xi(x), once x is checked to be a configuration of the
+    part: `spec.length` integer digits in [0, alphabet_size)."""
+    _check_alphabet(alphabet_size)
+    row = np.asarray(x)
+    if (row.dtype.kind not in "iu" or row.shape != (spec.length,)
+            or not ((row >= 0) & (row < alphabet_size)).all()):
+        raise ValueError(f"part {_name(spec)}: x must be {spec.length} integer "
+                         f"digits in [0, {alphabet_size}), got {x!r}")
+    threshold = float(_xi_rows(spec, row.astype(np.int64).reshape(1, -1))[0])
+    return tail_count(spec, alphabet_size, threshold)
+
+
 def _nfa_detects(eta: Fraction, tail: int, states: int) -> bool:
     # eta * P[xi >= threshold] < 1 in exact rational arithmetic.
     return eta * Fraction(tail, states) < 1
@@ -162,13 +174,13 @@ def _mdl_detects(eta: Fraction, tail: int, states: int) -> bool:
 
 def nfa_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
     """True iff eta * P[xi(V) >= xi(x)] < 1 under the uniform null model."""
-    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
+    tail = _tail_of(spec, alphabet_size, x)
     return _nfa_detects(spec.eta, tail, spec.states(alphabet_size))
 
 
 def part_code_length(spec: PartSpec, alphabet_size: int, x) -> float:
     """Ideal code length of describing x as a part: log2(eta) + log2(tail)."""
-    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
+    tail = _tail_of(spec, alphabet_size, x)
     return math.log2(spec.eta) + math.log2(tail)
 
 
@@ -180,7 +192,7 @@ def mdl_parts_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
     The inequality is evaluated in exact rational form (it is the log of
     eta * tail < |X|^n), keeping boundary ties rounding-free.
     """
-    tail = tail_count(spec, alphabet_size, _xi_of(spec, x))
+    tail = _tail_of(spec, alphabet_size, x)
     return _mdl_detects(spec.eta, tail, spec.states(alphabet_size))
 
 

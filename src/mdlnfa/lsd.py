@@ -17,6 +17,7 @@ directly.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -226,42 +227,84 @@ def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
     return rect_counts(n_image, counts, cfg).mdl_bits()
 
 
+def _fit_batch(coords: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Fit B regions of m pixels each: `coords` is (B, m, 2) as (col=x,
+    row=y), `weights` None or (B, m).  Returns the (B, 5) rows
+    (ax, ay, bx, by, width) and the (B,) mask of regions with zero scatter,
+    whose rows are meaningless.
+
+    Weighted centroid, principal axis of the weighted scatter, extents
+    covering the pixel centers.  Each region gets the same numpy, BLAS and
+    LAPACK calls as it would alone (a sequential sum over its m rows, one
+    gemm, one `eigh`, two gemv), so its row does not depend on the batch.
+    """
+    if weights is None:
+        w_col, w_sum = 1.0, float(coords.shape[1])  # unit weights: x * 1.0 == x
+    else:
+        w_col, w_sum = weights[:, :, None], weights.sum(axis=1)[:, None, None]
+    center = (coords * w_col).sum(axis=1, keepdims=True) / w_sum
+    centered = coords - center
+    # `centered * w_col` is a new buffer even for unit weights: an array
+    # times its own transpose takes the syrk path, with other bytes.
+    scatter = (centered * w_col).swapaxes(1, 2) @ centered / w_sum
+    eigvals, eigvecs = np.linalg.eigh(scatter)
+    degenerate = eigvals[:, 1] <= 0.0
+    vx, vy = eigvecs[:, 0, 1], eigvecs[:, 1, 1]   # principal direction
+    along = (centered @ eigvecs[:, :, 1:])[:, :, 0]
+    across = (centered @ np.stack([-vy, vx], axis=1)[:, :, None])[:, :, 0]
+    cx, cy = center[:, 0, 0], center[:, 0, 1]
+    lo, hi = along.min(axis=1), along.max(axis=1)
+    hi = np.where(hi == lo, hi + 0.5, hi)     # guard zero-length line
+    width = np.maximum(1.0, across.max(axis=1) - across.min(axis=1) + 1.0)
+    rows = np.stack([cx + vx * lo, cy + vy * lo, cx + vx * hi, cy + vy * hi,
+                     width], axis=1)
+    return rows, degenerate
+
+
 def fit_rectangle(coords: np.ndarray, weights=None) -> RectangleCandidate:
     """Fit a rectangle to region pixels: weighted centroid, principal axis of
     the weighted scatter, extents covering the pixel centers.
 
-    The sums, the scatter product, the eigen-decomposition and the two
-    projections stay numpy calls, whose summation order the output bytes
-    depend on; the few scalars after them are Python floats.
+    A batch of one for the fitter that `region_grow_candidates` runs on
+    every region of a given size at once, so both give the same bytes.
     """
     coords = np.asarray(coords, dtype=np.float64)  # (m, 2) as (col=x, row=y)
     if coords.ndim != 2 or coords.shape[1] != 2:
         raise ValueError("coords must be (m, 2) pixel centers")
     if len(coords) < 2:
         raise ValueError("cannot fit a rectangle to fewer than 2 pixels")
-    if weights is None:
-        w_col, w_sum = 1.0, float(len(coords))   # unit weights: x * 1.0 == x
-    else:
-        w = np.asarray(weights, dtype=np.float64)
-        w_col, w_sum = w[:, None], w.sum()
-    center = (coords * w_col).sum(axis=0) / w_sum
-    centered = coords - center
-    # `centered * w_col` is a new buffer even for unit weights: an array
-    # times its own transpose takes another BLAS path, with other bytes.
-    scatter = (centered * w_col).T @ centered / w_sum
-    eigvals, eigvecs = np.linalg.eigh(scatter)
-    if eigvals[1] <= 0.0:
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)[None]
+    rows, degenerate = _fit_batch(coords[None], weights)
+    if degenerate[0]:
         raise ValueError("degenerate region: zero scatter")
-    (_, vx), (_, vy) = eigvecs.tolist()      # principal direction (vx, vy)
-    along = (centered @ eigvecs[:, 1]).tolist()
-    across = (centered @ np.array([-vy, vx])).tolist()
-    cx, cy = center.tolist()
-    lo, hi = min(along), max(along)
-    if hi == lo:
-        hi += 0.5                             # guard zero-length line
-    width = max(1.0, max(across) - min(across) + 1.0)
-    return RectangleCandidate(ax=cx + vx * lo, ay=cy + vy * lo,
-                              bx=cx + vx * hi, by=cy + vy * hi, width=width)
+    return RectangleCandidate(*rows[0].tolist())
+
+
+def _fit_regions(pixels: np.ndarray, starts: np.ndarray, width: int,
+                 magnitude) -> list[RectangleCandidate]:
+    """Fit the regions `pixels[starts[i]:starts[i + 1]]` (flat indices on a
+    grid `width` wide with a one-pixel border), one `_fit_batch` per
+    distinct size, and return their rectangles in region order.  Regions
+    with zero scatter or an invalid rectangle are dropped."""
+    sizes = np.diff(starts)
+    rows = np.empty((len(sizes), 5))
+    keep = np.empty(len(sizes), dtype=bool)
+    for m in np.flatnonzero(np.bincount(sizes)).tolist():
+        batch = np.flatnonzero(sizes == m)
+        flat = pixels[starts[batch, None] + np.arange(m)]         # (B, m)
+        coords = np.stack([flat % width - 1, flat // width - 1],
+                          axis=2).astype(np.float64)
+        rows[batch], degenerate = _fit_batch(
+            coords, None if magnitude is None else magnitude[flat])
+        keep[batch] = ~degenerate
+    candidates = []
+    for row in zip(*rows[keep].T.tolist()):
+        try:
+            candidates.append(RectangleCandidate(*row))
+        except ValueError:
+            continue
+    return candidates
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -282,9 +325,13 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     arrays, copied onto a grid with a one-pixel undefined border: every
     pixel reaches its 8 neighbors by fixed flat offsets, with no bounds
     check, and the seed order and regions are those of the unbordered map.
+    One `blocked` byte per pixel marks it undefined or already in a region.
+    The kept regions go into one flat index buffer, and are fitted after
+    the loop in batches of equal size (`fit_rectangle` on each region gives
+    the same rectangles).
     """
     height, width = omap.height + 2, omap.width + 2     # bordered grid
-    defined = memoryview(np.pad(omap.defined, 1).ravel())
+    blocked = bytearray(np.pad(~omap.defined, 1, constant_values=True))
     angles = memoryview(np.pad(omap.angles, 1).ravel())
     if omap.magnitude is None:
         magnitude, order = None, range(height * width)
@@ -294,14 +341,14 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     rho = cfg.rho
     pi = math.pi
     cos, sin, atan2 = math.cos, math.sin, math.atan2
-    used = bytearray(height * width)
     offsets = [dr * width + dc for dr, dc in _NEIGHBORS]
     min_size = max(2, min_region_size)
-    candidates = []
+    pixels = array("q")         # kept regions, back to back
+    starts = [0]
     for seed in order:
-        if used[seed] or not defined[seed]:
+        if blocked[seed]:
             continue
-        used[seed] = 1
+        blocked[seed] = 1
         region = [seed]
         mean_angle = angles[seed]
         sx = cos(2.0 * mean_angle)
@@ -309,27 +356,23 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         for flat in region:        # breadth-first: appended pixels come later
             for off in offsets:
                 nb = flat + off
-                if used[nb] or not defined[nb]:
+                if blocked[nb]:
                     continue
                 a = angles[nb]
                 d = (a - mean_angle) % pi
                 if d > rho and pi - d > rho:      # min(d, pi - d) > rho
                     continue
-                used[nb] = 1
+                blocked[nb] = 1
                 region.append(nb)
                 sx += cos(2.0 * a)
                 sy += sin(2.0 * a)
                 mean_angle = 0.5 * atan2(sy, sx)
-        if len(region) < min_size:
-            continue
-        coords = np.array([(flat % width - 1, flat // width - 1)
-                           for flat in region], dtype=np.float64)
-        weights = None if magnitude is None else magnitude[region]
-        try:
-            candidates.append(fit_rectangle(coords, weights))
-        except ValueError:
-            continue
-    return candidates
+        if len(region) >= min_size:
+            pixels.extend(region)
+            starts.append(len(pixels))
+    del angles, blocked, order  # lowers the peak: the fit needs none of them
+    return _fit_regions(np.frombuffer(pixels, dtype=np.int64),
+                        np.array(starts), width, magnitude)
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,27 @@ class TestDecisions:
         assert nfa_decision(spec, 2, (1, 1, 1, 1)) is True
         assert nfa_decision(spec, 2, (0, 0, 0, 0)) is False  # tail is all 16
 
+    @pytest.mark.parametrize("x", [(1,) * 6, (1, 1, 1), (), (7, 7, 7, 7),
+                                   (1, 1, 2, 1), (0, -1, 0, 0),
+                                   ((1, 1), (1, 1)), (1.5, 1, 1, 1),
+                                   "1111"])
+    def test_x_must_be_a_configuration_of_the_part(self, x):
+        # Six ones used to score above every 4-digit configuration: tail 0,
+        # so nfa_decision said True and part_code_length took log2(0).
+        spec = count_ones_part(eta=8)
+        for decide in (nfa_decision, mdl_parts_decision, part_code_length):
+            with pytest.raises(ValueError, match=r"part count_ones: x must be 4 "
+                                                 r"integer digits in \[0, 2\)"):
+                decide(spec, 2, x)
+
+    def test_digits_checked_against_the_alphabet(self):
+        spec = count_ones_part(eta=8)
+        assert nfa_decision(spec, 3, (2, 2, 2, 2)) is False
+        assert nfa_decision(spec, 3, np.array([1, 1, 1, 1], np.uint8)) is True
+        with pytest.raises(ValueError, match=r"part count_ones: x must be 4 "
+                                             r"integer digits in \[0, 3\)"):
+            nfa_decision(spec, 3, (3, 1, 1, 1))
+
     def test_constant_xi_never_selected(self):
         spec = PartSpec(length=4, eta=Fraction(1),
                         xi=lambda v: np.full(len(v), 7.0))
@@ -221,6 +242,12 @@ class TestXiFamilies:
             PartSpec(length=0, eta=Fraction(1), xi=xi_count_ones)
         with pytest.raises(ValueError):
             PartSpec(length=4, eta=Fraction(0), xi=xi_count_ones)
+
+    @pytest.mark.parametrize("eta", [True, False])
+    def test_eta_must_not_be_a_bool(self, eta):
+        # Fraction(True) is 1, so eta=True used to build a weight-1 part.
+        with pytest.raises(ValueError, match="risk weight eta must be a number"):
+            PartSpec(length=4, eta=eta, xi=xi_count_ones)
 
     @pytest.mark.parametrize("length", [4.0, True, "4", 3.5])
     def test_part_length_must_be_an_integer(self, length):

@@ -334,20 +334,23 @@ def outcome(fn, *args):
 
 @pytest.fixture
 def fits_against_oracle(monkeypatch):
-    """Make `lsd.fit_rectangle` check each fit against the numpy oracle;
-    returns the list of (coords, weights) it is called with."""
-    real = lsd_module.fit_rectangle
+    """Make `lsd._fit_batch` check each region it fits against the numpy
+    oracle run on that region alone; returns the list of (coords, weights)
+    of every region fitted."""
+    real = lsd_module._fit_batch
     seen = []
 
-    def checked(coords, weights=None):
-        seen.append((coords, weights))
-        got = outcome(real, coords, weights)
-        assert got == outcome(fit_rectangle_numpy, coords, weights)
-        if isinstance(got, tuple):
-            raise got[0](got[1])
-        return got
+    def checked(coords, weights):
+        rows, degenerate = real(coords, weights)
+        for i, row in enumerate(rows.tolist()):
+            w = None if weights is None else weights[i]
+            seen.append((coords[i], w))
+            got = ((ValueError, "degenerate region: zero scatter")
+                   if degenerate[i] else outcome(RectangleCandidate, *row))
+            assert got == outcome(fit_rectangle_numpy, coords[i], w)
+        return rows, degenerate
 
-    monkeypatch.setattr(lsd_module, "fit_rectangle", checked)
+    monkeypatch.setattr(lsd_module, "_fit_batch", checked)
     return seen
 
 
@@ -501,6 +504,52 @@ class TestScalarPathsMatchNumpyOracles:
         for bad in (np.zeros((3, 3)), np.zeros(4), np.zeros((1, 2))):
             assert (outcome(fit_rectangle, bad)
                     == outcome(fit_rectangle_numpy, bad))
+
+
+class TestBatchedFit:
+    """`region_grow_candidates` fits its regions in batches of equal size;
+    each region must get the rectangle it gets alone."""
+
+    def test_mixed_batch_matches_per_region_oracle(self):
+        # Sizes 2, 3, 5, 9 and 300 repeat, 4, 17 and 40 come alone; two
+        # regions are one pixel repeated (zero scatter, dropped) and one
+        # lies in a single grid row (zero width).
+        rng = np.random.default_rng(12)
+        width = 40
+        sizes = [2, 5, 5, 3, 9, 300, 5, 2, 17, 3, 40, 5, 300, 9, 4]
+        regions = [rng.integers(width + 1, 30 * width, size=m) for m in sizes]
+        regions[2][:] = regions[2][0]
+        regions[7][:] = regions[7][0]
+        regions[4] = 5 * width + 1 + rng.permutation(np.arange(9) * 3)
+        pixels = np.concatenate(regions)
+        starts = np.cumsum([0] + sizes)
+        magnitude = rng.uniform(0.5, 50.0, 30 * width)
+        for mag in (None, magnitude):
+            expected = []
+            for flat in regions:
+                coords = np.column_stack([flat % width - 1,
+                                          flat // width - 1]).astype(float)
+                fit = outcome(fit_rectangle_numpy, coords,
+                              None if mag is None else mag[flat])
+                if isinstance(fit, RectangleCandidate):
+                    expected.append(fit)
+            assert len(expected) == len(sizes) - 2
+            assert lsd_module._fit_regions(pixels, starts, width, mag) == expected
+
+    def test_one_fit_batch_per_region_size(self, monkeypatch):
+        real = lsd_module._fit_batch
+        batches = []
+
+        def counted(coords, weights):
+            batches.append(coords.shape[:2])
+            return real(coords, weights)
+
+        monkeypatch.setattr(lsd_module, "_fit_batch", counted)
+        omap = isotropic_orientation_map(128, 128, seed=3)
+        candidates = region_grow_candidates(omap, LsdConfig())
+        sizes = [m for _, m in batches]
+        assert sorted(sizes) == sorted(set(sizes))
+        assert sum(b for b, _ in batches) >= len(candidates) > 10 * len(batches)
 
 
 class TestScoreCandidates:
