@@ -143,8 +143,13 @@ def _xi_values(spec: PartSpec, alphabet_size: int) -> np.ndarray:
 
 
 def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
-    """Exact count of configurations v with xi(v) >= threshold."""
+    """Exact count of configurations v with xi(v) >= threshold.
+
+    A threshold of +inf counts none and -inf counts all; NaN is refused.
+    """
     values = _xi_values(spec, alphabet_size)
+    if math.isnan(threshold):
+        raise ValueError(f"part {_name(spec)}: threshold must be a number, got NaN")
     return int((values >= threshold).sum())
 
 

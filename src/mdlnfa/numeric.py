@@ -181,6 +181,18 @@ class HypothesisCounts(NamedTuple):
         return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa())
 
 
+def binomial_first_term_log(n: int, k: int, q: float) -> Bits:
+    """log2 of the first term C(n, k) q^k (1-q)^(n-k) of the tail B(n, k, q),
+    or -inf where q is 0 or 1.
+
+    `binomial_tail_log` starts its sum from this value and only adds to it,
+    so min(0, this) is a lower bound of the tail's log2 in floats as well.
+    """
+    if q == 0.0 or q == 1.0:
+        return -math.inf
+    return log_binomial(n, k) + k * math.log2(q) + (n - k) * math.log2(1.0 - q)
+
+
 def binomial_tail_log(n: int, k: int, q: float) -> Bits:
     """log2 of the binomial tail B(n, k, q) = sum_{i>=k} C(n,i) q^i (1-q)^(n-i).
 
@@ -200,12 +212,10 @@ def binomial_tail_log(n: int, k: int, q: float) -> Bits:
     if q == 1.0:
         return 0.0          # all mass at i = n >= k
 
-    log2_q = math.log2(q)
-    log2_1mq = math.log2(1.0 - q)
-    log_odds = log2_q - log2_1mq
+    log_odds = math.log2(q) - math.log2(1.0 - q)
 
     # Streaming log-sum-exp state: total = 2**m * s.
-    m = log_binomial(n, k) + k * log2_q + (n - k) * log2_1mq
+    m = binomial_first_term_log(n, k, q)
     s = 1.0
     last = m     # log2 of the most recent term
     i0 = k

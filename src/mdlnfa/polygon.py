@@ -20,7 +20,8 @@ import numpy as np
 
 from .imaging import (_ROW_EPS, BinaryImage, _scanline_rows, _shoelace, count_region,
                       rasterize_polygon)
-from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
+from .numeric import (DomainError, HypothesisCounts, RegionCounts, Score,
+                      binomial_first_term_log)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,25 +133,22 @@ def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
     return _counts(image, poly, relative=True).score()
 
 
-def _removable(verts: np.ndarray) -> np.ndarray:
-    """Per vertex i of a simple polygon: does removing it pass the checks of
+def _removable(verts: np.ndarray, i: int) -> bool:
+    """Does removing vertex i of a simple polygon pass the checks of
     PolygonHypothesis and the zero-area check of rasterize_polygon?
 
     Every edge pair of the child that does not hold its new chord
     v[i-1]v[i+1] is a pair of the parent, so only the chord is tested,
-    against the edges it is not adjacent to.  v[i-1] == v[i+1] needs no
-    test: the parent's edges ending at v[i-1] and starting at v[i+1] would
-    touch.
+    against the edges v[k]v[k+1] it is not adjacent to (k = i+2 .. i-3).
+    v[i-1] == v[i+1] needs no test: the parent's edges ending at v[i-1] and
+    starting at v[i+1] would touch.
     """
     c = len(verts)
-    prv, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
-    i = np.arange(c)
-    gap = (i[None, :] - i[:, None]) % c   # edge k = v[k]v[k+1] seen from vertex i
-    far = (gap >= 2) & (gap <= c - 3)
-    touch = _segments_touch(prv[:, None], nxt[:, None], verts[None], nxt[None])
-    keep = i[:-1]
-    children = verts[keep[None, :] + (keep[None, :] >= i[:, None])]
-    return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
+    far = np.arange(i + 2, i + c - 2) % c
+    if _segments_touch(verts[i - 1], verts[(i + 1) % c],
+                       verts[far], verts[(far + 1) % c]).any():
+        return False
+    return abs(float(_shoelace(np.delete(verts, i, axis=0)))) >= 1e-12
 
 
 def _without_removable_vertex(poly: PolygonHypothesis, index: int) -> PolygonHypothesis:
@@ -172,8 +170,9 @@ def _triple(pts: list, i: int) -> tuple:
 def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
                   mask: np.ndarray, inside: RegionCounts, bands: dict) -> list:
     """Interior (n, k) of each one-vertex removal from `poly`, or None where
-    the child is not a valid polygon or leaves no exterior; `mask` and
-    `inside` are `poly`'s own.
+    the child has no footprint or leaves no exterior; `mask` and `inside`
+    are `poly`'s own.  Whether the child is a valid polygon is left to
+    `_removable`, which the caller asks only of a child that could win.
 
     Removing vertex i changes only the edges v[i-1]v[i], v[i]v[i+1] and
     v[i-1]v[i+1], and no edge reaches a row outside its y-range, so the
@@ -192,7 +191,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
     pts = poly.vertices.tolist()
     c = len(pts)
     out = [None] * c
-    for i in np.flatnonzero(_removable(poly.vertices)).tolist():
+    for i in range(c):
         key = _triple(pts, i)
         entry = bands.get(key)
         if entry is None:
@@ -255,14 +254,31 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     counted from the current polygon's mask (see `_child_counts`), and a
     child's band count is kept from step to step until a removal changes
     its rows.  The initial polygon is the only one rasterized in full: each
-    step splices the winner's band into the mask.  Interior counts recur
-    from step to step, so each NFA tail is computed once per run.
+    step splices the winner's band into the mask.
+
+    Each child gets a key that is never above its score: its MDL bits; its
+    log2 NFA where the run's memo holds its tail; else log2_tests plus
+    min(0, `binomial_first_term_log`), which is below the tail in floats
+    too.  The children are walked in (key, index) order, and the walk stops
+    at the first key that cannot beat the current score or the best valid
+    child found so far.  Only a child the walk reaches gets its tail
+    computed, and only one that would become the best is checked with
+    `_removable`.  Interior counts recur from step to step, so each NFA
+    tail is computed at most once per run.
     """
     if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     tails: dict = {}
-    bits = (HypothesisCounts.mdl_bits if criterion == "mdl"
-            else partial(HypothesisCounts.log2_nfa, tails=tails))
+    if criterion == "mdl":
+        bits = key = HypothesisCounts.mdl_bits
+    else:
+        bits = partial(HypothesisCounts.log2_nfa, tails=tails)
+
+        def key(counts: HypothesisCounts) -> float:
+            tail = tails.get(counts.tail)
+            if tail is None:
+                tail = min(0.0, binomial_first_term_log(*counts.tail))
+            return counts.log2_tests + tail
     current = initial
     mask = rasterize_polygon(current.vertices, image.width, image.height)
     inside = count_region(image, mask)
@@ -270,23 +286,30 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     bands: dict = {}
     while current.c > 3:
-        best, best_score = None, math.inf
-        for i, child in enumerate(_child_counts(image, current, mask, inside,
-                                                bands)):
-            if child is None:
-                continue
-            child_score = bits(polygon_counts(image, current.c - 1, child))
-            if child_score < best_score:
-                best, best_score, best_inside = i, child_score, child
-        if best is None or not best_score < current_score:
+        children = _child_counts(image, current, mask, inside, bands)
+        keyed = []
+        for i, child in enumerate(children):
+            if child is not None:
+                counts = polygon_counts(image, current.c - 1, child)
+                keyed.append((key(counts), i, counts))
+        # `bar` is the (score, index) a child must beat: the current score
+        # with no index, then the best valid child so far.
+        best, bar = None, (current_score, -1)
+        for bound, i, counts in sorted(keyed):
+            if (bound, i) >= bar:
+                break
+            score = bits(counts)
+            if (score, i) < bar and _removable(current.vertices, i):
+                best, bar = i, (score, i)
+        if best is None:
             break
         r0, r1, rows, _, _ = bands[_triple(current.vertices.tolist(), best)]
         if rows is not None:
             mask[r0:r1 + 1] = rows
         # Only rows r0..r1 changed, for the mask and for every later child.
-        bands = {key: entry for key, entry in bands.items()
+        bands = {triple: entry for triple, entry in bands.items()
                  if entry[1] < r0 or entry[0] > r1}
         current, current_score, inside = (_without_removable_vertex(current, best),
-                                          best_score, RegionCounts(*best_inside))
+                                          bar[0], RegionCounts(*children[best]))
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -601,6 +601,31 @@ def bss_simplify_full(image, initial, criterion):
     return BssTrajectory(criterion=criterion, steps=tuple(steps))
 
 
+def removable_all(verts):
+    """Reference removability: `polygon._removable` at every vertex at once,
+    as first written, with one c x c chord-against-edge matrix.
+
+    Per vertex i of a simple polygon: does removing it pass the checks of
+    PolygonHypothesis and the zero-area check of rasterize_polygon?  Only
+    the new chord v[i-1]v[i+1] is tested, against the edges it is not
+    adjacent to, and the child's area is checked.
+    """
+    import numpy as np
+
+    from mdlnfa.imaging import _shoelace
+    from mdlnfa.polygon import _segments_touch
+
+    c = len(verts)
+    prv, nxt = np.roll(verts, 1, axis=0), np.roll(verts, -1, axis=0)
+    i = np.arange(c)
+    gap = (i[None, :] - i[:, None]) % c   # edge k = v[k]v[k+1] seen from vertex i
+    far = (gap >= 2) & (gap <= c - 3)
+    touch = _segments_touch(prv[:, None], nxt[:, None], verts[None], nxt[None])
+    keep = i[:-1]
+    children = verts[keep[None, :] + (keep[None, :] >= i[:, None])]
+    return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
+
+
 def check_equivalence_per_config(alphabet_size, parts):
     """Reference checker: `equivalence.check_equivalence` as first written,
     enumerating with `itertools.product`, calling `spec.xi` on one

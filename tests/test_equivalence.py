@@ -92,6 +92,20 @@ class TestTailCount:
         counts = [tail_count(spec, 2, t) for t in range(5)]
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
+    def test_infinite_thresholds(self):
+        spec = count_ones_part()
+        assert tail_count(spec, 2, math.inf) == 0
+        assert tail_count(spec, 2, -math.inf) == 16
+
+    def test_nan_threshold_rejected(self):
+        # Every xi >= NaN is False, so NaN used to count as an empty tail.
+        spec = PartSpec(length=4, eta=8, xi=xi_count_ones)
+        with pytest.raises(ValueError, match="part 4: threshold must be a number"):
+            tail_count(spec, 2, math.nan)
+        with pytest.raises(ValueError, match="part ones: threshold"):
+            tail_count(PartSpec(length=4, eta=8, xi=xi_count_ones, name="ones"),
+                       2, np.float64("nan"))
+
     def test_refuses_oversized_state_space(self):
         spec = PartSpec(length=30, eta=Fraction(1), xi=xi_count_ones)
         with pytest.raises(EnumerationRefused):

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from mdlnfa.numeric import (
     RegionCounts,
     bernoulli_kld,
     binary_entropy,
+    binomial_first_term_log,
     binomial_tail_log,
     g_term,
     hoeffding_tail_bound,
@@ -189,6 +191,36 @@ class TestBinomialTailLog:
             binomial_tail_log(10, 3, 1.5)
         with pytest.raises(DomainError):
             binomial_tail_log(10, 3, -0.1)
+
+
+class TestBinomialFirstTermLog:
+    def test_matches_exact_first_term(self):
+        for n in range(1, 26):
+            for k in range(n + 1):
+                for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+                    qf = Fraction(q)
+                    term = math.comb(n, k) * qf**k * (1 - qf) ** (n - k)
+                    expected = (math.log2(term.numerator)
+                                - math.log2(term.denominator))
+                    assert binomial_first_term_log(n, k, q) == pytest.approx(
+                        expected, rel=1e-9, abs=1e-9), (n, k, q)
+
+    def test_minus_infinity_at_the_edge_probabilities(self):
+        for k in (0, 3, 10):
+            assert binomial_first_term_log(10, k, 0.0) == -math.inf
+            assert binomial_first_term_log(10, k, 1.0) == -math.inf
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=3000),
+       st.integers(min_value=0, max_value=3000),
+       st.sampled_from([0.0, 1.0, 5e-324, 1e-300, 0.999999, 1.0 - 2**-53])
+       | st.floats(min_value=0.0, max_value=1.0))
+def test_first_term_bounds_the_tail_in_floats(n, k, q):
+    # BSS ranks NFA children by min(0, first term) before their tails are
+    # computed, so the bound must hold exactly, not only to rounding.
+    k = min(k, n)
+    assert min(0.0, binomial_first_term_log(n, k, q)) <= binomial_tail_log(n, k, q)
 
 
 class TestHoeffdingBound:

@@ -15,22 +15,25 @@ from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
+    _scanline_rows,
     count_region,
     flip_noise,
     rasterize_polygon,
     synthesize_squares,
 )
-from mdlnfa.numeric import Score, complement
+from mdlnfa.numeric import Score, binomial_first_term_log, complement
 from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
+    _removable,
     bss_simplify,
     mdl_polygon_score,
     nfa_polygon_score,
+    polygon_counts,
     polygon_scores,
 )
 from mdlnfa.square_detect import Square, l0_code_length, mdl_score_single
-from oracles import bss_simplify_full
+from oracles import bss_simplify_full, removable_all
 
 SQUARE_POLY = [(10, 10), (10, 49), (49, 49), (49, 10)]
 
@@ -260,11 +263,24 @@ def full_child_counts(image, poly, i):
         return None
 
 
+def removable_per_vertex(poly):
+    """`_removable` at every vertex, checked against the all-vertex oracle."""
+    removable = [_removable(poly.vertices, i) for i in range(poly.c)]
+    assert removable == removable_all(poly.vertices).tolist()
+    return removable
+
+
+def valid_only(children, removable):
+    return [counts if ok else None for counts, ok in zip(children, removable)]
+
+
 def assert_children_match_full_path(image, poly):
+    # `_child_counts` also counts children that `_removable` rejects; the
+    # full path skips them.
     mask = rasterize_polygon(poly.vertices, image.width, image.height)
     incremental = _child_counts(image, poly, mask, count_region(image, mask), {})
     full = [full_child_counts(image, poly, i) for i in range(poly.c)]
-    assert incremental == full
+    assert valid_only(incremental, removable_per_vertex(poly)) == full
     return full
 
 
@@ -305,6 +321,20 @@ class TestIncrementalBss:
         for poly in polygons.values():
             assert_children_match_full_path(image, poly)
         assert len(polygons) > 40
+
+    def test_removable_matches_all_vertex_oracle(self, shape_instances):
+        # Every vertex of every polygon on the shape and star trajectories.
+        instances = list(shape_instances.values()) + [
+            (image, PolygonHypothesis(verts)) for image, verts in
+            (TestBssAgainstExhaustiveOracle().make_instance(seed, c)
+             for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)])]
+        checked = 0
+        for image, initial in instances:
+            for criterion in ("mdl", "nfa"):
+                for step in bss_simplify(image, initial, criterion).steps:
+                    removable_per_vertex(step.polygon)
+                    checked += step.polygon.c
+        assert checked > 5000
 
     def test_collinear_middle_vertex(self):
         poly = PolygonHypothesis(np.array(
@@ -418,6 +448,104 @@ class TestTailMemo:
         assert (trajectory_record(traj)
                 == trajectory_record(bss_simplify_full(image, initial, "nfa")))
 
+    def test_at_most_one_tail_per_step(self, monkeypatch, shape_instances):
+        # Only children that can still win get an exact tail; the others
+        # are ruled out by the bound on their tail's first term.
+        image, initial = shape_instances[0]
+        calls = []
+        tail = numeric_module.binomial_tail_log
+
+        def counting(n, k, q):
+            calls.append((n, k))
+            return tail(n, k, q)
+
+        monkeypatch.setattr(numeric_module, "binomial_tail_log", counting)
+        steps = bss_simplify(image, initial, "nfa").steps
+        assert 0 < len(calls) <= len(steps)
+
+
+class TestLazyWalk:
+    """bss_simplify walks the children in (key, index) order and checks only
+    those that can still win; each case must still give the full path's
+    trajectory."""
+
+    @staticmethod
+    def child_scores(image, poly, criterion):
+        mask = rasterize_polygon(poly.vertices, image.width, image.height)
+        scores = []
+        for child in _child_counts(image, poly, mask, count_region(image, mask), {}):
+            counts = polygon_counts(image, poly.c - 1, child)
+            scores.append(counts.mdl_bits() if criterion == "mdl"
+                          else counts.log2_nfa())
+        return scores
+
+    @staticmethod
+    def assert_matches_full_path(image, initial, criterion):
+        traj = bss_simplify(image, initial, criterion)
+        assert (trajectory_record(traj)
+                == trajectory_record(bss_simplify_full(image, initial, criterion)))
+        return traj
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_best_scoring_child_self_intersects(self, criterion):
+        # Dropping (18, 2) leaves the chord (2, 2) -> (18, 18), which crosses
+        # the edge (10, 6) -> (2, 18); the image is that bow-tie's own
+        # even-odd footprint, so it scores best of all children.
+        verts = np.array([(2, 2), (18, 2), (18, 18), (10, 6), (2, 18)], dtype=float)
+        bow_tie = np.delete(verts, 1, axis=0).tolist()
+        image = BinaryImage(_scanline_rows(bow_tie, 20, 0, 19).astype(np.uint8))
+        initial = PolygonHypothesis(verts)
+        scores = self.child_scores(image, initial, criterion)
+        assert int(np.argmin(scores)) == 1 and not _removable(initial.vertices, 1)
+        traj = self.assert_matches_full_path(image, initial, criterion)
+        assert traj.steps[1].polygon.vertices.tolist() == np.delete(verts, 2, axis=0).tolist()
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_exact_tie_goes_to_the_lower_index(self, criterion):
+        # Hexagon and image are mirror images about x = 10, so dropping
+        # vertex 1 or vertex 5 gives the same counts and the same score.
+        verts = np.array([(10, 2), (17, 6), (17, 14), (10, 18), (3, 14), (3, 6)],
+                         dtype=float)
+        rng = np.random.default_rng(0)
+        kite = rasterize_polygon(verts[[0, 2, 3, 4]], 21, 21)
+        pixels = (rng.random((21, 21)) < 0.2) | kite
+        image = BinaryImage((pixels | pixels[:, ::-1]).astype(np.uint8))
+        initial = PolygonHypothesis(verts)
+        scores = self.child_scores(image, initial, criterion)
+        assert scores[1] == scores[5] == min(scores)
+        traj = self.assert_matches_full_path(image, initial, criterion)
+        assert traj.steps[1].polygon.vertices.tolist() == np.delete(verts, 1, axis=0).tolist()
+
+    def test_lowest_bound_child_loses(self):
+        # On this noise the NFA child with the lowest first-term bound
+        # (vertex 4) has a heavier tail than vertex 0, which wins: the walk
+        # must go on past the first child it scores.
+        image = noise_image(20, seed=1, density=0.5)
+        initial = PolygonHypothesis(np.array(
+            [(19, 10), (11, 14), (4, 14), (3, 5), (11, 5)], dtype=float))
+        mask = rasterize_polygon(initial.vertices, 20, 20)
+        bounds = [polygon_counts(image, 4, child) for child in
+                  _child_counts(image, initial, mask, count_region(image, mask), {})]
+        bounds = [c.log2_tests + min(0.0, binomial_first_term_log(*c.tail))
+                  for c in bounds]
+        scores = self.child_scores(image, initial, "nfa")
+        assert int(np.argmin(bounds)) == 4 and int(np.argmin(scores)) == 0
+        traj = self.assert_matches_full_path(image, initial, "nfa")
+        assert traj.steps[1].polygon.vertices.tolist() == initial.vertices[1:].tolist()
+
+    @pytest.mark.parametrize("value", [0, 1])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_constant_image(self, value, criterion):
+        # q is 0 or 1, where every child's NFA key is -inf until its tail is
+        # computed.
+        image = BinaryImage(np.full((20, 20), value, dtype=np.uint8))
+        radii = [8, 5, 7, 4, 8, 6, 7, 5]
+        initial = PolygonHypothesis(star_polygon((10, 10), radii))
+        q = image.count_ones / image.n
+        assert q == value and binomial_first_term_log(50, 50 * value, q) == -math.inf
+        traj = self.assert_matches_full_path(image, initial, criterion)
+        assert len(traj.steps) > 1
+
 
 def checked_bss(monkeypatch, image, initial, criterion):
     """bss_simplify, with the mask, counts and live band cache of every step
@@ -432,7 +560,9 @@ def checked_bss(monkeypatch, image, initial, criterion):
         assert inside == count_region(image, fresh)
         expected = child_counts(image, poly, fresh, inside, {})
         cached.append(len(bands))
-        assert child_counts(image, poly, mask, inside, bands) == expected
+        removable = removable_per_vertex(poly)
+        assert (valid_only(child_counts(image, poly, mask, inside, bands), removable)
+                == valid_only(expected, removable))
         return expected
 
     monkeypatch.setattr(polygon_module, "_child_counts", checking_child_counts)
