@@ -182,6 +182,8 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_gen(args) -> int:
+    if args.side is not None and args.side < 1:
+        raise ex.ConfigError(f"--side must be >= 1, got {args.side}")
     out = _out_dir(args)
     seed = args.seed or 0
     if args.kind == "single-square":

@@ -391,15 +391,12 @@ def render_polygon_overlay(image: BinaryImage,
     """Gray rendering of the image with the polygon edges painted white."""
     canvas = (image.pixels * np.uint8(128)).astype(np.uint8)
     verts = poly.vertices
-    for i in range(len(verts)):
-        x1, y1 = verts[i]
-        x2, y2 = verts[(i + 1) % len(verts)]
-        steps = int(max(abs(x2 - x1), abs(y2 - y1)) * 2) + 1
-        for t in np.linspace(0.0, 1.0, steps):
-            col = int(round(x1 + t * (x2 - x1)))
-            row = int(round(y1 + t * (y2 - y1)))
-            if 0 <= row < image.height and 0 <= col < image.width:
-                canvas[row, col] = 255
+    for (x1, y1), (x2, y2) in zip(verts, np.roll(verts, -1, axis=0)):
+        t = np.linspace(0.0, 1.0, int(max(abs(x2 - x1), abs(y2 - y1)) * 2) + 1)
+        cols = np.round(x1 + t * (x2 - x1)).astype(np.int64)
+        rows = np.round(y1 + t * (y2 - y1)).astype(np.int64)
+        on = (rows >= 0) & (rows < image.height) & (cols >= 0) & (cols < image.width)
+        canvas[rows[on], cols[on]] = 255
     return canvas
 
 

@@ -8,7 +8,7 @@ construction, so all operations here are safe to call concurrently.
 from __future__ import annotations
 
 import math
-from collections import deque
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -292,42 +292,37 @@ def write_pgm(path, gray: np.ndarray) -> None:
     Path(path).write_bytes(header + arr.tobytes())
 
 
-def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit PGM image; binary (P5) and ASCII (P2) are accepted."""
-    data = Path(path).read_bytes()
+# Magic, width, height and maxval, with whitespace and `#` comments between
+# the tokens, then the single whitespace byte that ends the header.
+_PGM_HEADER = re.compile(rb"(P[25])" + rb"(?:\s|#[^\n]*)+(\d+)" * 3 + rb"\s")
 
-    tokens = []
-    pos = 0
-    while len(tokens) < 4:
-        while pos < len(data) and data[pos:pos + 1].isspace():
-            pos += 1
-        if pos < len(data) and data[pos:pos + 1] == b"#":
-            while pos < len(data) and data[pos] != 0x0A:
-                pos += 1
-            continue
-        start = pos
-        while pos < len(data) and not data[pos:pos + 1].isspace():
-            pos += 1
-        if start == pos:
-            raise ValueError(f"truncated PGM header in {path}")
-        tokens.append(data[start:pos])
-    magic, width, height, maxval = (tokens[0], int(tokens[1]), int(tokens[2]),
-                                    int(tokens[3]))
-    if maxval <= 0 or maxval > 255:
-        raise ValueError(f"unsupported PGM maxval {maxval}")
-    if magic == b"P5":
-        pos += 1  # single whitespace byte after maxval
-        raw = data[pos:pos + width * height]
-        if len(raw) != width * height:
-            raise ValueError(f"truncated PGM pixel data in {path}")
-        return np.frombuffer(raw, dtype=np.uint8).reshape(height, width).copy()
-    if magic == b"P2":
-        values = data[pos:].split()
-        if len(values) < width * height:
-            raise ValueError(f"truncated PGM pixel data in {path}")
-        arr = np.array([int(v) for v in values[:width * height]], dtype=np.uint8)
-        return arr.reshape(height, width)
-    raise ValueError(f"not an 8-bit PGM file: magic {magic!r}")
+
+def read_pgm(path) -> np.ndarray:
+    """Read a PGM image, binary (P5) or ASCII (P2), as 8-bit gray levels.
+
+    Samples above maxval are rejected.  Each sample s reads as
+    (s * 255 + maxval // 2) // maxval: a maxval below 255 is rescaled to the
+    full range, and at maxval 255 the formula is the identity.
+    """
+    data = Path(path).read_bytes()
+    header = _PGM_HEADER.match(data)
+    if header is None:
+        raise ValueError(f"not an 8-bit P2/P5 PGM header in {path}")
+    width, height, maxval = (int(v) for v in header.groups()[1:])
+    if not 0 < maxval <= 255:
+        raise ValueError(f"unsupported PGM maxval {maxval} in {path}")
+    n = width * height
+    body = data[header.end():]
+    if header[1] == b"P5":
+        samples = np.frombuffer(body[:n], dtype=np.uint8)
+    else:
+        samples = np.array([int(v) for v in body.split()[:n]], dtype=np.int64)
+    if samples.size != n:
+        raise ValueError(f"truncated PGM pixel data in {path}")
+    if np.any((samples < 0) | (samples > maxval)):
+        raise ValueError(f"PGM sample outside 0..{maxval} in {path}")
+    samples = (samples.astype(np.int64) * 255 + maxval // 2) // maxval
+    return samples.astype(np.uint8).reshape(height, width)
 
 
 def binary_to_gray(image: BinaryImage) -> np.ndarray:
@@ -355,18 +350,24 @@ def write_polygon_file(path, vertices) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def read_polygon_file(path) -> np.ndarray:
-    verts = []
+def _rows(path):
+    """Yield (`path:line`, text) for each line of a text file that holds more
+    than a `#` comment, with the comment and outer whitespace cut off."""
     for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+        if line:
+            yield f"{path}:{lineno}", line
+
+
+def read_polygon_file(path) -> np.ndarray:
+    verts = []
+    for where, line in _rows(path):
         try:
             x, y = (float(v) for v in line.split())
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: expected 'x y', got {line!r}") from None
+            raise ValueError(f"{where}: expected 'x y', got {line!r}") from None
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"{path}:{lineno}: vertex ({x}, {y}) is not finite")
+            raise ValueError(f"{where}: vertex ({x}, {y}) is not finite")
         verts.append((x, y))
     if len(verts) < 3:
         raise ValueError(f"polygon file {path} holds fewer than 3 vertices")
@@ -378,70 +379,48 @@ def trace_contour(image: BinaryImage, every: int = 1) -> np.ndarray:
 
     Moore-neighbor tracing over the largest 4-connected component of ones;
     returns every `every`-th boundary pixel as (x, y) vertices.  Intended
-    only to bootstrap an initial polygon from a thresholded image.
+    only to bootstrap an initial polygon from a thresholded image.  Both
+    passes run on a flat copy of the image with a one-pixel background
+    border, so every neighbour is a fixed flat offset with no bounds check.
     """
     if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
             or every < 1):
         raise ValueError(f"every must be an integer >= 1, got {every!r}")
-    pixels = image.pixels
-    height, width = pixels.shape
-    labels = np.zeros_like(pixels, dtype=np.int32)
-    sizes = {}
-    next_label = 0
-    for r0 in range(height):
-        for c0 in range(width):
-            if pixels[r0, c0] and not labels[r0, c0]:
-                next_label += 1
-                queue = deque([(r0, c0)])
-                labels[r0, c0] = next_label
-                size = 0
-                while queue:
-                    r, c = queue.popleft()
-                    size += 1
-                    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
-                        if 0 <= rr < height and 0 <= cc < width and \
-                                pixels[rr, cc] and not labels[rr, cc]:
-                            labels[rr, cc] = next_label
-                            queue.append((rr, cc))
-                sizes[next_label] = size
-    if not sizes:
+    width = image.width + 2                     # bordered grid
+    grid = bytearray(np.pad(image.pixels, 1))   # 1: foreground not yet labelled
+    best = []       # the first largest 4-connected component in scan order
+    for seed in np.flatnonzero(grid).tolist():
+        region = [seed] if grid[seed] else []     # empty once labelled
+        grid[seed] = 0
+        for flat in region:        # breadth-first: appended pixels come later
+            for nb in (flat - width, flat + width, flat - 1, flat + 1):
+                if grid[nb]:
+                    grid[nb] = 0
+                    region.append(nb)
+        if len(region) > len(best):
+            best = region
+    if not best:
         raise ValueError("image has no foreground pixels to trace")
-    target = max(sizes, key=sizes.get)
-    inside = labels == target
-
-    rows, cols = np.nonzero(inside)
-    start = (int(rows[0]), int(cols[0]))  # topmost, then leftmost
-
-    # Moore neighbourhood in clockwise order starting from west.
-    moore = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
-
-    def is_fg(r, c):
-        return 0 <= r < height and 0 <= c < width and inside[r, c]
-
+    for flat in best:              # labelling cleared the grid: mark the target
+        grid[flat] = 1
+    # The Moore ring clockwise from west, twice over so the scan needs no modulo.
+    ring = [-1, -width - 1, -width, -width + 1, 1, width + 1, width, width - 1] * 2
+    start = current = best[0]      # topmost, then leftmost
     boundary = [start]
-    prev_dir = 0
-    current = start
-    while True:
-        found = False
-        for step in range(8):
-            d = (prev_dir + step) % 8
-            dr, dc = moore[d]
-            candidate = (current[0] + dr, current[1] + dc)
-            if is_fg(*candidate):
-                boundary.append(candidate)
-                current = candidate
-                prev_dir = (d + 5) % 8   # back up two steps of the scan
-                found = True
+    back = 0
+    while len(boundary) <= 4 * len(best) + 8:   # safety net against runaway walks
+        for d in range(back, back + 8):
+            if grid[current + ring[d]]:
                 break
-        if not found:      # isolated pixel
+        else:
+            break                  # isolated pixel
+        current += ring[d]
+        if current == start:
             break
-        if current == start and len(boundary) > 2:
-            boundary.pop()
-            break
-        if len(boundary) > 4 * inside.sum() + 8:
-            break          # safety net against pathological loops
-    verts = np.array([(c, r) for r, c in boundary], dtype=np.float64)
-    verts = verts[::every]
+        boundary.append(current)
+        back = (d + 5) % 8         # back up two steps of the scan
+    rows, cols = np.divmod(np.array(boundary[::every]), width)
+    verts = np.stack([cols - 1, rows - 1], axis=1).astype(np.float64)
     if len(verts) < 3:
         raise ValueError("traced contour has fewer than 3 vertices")
     return verts

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import OrientationMap, gradient_orientation
+from .imaging import OrientationMap, _rows, gradient_orientation
 from .numeric import HypothesisCounts, Score
 
 DEFAULT_RHO = math.pi / 16.0
@@ -445,15 +445,12 @@ def write_candidates_file(path, candidates) -> None:
 
 def read_candidates_file(path) -> list[RectangleCandidate]:
     cands = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for where, line in _rows(path):
         try:
             ax, ay, bx, by, w = (float(v) for v in line.split()[:5])
             cands.append(RectangleCandidate(ax=ax, ay=ay, bx=bx, by=by, width=w))
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from exc
+            raise ValueError(f"{where}: {exc}") from exc
     return cands
 
 

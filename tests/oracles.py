@@ -626,6 +626,99 @@ def removable_all(verts):
     return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
 
 
+def trace_contour_grid(image, every: int = 1):
+    """Reference tracer: `imaging.trace_contour` as first written, with a 2-D
+    breadth-first labelling and a bounds-checked Moore walk on the pixel
+    grid.
+
+    Labels the 4-connected components of ones in scan order, keeps the first
+    largest, and walks its Moore neighbourhood clockwise from its topmost,
+    then leftmost pixel; returns every `every`-th boundary pixel as (x, y).
+    """
+    from collections import deque
+
+    import numpy as np
+
+    if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
+            or every < 1):
+        raise ValueError(f"every must be an integer >= 1, got {every!r}")
+    pixels = image.pixels
+    height, width = pixels.shape
+    labels = np.zeros_like(pixels, dtype=np.int32)
+    sizes = {}
+    next_label = 0
+    for r0 in range(height):
+        for c0 in range(width):
+            if pixels[r0, c0] and not labels[r0, c0]:
+                next_label += 1
+                queue = deque([(r0, c0)])
+                labels[r0, c0] = next_label
+                size = 0
+                while queue:
+                    r, c = queue.popleft()
+                    size += 1
+                    for rr, cc in ((r - 1, c), (r + 1, c), (r, c - 1), (r, c + 1)):
+                        if 0 <= rr < height and 0 <= cc < width and \
+                                pixels[rr, cc] and not labels[rr, cc]:
+                            labels[rr, cc] = next_label
+                            queue.append((rr, cc))
+                sizes[next_label] = size
+    if not sizes:
+        raise ValueError("image has no foreground pixels to trace")
+    target = max(sizes, key=sizes.get)
+    inside = labels == target
+
+    rows, cols = np.nonzero(inside)
+    start = (int(rows[0]), int(cols[0]))  # topmost, then leftmost
+
+    # Moore neighbourhood in clockwise order starting from west.
+    moore = [(0, -1), (-1, -1), (-1, 0), (-1, 1), (0, 1), (1, 1), (1, 0), (1, -1)]
+
+    def is_fg(r, c):
+        return 0 <= r < height and 0 <= c < width and inside[r, c]
+
+    boundary = [start]
+    prev_dir = 0
+    current = start
+    while True:
+        found = False
+        for step in range(8):
+            d = (prev_dir + step) % 8
+            dr, dc = moore[d]
+            candidate = (current[0] + dr, current[1] + dc)
+            if is_fg(*candidate):
+                boundary.append(candidate)
+                current = candidate
+                prev_dir = (d + 5) % 8   # back up two steps of the scan
+                found = True
+                break
+        if not found:      # isolated pixel
+            break
+        if current == start and len(boundary) > 2:
+            boundary.pop()
+            break
+        if len(boundary) > 4 * inside.sum() + 8:
+            break          # safety net against pathological loops
+    verts = np.array([(c, r) for r, c in boundary], dtype=np.float64)
+    verts = verts[::every]
+    if len(verts) < 3:
+        raise ValueError("traced contour has fewer than 3 vertices")
+    return verts
+
+
+def pgm_bytes(magic, samples, maxval):
+    """A PGM file (P2 or P5) of the given integer samples, written out by
+    hand so that maxval and out-of-range samples can be chosen freely."""
+    import numpy as np
+
+    samples = np.asarray(samples)
+    header = f"{magic}\n{samples.shape[1]} {samples.shape[0]}\n{maxval}\n".encode()
+    if magic == "P5":
+        return header + samples.astype(np.uint8).tobytes()
+    rows = (" ".join(map(str, row)) for row in samples.tolist())
+    return header + "\n".join(rows).encode() + b"\n"
+
+
 def check_equivalence_per_config(alphabet_size, parts):
     """Reference checker: `equivalence.check_equivalence` as first written,
     enumerating with `itertools.product`, calling `spec.xi` on one

@@ -31,6 +31,7 @@ from mdlnfa.experiments import (
     threshold_along,
 )
 from mdlnfa.lsd import LsdConfig
+from oracles import pgm_bytes
 
 TINY_SINGLE = SingleSweepConfig(sides=(10, 30), deltas=(0.1, 0.3),
                                 seeds_per_cell=4)
@@ -366,6 +367,50 @@ class TestCli:
         assert (tmp_path / "single_square.pgm").exists()
         assert (tmp_path / "four_squares.pgm").exists()
         assert (tmp_path / "shape_polygon.txt").exists()
+
+    @pytest.mark.parametrize("side", ["0", "-4"])
+    def test_gen_rejects_side_below_one(self, tmp_path, capsys, side):
+        # `--side 0` used to write a square of side 40.
+        out = tmp_path / "out"
+        assert main(["gen", "--kind", "single-square", f"--side={side}",
+                     "--out", str(out)]) == EXIT_CONFIG
+        assert "--side must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_maxval_1_pgm_runs_like_its_maxval_255_twin(self, tmp_path, magic):
+        # Read as raw samples, a maxval-1 image thresholded to all zeros:
+        # `polygon --trace` found no foreground (exit 2) and `lsd` saw a
+        # flat image.
+        mask = np.zeros((24, 24), dtype=np.uint8)
+        mask[5:19, 4:20] = 1
+        mask[9:12, 17:20] = 0
+        for levels, maxval in ((mask * 255, 255), (mask, 1)):
+            path = tmp_path / f"m{maxval}.pgm"
+            path.write_bytes(pgm_bytes(magic, levels, maxval))
+            assert main(["polygon", "--image", str(path), "--trace",
+                         "--criterion", "mdl", "--out",
+                         str(tmp_path / f"poly{maxval}")]) == EXIT_OK
+            assert main(["lsd", "--image", str(path), "--table-n", "4096",
+                         "--out", str(tmp_path / f"lsd{maxval}")]) == EXIT_OK
+        for run in ("poly", "lsd"):
+            files = sorted(p.name for p in (tmp_path / f"{run}255").iterdir())
+            assert files
+            for name in files:
+                assert ((tmp_path / f"{run}1" / name).read_bytes()
+                        == (tmp_path / f"{run}255" / name).read_bytes()), name
+
+    @pytest.mark.parametrize("command", [["polygon", "--trace"], ["lsd"]])
+    def test_sample_above_maxval_names_the_file(self, tmp_path, capsys, command):
+        # A P2 sample of 300 used to escape as an OverflowError (exit 1).
+        path = tmp_path / "over.pgm"
+        levels = np.zeros((8, 8), dtype=np.int64)
+        levels[2:6, 2:6] = 255
+        levels[4, 4] = 300
+        path.write_bytes(pgm_bytes("P2", levels, 255))
+        assert main([command[0], "--image", str(path), *command[1:],
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "over.pgm" in capsys.readouterr().err
 
     def test_sweep_single_with_config(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

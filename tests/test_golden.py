@@ -25,7 +25,15 @@ def _runs(root: Path):
     cfg_multi = root / "multi.json"
     cfg_multi.write_text(json.dumps(TINY_MULTI))
     square = root / "gen_square" / "single_square.pgm"
+    shape = root / "gen_shape" / "shape.pgm"
+    shape_polygon = root / "gen_shape" / "shape_polygon.txt"
     edge = root / "gen_edge" / "edge.pgm"
+    # Extra columns past the fifth are ignored; the first row is kept by both
+    # criteria, the second rejected by both.
+    candidates = root / "candidates.txt"
+    candidates.write_text("# ax ay bx by w\n\n"
+                          "23.0 2.0 23.0 40.0 1.0 -3.2 -10.1 1 1\n"
+                          "10 10 30 12 2\n")
     return [
         ("gen_square", ["gen", "--kind", "single-square", "--width", "40",
                         "--height", "40", "--side", "16", "--delta", "0.05",
@@ -41,7 +49,11 @@ def _runs(root: Path):
                          str(cfg_multi), "--seed", "5"]),
         ("polygon", ["polygon", "--image", str(square), "--trace",
                      "--trace-every", "3", "--overlay"]),
+        ("polygon_file", ["polygon", "--image", str(shape), "--polygon",
+                          str(shape_polygon)]),
         ("lsd", ["lsd", "--image", str(edge), "--table-n", "4096"]),
+        ("lsd_candidates", ["lsd", "--image", str(edge), "--candidates",
+                            str(candidates), "--table-n", "4096"]),
         ("equiv", ["equiv"]),
     ]
 
@@ -73,8 +85,14 @@ GOLDEN = {
     "polygon/chosen_nfa.txt": "ac1e13300fe4c39d83fb328f97e4b68ffeb7a5c491b0542f2c2b917e4bfc1eec",
     "polygon/overlay_mdl.pgm": "de27a1ec66cdf8c04bbbfe7cd4d64179774379b85ceb2f99302d3e990f625581",
     "polygon/overlay_nfa.pgm": "de27a1ec66cdf8c04bbbfe7cd4d64179774379b85ceb2f99302d3e990f625581",
+    "polygon_file/bss_mdl.csv": "58bc5892ec891f1677efe328bbe0140a16c4f53496504ab606853eec1c13419a",
+    "polygon_file/bss_nfa.csv": "caa2af9182b82d471aaa8175eda0d56c12aa1d3f62fde0734490f2edb66de013",
+    "polygon_file/chosen_mdl.txt": "74285a68ef84cd01566ac7afe67e0b8313814a20382eb916cca0b049eb92e803",
+    "polygon_file/chosen_nfa.txt": "49550e6160de3b8407f99e5d69dbcd4a66f35f52a5cbe50dd965ed14c15b40e6",
     "lsd/lsd_boundary.csv": "49e874bc844ffcbeac793a0441b44fa994617986b1d27a7238f4500e9f84ceb4",
     "lsd/segments.txt": "0dd5415137e7078d62ea33fd40174beb3431324e8d4abbcd9b418f91b3c32e05",
+    "lsd_candidates/lsd_boundary.csv": "49e874bc844ffcbeac793a0441b44fa994617986b1d27a7238f4500e9f84ceb4",
+    "lsd_candidates/segments.txt": "c885c8fd408335cadcca9d6350c4f88fe251bb375630b7766feec8b3bad5564c",
     "equiv/equivalence_report.txt": "e554871609528cf139a5777b61bac3701efa84a09c6430c0f224967a216391d5",
 }
 

@@ -31,8 +31,10 @@ from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from oracles import (
     count_ones_sum,
     flip_noise_where,
+    pgm_bytes,
     rasterize_polygon_bruteforce,
     rasterize_polygon_two_pass,
+    trace_contour_grid,
 )
 
 
@@ -432,6 +434,45 @@ class TestPgmIO(object):
             read_pgm(path)
 
 
+class TestPgmMaxval:
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_every_maxval_reads_as_8_bit_levels(self, tmp_path, magic):
+        path = tmp_path / "img.pgm"
+        for maxval in range(1, 256):
+            path.write_bytes(pgm_bytes(magic, [range(maxval + 1)], maxval))
+            want = [(s * 255 + maxval // 2) // maxval for s in range(maxval + 1)]
+            got = read_pgm(path)
+            assert got.dtype == np.uint8
+            assert got.tolist() == [want]
+            assert want[0] == 0 and want[-1] == 255
+
+    def test_p5_maxval_15(self, tmp_path):
+        path = tmp_path / "img.pgm"
+        samples = np.arange(16).reshape(4, 4)
+        path.write_bytes(pgm_bytes("P5", samples, 15))
+        assert np.array_equal(read_pgm(path), samples * 17)
+
+    @pytest.mark.parametrize("magic", ["P2", "P5"])
+    def test_maxval_1_binary_image(self, tmp_path, magic):
+        # Read as raw samples, a maxval-1 image was all zeros after the
+        # mid-scale threshold.
+        rng = np.random.default_rng(6)
+        mask = rng.integers(0, 2, size=(7, 11))
+        path = tmp_path / "bin.pgm"
+        path.write_bytes(pgm_bytes(magic, mask, 1))
+        assert set(np.unique(read_pgm(path))) == {0, 255}
+        assert np.array_equal(read_binary_pgm(path).pixels, mask)
+
+    @pytest.mark.parametrize("magic,maxval,bad", [
+        ("P2", 255, 300), ("P2", 255, -1), ("P2", 1, 2), ("P5", 15, 16),
+        ("P5", 1, 255)])
+    def test_sample_above_maxval_rejected(self, tmp_path, magic, maxval, bad):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(pgm_bytes(magic, [[0, bad, 1]], maxval))
+        with pytest.raises(ValueError, match=r"bad\.pgm"):
+            read_pgm(path)
+
+
 class TestPolygonFileIO:
     def test_roundtrip(self, tmp_path):
         verts = np.array([(1.5, 2.0), (10.0, 2.0), (5.0, 9.25)])
@@ -492,6 +533,68 @@ class TestTraceContour:
         verts = trace_contour(img)
         assert np.array_equal(trace_contour(img, every=3), verts[::3])
         assert np.array_equal(trace_contour(img, every=np.int64(3)), verts[::3])
+
+
+def trace_oracle_cases():
+    """(name, image) pairs on which the tracer must match its grid oracle."""
+    cases = [(f"shape{seed}", make_shape_instance(ShapeSpec(seed=seed))[0])
+             for seed in range(6)]
+    rng = np.random.default_rng(11)
+    for i in range(40):
+        height, width = rng.integers(1, 30, size=2)
+        density = rng.uniform(0.2, 0.8)
+        pixels = rng.random((height, width)) < density
+        cases.append((f"blob{i}", BinaryImage(pixels.astype(np.uint8))))
+    cases.append(("noisy_square", synthesize_squares(
+        [(5, 5, 30)], 40, 40, NoiseConfig(0.2, seed=3))))
+    cases.append(("full", BinaryImage(np.ones((7, 9), dtype=np.uint8))))
+    cases.append(("one_pixel", BinaryImage(np.ones((1, 1), dtype=np.uint8))))
+    cases.append(("domino", BinaryImage(np.ones((1, 2), dtype=np.uint8))))
+    cases.append(("empty", blank(6, 4)))
+    twins = np.zeros((14, 16), dtype=np.uint8)
+    twins[2:4, 8:14] = 1          # 12 pixels, first in scan order
+    twins[7:10, 2:6] = 1          # 12 pixels
+    cases.append(("equal_twins", BinaryImage(twins)))
+    border = np.zeros((10, 12), dtype=np.uint8)
+    border[0, :] = 1              # touches the top, left and right edges
+    border[:, 0] = 1              # and runs down to the bottom edge
+    border[4:7, 5:9] = 1          # a separate, smaller blob
+    cases.append(("border", BinaryImage(border)))
+    return cases
+
+
+class TestTraceContourOracle:
+    @staticmethod
+    def outcome(trace, image, every):
+        try:
+            return trace(image, every=every)
+        except ValueError as exc:
+            return str(exc)
+
+    @pytest.mark.parametrize("every", [1, 2, 3])
+    def test_matches_grid_oracle(self, every):
+        for name, image in trace_oracle_cases():
+            got = self.outcome(trace_contour, image, every)
+            want = self.outcome(trace_contour_grid, image, every)
+            assert type(got) is type(want), name
+            if isinstance(want, str):
+                assert got == want, name
+            else:
+                assert got.dtype == want.dtype and got.shape == want.shape, name
+                assert np.array_equal(got, want), name
+
+    def test_first_of_equal_components_wins(self):
+        image = dict(trace_oracle_cases())["equal_twins"]
+        verts = trace_contour(image)
+        assert verts[:, 1].max() <= 3.0          # rows 2-3: the upper bar
+        assert np.array_equal(verts, trace_contour_grid(image))
+
+    def test_component_on_the_image_border(self):
+        image = dict(trace_oracle_cases())["border"]
+        verts = trace_contour(image)
+        assert verts[:, 0].min() == 0.0 and verts[:, 0].max() == 11.0
+        assert verts[:, 1].min() == 0.0 and verts[:, 1].max() == 9.0
+        assert np.array_equal(verts, trace_contour_grid(image))
 
 
 def test_orientation_map_validation():
