@@ -3,7 +3,7 @@
 Subcommands map one-to-one onto the experiment drivers: `sweep-single`,
 `sweep-multi`, `polygon`, `lsd`, `equiv`, and `gen` for synthesizing test
 inputs.  All sweeps are seeded and reproducible; outputs are CSV, PGM, and
-plain-text files under --out.
+plain-text files under --out, made only once all inputs and flags are checked.
 
 Exit codes: 0 success, 2 configuration/usage error, 3 equivalence-theorem
 violation.
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from pathlib import Path
 
@@ -37,6 +36,7 @@ from .lsd import (
     read_candidates_file,
     write_segments_file,
 )
+from .numeric import meaningful
 from .polygon import PolygonHypothesis
 
 EXIT_OK = 0
@@ -106,26 +106,27 @@ def cmd_polygon(args) -> int:
         raise ex.ConfigError(f"epsilon must be positive, got {args.epsilon}")
     if args.trace_every < 1:
         raise ex.ConfigError(f"--trace-every must be >= 1, got {args.trace_every}")
-    out = _out_dir(args)
     if args.image:
         image = read_binary_pgm(args.image)
     else:
         image, initial = ex.make_shape_instance(
             ex.ShapeSpec(seed=args.seed or 0))
-        write_binary_pgm(out / "shape.pgm", image)
     if args.polygon:
         initial = PolygonHypothesis(read_polygon_file(args.polygon))
     elif args.trace:
         initial = PolygonHypothesis(trace_contour(image, every=args.trace_every))
     elif args.image:   # a synthetic instance comes with its initial polygon
         raise ex.ConfigError("provide --polygon FILE or --trace with --image")
+    out = _out_dir(args)
+    if not args.image:
+        write_binary_pgm(out / "shape.pgm", image)
     criteria = ("mdl", "nfa") if args.criterion == "both" else (args.criterion,)
     trajectories = ex.run_polygon(image, initial, out_dir=out, criteria=criteria)
     epsilon = 1.0 if args.epsilon is None else args.epsilon
     for criterion, traj in trajectories.items():
         chosen = traj.chosen
         flag = ""
-        if criterion == "nfa" and chosen.score > math.log2(epsilon):
+        if criterion == "nfa" and not meaningful(chosen.score, epsilon):
             flag = " (minimum not meaningful at this epsilon)"
         print(f"polygon[{criterion}]: {traj.steps[0].vertex_count} -> "
               f"{chosen.vertex_count} vertices, score {chosen.score:.2f} "
@@ -137,7 +138,8 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_lsd(args) -> int:
-    out = _out_dir(args)
+    if args.table_n < 1:
+        raise ex.ConfigError(f"--table-n must be >= 1, got {args.table_n}")
     kwargs = {"gamma": args.gamma, "tau": args.tau}
     if args.epsilon is not None:
         kwargs["epsilon"] = args.epsilon
@@ -153,12 +155,12 @@ def cmd_lsd(args) -> int:
             else None
         detections = detect_segments(gray, cfg, criterion=args.criterion,
                                      candidates=candidates)
-        write_segments_file(out / "segments.txt", detections)
+        write_segments_file(_out_dir(args) / "segments.txt", detections)
         kept_nfa = sum(d.nfa_keep for d in detections)
         kept_mdl = sum(d.mdl_keep for d in detections)
         print(f"lsd: {len(detections)} candidates, {kept_nfa} kept by NFA, "
               f"{kept_mdl} kept by MDL")
-    rows = ex.lsd_boundary_table(cfg, n_image=args.table_n, out_dir=out)
+    rows = ex.lsd_boundary_table(cfg, n_image=args.table_n, out_dir=_out_dir(args))
     detectable = [r for r in rows if r.min_k_nfa is not None]
     if detectable:
         first = detectable[0]
@@ -184,7 +186,9 @@ def cmd_equiv(args) -> int:
 def cmd_gen(args) -> int:
     if args.side is not None and args.side < 1:
         raise ex.ConfigError(f"--side must be >= 1, got {args.side}")
-    out = _out_dir(args)
+    if args.width < 1 or args.height < 1:
+        raise ex.ConfigError(f"--width and --height must be >= 1, got "
+                             f"{args.width}x{args.height}")
     seed = args.seed or 0
     if args.kind == "single-square":
         side = args.side or 40
@@ -192,7 +196,7 @@ def cmd_gen(args) -> int:
         col = (args.width - side) // 2
         image = synthesize_squares([(row, col, side)], args.width, args.height,
                                    NoiseConfig(args.delta, seed=seed))
-        write_binary_pgm(out / "single_square.pgm", image)
+        write_binary_pgm(_out_dir(args) / "single_square.pgm", image)
         print(f"gen: single_square.pgm ({args.width}x{args.height}, "
               f"side {side}, delta {args.delta})")
     elif args.kind == "four-squares":
@@ -201,19 +205,20 @@ def cmd_gen(args) -> int:
                                   width=args.width, height=args.height)
         image = synthesize_squares(hyps[2].squares, args.width, args.height,
                                    NoiseConfig(args.delta, seed=seed))
-        write_binary_pgm(out / "four_squares.pgm", image)
+        write_binary_pgm(_out_dir(args) / "four_squares.pgm", image)
         print(f"gen: four_squares.pgm (extent {args.extent}, margin "
               f"{args.margin}, delta {args.delta})")
     elif args.kind == "shape":
         image, initial = ex.make_shape_instance(
             ex.ShapeSpec(seed=seed, delta=args.delta))
+        out = _out_dir(args)
         write_binary_pgm(out / "shape.pgm", image)
         write_polygon_file(out / "shape_polygon.txt", initial.vertices)
         print("gen: shape.pgm + shape_polygon.txt")
     elif args.kind == "edge":
         gray = np.zeros((args.height, args.width), dtype=np.uint8)
         gray[:, args.width // 2:] = 255
-        write_pgm(out / "edge.pgm", gray)
+        write_pgm(_out_dir(args) / "edge.pgm", gray)
         print("gen: edge.pgm")
     else:  # pragma: no cover - argparse restricts choices
         raise ex.ConfigError(f"unknown kind {args.kind!r}")

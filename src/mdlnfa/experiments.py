@@ -18,7 +18,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .equivalence import XI_FAMILIES, EquivalenceReport, PartSpec, check_equivalence
+from .equivalence import (XI_FAMILIES, EquivalenceReport, PartSpec, _is_count,
+                          check_equivalence)
 from .imaging import BinaryImage, NoiseConfig, flip_noise, rasterize_polygon, synthesize_squares
 from .lsd import (
     AlignmentCounts,
@@ -28,6 +29,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
+from .numeric import LOG10_2
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -36,8 +38,6 @@ from .square_detect import (
     select_hypothesis,
     single_counts,
 )
-
-LOG10_2 = math.log10(2.0)
 
 
 class ConfigError(ValueError):
@@ -335,6 +335,11 @@ class ShapeSpec:
     harmonics: tuple = ((2, 6.0), (3, 4.0))
     jitter: float = 1.0
     delta: float = 0.15
+
+    def __post_init__(self):
+        NoiseConfig(self.delta)   # delta must lie in [0, 0.5)
+        if not _is_count(self.n_vertices) or self.n_vertices < 3:
+            raise ConfigError(f"n_vertices must be an integer >= 3, got {self.n_vertices!r}")
 
 
 def make_shape_instance(spec: ShapeSpec) -> tuple[BinaryImage, PolygonHypothesis]:

@@ -173,6 +173,17 @@ def _shoelace(verts) -> np.ndarray:
     return (verts[..., 0] * nxt[..., 1] - verts[..., 1] * nxt[..., 0]).sum(axis=-1)
 
 
+def zero_area(verts: np.ndarray) -> bool:
+    """Is the (c, 2) polygon `verts` too thin for `rasterize_polygon`?"""
+    return abs(float(_shoelace(verts))) < 1e-12
+
+
+def row_span(ys, height: int) -> tuple[int, int]:
+    """First and last of `height` rows reached by edges spanning `ys`."""
+    return (max(0, math.ceil(min(ys) - _ROW_EPS)),
+            min(height - 1, math.floor(max(ys) + _ROW_EPS)))
+
+
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     """Boolean mask of pixels whose centers fall inside the closed polygon.
 
@@ -183,7 +194,7 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     verts = np.asarray(vertices, dtype=np.float64)
     if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
         raise ValueError("polygon needs at least 3 (x, y) vertices")
-    if abs(float(_shoelace(verts))) < 1e-12:
+    if zero_area(verts):
         raise ValueError("polygon is degenerate (zero area)")
     mask = _scanline_rows(verts.tolist(), width, 0, height - 1)
     if not mask.any():
@@ -316,7 +327,10 @@ def read_pgm(path) -> np.ndarray:
     if header[1] == b"P5":
         samples = np.frombuffer(body[:n], dtype=np.uint8)
     else:
-        samples = np.array([int(v) for v in body.split()[:n]], dtype=np.int64)
+        try:
+            samples = np.array([int(v) for v in body.split()[:n]], dtype=np.int64)
+        except ValueError:
+            raise ValueError(f"non-integer PGM sample in {path}") from None
     if samples.size != n:
         raise ValueError(f"truncated PGM pixel data in {path}")
     if np.any((samples < 0) | (samples > maxval)):

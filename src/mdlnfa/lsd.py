@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import OrientationMap, _rows, gradient_orientation
-from .numeric import HypothesisCounts, Score
+from .numeric import LOG10_2, HypothesisCounts, Score
 
 DEFAULT_RHO = math.pi / 16.0
 
@@ -459,7 +459,7 @@ def write_segments_file(path, detections) -> None:
     lines = ["# ax ay bx by w log10_nfa mdl_bits nfa_keep mdl_keep"]
     for d in detections:
         c = d.candidate
-        log10_nfa = d.score.log2_nfa * math.log10(2.0)
+        log10_nfa = d.score.log2_nfa * LOG10_2
         lines.append(f"{c.ax:.4f} {c.ay:.4f} {c.bx:.4f} {c.by:.4f} "
                      f"{c.width:.4f} {log10_nfa:.4f} {d.score.mdl_bits:.4f} "
                      f"{int(d.nfa_keep)} {int(d.mdl_keep)}")

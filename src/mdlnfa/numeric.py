@@ -11,8 +11,9 @@ the matching kind; `log_binomial` maps arrays over its Python-int code.
 
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
-decision rules.  `HypothesisCounts.score` is the one place that turns counts
-into both scores; the scenario modules only turn geometry into counts.
+decision rules.  `HypothesisCounts` is the one place that turns counts into
+both scores, their approximations and bounds; the scenario modules only turn
+geometry into counts.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import numpy as np
 Bits = float
 
 _LN2 = math.log(2.0)
+LOG10_2 = math.log10(2.0)   # a log2 NFA times this is its log10
 _TABLE_SIZE = 10_000   # exact cumulative-log path below this n
 _CHUNK = 4096          # tail terms evaluated per vectorized block
 
@@ -139,9 +141,14 @@ class Score:
         return self.mdl_bits < 0.0
 
     def nfa_detects(self, epsilon: float = 1.0) -> bool:
-        if not epsilon > 0.0:
-            raise DomainError(f"epsilon must be positive, got {epsilon}")
-        return self.log2_nfa <= math.log2(epsilon)
+        return meaningful(self.log2_nfa, epsilon)
+
+
+def meaningful(log2_nfa: Bits, epsilon: float = 1.0) -> bool:
+    """The a-contrario decision NFA <= epsilon, read on the log2 NFA."""
+    if not epsilon > 0.0:
+        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    return log2_nfa <= math.log2(epsilon)
 
 
 class HypothesisCounts(NamedTuple):
@@ -177,20 +184,50 @@ class HypothesisCounts(NamedTuple):
             tails[self.tail] = binomial_tail_log(*self.tail)
         return self.log2_tests + tails[self.tail]
 
+    def log2_nfa_bound(self, tails: dict) -> Bits:
+        """A value never above `log2_nfa(tails)`: that value where `tails`
+        holds the tail, else `log2_tests` plus min(0, `binomial_first_term_log`),
+        which `binomial_tail_log` starts its sum from and only adds to."""
+        tail = tails.get(self.tail)
+        if tail is None:
+            tail = min(0.0, binomial_first_term_log(*self.tail))
+        return self.log2_tests + tail
+
     def score(self) -> Score:
         return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa())
+
+    def approx_mdl_bits(self) -> Bits:
+        """Stirling expansion of `mdl_bits` for parts coded against the
+        `whole` image (n, k), with no `codes` or `extra`, and q = k/n:
+        header - sum n_i D(q_i || q) + (sum g(k_i, n_i) - g(k, n)) / 2
+        - log2(2 pi) / 2.  Undefined where a count is 0 or n."""
+        q = self.whole.q
+        bits = self.header
+        for n, k in self.parts:
+            bits -= n * bernoulli_kld(k / n, q)
+        residual = 0.5 * (sum(g_term(k, n) for n, k in self.parts)
+                          - g_term(self.whole.k, self.whole.n))
+        return bits + residual - 0.5 * math.log2(2.0 * math.pi)
+
+    def approx_log2_nfa(self) -> Bits:
+        """Hoeffding upper bound on `log2_nfa`: `log2_tests` - n D(k/n || q)
+        for the `tail` (n, k, q), defined only for k/n > q."""
+        return self.log2_tests + hoeffding_tail_bound(*self.tail)
 
 
 def binomial_first_term_log(n: int, k: int, q: float) -> Bits:
     """log2 of the first term C(n, k) q^k (1-q)^(n-k) of the tail B(n, k, q),
-    or -inf where q is 0 or 1.
-
-    `binomial_tail_log` starts its sum from this value and only adds to it,
-    so min(0, this) is a lower bound of the tail's log2 in floats as well.
-    """
+    or -inf where q is 0 or 1."""
     if q == 0.0 or q == 1.0:
         return -math.inf
     return log_binomial(n, k) + k * math.log2(q) + (n - k) * math.log2(1.0 - q)
+
+
+def _check_tail(n: int, k: int, q: float) -> None:
+    if n < 1 or not 0 <= k <= n:
+        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
+    if not 0.0 <= q <= 1.0:
+        raise DomainError(f"q must lie in [0, 1], got q={q}")
 
 
 def binomial_tail_log(n: int, k: int, q: float) -> Bits:
@@ -201,10 +238,7 @@ def binomial_tail_log(n: int, k: int, q: float) -> Bits:
     stopping bound once past the mode.  Stays finite for n up to 10^6 and
     beyond whenever the true tail is nonzero.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got q={q}")
+    _check_tail(n, k, q)
     if k == 0:
         return 0.0          # tail from zero is the total mass
     if q == 0.0:
@@ -250,10 +284,7 @@ def hoeffding_tail_bound(n: int, k: int, q: float) -> Bits:
     Only defined for k/n > q; the opposite case is the uninteresting half
     where the tail is at least 1/2 and callers must branch.
     """
-    if n < 1 or not 0 <= k <= n:
-        raise DomainError(f"need 0 <= k <= n with n >= 1, got n={n}, k={k}")
-    if not 0.0 <= q <= 1.0:
-        raise DomainError(f"q must lie in [0, 1], got q={q}")
+    _check_tail(n, k, q)
     q1 = k / n
     if not q1 > q:
         raise DomainError(f"bound requires k/n > q, got k/n={q1}, q={q}")
@@ -301,33 +332,34 @@ def bernoulli_kld(p, q) -> Bits:
     return float(out[0]) if scalar else out
 
 
+def _inner_counts(n, k) -> tuple:
+    """n and k as float64 arrays of at least one dimension, with 0 < k < n,
+    and whether both were scalars."""
+    n_arr = _as_count_array(n, "n").astype(np.float64)
+    k_arr = _as_count_array(k, "k").astype(np.float64)
+    if np.any(k_arr <= 0) or np.any(k_arr >= n_arr):
+        raise DomainError(f"need 0 < k < n, got n={n!r}, k={k!r}")
+    return (*np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr)),
+            n_arr.ndim == 0 and k_arr.ndim == 0)
+
+
 def stirling_log_binomial(n, k) -> Bits:
     """Stirling approximation of log2 C(n, k).
 
     0.5*log2(1/2pi) + 0.5*log2(n/(k(n-k))) + k*log2(n/k) + (n-k)*log2(n/(n-k)).
     Undefined at k in {0, n}; callers needing the boundary use the exact path.
     """
-    n_arr = _as_count_array(n, "n").astype(np.float64)
-    k_arr = _as_count_array(k, "k").astype(np.float64)
-    if np.any(k_arr <= 0) or np.any(k_arr >= n_arr):
-        raise DomainError(f"approximation needs 0 < k < n, got n={n!r}, k={k!r}")
-    scalar = n_arr.ndim == 0 and k_arr.ndim == 0
-    n_arr, k_arr = np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr))
-    nk = n_arr - k_arr
+    n, k, scalar = _inner_counts(n, k)
+    nk = n - k
     out = (0.5 * math.log2(1.0 / (2.0 * math.pi))
-           + 0.5 * np.log2(n_arr / (k_arr * nk))
-           + k_arr * np.log2(n_arr / k_arr)
-           + nk * np.log2(n_arr / nk))
+           + 0.5 * np.log2(n / (k * nk))
+           + k * np.log2(n / k)
+           + nk * np.log2(n / nk))
     return float(out[0]) if scalar else out
 
 
 def g_term(k, n) -> Bits:
     """log2(n^3 / (k (n-k))), the residual term of the Stirling-expanded score."""
-    n_arr = _as_count_array(n, "n").astype(np.float64)
-    k_arr = _as_count_array(k, "k").astype(np.float64)
-    if np.any(k_arr <= 0) or np.any(k_arr >= n_arr):
-        raise DomainError(f"need 0 < k < n, got n={n!r}, k={k!r}")
-    scalar = n_arr.ndim == 0 and k_arr.ndim == 0
-    n_arr, k_arr = np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr))
-    out = 3.0 * np.log2(n_arr) - np.log2(k_arr) - np.log2(n_arr - k_arr)
+    n, k, scalar = _inner_counts(n, k)
+    out = 3.0 * np.log2(n) - np.log2(k) - np.log2(n - k)
     return float(out[0]) if scalar else out

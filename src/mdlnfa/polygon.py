@@ -14,14 +14,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
-from .imaging import (_ROW_EPS, BinaryImage, _scanline_rows, _shoelace, count_region,
-                      rasterize_polygon)
-from .numeric import (DomainError, HypothesisCounts, RegionCounts, Score,
-                      binomial_first_term_log)
+from .imaging import (BinaryImage, _scanline_rows, count_region, rasterize_polygon,
+                      row_span, zero_area)
+from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,7 +146,7 @@ def _removable(verts: np.ndarray, i: int) -> bool:
     if _segments_touch(verts[i - 1], verts[(i + 1) % c],
                        verts[far], verts[(far + 1) % c]).any():
         return False
-    return abs(float(_shoelace(np.delete(verts, i, axis=0)))) >= 1e-12
+    return not zero_area(np.delete(verts, i, axis=0))
 
 
 def _without_removable_vertex(poly: PolygonHypothesis, index: int) -> PolygonHypothesis:
@@ -195,9 +193,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
         key = _triple(pts, i)
         entry = bands.get(key)
         if entry is None:
-            ys = (pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1])
-            r0 = max(0, math.ceil(min(ys) - _ROW_EPS))
-            r1 = min(height - 1, math.floor(max(ys) + _ROW_EPS))
+            r0, r1 = row_span((pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1]), height)
             rows, dn, dk = None, 0, 0
             if r0 <= r1:
                 if row_n is None:
@@ -256,33 +252,23 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     its rows.  The initial polygon is the only one rasterized in full: each
     step splices the winner's band into the mask.
 
-    Each child gets a key that is never above its score: its MDL bits; its
-    log2 NFA where the run's memo holds its tail; else log2_tests plus
-    min(0, `binomial_first_term_log`), which is below the tail in floats
-    too.  The children are walked in (key, index) order, and the walk stops
-    at the first key that cannot beat the current score or the best valid
-    child found so far.  Only a child the walk reaches gets its tail
-    computed, and only one that would become the best is checked with
-    `_removable`.  Interior counts recur from step to step, so each NFA
-    tail is computed at most once per run.
+    Each child gets a key that is never above its score: its MDL bits, or
+    `HypothesisCounts.log2_nfa_bound` with the run's tail memo.  The children
+    are walked in (key, index) order, and the walk stops at the first key
+    that cannot beat the current score or the best valid child found so far.
+    Only a child the walk reaches gets its tail computed, and only one that
+    would become the best is checked with `_removable`.  Interior counts
+    recur from step to step, so each NFA tail is computed at most once per
+    run.
     """
     if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    tails: dict = {}
-    if criterion == "mdl":
-        bits = key = HypothesisCounts.mdl_bits
-    else:
-        bits = partial(HypothesisCounts.log2_nfa, tails=tails)
-
-        def key(counts: HypothesisCounts) -> float:
-            tail = tails.get(counts.tail)
-            if tail is None:
-                tail = min(0.0, binomial_first_term_log(*counts.tail))
-            return counts.log2_tests + tail
+    nfa, tails = criterion == "nfa", {}
     current = initial
     mask = rasterize_polygon(current.vertices, image.width, image.height)
     inside = count_region(image, mask)
-    current_score = bits(polygon_counts(image, current.c, (inside.n, inside.k)))
+    counts = polygon_counts(image, current.c, (inside.n, inside.k))
+    current_score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     bands: dict = {}
     while current.c > 3:
@@ -291,14 +277,15 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
         for i, child in enumerate(children):
             if child is not None:
                 counts = polygon_counts(image, current.c - 1, child)
-                keyed.append((key(counts), i, counts))
+                keyed.append((counts.log2_nfa_bound(tails) if nfa else counts.mdl_bits(),
+                              i, counts))
         # `bar` is the (score, index) a child must beat: the current score
         # with no index, then the best valid child so far.
         best, bar = None, (current_score, -1)
         for bound, i, counts in sorted(keyed):
             if (bound, i) >= bar:
                 break
-            score = bits(counts)
+            score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
             if (score, i) < bar and _removable(current.vertices, i):
                 best, bar = i, (score, i)
         if best is None:

@@ -7,7 +7,7 @@ against the n^(3/2) candidate squares.  The multi-square variant extends both
 to hypotheses holding c disjoint squares.
 
 Decision conventions: MDL detects/selects iff the score is negative; NFA
-detects iff log2(NFA) <= log2(epsilon).
+detects iff NFA <= epsilon (`numeric.meaningful`).
 """
 
 from __future__ import annotations
@@ -23,14 +23,13 @@ from .numeric import (
     HypothesisCounts,
     RegionCounts,
     Score,
-    bernoulli_kld,
     complement,
-    g_term,
-    hoeffding_tail_bound,
     l0_code_length,  # re-exported
 )
 
-_HALF_LOG2_2PI = 0.5 * math.log2(2.0 * math.pi)
+# The empty hypothesis: the background code plus 1 bit for c = 0 under the
+# geometric prior on c, and no NFA test.
+_EMPTY_SCORE = Score(mdl_bits=1.0, log2_nfa=math.inf)
 
 
 @dataclass(frozen=True)
@@ -93,9 +92,15 @@ def single_counts(image: BinaryImage, sq: Square) -> HypothesisCounts:
     `nfa_score_single`)."""
     inside = _square_counts(image, sq)
     total = image.counts
-    part = (inside.n, inside.k)
-    return HypothesisCounts(1.5 * math.log2(total.n), (complement(total, [inside]), part),
-                            1.5 * math.log2(total.n), (*part, total.q), whole=total)
+    return _single_record(inside, complement(total, [inside]), total)
+
+
+def _single_record(square: RegionCounts, background: tuple,
+                   image: RegionCounts) -> HypothesisCounts:
+    """One square's record, with the background given as (n, k)."""
+    part = (square.n, square.k)
+    return HypothesisCounts(1.5 * math.log2(image.n), (background, part),
+                            1.5 * math.log2(image.n), (*part, image.q), whole=image)
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:
@@ -113,32 +118,16 @@ def nfa_score_single(image: BinaryImage, sq: Square) -> float:
 
 
 def approx_log_nfa(square: RegionCounts, image: RegionCounts) -> float:
-    """Hoeffding/KLD approximation: 3/2 log2 n - n1 D(q1 || q).
-
-    Valid only when the square is denser than the image (q1 > q); an upper
-    bound on (and large-n proxy for) nfa_score_single.
-    """
-    return 1.5 * math.log2(image.n) + hoeffding_tail_bound(square.n, square.k, image.q)
+    """Hoeffding approximation of `nfa_score_single`, for a square denser
+    than the image (`HypothesisCounts.approx_log2_nfa`)."""
+    return _single_record(square, complement(image, [square]), image).approx_log2_nfa()
 
 
 def approx_mdl_score(square: RegionCounts, background: RegionCounts,
                      image: RegionCounts) -> float:
-    """Stirling-expanded MDL score.
-
-    3/2 log2 n - n0 D(q0||q) - n1 D(q1||q)
-      + (g(k0,n0) + g(k1,n1) - g(k,n)) / 2 - log2(2 pi)/2.
-    Boundary counts (k hitting 0 or n in any part) fall outside the
-    expansion's domain (`g_term` rejects them); the exact mdl_score_single
-    has no such limit.
-    """
-    n = image.n
-    residual = 0.5 * (g_term(background.k, background.n)
-                      + g_term(square.k, square.n)
-                      - g_term(image.k, image.n))
-    return (1.5 * math.log2(n)
-            - background.n * bernoulli_kld(background.q, image.q)
-            - square.n * bernoulli_kld(square.q, image.q)
-            + residual - _HALF_LOG2_2PI)
+    """Stirling expansion of `mdl_score_single`, for counts that are
+    neither 0 nor n (`HypothesisCounts.approx_mdl_bits`)."""
+    return _single_record(square, (background.n, background.k), image).approx_mdl_bits()
 
 
 def multi_counts(image: BinaryImage,
@@ -171,7 +160,7 @@ def mdl_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
     empty hypothesis therefore scores exactly +1.
     """
     counts = multi_counts(image, hyp)
-    return 1.0 if counts is None else counts.mdl_bits()
+    return _EMPTY_SCORE.mdl_bits if counts is None else counts.mdl_bits()
 
 
 def nfa_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
@@ -200,8 +189,7 @@ def select_hypothesis(image: BinaryImage, candidates, criterion: str,
     table = []
     for hyp in candidates:
         counts = multi_counts(image, hyp)
-        table.append((hyp, Score(mdl_bits=1.0, log2_nfa=math.inf) if counts is None
-                      else counts.score()))
+        table.append((hyp, _EMPTY_SCORE if counts is None else counts.score()))
     return SelectionResult(chosen=pick_hypothesis(table, criterion, epsilon),
                            table=tuple(table))
 

@@ -554,6 +554,40 @@ def nfa_rect(n_image, counts, cfg):
             + binomial_tail_log(counts.n_r, counts.k_r, cfg.theta))
 
 
+# ---------------------------------------------------------------------------
+# The square approximations and the BSS NFA key as first written, in
+# `square_detect` and `polygon`.  The library now evaluates them as methods
+# of `numeric.HypothesisCounts`; these copies pin the same floats.
+# ---------------------------------------------------------------------------
+
+def approx_log_nfa(square, image):
+    from mdlnfa.numeric import hoeffding_tail_bound
+
+    return 1.5 * math.log2(image.n) + hoeffding_tail_bound(square.n, square.k, image.q)
+
+
+def approx_mdl_score(square, background, image):
+    from mdlnfa.numeric import bernoulli_kld, g_term
+
+    n = image.n
+    residual = 0.5 * (g_term(background.k, background.n)
+                      + g_term(square.k, square.n)
+                      - g_term(image.k, image.n))
+    return (1.5 * math.log2(n)
+            - background.n * bernoulli_kld(background.q, image.q)
+            - square.n * bernoulli_kld(square.q, image.q)
+            + residual - 0.5 * math.log2(2.0 * math.pi))
+
+
+def bss_nfa_key(counts, tails):
+    from mdlnfa.numeric import binomial_first_term_log
+
+    tail = tails.get(counts.tail)
+    if tail is None:
+        tail = min(0.0, binomial_first_term_log(*counts.tail))
+    return counts.log2_tests + tail
+
+
 def bss_simplify_full(image, initial, criterion):
     """Reference BSS: `polygon.bss_simplify` as first written, every child
     built as a `PolygonHypothesis` and scored through a full rasterization

@@ -1,8 +1,9 @@
 """Acceptance suite: one pass/fail line per criterion.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The whole module takes a
-few minutes on one core; the stochastic criteria use fixed base seeds so the
-outcome is reproducible bit-for-bit.
+Run with `pytest tests/test_acceptance.py -v -s`.  The whole module takes
+about half a minute on two cores (criteria 6 and 10 spread their runs over
+every core); the stochastic criteria use fixed base seeds so the outcome is
+reproducible bit-for-bit, whatever the number of cores.
 
 Criterion 6c is known-red: it demands that the a-contrario score stop
 detecting oversized squares (side > 71 on a 100x100 image) at low noise,
@@ -16,6 +17,7 @@ where the real divergence lives.
 """
 
 import math
+import os
 import time
 
 import numpy as np
@@ -37,6 +39,10 @@ from mdlnfa.experiments import (
 from mdlnfa.lsd import LsdConfig
 from mdlnfa.numeric import binomial_tail_log, hoeffding_tail_bound
 from oracles import exact_log2_binomial_tail, split_term_extrema_table
+
+# The two largest runs spread over every core; their results do not depend
+# on the worker count (see TestWorkerPool).
+WORKERS = os.cpu_count() or 1
 
 
 def record(num, ok, detail):
@@ -157,7 +163,8 @@ def test_criterion_5_residual_term_bounds():
 
 @pytest.fixture(scope="module")
 def detection_rate_grid():
-    return run_sweep_single(SingleSweepConfig(seeds_per_cell=100, base_seed=6))
+    return run_sweep_single(SingleSweepConfig(seeds_per_cell=100, base_seed=6,
+                                              workers=WORKERS))
 
 
 def test_criterion_6a_agreement_below_half_area(detection_rate_grid):
@@ -326,7 +333,7 @@ def test_criterion_9_lsd_boundary_table():
 
 def test_criterion_10_h0_false_alarm_control():
     counts = h0_false_alarm_counts(LsdConfig(), n_maps=100, width=256,
-                                   height=256, base_seed=10)
+                                   height=256, base_seed=10, workers=WORKERS)
     mean = sum(counts) / len(counts)
     record(10, mean <= 1.5,
            f"mean NFA detections over {len(counts)} isotropic 256x256 maps: "

@@ -232,6 +232,18 @@ class TestPolygonRun:
         assert np.array_equal(img_a.pixels, img_b.pixels)
         assert np.array_equal(poly_a.vertices, poly_b.vertices)
 
+    @pytest.mark.parametrize("field,value", [
+        ("delta", 0.5), ("delta", 0.7), ("delta", -0.1), ("n_vertices", 2),
+        ("n_vertices", 3.0), ("n_vertices", True), ("n_vertices", "60")])
+    def test_shape_spec_rejects_bad_fields(self, field, value):
+        # `gen --kind shape --delta 0.7` used to exit 0.
+        with pytest.raises(ValueError, match=field):
+            ShapeSpec(**{field: value})
+
+    def test_shape_spec_accepts_field_bounds(self):
+        assert ShapeSpec(delta=0.0, n_vertices=3).n_vertices == 3
+        assert ShapeSpec(n_vertices=np.int64(5)).n_vertices == 5
+
     def test_run_polygon_outputs(self, tmp_path):
         spec = ShapeSpec(seed=0, size=64, n_vertices=24, base_radius=20.0,
                          harmonics=((2, 3.0),), delta=0.1)
@@ -473,6 +485,34 @@ class TestCli:
                      f"--tau={tau}", "--out", str(tmp_path)]) == 2
         assert "tau" in capsys.readouterr().err
         assert not (tmp_path / "segments.txt").exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["sweep-single", "--seeds", "0"],
+        ["sweep-multi", "--axis", "noise", "--delta", "0.3"],
+        ["polygon", "--image", "missing.pgm", "--trace"],
+        ["polygon", "--polygon", "missing.txt"],
+        ["polygon", "--image", "p2.pgm", "--trace", "--trace-every", "0"],
+        ["lsd", "--image", "missing.pgm"],
+        ["lsd", "--image", "p2.pgm", "--table-n", "0"],
+        ["equiv", "--seed", "1"],
+        ["gen", "--kind", "single-square", "--delta", "0.7"],
+        ["gen", "--kind", "four-squares", "--margin", "41"],
+        ["gen", "--kind", "shape", "--delta", "0.7"],
+        ["gen", "--kind", "edge", "--width", "-1"],
+        ["gen", "--kind", "edge", "--height", "0"],
+    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
+    def test_bad_input_makes_no_output_directory(self, tmp_path, monkeypatch, argv):
+        # Every subcommand checks all of its inputs and flags before it
+        # creates --out; `equiv` has no input but its flags.
+        monkeypatch.chdir(tmp_path)
+        Path("p2.pgm").write_text("P2 2 2 255 0 255 255 0")
+        out = tmp_path / "out"
+        try:
+            code = main([*argv, "--out", str(out)])
+        except SystemExit as exc:   # argparse's usage error
+            code = exc.code
+        assert code == EXIT_CONFIG
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -472,6 +472,14 @@ class TestPgmMaxval:
         with pytest.raises(ValueError, match=r"bad\.pgm"):
             read_pgm(path)
 
+    @pytest.mark.parametrize("sample", ["x", "1.5", "0x10"])
+    def test_non_integer_p2_sample_names_the_file(self, tmp_path, sample):
+        # int()'s own message named neither the file nor the format.
+        path = tmp_path / "bad.pgm"
+        path.write_text(f"P2 2 1 255 10 {sample}")
+        with pytest.raises(ValueError, match=r"non-integer PGM sample in .*bad\.pgm"):
+            read_pgm(path)
+
 
 class TestPolygonFileIO:
     def test_roundtrip(self, tmp_path):

@@ -33,7 +33,7 @@ from mdlnfa.polygon import (
     polygon_scores,
 )
 from mdlnfa.square_detect import Square, l0_code_length, mdl_score_single
-from oracles import bss_simplify_full, removable_all
+from oracles import bss_nfa_key, bss_simplify_full, removable_all
 
 SQUARE_POLY = [(10, 10), (10, 49), (49, 49), (49, 10)]
 
@@ -294,14 +294,23 @@ def shape_instances():
     return {seed: make_shape_instance(ShapeSpec(seed=seed)) for seed in range(3)}
 
 
+@pytest.fixture(scope="module")
+def shape_trajectories(shape_instances):
+    """(seed, criterion) -> the `bss_simplify` trajectory and the full-path
+    oracle's, each computed once for the module."""
+    return {(seed, criterion): (bss_simplify(image, initial, criterion),
+                                bss_simplify_full(image, initial, criterion))
+            for seed, (image, initial) in shape_instances.items()
+            for criterion in ("mdl", "nfa")}
+
+
 class TestIncrementalBss:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
-    def test_shape_trajectory_matches_full_oracle(self, shape_instances, seed,
+    def test_shape_trajectory_matches_full_oracle(self, shape_trajectories, seed,
                                                   criterion):
-        image, initial = shape_instances[seed]
-        assert (trajectory_record(bss_simplify(image, initial, criterion))
-                == trajectory_record(bss_simplify_full(image, initial, criterion)))
+        traj, full = shape_trajectories[seed, criterion]
+        assert trajectory_record(traj) == trajectory_record(full)
 
     @pytest.mark.parametrize("seed,c", [(0, 6), (1, 7), (2, 8), (3, 8)])
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
@@ -312,28 +321,29 @@ class TestIncrementalBss:
                 == trajectory_record(bss_simplify_full(image, initial, criterion)))
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_every_child_along_shape_trajectories(self, shape_instances, seed):
-        image, initial = shape_instances[seed]
+    def test_every_child_along_shape_trajectories(self, shape_instances,
+                                                  shape_trajectories, seed):
+        image, _ = shape_instances[seed]
         polygons = {}
         for criterion in ("mdl", "nfa"):
-            for step in bss_simplify(image, initial, criterion).steps:
+            for step in shape_trajectories[seed, criterion][0].steps:
                 polygons.setdefault(step.polygon.vertices.tobytes(), step.polygon)
         for poly in polygons.values():
             assert_children_match_full_path(image, poly)
         assert len(polygons) > 40
 
-    def test_removable_matches_all_vertex_oracle(self, shape_instances):
+    def test_removable_matches_all_vertex_oracle(self, shape_trajectories):
         # Every vertex of every polygon on the shape and star trajectories.
-        instances = list(shape_instances.values()) + [
-            (image, PolygonHypothesis(verts)) for image, verts in
-            (TestBssAgainstExhaustiveOracle().make_instance(seed, c)
-             for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)])]
+        trajectories = [traj for traj, _ in shape_trajectories.values()] + [
+            bss_simplify(image, PolygonHypothesis(verts), criterion)
+            for image, verts in (TestBssAgainstExhaustiveOracle().make_instance(seed, c)
+                                 for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)])
+            for criterion in ("mdl", "nfa")]
         checked = 0
-        for image, initial in instances:
-            for criterion in ("mdl", "nfa"):
-                for step in bss_simplify(image, initial, criterion).steps:
-                    removable_per_vertex(step.polygon)
-                    checked += step.polygon.c
+        for traj in trajectories:
+            for step in traj.steps:
+                removable_per_vertex(step.polygon)
+                checked += step.polygon.c
         assert checked > 5000
 
     def test_collinear_middle_vertex(self):
@@ -411,16 +421,16 @@ class TestIncrementalBss:
 
 
 @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
-def test_step_polygons_pass_full_validation(shape_instances, criterion):
+def test_step_polygons_pass_full_validation(shape_trajectories, criterion):
     # bss_simplify builds each step's polygon without re-running the
     # PolygonHypothesis checks, which `_removable` has already made.
     stars = [TestBssAgainstExhaustiveOracle().make_instance(seed, c)
              for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)]]
-    instances = list(shape_instances.values()) + [
-        (image, PolygonHypothesis(verts)) for image, verts in stars]
+    trajectories = [shape_trajectories[seed, criterion][0] for seed in range(3)] + [
+        bss_simplify(image, PolygonHypothesis(verts), criterion) for image, verts in stars]
     checked = 0
-    for image, initial in instances:
-        for step in bss_simplify(image, initial, criterion).steps[1:]:
+    for traj in trajectories:
+        for step in traj.steps[1:]:
             verts = step.polygon.vertices
             assert verts.dtype == np.float64 and verts.flags.c_contiguous
             assert not verts.flags.writeable
@@ -430,7 +440,8 @@ def test_step_polygons_pass_full_validation(shape_instances, criterion):
 
 
 class TestTailMemo:
-    def test_one_tail_per_distinct_counts(self, monkeypatch, shape_instances):
+    def test_one_tail_per_distinct_counts(self, monkeypatch, shape_instances,
+                                          shape_trajectories):
         # Interior counts recur from step to step; each (n, k) gets its NFA
         # tail computed once per run.
         image, initial = shape_instances[0]
@@ -444,9 +455,33 @@ class TestTailMemo:
         monkeypatch.setattr(numeric_module, "binomial_tail_log", counting)
         traj = bss_simplify(image, initial, "nfa")
         assert calls and max(calls.values()) == 1
-        monkeypatch.undo()
-        assert (trajectory_record(traj)
-                == trajectory_record(bss_simplify_full(image, initial, "nfa")))
+        assert trajectory_record(traj) == trajectory_record(shape_trajectories[0, "nfa"][1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_nfa_key_matches_oracle(self, shape_instances, shape_trajectories,
+                                    seed, criterion):
+        # Every child of every step of the trajectory, its tail first absent
+        # from the memo, then present for every other child (as for a child
+        # the walk has scored), gets the oracle's key.
+        image, _ = shape_instances[seed]
+        tails, keys, hits = {}, 0, 0
+        for step in shape_trajectories[seed, criterion][0].steps:
+            poly = step.polygon
+            if poly.c == 3:
+                continue
+            mask = rasterize_polygon(poly.vertices, image.width, image.height)
+            for i, child in enumerate(_child_counts(image, poly, mask, step.inside, {})):
+                if child is None:
+                    continue
+                counts = polygon_counts(image, poly.c - 1, child)
+                hits += counts.tail in tails
+                assert counts.log2_nfa_bound(tails) == bss_nfa_key(counts, tails)
+                if i % 2:
+                    counts.log2_nfa(tails)
+                    assert counts.log2_nfa_bound(tails) == bss_nfa_key(counts, tails)
+                keys += 1
+        assert keys > 1000 and 0 < hits < keys
 
     def test_at_most_one_tail_per_step(self, monkeypatch, shape_instances):
         # Only children that can still win get an exact tail; the others

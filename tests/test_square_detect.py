@@ -28,6 +28,7 @@ from mdlnfa.square_detect import (
     pick_hypothesis,
     select_hypothesis,
 )
+import oracles
 from oracles import _square_counts as square_counts_sum
 
 
@@ -150,7 +151,39 @@ class TestSingleSquare:
         assert nfa_hits >= 95
 
 
+def count_grid():
+    """Consistent (square, background, image) counts on four image sizes,
+    with square and image counts at and near 0 and n, where the
+    approximations are undefined, as well as inside."""
+    for n, n1 in [(100, 16), (1000, 100), (10**4, 1600), (256 * 256, 900)]:
+        for k in (1, n // 10, n // 3, n // 2, n - 1, n):
+            for k1 in sorted({0, 1, n1 // 4, n1 // 2, 3 * n1 // 4, n1 - 1, n1}):
+                if 0 <= k - k1 <= n - n1:
+                    yield (RegionCounts(n1, k1), RegionCounts(n - n1, k - k1),
+                           RegionCounts(n, k))
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except DomainError:
+        return DomainError
+
+
 class TestApproximations:
+    def test_approximations_match_oracle(self):
+        # Both approximations give the oracle's float, or raise where it
+        # raises, on every count of the grid.
+        defined = {"mdl": 0, "nfa": 0}
+        for square, background, image in count_grid():
+            mdl = outcome(approx_mdl_score, square, background, image)
+            assert mdl == outcome(oracles.approx_mdl_score, square, background, image)
+            nfa = outcome(approx_log_nfa, square, image)
+            assert nfa == outcome(oracles.approx_log_nfa, square, image)
+            defined["mdl"] += mdl is not DomainError
+            defined["nfa"] += nfa is not DomainError
+        assert min(defined.values()) > 40
+
     def test_approx_nfa_formula(self):
         square = RegionCounts(1600, 1440)   # q1 = 0.9
         image = RegionCounts(10**4, 3000)   # q = 0.3
@@ -210,6 +243,16 @@ class TestMultiSquare:
     def test_empty_hypothesis_costs_one_bit(self):
         img = noiseless_square_image()
         assert mdl_score_multi(img, SquareHypothesis()) == 1.0
+
+    def test_empty_hypothesis_in_selection(self):
+        # The same empty score reaches selection: L0 + 1 bits and no test.
+        img = noiseless_square_image()
+        empty = SquareHypothesis()
+        for criterion in ("mdl", "nfa"):
+            sel = select_hypothesis(img, [empty], criterion)
+            assert sel.chosen == empty
+            assert sel.table == ((empty, Score(mdl_bits=1.0, log2_nfa=math.inf)),)
+        assert sel.table[0][1].mdl_bits == mdl_score_multi(img, empty)
 
     def test_single_square_identity(self):
         for seed in range(5):
