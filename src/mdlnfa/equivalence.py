@@ -17,26 +17,41 @@ evaluates them in exact arithmetic so that boundary ties (eta * tail equal to
 |X|^n) are decided by arithmetic rather than floating-point rounding, and it
 reports how many such boundary-exact configurations occur.
 
-Both decisions depend on a configuration only through its tail, so the
-checker decides each distinct tail of a part once and weights the outcome by
-the number of configurations that share it.
+The checker is a producer and a decider.  Both decisions read a
+configuration only through its tail, so a part enters them only through the
+histogram of its `xi` values: its distinct values in increasing order, each
+with the number of configurations that take it.
 
-Configurations are enumerated as digit matrices: `enumerate_configs` yields
-int64 blocks of at most `BLOCK_ROWS` rows, one configuration per row, in
-lexicographic order.  An ordering function `xi` takes such a matrix and
-returns one value per row, so each part costs one `xi` call per block.  A
-single configuration `x` is scored as a one-row matrix.
+The producer enumerates configurations as digit matrices:
+`enumerate_configs` yields int64 blocks of at most `BLOCK_ROWS` rows, one
+configuration per row, in lexicographic order.  An ordering function `xi`
+takes such a matrix and returns one value per row.  Each block of a length
+is made once and handed to every part of that length, so a part costs one
+`xi` call per block, and its histogram is merged block by block from
+`np.unique` counts (memory grows with its distinct values, not with |X|^n).
+A single configuration `x` is scored as a one-row matrix.  Past the
+enumeration cap, `count_ones_histogram` gives the `count_ones` histogram in
+closed form.
+
+The decider forms the tails as exact suffix sums of the counts.  Both rules
+are monotone in the tail, so `decide` bisects for each rule's first
+detecting tail, evaluating that rule and nothing else: the mismatches are
+the configurations between the two thresholds, and the boundary-exact tail
+(eta * tail = |X|^n) is found by an integer search of its own.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable
 
 import numpy as np
+
+from .numeric import is_count
 
 MAX_STATES = 2**24   # desk-scale exhaustiveness cap per part
 BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
@@ -44,10 +59,6 @@ BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
 
 class EnumerationRefused(ValueError):
     """The requested check violates an enumerability or budget constraint."""
-
-
-def _is_count(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -64,7 +75,7 @@ class PartSpec:
     name: str = ""
 
     def __post_init__(self):
-        if not _is_count(self.length) or self.length < 1:
+        if not is_count(self.length) or self.length < 1:
             raise ValueError(f"part length must be an integer >= 1, "
                              f"got {self.length!r}")
         if isinstance(self.eta, bool):
@@ -80,17 +91,21 @@ class PartSpec:
 
 
 def _check_alphabet(alphabet_size: int) -> None:
-    if not _is_count(alphabet_size) or alphabet_size < 2:
+    if not is_count(alphabet_size) or alphabet_size < 2:
         raise ValueError(f"alphabet size must be an integer >= 2, "
                          f"got {alphabet_size!r}")
+
+
+def _check_length(length: int) -> None:
+    if not is_count(length) or length < 0:
+        raise ValueError(f"length must be an integer >= 0, got {length!r}")
 
 
 def enumerate_configs(alphabet_size: int, length: int):
     """All |X|^length configurations, lexicographically, as int64 digit
     matrices of at most `BLOCK_ROWS` rows (one configuration per row)."""
     _check_alphabet(alphabet_size)
-    if not _is_count(length) or length < 0:
-        raise ValueError(f"length must be an integer >= 0, got {length!r}")
+    _check_length(length)
     trailing = 0
     while trailing < length and alphabet_size ** (trailing + 1) <= BLOCK_ROWS:
         trailing += 1
@@ -127,19 +142,60 @@ def _xi_rows(spec: PartSpec, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _xi_values(spec: PartSpec, alphabet_size: int) -> np.ndarray:
+def _histograms(alphabet_size: int, specs) -> list:
+    """Each part's xi histogram, as a sorted float64 array of its distinct
+    values and an int64 array of their counts.
+
+    Every part is checked against the cap before any is enumerated.  Each
+    distinct length is enumerated once, and each of its blocks is scored by
+    every part of that length.
+    """
     _check_alphabet(alphabet_size)
-    states = spec.states(alphabet_size)
-    if states > MAX_STATES:
-        raise EnumerationRefused(
-            f"part {_name(spec)} has {states} configurations, "
-            f"beyond the {MAX_STATES} exhaustive-enumeration cap")
-    values = np.concatenate([_xi_rows(spec, block) for block in
-                             enumerate_configs(alphabet_size, spec.length)])
-    if not np.isfinite(values).all():
-        raise ValueError(f"part {_name(spec)}: xi values must be "
-                         f"finite (NaN or infinity found)")
-    return values
+    for spec in specs:
+        states = spec.states(alphabet_size)
+        if states > MAX_STATES:
+            raise EnumerationRefused(
+                f"part {_name(spec)} has {states} configurations, "
+                f"beyond the {MAX_STATES} exhaustive-enumeration cap")
+    by_length: dict[int, list[int]] = {}
+    for i, spec in enumerate(specs):
+        by_length.setdefault(spec.length, []).append(i)
+    out = [None] * len(specs)
+    for length, members in by_length.items():
+        for block in enumerate_configs(alphabet_size, length):
+            for i in members:
+                seen = np.unique(_xi_rows(specs[i], block), return_counts=True)
+                out[i] = seen if out[i] is None else _merge(out[i], seen)
+        for i in members:
+            if not np.isfinite(out[i][0]).all():
+                raise ValueError(f"part {_name(specs[i])}: xi values must be "
+                                 f"finite (NaN or infinity found)")
+    return out
+
+
+def _merge(held, seen):
+    """The histogram of two sets of configurations from their histograms."""
+    values, where = np.unique(np.concatenate((held[0], seen[0])),
+                              return_inverse=True)
+    counts = np.bincount(where, np.concatenate((held[1], seen[1])),
+                         minlength=len(values))
+    return values, counts.astype(np.int64)
+
+
+def value_histogram(spec: PartSpec, alphabet_size: int) -> list[tuple[float, int]]:
+    """(value, count) for each distinct xi value of the part, by enumeration,
+    in increasing order of value."""
+    values, counts = _histograms(alphabet_size, [spec])[0]
+    return list(zip(values.tolist(), counts.tolist()))
+
+
+def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
+    """`value_histogram` of `xi_count_ones` in closed form, for any length:
+    C(L, j) * (|X| - 1)^(L - j) configurations have j ones."""
+    _check_alphabet(alphabet_size)
+    _check_length(length)
+    return [(float(j), math.comb(length, j) * (alphabet_size - 1) ** (length - j))
+            for j in range(length + 1)]
 
 
 def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
@@ -147,10 +203,10 @@ def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
 
     A threshold of +inf counts none and -inf counts all; NaN is refused.
     """
-    values = _xi_values(spec, alphabet_size)
+    values, counts = _histograms(alphabet_size, [spec])[0]
     if math.isnan(threshold):
         raise ValueError(f"part {_name(spec)}: threshold must be a number, got NaN")
-    return int((values >= threshold).sum())
+    return int(counts[np.searchsorted(values, threshold):].sum())
 
 
 def _tail_of(spec: PartSpec, alphabet_size: int, x) -> int:
@@ -175,6 +231,33 @@ def _mdl_detects(eta: Fraction, tail: int, states: int) -> bool:
     # log2(eta) + log2(tail) < log2(states), compared as eta * tail < states
     # by integer cross-multiplication (the logs are monotone).
     return eta.numerator * tail < eta.denominator * states
+
+
+def decide(eta: Fraction, states: int, weights) -> tuple[int, int, int]:
+    """(detections, mismatches, boundary_exact) of a part of `states`
+    configurations whose distinct xi values, in increasing order, are taken
+    by `weights[i]` configurations each (positive ints).
+
+    tails[i] = sum(weights[i:]) falls as i grows, and each rule detects
+    exactly the tails below its own threshold, so one bisection per rule
+    finds its first detecting index.
+    """
+    n = len(weights)
+    tails = list(accumulate(reversed(weights), initial=0))[::-1]
+
+    def first(detects):
+        return bisect_left(range(n), True,
+                           key=lambda i: detects(eta, tails[i], states))
+
+    # Each rule is read from the module at call time and evaluated on its
+    # own: merged into one inequality, the check would test nothing.
+    nfa, mdl = first(_nfa_detects), first(_mdl_detects)
+    num, den = eta.numerator, eta.denominator
+    edge = bisect_left(range(n), True,
+                       key=lambda i: num * tails[i] <= den * states)
+    boundary = (weights[edge]
+                if edge < n and num * tails[edge] == den * states else 0)
+    return tails[nfa], abs(tails[nfa] - tails[mdl]), boundary
 
 
 def nfa_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
@@ -251,9 +334,10 @@ class EquivalenceReport:
 
 
 def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
-    """Run both decisions on every configuration of every part (each
-    distinct tail is decided once and counted for all its configurations).
+    """Run both decisions on every configuration of every part: each part's
+    histogram goes to `decide`, which finds one threshold per rule.
 
+    Every part is checked against `MAX_STATES` before any is enumerated.
     Requires the risk weights to satisfy the Kraft-style budget
     sum(1/eta) <= 1 (otherwise the weight family is not a valid allocation
     and the check is refused).  The theorem asserts zero mismatches.
@@ -267,25 +351,12 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
         raise EnumerationRefused(f"risk weights violate sum(1/eta) <= 1: "
                                  f"sum is {budget}")
     reports = []
-    for spec in parts:
+    for spec, (_, counts) in zip(parts, _histograms(alphabet_size, parts)):
         states = spec.states(alphabet_size)
-        values = _xi_values(spec, alphabet_size)
-        # Both decisions read only tail(v) = #configs with value >= xi(v),
-        # so the tail of each distinct value is decided once and counted
-        # for each of the `weight` configurations that have that value.
-        weights = np.unique(values, return_counts=True)[1]
-        tails = np.cumsum(weights[::-1])[::-1]
-        detections = mismatches = boundary = 0
-        eta = spec.eta
-        for tail, weight in zip(tails.tolist(), weights.tolist()):
-            nfa_detect = _nfa_detects(eta, tail, states)
-            mdl_detect = _mdl_detects(eta, tail, states)
-            if eta.numerator * tail == eta.denominator * states:
-                boundary += weight
-            detections += weight * nfa_detect
-            mismatches += weight * (nfa_detect != mdl_detect)
+        detections, mismatches, boundary = decide(spec.eta, states,
+                                                  counts.tolist())
         reports.append(PartReport(name=spec.name, length=spec.length,
-                                  eta=eta, n_configs=states,
+                                  eta=spec.eta, n_configs=states,
                                   detections=detections,
                                   mismatches=mismatches,
                                   boundary_exact=boundary))

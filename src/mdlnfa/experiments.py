@@ -18,8 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .equivalence import (XI_FAMILIES, EquivalenceReport, PartSpec, _is_count,
-                          check_equivalence)
+from .equivalence import XI_FAMILIES, EquivalenceReport, PartSpec, check_equivalence
 from .imaging import BinaryImage, NoiseConfig, flip_noise, rasterize_polygon, synthesize_squares
 from .lsd import (
     AlignmentCounts,
@@ -29,7 +28,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import LOG10_2
+from .numeric import LOG10_2, is_count
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -68,8 +67,7 @@ def _check_sweep(cfg, **lows) -> None:
     for name, low in dict(base_seed=0, seeds_per_cell=1, workers=1, **lows).items():
         value = getattr(cfg, name)
         grid = isinstance(value, (tuple, list))
-        if not all(not isinstance(v, bool) and isinstance(v, (int, np.integer)) and v >= low
-                   for v in (value if grid else (value,))):
+        if not all(is_count(v) and v >= low for v in (value if grid else (value,))):
             raise ConfigError(f"{name} must be {'integers' if grid else 'an integer'} "
                               f">= {low}, got {value!r}")
     if not cfg.epsilon > 0.0:
@@ -338,7 +336,7 @@ class ShapeSpec:
 
     def __post_init__(self):
         NoiseConfig(self.delta)   # delta must lie in [0, 0.5)
-        if not _is_count(self.n_vertices) or self.n_vertices < 3:
+        if not is_count(self.n_vertices) or self.n_vertices < 3:
             raise ConfigError(f"n_vertices must be an integer >= 3, got {self.n_vertices!r}")
 
 

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import DomainError, RegionCounts
+from .numeric import DomainError, RegionCounts, is_count
 
 # Pinned noise generator: PCG64 with explicit integer seeding keeps every
 # experiment reproducible bit-for-bit.
@@ -397,8 +397,7 @@ def trace_contour(image: BinaryImage, every: int = 1) -> np.ndarray:
     passes run on a flat copy of the image with a one-pixel background
     border, so every neighbour is a fixed flat offset with no bounds check.
     """
-    if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
-            or every < 1):
+    if not is_count(every) or every < 1:
         raise ValueError(f"every must be an integer >= 1, got {every!r}")
     width = image.width + 2                     # bordered grid
     grid = bytearray(np.pad(image.pixels, 1))   # 1: foreground not yet labelled

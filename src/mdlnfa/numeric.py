@@ -36,6 +36,11 @@ class DomainError(ValueError):
     """Arguments outside an operation's mathematical domain."""
 
 
+def is_count(value) -> bool:
+    """True for a Python or numpy integer; a bool is not a count."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 # log2(m!) for 0 <= m <= _TABLE_SIZE, as Python floats.
 _LOG2_FACT = [0.0] + np.cumsum(np.log2(np.arange(1, _TABLE_SIZE + 1,
                                                   dtype=np.float64))).tolist()

@@ -24,6 +24,7 @@ from .numeric import (
     RegionCounts,
     Score,
     complement,
+    is_count,
     l0_code_length,  # re-exported
 )
 
@@ -41,8 +42,7 @@ class Square:
     side: int
 
     def __post_init__(self):
-        if not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
-                   for v in (self.row, self.col, self.side)):
+        if not all(is_count(v) for v in (self.row, self.col, self.side)):
             raise ValueError(f"square fields must be integers, got {self}")
         if self.side < 1:
             raise ValueError(f"square side must be >= 1, got {self.side}")

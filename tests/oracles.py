@@ -810,6 +810,29 @@ def check_equivalence_per_config(alphabet_size, parts):
                              kraft=budget)
 
 
+def decide_per_tail(eta, states, weights):
+    """`equivalence.decide` as the per-tail loop it replaced: both rules on
+    every distinct tail, each outcome weighted by the configurations that
+    share the tail.  `weights` are the counts of a part's distinct values in
+    increasing order; an object array keeps their sums exact past int64.
+    """
+    import numpy as np
+
+    from mdlnfa.equivalence import _mdl_detects, _nfa_detects
+
+    weights = np.array(weights, dtype=object)
+    tails = np.cumsum(weights[::-1])[::-1]
+    detections = mismatches = boundary = 0
+    for tail, weight in zip(tails.tolist(), weights.tolist()):
+        nfa_detect = _nfa_detects(eta, tail, states)
+        mdl_detect = _mdl_detects(eta, tail, states)
+        if eta.numerator * tail == eta.denominator * states:
+            boundary += weight
+        detections += weight * nfa_detect
+        mismatches += weight * (nfa_detect != mdl_detect)
+    return detections, mismatches, boundary
+
+
 def xi_count_ones(v) -> float:
     """`equivalence.xi_count_ones` as first written."""
     return float(sum(1 for s in v if s == 1))

@@ -6,14 +6,19 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import mdlnfa.equivalence as equivalence_module
 from mdlnfa.equivalence import (
     BLOCK_ROWS,
+    MAX_STATES,
     XI_FAMILIES,
     EnumerationRefused,
     PartSpec,
     check_equivalence,
+    count_ones_histogram,
+    decide,
     enumerate_configs,
     kraft_sum,
     make_random_xi,
@@ -21,12 +26,13 @@ from mdlnfa.equivalence import (
     nfa_decision,
     part_code_length,
     tail_count,
+    value_histogram,
     xi_count_ones,
     xi_longest_run,
     xi_weighted_sum,
 )
 from mdlnfa.experiments import default_equivalence_runs
-from oracles import check_equivalence_per_config
+from oracles import check_equivalence_per_config, decide_per_tail
 from oracles import xi_count_ones as xi_count_ones_plain
 from oracles import xi_longest_run as xi_longest_run_plain
 from oracles import xi_weighted_sum as xi_weighted_sum_plain
@@ -193,6 +199,57 @@ class TestCheckEquivalence:
         assert report.total_boundary_exact == 1
         assert report.total_mismatches == 0
 
+    def test_oversized_part_refused_before_any_enumeration(self):
+        # The last part used to be refused only after the earlier parts
+        # were enumerated and scored.
+        calls = []
+
+        def counting_xi(v):
+            calls.append(len(v))
+            return xi_count_ones(v)
+
+        def never_called(v):
+            raise AssertionError("an oversized part was enumerated")
+
+        parts = [PartSpec(length=4, eta=2, xi=counting_xi),
+                 PartSpec(length=30, eta=2, xi=never_called, name="big")]
+        with pytest.raises(EnumerationRefused,
+                           match=f"part big has {2**30} configurations, beyond "
+                                 f"the {MAX_STATES} exhaustive-enumeration cap"):
+            check_equivalence(2, parts)
+        assert calls == []
+
+    def test_one_enumeration_per_length(self, monkeypatch):
+        # Parts of one length share each block: one enumeration per distinct
+        # length, and still one xi call per part per block.
+        lengths, calls = [], {}
+        enumerate_all = equivalence_module.enumerate_configs
+
+        def counting_enumerate(alphabet, length):
+            lengths.append(length)
+            return enumerate_all(alphabet, length)
+
+        def counting(name, xi):
+            def counted(v):
+                calls[name] = calls.get(name, 0) + 1
+                return xi(v)
+            return counted
+
+        monkeypatch.setattr(equivalence_module, "enumerate_configs",
+                            counting_enumerate)
+        parts = [PartSpec(length=length, eta=8, xi=counting(name, xi),
+                          name=name)
+                 for name, length, xi in [("a", 4, xi_count_ones),
+                                          ("b", 18, xi_weighted_sum),
+                                          ("c", 4, xi_longest_run),
+                                          ("d", 18, xi_count_ones)]]
+        report = check_equivalence(2, parts)
+        assert lengths == [4, 18]
+        assert calls == {"a": 1, "b": 4, "c": 1, "d": 4}
+        monkeypatch.undo()
+        assert report.parts == tuple(check_equivalence(2, [p]).parts[0]
+                                     for p in parts)
+
     def test_kraft_violation_refused(self):
         parts = [count_ones_part(eta=2), count_ones_part(eta=2),
                  count_ones_part(eta=2)]
@@ -357,6 +414,86 @@ class TestAgainstPerConfigOracle:
         report = check_equivalence(3, parts)
         assert report == check_equivalence_per_config(3, parts)
         assert 0 < report.parts[0].detections < 3**11
+
+    def test_random_xi_merged_over_several_blocks(self):
+        # Each of the three blocks has its own np.unique counts, merged into
+        # one histogram.
+        def parts():
+            return [PartSpec(length=11, eta=Fraction(2), xi=make_random_xi(5),
+                             name="random_11")]
+        report = check_equivalence(3, parts())
+        assert report == check_equivalence_per_config(3, parts())
+        assert 0 < report.parts[0].detections < 3**11
+
+
+class TestDecider:
+    """`decide` finds one threshold per rule; the oracle decides every
+    distinct tail."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_per_tail_oracle(self, data):
+        weights = data.draw(st.lists(st.integers(1, 10**6), min_size=1,
+                                     max_size=40))
+        states = sum(weights)
+        tails = [sum(weights[i:]) for i in range(len(weights))]
+        kind = data.draw(st.sampled_from(["random", "boundary", "huge", "one"]))
+        if kind == "random":
+            eta = Fraction(data.draw(st.integers(1, 10**7)),
+                           data.draw(st.integers(1, 10**3)))
+        elif kind == "boundary":      # eta * tail == states for a present tail
+            eta = Fraction(states, data.draw(st.sampled_from(tails)))
+        elif kind == "huge":          # eta >= states: nothing is detected
+            eta = Fraction(states + data.draw(st.integers(0, 10**3)))
+        else:
+            eta = Fraction(1)
+        got = decide(eta, states, weights)
+        assert got == decide_per_tail(eta, states, weights)
+        if kind == "boundary":
+            assert got[2] > 0
+        if kind == "huge":
+            assert got[0] == 0
+        if kind == "one":             # every tail but the full one
+            assert got[0] == states - weights[0]
+
+    def test_rules_read_at_call_time(self, monkeypatch):
+        monkeypatch.setattr(equivalence_module, "_nfa_detects",
+                            lambda eta, tail, states: True)
+        assert decide(Fraction(16), 16, [1, 4, 6, 4, 1]) == (16, 16, 1)
+
+
+class TestCountOnesHistogram:
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_matches_enumeration(self, alphabet):
+        for length in range(1, 11):
+            spec = PartSpec(length=length, eta=2, xi=xi_count_ones)
+            assert count_ones_histogram(alphabet, length) == \
+                value_histogram(spec, alphabet)
+
+    @pytest.mark.parametrize("alphabet,length", [(2, 256), (3, 64)])
+    def test_decided_past_the_cap_with_a_boundary_case(self, alphabet, length):
+        histogram = count_ones_histogram(alphabet, length)
+        states = alphabet**length
+        assert states > MAX_STATES
+        weights = [count for _, count in histogram]
+        assert sum(weights) == states
+        # Put the configurations with at least 3/5 of the digits equal to
+        # one exactly on the boundary eta * tail == |X|^L.
+        j = 3 * length // 5
+        tail = sum(weights[j:])
+        eta = Fraction(states, tail)
+        detections, mismatches, boundary = decide(eta, states, weights)
+        assert (detections, mismatches, boundary) == \
+            decide_per_tail(eta, states, weights)
+        assert mismatches == 0
+        assert boundary == weights[j] > 0
+        assert detections == tail - weights[j]
+
+    @pytest.mark.parametrize("alphabet,length", [(1, 4), (2.0, 4), (2, -1),
+                                                 (2, 4.0), (2, True)])
+    def test_arguments_checked(self, alphabet, length):
+        with pytest.raises(ValueError):
+            count_ones_histogram(alphabet, length)
 
 
 class TestXiAgainstPlainVersions:

@@ -18,10 +18,20 @@ from mdlnfa.numeric import (
     binomial_tail_log,
     g_term,
     hoeffding_tail_bound,
+    is_count,
     log_binomial,
     stirling_log_binomial,
 )
 from oracles import exact_log2_binomial_tail, log_binomial_numpy
+
+
+@pytest.mark.parametrize("value,want", [
+    (0, True), (-3, True), (2**70, True), (np.int64(5), True), (np.uint8(1), True),
+    (True, False), (np.bool_(True), False), (2.0, False), (np.float64(2.0), False),
+    (Fraction(2), False), ("2", False), (None, False)])
+def test_is_count(value, want):
+    # The one integer test of the input checks: bools are not counts.
+    assert is_count(value) is want
 
 
 class TestRegionCounts:
