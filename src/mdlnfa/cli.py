@@ -36,7 +36,7 @@ from .lsd import (
     read_candidates_file,
     write_segments_file,
 )
-from .numeric import meaningful
+from .numeric import check_epsilon, meaningful
 from .polygon import PolygonHypothesis
 
 EXIT_OK = 0
@@ -102,8 +102,8 @@ def cmd_sweep_multi(args) -> int:
 
 
 def cmd_polygon(args) -> int:
-    if args.epsilon is not None and not args.epsilon > 0.0:
-        raise ex.ConfigError(f"epsilon must be positive, got {args.epsilon}")
+    if args.epsilon is not None:
+        check_epsilon(args.epsilon, ex.ConfigError)
     if args.trace_every < 1:
         raise ex.ConfigError(f"--trace-every must be >= 1, got {args.trace_every}")
     if args.image:

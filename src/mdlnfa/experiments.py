@@ -28,7 +28,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import LOG10_2, is_count
+from .numeric import LOG10_2, check_epsilon, is_count
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -70,8 +70,7 @@ def _check_sweep(cfg, **lows) -> None:
         if not all(is_count(v) and v >= low for v in (value if grid else (value,))):
             raise ConfigError(f"{name} must be {'integers' if grid else 'an integer'} "
                               f">= {low}, got {value!r}")
-    if not cfg.epsilon > 0.0:
-        raise ConfigError(f"epsilon must be positive, got {cfg.epsilon}")
+    check_epsilon(cfg.epsilon, ConfigError)
     if any(not 0.0 < d < 0.5 for d in cfg.deltas):
         raise ConfigError("all deltas must lie in (0, 0.5)")
 

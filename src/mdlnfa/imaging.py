@@ -11,6 +11,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -159,8 +160,13 @@ def synthesize_squares(layout, width: int, height: int,
     return flip_noise(image, cfg.delta, cfg.seed)
 
 
-# Pixel-center rows within this distance of an edge's y-range belong to it.
+# Rasterizer tolerances.  Pixel-center rows within _ROW_EPS of an edge's
+# y-range belong to it; a pixel center within _COL_EPS of an edge's crossing
+# of its row lies on the edge; a polygon with less than _AREA_EPS of twice
+# its signed area is degenerate.
 _ROW_EPS = 1e-9
+_COL_EPS = 1e-7
+_AREA_EPS = 1e-12
 
 
 def _shoelace(verts) -> np.ndarray:
@@ -175,13 +181,79 @@ def _shoelace(verts) -> np.ndarray:
 
 def zero_area(verts: np.ndarray) -> bool:
     """Is the (c, 2) polygon `verts` too thin for `rasterize_polygon`?"""
-    return abs(float(_shoelace(verts))) < 1e-12
+    return abs(float(_shoelace(verts))) < _AREA_EPS
 
 
-def row_span(ys, height: int) -> tuple[int, int]:
-    """First and last of `height` rows reached by edges spanning `ys`."""
-    return (max(0, math.ceil(min(ys) - _ROW_EPS)),
-            min(height - 1, math.floor(max(ys) + _ROW_EPS)))
+def edge_marks(x1: float, y1: float, x2: float, y2: float,
+               width: int, height: int) -> tuple[list, list]:
+    """Even-odd crossings and boundary hits of the directed edge
+    (x1, y1) -> (x2, y2) on a height x width grid of pixel centers.
+
+    The crossings are (row, x) pairs, one per row of the edge's half-open
+    y-range [min y, max y).  The hits are the flat indices row * width + col
+    of the pixel centers on the closed edge.  Pixel centers have integer y,
+    so one walk over the edge's integer rows finds both.  An edge and its
+    reverse cross the same rows, but their x can differ in the last bit:
+    walk an edge in the direction its polygon runs.
+    """
+    crossings, hits = [], []
+    eps = _ROW_EPS
+    lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
+    if (hi + eps < 0 or lo - eps > height - 1) and -math.inf < lo and hi < math.inf:
+        return crossings, hits   # a finite edge that reaches no row
+    if y1 == y2:
+        row = round(y1)
+        if abs(y1 - row) < eps and 0 <= row < height:
+            left = max(0, math.ceil(min(x1, x2) - eps))
+            right = min(width - 1, math.floor(max(x1, x2) + eps))
+            hits.extend(range(row * width + left, row * width + right + 1))
+        return crossings, hits
+    for row in range(max(0, math.ceil(lo - eps)), min(height - 1, math.floor(hi + eps)) + 1):
+        # Keep this operation order: boundary pixels depend on its rounding.
+        x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
+        if lo <= row < hi:
+            crossings.append((row, x))
+        col = round(x)
+        if abs(x - col) < _COL_EPS and 0 <= col < width:
+            hits.append(row * width + col)
+    return crossings, hits
+
+
+def polygon_marks(vertices, width: int, height: int) -> tuple[np.ndarray, list]:
+    """Even-odd parity of every pixel of the closed polygon, as a
+    (height, width) bool array, and its edge hits, as the flat index
+    row * width + col of each pixel center on an edge, once per edge.
+
+    Pixel (row, col) has odd parity when an odd number of the polygon's
+    crossings of its row lie left of its center (x < col); the hits come
+    from `edge_marks`.  A center exactly on a crossing is a hit, so the
+    parity with every hit pixel set is the even-odd fill with inclusive
+    boundary: `rasterize_polygon`.  Raises as that does.
+    """
+    verts = np.asarray(vertices, dtype=np.float64)
+    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
+        raise ValueError("polygon needs at least 3 (x, y) vertices")
+    if zero_area(verts):
+        raise ValueError("polygon is degenerate (zero area)")
+    pts = verts.tolist()
+    crossings, hits = [], []
+    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
+        edge_crossings, edge_hits = edge_marks(x1, y1, x2, y2, width, height)
+        crossings += edge_crossings
+        hits += edge_hits
+    # A crossing at x toggles the parity of columns floor(x) + 1 onwards, up
+    # to a column `width` right of the image.  Every row holds an even number
+    # of crossings, so its toggles cancel by its end, and one running XOR
+    # over the flattened rows gives the parity of each row.
+    rows, xs = np.fromiter(chain.from_iterable(crossings), np.float64,
+                           2 * len(crossings)).reshape(-1, 2).T
+    cols = np.clip(np.floor(xs) + 1, 0, width).astype(np.intp)
+    toggles = np.zeros(height * (width + 1), dtype=bool)
+    np.logical_xor.at(toggles, rows.astype(np.intp) * (width + 1) + cols, True)
+    parity = np.logical_xor.accumulate(toggles).reshape(height, width + 1)[:, :width]
+    if not hits and not parity.any():
+        raise ValueError("polygon has an empty pixel footprint (degenerate)")
+    return np.ascontiguousarray(parity), hits
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -191,58 +263,9 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
     exactly on an edge or vertex belong to the region.  Raises on polygons
     with fewer than 3 vertices or an empty pixel footprint.
     """
-    verts = np.asarray(vertices, dtype=np.float64)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValueError("polygon needs at least 3 (x, y) vertices")
-    if zero_area(verts):
-        raise ValueError("polygon is degenerate (zero area)")
-    mask = _scanline_rows(verts.tolist(), width, 0, height - 1)
-    if not mask.any():
-        raise ValueError("polygon has an empty pixel footprint (degenerate)")
+    mask, hits = polygon_marks(vertices, width, height)
+    mask.reshape(-1)[hits] = True
     return mask
-
-
-def _scanline_rows(pts, width: int, r0: int, r1: int) -> np.ndarray:
-    """Rows r0..r1 of the mask of the closed polygon `pts`, a list of
-    (x, y) float pairs; row r of the result is mask row r0 + r.
-
-    Each row depends only on the edges that reach it, so any band of rows
-    comes out exactly as in the full mask.
-    """
-    rows = np.zeros((r1 - r0 + 1, width), dtype=bool)
-    eps, inf = _ROW_EPS, math.inf
-    crossings: dict[int, list[float]] = {}
-    # One pass over the edges.  Pixel centers have integer y, so walking the
-    # integer rows of each closed edge finds every center lying on it; the
-    # rows of its half-open y-range also give the even-odd crossings.
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
-        if (hi + eps < r0 or lo - eps > r1) and -inf < lo and hi < inf:
-            continue   # a finite edge that reaches no row of the band
-        if y1 == y2:
-            row = round(y1)
-            if abs(y1 - row) < eps and r0 <= row <= r1:
-                left = max(0, math.ceil(min(x1, x2) - eps))
-                right = min(width - 1, math.floor(max(x1, x2) + eps))
-                if right >= left:
-                    rows[row - r0, left:right + 1] = True
-            continue
-        for row in range(max(r0, math.ceil(lo - eps)), min(r1, math.floor(hi + eps)) + 1):
-            # Keep this operation order: boundary pixels depend on its rounding.
-            x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
-            if lo <= row < hi:
-                crossings.setdefault(row, []).append(x)
-            col = round(x)
-            if abs(x - col) < 1e-7 and 0 <= col < width:
-                rows[row - r0, col] = True
-    for row, xs in crossings.items():
-        xs.sort()
-        for x_in, x_out in zip(xs[::2], xs[1::2]):
-            left = max(0, math.floor(x_in) + 1)
-            right = min(width - 1, math.ceil(x_out) - 1)
-            if right >= left:
-                rows[row - r0, left:right + 1] = True
-    return rows
 
 
 def count_region(image: BinaryImage, mask: np.ndarray) -> RegionCounts:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import OrientationMap, _rows, gradient_orientation
-from .numeric import LOG10_2, HypothesisCounts, Score
+from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon
 
 DEFAULT_RHO = math.pi / 16.0
 
@@ -50,8 +50,7 @@ class LsdConfig:
         if isinstance(self.gamma, bool) or not (1 <= self.gamma < math.inf
                                                 and self.gamma % 1 == 0):
             raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
-        if not self.epsilon > 0.0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
+        check_epsilon(self.epsilon, ValueError)
         if not 0.0 <= self.tau < math.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 

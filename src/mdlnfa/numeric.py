@@ -149,10 +149,16 @@ class Score:
         return meaningful(self.log2_nfa, epsilon)
 
 
+def check_epsilon(epsilon: float, error: type[Exception] = DomainError) -> None:
+    """Raise `error` unless the NFA threshold `epsilon` is positive; NaN is
+    not.  Each caller passes the exception type of its own layer."""
+    if not epsilon > 0.0:
+        raise error(f"epsilon must be positive, got {epsilon}")
+
+
 def meaningful(log2_nfa: Bits, epsilon: float = 1.0) -> bool:
     """The a-contrario decision NFA <= epsilon, read on the log2 NFA."""
-    if not epsilon > 0.0:
-        raise DomainError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon)
     return log2_nfa <= math.log2(epsilon)
 
 

@@ -13,12 +13,13 @@ or only a triangle is left.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import (BinaryImage, _scanline_rows, count_region, rasterize_polygon,
-                      row_span, zero_area)
+from .imaging import (BinaryImage, count_region, edge_marks, polygon_marks,
+                      rasterize_polygon, zero_area)
 from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
 
 
@@ -160,53 +161,80 @@ def _without_removable_vertex(poly: PolygonHypothesis, index: int) -> PolygonHyp
     return child
 
 
-def _triple(pts: list, i: int) -> tuple:
-    """Key of removing vertex i: the coordinates of v[i-1], v[i], v[i+1]."""
-    return (*pts[i - 1], *pts[i], *pts[(i + 1) % len(pts)])
+def _flat_marks(verts, width: int, height: int) -> tuple[bytearray, array]:
+    """`polygon_marks` of `verts`, flat: the parity of each pixel as a
+    bytearray and its hit count in an int array, both indexed row * width +
+    col."""
+    parity, hits = polygon_marks(verts, width, height)
+    counts = array("i", [0]) * (width * height)
+    for cell in hits:
+        counts[cell] += 1
+    return bytearray(parity), counts
 
 
-def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
-                  mask: np.ndarray, inside: RegionCounts, bands: dict) -> list:
-    """Interior (n, k) of each one-vertex removal from `poly`, or None where
-    the child has no footprint or leaves no exterior; `mask` and `inside`
-    are `poly`'s own.  Whether the child is a valid polygon is left to
-    `_removable`, which the caller asks only of a child that could win.
+def _triangle(pts: list, i: int, width: int, height: int) -> tuple[set, dict]:
+    """What removing vertex i does to the marks of the polygon `pts`.
 
-    Removing vertex i changes only the edges v[i-1]v[i], v[i]v[i+1] and
-    v[i-1]v[i+1], and no edge reaches a row outside its y-range, so the
-    child differs from `poly` only on the rows r0..r1 of that triangle;
-    those rows are rasterized from the child's own edges.
-
-    `bands` maps `_triple(pts, i)` to (r0, r1, rows, dn, dk): the child's
-    mask rows r0..r1 (None if r0 > r1) and its change of (n, k) on them.
-    That entry depends only on the triple and on rows r0..r1 of `mask`, so
-    it is reused as long as the caller drops it when those rows change
-    (see `bss_simplify`); missing entries are computed and stored.
+    The child drops the edges v[i-1]v[i] and v[i]v[i+1] and gains the chord
+    v[i-1]v[i+1], each walked as its polygon runs.  So the parity of the
+    child's pixels differs from the parent's on the even-odd fill of the
+    triangle of these three edges, and its hit counts by -1 per hit of a
+    dropped edge and +1 per hit of the chord.  Returns the flat pixels whose
+    parity flips and the nonzero hit-count changes, by flat pixel.
     """
-    width, height, total = image.width, image.height, image.n
-    ones = image.pixels.view(bool)
-    row_n = row_k = None
+    a, b, d = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
+    rows, delta = {}, {}
+    for (x1, y1), (x2, y2), sign in ((a, b, -1), (b, d, -1), (a, d, 1)):
+        crossings, hits = edge_marks(x1, y1, x2, y2, width, height)
+        for row, x in crossings:
+            rows.setdefault(row, []).append(x)
+        for cell in hits:
+            delta[cell] = delta.get(cell, 0) + sign
+    flips = set()
+    for row, xs in rows.items():   # two crossings: the triangle is closed
+        x_in, x_out = sorted(xs)
+        start = row * width
+        flips.update(range(start + max(0, math.floor(x_in) + 1),
+                           start + min(width - 1, math.floor(x_out)) + 1))
+    return flips, {cell: change for cell, change in delta.items() if change}
+
+
+def _child_counts(image: BinaryImage, poly: PolygonHypothesis, marks: tuple,
+                  inside: RegionCounts, entries: list) -> list:
+    """Interior (n, k) of each one-vertex removal from `poly`, or None where
+    the child has no footprint or leaves no exterior; `marks` (parity, hits)
+    are `_flat_marks` of `poly`, and `inside` its counts.  Whether the child
+    is a valid polygon is left to `_removable`, which the caller asks only of
+    a child that could win.
+
+    `entries[i]` is None or (dn, dk, flips, delta) for removing vertex i:
+    the child's change of (n, k), and the `_triangle` change it comes from
+    (flips as a tuple).  An entry depends only on the triangle and on the
+    marks of the pixels in flips and delta, so the caller keeps it while no
+    change to the marks meets those pixels (see `bss_simplify`); None
+    entries are computed and stored.
+    """
+    parity, hits = marks
+    ones = None
     pts = poly.vertices.tolist()
-    c = len(pts)
-    out = [None] * c
-    for i in range(c):
-        key = _triple(pts, i)
-        entry = bands.get(key)
+    out = [None] * len(pts)
+    for i, entry in enumerate(entries):
         if entry is None:
-            r0, r1 = row_span((pts[i - 1][1], pts[i][1], pts[(i + 1) % c][1]), height)
-            rows, dn, dk = None, 0, 0
-            if r0 <= r1:
-                if row_n is None:
-                    row_n = np.count_nonzero(mask, axis=1).tolist()
-                    row_k = np.count_nonzero(mask & ones, axis=1).tolist()
-                rows = _scanline_rows(pts[:i] + pts[i + 1:], width, r0, r1)
-                dn = int(np.count_nonzero(rows)) - sum(row_n[r0:r1 + 1])
-                dk = (int(np.count_nonzero(rows & ones[r0:r1 + 1]))
-                      - sum(row_k[r0:r1 + 1]))
-            entry = bands[key] = (r0, r1, rows, dn, dk)
-        n = inside.n + entry[3]
-        if 0 < n < total:   # a footprint and an exterior
-            out[i] = n, inside.k + entry[4]
+            if ones is None:
+                ones = image.pixels.tobytes()
+            flips, delta = _triangle(pts, i, image.width, image.height)
+            dn = dk = 0
+            for cell in flips | delta.keys():
+                was = parity[cell] or hits[cell] > 0
+                now = (parity[cell] ^ (cell in flips)) or hits[cell] + delta.get(cell, 0) > 0
+                if was != now:
+                    change = 1 if now else -1
+                    dn += change
+                    dk += change * ones[cell]
+            entry = entries[i] = (dn, dk, tuple(flips), delta)
+        n = inside.n + entry[0]
+        if 0 < n < image.n:   # a footprint and an exterior
+            out[i] = n, inside.k + entry[1]
     return out
 
 
@@ -246,13 +274,17 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     child if it strictly improves the current score; stops otherwise, or at
     the 3-vertex floor.  Children that degenerate (self-intersect, empty
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
-    vertex index, which keeps trajectories deterministic.  Children are
-    counted from the current polygon's mask (see `_child_counts`), and a
-    child's band count is kept from step to step until a removal changes
-    its rows.  The initial polygon is the only one rasterized in full: each
-    step splices the winner's band into the mask.
+    vertex index, which keeps trajectories deterministic.
 
-    Each child gets a key that is never above its score: its MDL bits, or
+    The initial polygon is the only one rasterized: BSS keeps the even-odd
+    parity and edge-hit count of every pixel of the current polygon, and
+    counts each child from the few pixels of its removed triangle (see
+    `_child_counts`).  A child's count is kept from step to step until the
+    winner's triangle changes the marks of one of its pixels; the winner's
+    triangle is then applied to the marks.
+
+    Children with equal interior counts share one counts record and one key
+    per step.  The key is never above the child's score: its MDL bits, or
     `HypothesisCounts.log2_nfa_bound` with the run's tail memo.  The children
     are walked in (key, index) order, and the walk stops at the first key
     that cannot beat the current score or the best valid child found so far.
@@ -265,20 +297,23 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     nfa, tails = criterion == "nfa", {}
     current = initial
-    mask = rasterize_polygon(current.vertices, image.width, image.height)
-    inside = count_region(image, mask)
+    marks = parity, hits = _flat_marks(current.vertices, image.width, image.height)
+    mask = np.frombuffer(parity, dtype=bool) | (np.frombuffer(hits, dtype=np.intc) > 0)
+    inside = count_region(image, mask.reshape(image.pixels.shape))
     counts = polygon_counts(image, current.c, (inside.n, inside.k))
     current_score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
-    bands: dict = {}
+    entries = [None] * current.c
     while current.c > 3:
-        children = _child_counts(image, current, mask, inside, bands)
-        keyed = []
+        children = _child_counts(image, current, marks, inside, entries)
+        keys, keyed = {}, []   # (n, k) -> (key, counts), once per step
         for i, child in enumerate(children):
             if child is not None:
-                counts = polygon_counts(image, current.c - 1, child)
-                keyed.append((counts.log2_nfa_bound(tails) if nfa else counts.mdl_bits(),
-                              i, counts))
+                if child not in keys:
+                    counts = polygon_counts(image, current.c - 1, child)
+                    keys[child] = (counts.log2_nfa_bound(tails) if nfa
+                                   else counts.mdl_bits(), counts)
+                keyed.append((keys[child][0], i, keys[child][1]))
         # `bar` is the (score, index) a child must beat: the current score
         # with no index, then the best valid child so far.
         best, bar = None, (current_score, -1)
@@ -290,12 +325,18 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                 best, bar = i, (score, i)
         if best is None:
             break
-        r0, r1, rows, _, _ = bands[_triple(current.vertices.tolist(), best)]
-        if rows is not None:
-            mask[r0:r1 + 1] = rows
-        # Only rows r0..r1 changed, for the mask and for every later child.
-        bands = {triple: entry for triple, entry in bands.items()
-                 if entry[1] < r0 or entry[0] > r1}
+        _, _, flips, delta = entries[best]
+        for cell in flips:
+            parity[cell] ^= 1
+        for cell, change in delta.items():
+            hits[cell] += change
+        # Only these pixels changed, for the marks and for every later child;
+        # the two neighbours of the removed vertex get new triangles.
+        changed = {*flips, *delta}
+        entries = [entry if entry is not None and changed.isdisjoint(entry[2])
+                   and changed.isdisjoint(entry[3]) else None for entry in entries]
+        del entries[best]
+        entries[best - 1] = entries[best % len(entries)] = None
         current, current_score, inside = (_without_removable_vertex(current, best),
                                           bar[0], RegionCounts(*children[best]))
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))

@@ -23,6 +23,7 @@ from .numeric import (
     HypothesisCounts,
     RegionCounts,
     Score,
+    check_epsilon,
     complement,
     is_count,
     l0_code_length,  # re-exported
@@ -204,8 +205,7 @@ def pick_hypothesis(table, criterion: str,
     """
     if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    if not epsilon > 0.0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
+    check_epsilon(epsilon, ValueError)
     if criterion == "mdl":
         return min(table, key=lambda item: item[1].mdl_bits)[0]
     passing = [item for item in table if item[1].nfa_detects(epsilon)]

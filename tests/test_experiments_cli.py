@@ -31,6 +31,8 @@ from mdlnfa.experiments import (
     threshold_along,
 )
 from mdlnfa.lsd import LsdConfig
+from mdlnfa.numeric import DomainError, meaningful
+from mdlnfa.square_detect import pick_hypothesis
 from oracles import pgm_bytes
 
 TINY_SINGLE = SingleSweepConfig(sides=(10, 30), deltas=(0.1, 0.3),
@@ -56,6 +58,22 @@ class TestConfigs:
                 SingleSweepConfig(epsilon=epsilon)
             with pytest.raises(ConfigError, match="epsilon"):
                 MultiSweepConfig(epsilon=epsilon)
+
+    @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
+    def test_every_epsilon_check_keeps_its_error(self, epsilon, tmp_path, capsys):
+        # One rule (`numeric.check_epsilon`); each caller raises its own type.
+        message = f"epsilon must be positive, got {epsilon}"
+        checks = [(DomainError, lambda: meaningful(-5.0, epsilon)),
+                  (ValueError, lambda: pick_hypothesis([], "nfa", epsilon)),
+                  (ValueError, lambda: LsdConfig(epsilon=epsilon)),
+                  (ConfigError, lambda: SingleSweepConfig(epsilon=epsilon))]
+        for error, check in checks:
+            with pytest.raises(ValueError) as caught:
+                check()
+            assert type(caught.value) is error and str(caught.value) == message
+        assert main(["polygon", f"--epsilon={epsilon}", "--out",
+                     str(tmp_path)]) == EXIT_CONFIG
+        assert message in capsys.readouterr().err
 
     @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
     @pytest.mark.parametrize("field,value", [

@@ -15,9 +15,9 @@ from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
-    _scanline_rows,
     count_region,
     flip_noise,
+    polygon_marks,
     rasterize_polygon,
     synthesize_squares,
 )
@@ -25,7 +25,9 @@ from mdlnfa.numeric import Score, binomial_first_term_log, complement
 from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
+    _flat_marks,
     _removable,
+    _triangle,
     bss_simplify,
     mdl_polygon_score,
     nfa_polygon_score,
@@ -33,7 +35,8 @@ from mdlnfa.polygon import (
     polygon_scores,
 )
 from mdlnfa.square_detect import Square, l0_code_length, mdl_score_single
-from oracles import bss_nfa_key, bss_simplify_full, removable_all
+from oracles import (bss_nfa_key, bss_simplify_full, rasterize_polygon_two_pass,
+                     removable_all)
 
 SQUARE_POLY = [(10, 10), (10, 49), (49, 49), (49, 10)]
 
@@ -274,11 +277,19 @@ def valid_only(children, removable):
     return [counts if ok else None for counts, ok in zip(children, removable)]
 
 
+def fresh_child_counts(image, poly, inside=None):
+    """`_child_counts` of `poly` from fresh marks and no cached entries."""
+    marks = _flat_marks(poly.vertices, image.width, image.height)
+    if inside is None:
+        inside = count_region(image, rasterize_polygon(poly.vertices, image.width,
+                                                       image.height))
+    return _child_counts(image, poly, marks, inside, [None] * poly.c)
+
+
 def assert_children_match_full_path(image, poly):
     # `_child_counts` also counts children that `_removable` rejects; the
     # full path skips them.
-    mask = rasterize_polygon(poly.vertices, image.width, image.height)
-    incremental = _child_counts(image, poly, mask, count_region(image, mask), {})
+    incremental = fresh_child_counts(image, poly)
     full = [full_child_counts(image, poly, i) for i in range(poly.c)]
     assert valid_only(incremental, removable_per_vertex(poly)) == full
     return full
@@ -402,21 +413,21 @@ class TestIncrementalBss:
         image, initial = TestBssAgainstExhaustiveOracle().make_instance(2, 8)
         initial = PolygonHypothesis(initial)
         calls = Counter()
-        rasterize, post_init = rasterize_polygon, PolygonHypothesis.__post_init__
+        marks, post_init = polygon_marks, PolygonHypothesis.__post_init__
 
-        def counting_rasterize(*args, **kwargs):
-            calls["rasterize_polygon"] += 1
-            return rasterize(*args, **kwargs)
+        def counting_marks(*args, **kwargs):
+            calls["polygon_marks"] += 1
+            return marks(*args, **kwargs)
 
         def counting_post_init(self):
             calls["PolygonHypothesis"] += 1
             post_init(self)
 
-        monkeypatch.setattr(polygon_module, "rasterize_polygon", counting_rasterize)
+        monkeypatch.setattr(polygon_module, "polygon_marks", counting_marks)
         monkeypatch.setattr(PolygonHypothesis, "__post_init__", counting_post_init)
         steps = bss_simplify(image, initial, criterion).steps
         assert len(steps) > 2
-        assert calls["rasterize_polygon"] == 1
+        assert calls["polygon_marks"] == 1
         assert calls["PolygonHypothesis"] == 0
 
 
@@ -470,8 +481,7 @@ class TestTailMemo:
             poly = step.polygon
             if poly.c == 3:
                 continue
-            mask = rasterize_polygon(poly.vertices, image.width, image.height)
-            for i, child in enumerate(_child_counts(image, poly, mask, step.inside, {})):
+            for i, child in enumerate(fresh_child_counts(image, poly, step.inside)):
                 if child is None:
                     continue
                 counts = polygon_counts(image, poly.c - 1, child)
@@ -506,9 +516,8 @@ class TestLazyWalk:
 
     @staticmethod
     def child_scores(image, poly, criterion):
-        mask = rasterize_polygon(poly.vertices, image.width, image.height)
         scores = []
-        for child in _child_counts(image, poly, mask, count_region(image, mask), {}):
+        for child in fresh_child_counts(image, poly):
             counts = polygon_counts(image, poly.c - 1, child)
             scores.append(counts.mdl_bits() if criterion == "mdl"
                           else counts.log2_nfa())
@@ -528,7 +537,7 @@ class TestLazyWalk:
         # even-odd footprint, so it scores best of all children.
         verts = np.array([(2, 2), (18, 2), (18, 18), (10, 6), (2, 18)], dtype=float)
         bow_tie = np.delete(verts, 1, axis=0).tolist()
-        image = BinaryImage(_scanline_rows(bow_tie, 20, 0, 19).astype(np.uint8))
+        image = BinaryImage(rasterize_polygon(bow_tie, 20, 20).astype(np.uint8))
         initial = PolygonHypothesis(verts)
         scores = self.child_scores(image, initial, criterion)
         assert int(np.argmin(scores)) == 1 and not _removable(initial.vertices, 1)
@@ -558,9 +567,8 @@ class TestLazyWalk:
         image = noise_image(20, seed=1, density=0.5)
         initial = PolygonHypothesis(np.array(
             [(19, 10), (11, 14), (4, 14), (3, 5), (11, 5)], dtype=float))
-        mask = rasterize_polygon(initial.vertices, 20, 20)
         bounds = [polygon_counts(image, 4, child) for child in
-                  _child_counts(image, initial, mask, count_region(image, mask), {})]
+                  fresh_child_counts(image, initial)]
         bounds = [c.log2_tests + min(0.0, binomial_first_term_log(*c.tail))
                   for c in bounds]
         scores = self.child_scores(image, initial, "nfa")
@@ -583,35 +591,44 @@ class TestLazyWalk:
 
 
 def checked_bss(monkeypatch, image, initial, criterion):
-    """bss_simplify, with the mask, counts and live band cache of every step
-    checked against a fresh rasterization and an empty cache; also returns
-    the number of cached entries each step starts with."""
+    """bss_simplify, with the marks, counts and live entries of every step
+    checked against fresh marks and freshly computed entries; also returns,
+    for each step, whether each vertex's entry was kept from the step
+    before."""
     child_counts = polygon_module._child_counts
-    cached = []
+    kept = []
 
-    def checking_child_counts(image, poly, mask, inside, bands):
-        fresh = rasterize_polygon(poly.vertices, image.width, image.height)
-        assert np.array_equal(mask, fresh)
-        assert inside == count_region(image, fresh)
-        expected = child_counts(image, poly, fresh, inside, {})
-        cached.append(len(bands))
-        removable = removable_per_vertex(poly)
-        assert (valid_only(child_counts(image, poly, mask, inside, bands), removable)
-                == valid_only(expected, removable))
+    def checking_child_counts(image, poly, marks, inside, entries):
+        fresh = _flat_marks(poly.vertices, image.width, image.height)
+        assert marks == fresh
+        assert inside == count_region(image, rasterize_polygon(
+            poly.vertices, image.width, image.height))
+        removable_per_vertex(poly)
+        fresh_entries = [None] * poly.c
+        expected = child_counts(image, poly, fresh, inside, fresh_entries)
+        kept.append({tuple(v): entry is not None
+                     for v, entry in zip(poly.vertices.tolist(), entries)})
+        for entry, (dn, dk, flips, delta) in zip(entries, fresh_entries):
+            assert entry is None or entry == (dn, dk, entry[2], delta)
+            assert entry is None or sorted(entry[2]) == sorted(flips)
+        assert child_counts(image, poly, marks, inside, entries) == expected
         return expected
 
     monkeypatch.setattr(polygon_module, "_child_counts", checking_child_counts)
-    return bss_simplify(image, initial, criterion), cached
+    return bss_simplify(image, initial, criterion), kept
 
 
 class TestBandCache:
+    """A child's entry is kept until the winner's triangle changes the marks
+    of a pixel it reads; kept entries must equal fresh ones."""
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_live_cache_along_shape_trajectories(self, monkeypatch,
                                                  shape_instances, seed, criterion):
         image, initial = shape_instances[seed]
-        traj, cached = checked_bss(monkeypatch, image, initial, criterion)
-        assert len(traj.steps) > 40 and min(cached[1:]) > 0
+        traj, kept = checked_bss(monkeypatch, image, initial, criterion)
+        assert len(traj.steps) > 40 and min(sum(k.values()) for k in kept[1:]) > 0
 
     @pytest.mark.parametrize("seed,c", [(0, 6), (1, 7), (2, 8), (3, 8)])
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
@@ -623,22 +640,24 @@ class TestBandCache:
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_successive_bands_sharing_one_row(self, monkeypatch, criterion):
         # BSS removes (2, 8), which changes rows 5..8, then (7, 10), whose
-        # band 8..10 shares row 8: its count from before the first removal
-        # is stale, though the two triangles meet in no pixel.
+        # triangle spans rows 8..10 and shares row 8: the two triangles meet
+        # in no pixel, so the entry of (7, 10) is kept, and exact.
         verts = np.array([(8, 10), (7, 10), (5, 8), (4, 8), (2, 8), (4, 5)],
                          dtype=float)
         target = rasterize_polygon(verts[[0, 2, 3, 5]], 12, 12)
         image = BinaryImage(target.astype(np.uint8))
-        traj, _ = checked_bss(monkeypatch, image, PolygonHypothesis(verts),
-                              criterion)
-        kept = [set(map(tuple, s.polygon.vertices.tolist())) for s in traj.steps]
-        assert [a - b for a, b in zip(kept, kept[1:3])] == [{(2.0, 8.0)},
-                                                            {(7.0, 10.0)}]
+        traj, kept = checked_bss(monkeypatch, image, PolygonHypothesis(verts),
+                                 criterion)
+        removed = [set(map(tuple, s.polygon.vertices.tolist())) for s in traj.steps]
+        assert [a - b for a, b in zip(removed, removed[1:3])] == [{(2.0, 8.0)},
+                                                                  {(7.0, 10.0)}]
+        assert kept[1][7.0, 10.0]
 
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_reuses_bands_across_steps(self, monkeypatch, shape_instances,
                                        criterion):
-        # Re-counting every child at every step takes one band per child.
+        # Re-counting every child at every step takes one triangle per
+        # child; keeping the entries leaves about two new ones per step.
         image, initial = shape_instances[0]
         calls = Counter()
 
@@ -650,22 +669,22 @@ class TestBandCache:
                 return f(*args)
             return wrapper
 
-        for name in ("rasterize_polygon", "_scanline_rows"):
+        for name in ("rasterize_polygon", "polygon_marks", "_triangle"):
             monkeypatch.setattr(polygon_module, name, counting(name))
         steps = bss_simplify(image, initial, criterion).steps
-        assert calls["rasterize_polygon"] <= 1
-        assert calls["_scanline_rows"] < sum(s.vertex_count for s in steps) / 2
+        assert calls["rasterize_polygon"] == 0 and calls["polygon_marks"] == 1
+        assert calls["_triangle"] < sum(s.vertex_count for s in steps) / 8
 
 
-@settings(max_examples=150, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
-       st.sampled_from([None, 1.0, 2.0]), st.booleans())
-def test_incremental_child_counts_match_full_path(seed, star, grid, nudge):
-    # 4-8 random vertices on 12-40 px images, often past the borders; star
-    # polygons order them by angle around their mean, the others keep the
-    # draw order and are used when simple.  Grid 1 and 2 snap vertices to
-    # pixel centres and half pixels; a nudge then moves them by less than
-    # the rasterizer's 1e-9 row tolerance.
+def random_polygon(seed, star, grid, nudge):
+    """A noise image and a valid polygon on it drawn from `seed`, or None.
+
+    4-8 random vertices on 12-40 px images, often past the borders; star
+    polygons order them by angle around their mean, the others keep the
+    draw order and are used when simple.  Grid 1 and 2 snap vertices to
+    pixel centres and half pixels; a nudge then moves them by less than
+    the rasterizer's 1e-9 row tolerance.
+    """
     rng = np.random.default_rng(seed)
     size = int(rng.integers(12, 41))
     verts = rng.uniform(-0.2 * size, 1.2 * size, size=(int(rng.integers(4, 9)), 2))
@@ -682,5 +701,65 @@ def test_incremental_child_counts_match_full_path(seed, star, grid, nudge):
         inside = count_region(image, rasterize_polygon(poly.vertices, size, size))
         complement(image.counts, [inside])
     except ValueError:
-        return   # the parent itself is no valid polygon
-    assert_children_match_full_path(image, poly)
+        return None   # the parent itself is no valid polygon
+    return image, poly
+
+
+random_polygons = given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans(),
+                        st.sampled_from([None, 1.0, 2.0]), st.booleans())
+
+
+@settings(max_examples=150, deadline=None)
+@random_polygons
+def test_incremental_child_counts_match_full_path(seed, star, grid, nudge):
+    drawn = random_polygon(seed, star, grid, nudge)
+    if drawn is not None:
+        assert_children_match_full_path(*drawn)
+
+
+@settings(max_examples=100, deadline=None)
+@random_polygons
+def test_live_entries_along_random_trajectories(seed, star, grid, nudge):
+    # Small random polygons have triangles that share pixels with the
+    # winner's, so kept entries go stale unless they are dropped.
+    drawn = random_polygon(seed, star, grid, nudge)
+    if drawn is not None:
+        for criterion in ("mdl", "nfa"):
+            with pytest.MonkeyPatch.context() as monkeypatch:
+                checked_bss(monkeypatch, *drawn, criterion)
+
+
+def marks_mask(marks, shape):
+    parity, hits = marks
+    return (np.frombuffer(parity, dtype=bool) | (np.asarray(hits) > 0)).reshape(shape)
+
+
+@settings(max_examples=150, deadline=None)
+@random_polygons
+def test_triangle_changes_give_the_child_marks(seed, star, grid, nudge):
+    # parity | hits is the two-pass oracle's mask, and applying a child's
+    # `_triangle` change to the parent's marks gives the child's own marks.
+    drawn = random_polygon(seed, star, grid, nudge)
+    if drawn is None:
+        return
+    image, poly = drawn
+    width, height = image.width, image.height
+    marks = _flat_marks(poly.vertices, width, height)
+    assert np.array_equal(marks_mask(marks, (height, width)),
+                          rasterize_polygon_two_pass(poly.vertices, width, height))
+    pts = poly.vertices.tolist()
+    for i in range(poly.c):
+        child = np.delete(poly.vertices, i, axis=0)
+        try:
+            expected = _flat_marks(child, width, height)
+        except ValueError:
+            continue   # no footprint: not a polygon `rasterize_polygon` takes
+        parity, hits = bytearray(marks[0]), marks[1][:]
+        flips, delta = _triangle(pts, i, width, height)
+        for cell in flips:
+            parity[cell] ^= 1
+        for cell, change in delta.items():
+            hits[cell] += change
+        assert (parity, hits) == expected
+        assert np.array_equal(marks_mask(expected, (height, width)),
+                              rasterize_polygon_two_pass(child, width, height))
