@@ -385,17 +385,17 @@ def xi_weighted_sum(v: np.ndarray) -> np.ndarray:
 
 def make_random_xi(seed: int, low: int = 0, high: int = 100):
     """Deterministic random integer-valued ordering function (memoized per
-    configuration; values are drawn in the order rows are first seen)."""
+    configuration; values are drawn in the order rows are first seen, all
+    new rows of a call in one draw, which gives the values of one scalar
+    draw per row)."""
     rng = np.random.Generator(np.random.PCG64(seed))
-    table: dict[tuple, float] = {}
+    table: dict[bytes, int] = {}
 
     def xi(v: np.ndarray) -> np.ndarray:
-        out = np.empty(len(v))
-        for i, row in enumerate(map(tuple, v.tolist())):
-            if row not in table:
-                table[row] = float(rng.integers(low, high + 1))
-            out[i] = table[row]
-        return out
+        keys = list(map(bytes, np.ascontiguousarray(v, dtype=np.int64)))
+        new = [key for key in dict.fromkeys(keys) if key not in table]
+        table.update(zip(new, rng.integers(low, high + 1, size=len(new)).tolist()))
+        return np.fromiter(map(table.__getitem__, keys), np.float64, len(keys))
 
     return xi
 

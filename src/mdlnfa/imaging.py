@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 import re
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -184,76 +184,136 @@ def zero_area(verts: np.ndarray) -> bool:
     return abs(float(_shoelace(verts))) < _AREA_EPS
 
 
-def edge_marks(x1: float, y1: float, x2: float, y2: float,
-               width: int, height: int) -> tuple[list, list]:
-    """Even-odd crossings and boundary hits of the directed edge
-    (x1, y1) -> (x2, y2) on a height x width grid of pixel centers.
+def _cycle_marks(edges, width: int, height: int) -> tuple[list, dict]:
+    """Even-odd parity and signed edge hits of a closed cycle of directed
+    edges on a height x width grid of pixel centers, flat (row * width + col).
 
-    The crossings are (row, x) pairs, one per row of the edge's half-open
-    y-range [min y, max y).  The hits are the flat indices row * width + col
-    of the pixel centers on the closed edge.  Pixel centers have integer y,
-    so one walk over the edge's integer rows finds both.  An edge and its
-    reverse cross the same rows, but their x can differ in the last bit:
-    walk an edge in the direction its polygon runs.
+    `edges` yields ((x1, y1), (x2, y2), sign) for the edge (x1, y1) ->
+    (x2, y2).  Returns the spans, half-open flat ranges [start, stop) that
+    hold the pixels of odd parity, and the hits, the sum of the signs of the
+    edges through each pixel center, where that sum is nonzero.
+
+    An edge crosses the rows of its half-open y-range [min y, max y) and hits
+    the pixel centers on its closed segment.  Pixel centers have integer y,
+    so one walk over the edge's integer rows finds both.  In each row the
+    sorted crossings pair up, and a pair (x_in, x_out) holds the columns
+    floor(x_in) + 1 .. floor(x_out): a pixel has odd parity when an odd number
+    of crossings lie left of its center (x < col).  An edge and its reverse
+    cross the same rows, but their x can differ in the last bit: walk an edge
+    in the direction its polygon runs.
     """
-    crossings, hits = [], []
+    rows, hits = {}, {}
     eps = _ROW_EPS
-    lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
-    if (hi + eps < 0 or lo - eps > height - 1) and -math.inf < lo and hi < math.inf:
-        return crossings, hits   # a finite edge that reaches no row
-    if y1 == y2:
-        row = round(y1)
-        if abs(y1 - row) < eps and 0 <= row < height:
-            left = max(0, math.ceil(min(x1, x2) - eps))
-            right = min(width - 1, math.floor(max(x1, x2) + eps))
-            hits.extend(range(row * width + left, row * width + right + 1))
-        return crossings, hits
-    for row in range(max(0, math.ceil(lo - eps)), min(height - 1, math.floor(hi + eps)) + 1):
-        # Keep this operation order: boundary pixels depend on its rounding.
-        x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
-        if lo <= row < hi:
-            crossings.append((row, x))
-        col = round(x)
-        if abs(x - col) < _COL_EPS and 0 <= col < width:
-            hits.append(row * width + col)
-    return crossings, hits
+    for (x1, y1), (x2, y2), sign in edges:
+        lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
+        if hi + eps < 0 or lo - eps > height - 1:
+            continue   # the edge reaches no row
+        if y1 == y2:
+            row = round(y1)
+            if abs(y1 - row) < eps and 0 <= row < height:
+                left = max(0, math.ceil(min(x1, x2) - eps))
+                right = min(width - 1, math.floor(max(x1, x2) + eps))
+                for cell in range(row * width + left, row * width + right + 1):
+                    hits[cell] = hits.get(cell, 0) + sign
+            continue
+        for row in range(max(0, math.ceil(lo - eps)), min(height - 1, math.floor(hi + eps)) + 1):
+            # Keep this operation order: boundary pixels depend on its rounding.
+            x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
+            if lo <= row < hi:
+                rows.setdefault(row, []).append(x)
+            col = round(x)
+            if abs(x - col) < _COL_EPS and 0 <= col < width:
+                cell = row * width + col
+                hits[cell] = hits.get(cell, 0) + sign
+    spans = []
+    for row, xs in rows.items():   # a closed cycle crosses each row evenly
+        xs.sort()
+        base = row * width
+        for j in range(0, len(xs), 2):
+            start, stop = max(0, math.floor(xs[j]) + 1), min(width, math.floor(xs[j + 1]) + 1)
+            if start < stop:       # empty when the pair lies off the image
+                spans.append((base + start, base + stop))
+    return spans, {cell: count for cell, count in hits.items() if count}
 
 
-def polygon_marks(vertices, width: int, height: int) -> tuple[np.ndarray, list]:
-    """Even-odd parity of every pixel of the closed polygon, as a
-    (height, width) bool array, and its edge hits, as the flat index
-    row * width + col of each pixel center on an edge, once per edge.
+def _inside(parity, hits):
+    """The even-odd rule with inclusive boundary: a pixel is in the region
+    when its parity is odd or an edge passes through its center."""
+    return (parity == 1) | (hits > 0)
 
-    Pixel (row, col) has odd parity when an odd number of the polygon's
-    crossings of its row lie left of its center (x < col); the hits come
-    from `edge_marks`.  A center exactly on a crossing is a hit, so the
-    parity with every hit pixel set is the even-odd fill with inclusive
-    boundary: `rasterize_polygon`.  Raises as that does.
+
+_FLIP = bytes.maketrans(b"\0\1", b"\1\0")   # parity byte XOR 1
+
+
+class PolygonMarks:
+    """The `_cycle_marks` of a closed polygon on a height x width grid, kept
+    per pixel and indexed row * width + col: `parity` (a bytearray of 0 and
+    1) and `hits` (an int array of the number of edges through the pixel
+    center).
+
+    Removing vertex i drops the edges v[i-1] -> v[i] and v[i] -> v[i+1] and
+    adds the chord v[i-1] -> v[i+1], each walked as its polygon runs, so it
+    changes the marks by those of the cycle of these three edges, signed -1,
+    -1 and +1 (`removal`).  Parity adds modulo 2 and hits add, so `apply`
+    makes such a change by XOR and add.
     """
-    verts = np.asarray(vertices, dtype=np.float64)
-    if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
-        raise ValueError("polygon needs at least 3 (x, y) vertices")
-    if zero_area(verts):
-        raise ValueError("polygon is degenerate (zero area)")
-    pts = verts.tolist()
-    crossings, hits = [], []
-    for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1]):
-        edge_crossings, edge_hits = edge_marks(x1, y1, x2, y2, width, height)
-        crossings += edge_crossings
-        hits += edge_hits
-    # A crossing at x toggles the parity of columns floor(x) + 1 onwards, up
-    # to a column `width` right of the image.  Every row holds an even number
-    # of crossings, so its toggles cancel by its end, and one running XOR
-    # over the flattened rows gives the parity of each row.
-    rows, xs = np.fromiter(chain.from_iterable(crossings), np.float64,
-                           2 * len(crossings)).reshape(-1, 2).T
-    cols = np.clip(np.floor(xs) + 1, 0, width).astype(np.intp)
-    toggles = np.zeros(height * (width + 1), dtype=bool)
-    np.logical_xor.at(toggles, rows.astype(np.intp) * (width + 1) + cols, True)
-    parity = np.logical_xor.accumulate(toggles).reshape(height, width + 1)[:, :width]
-    if not hits and not parity.any():
-        raise ValueError("polygon has an empty pixel footprint (degenerate)")
-    return np.ascontiguousarray(parity), hits
+
+    def __init__(self, vertices, width: int, height: int):
+        verts = np.asarray(vertices, dtype=np.float64)
+        if verts.ndim != 2 or verts.shape[1] != 2 or len(verts) < 3:
+            raise ValueError("polygon needs at least 3 (x, y) vertices")
+        if not np.isfinite(verts).all():
+            raise ValueError("polygon vertices must be finite")
+        if zero_area(verts):
+            raise ValueError("polygon is degenerate (zero area)")
+        pts = verts.tolist()
+        marks = spans, hits = _cycle_marks(
+            ((a, b, 1) for a, b in zip(pts, pts[1:] + pts[:1])), width, height)
+        if not spans and not hits:
+            raise ValueError("polygon has an empty pixel footprint (degenerate)")
+        self.width, self.height = width, height
+        self.parity = bytearray(width * height)
+        self.hits = array("i", [0]) * (width * height)
+        self.apply(marks)
+
+    def mask(self) -> np.ndarray:
+        """The (height, width) bool mask of the pixels in the region."""
+        parity = np.frombuffer(self.parity, dtype=np.uint8)
+        hits = np.frombuffer(self.hits, dtype=np.intc)
+        return _inside(parity, hits).reshape(self.height, self.width)
+
+    def apply(self, change: tuple) -> None:
+        """Add the `_cycle_marks` `change` to the marks."""
+        spans, hits = change
+        for start, stop in spans:
+            self.parity[start:stop] = self.parity[start:stop].translate(_FLIP)
+        for cell, count in hits.items():
+            self.hits[cell] += count
+
+    def removal(self, vertices: list, i: int, image: BinaryImage) -> tuple:
+        """(dn, dk, pixels, change) for removing vertex i of the polygon with
+        these marks, whose vertices are the [x, y] lists `vertices`: the
+        change of the region's counts (n, k) on `image`, the pixels whose
+        marks change, and the change itself, for `apply`.  The counts read
+        the marks of `pixels` only."""
+        a, b, d = vertices[i - 1], vertices[i], vertices[(i + 1) % len(vertices)]
+        change = spans, delta = _cycle_marks(((a, b, -1), (b, d, -1), (a, d, 1)),
+                                             self.width, self.height)
+        flips = set()
+        for start, stop in spans:
+            flips.update(range(start, stop))
+        pixels = flips | delta.keys()
+        parity, hits = self.parity, self.hits
+        ones = memoryview(image.pixels).cast("B")
+        dn = dk = 0
+        for cell in pixels:
+            odd, count = parity[cell], hits[cell]
+            was = _inside(odd, count)
+            if was != _inside(odd ^ (cell in flips), count + delta.get(cell, 0)):
+                step = -1 if was else 1
+                dn += step
+                dk += step * ones[cell]
+        return dn, dk, pixels, change
 
 
 def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
@@ -261,11 +321,10 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
 
     Even-odd scanline rule with inclusive boundary: pixel centers lying
     exactly on an edge or vertex belong to the region.  Raises on polygons
-    with fewer than 3 vertices or an empty pixel footprint.
+    with fewer than 3 vertices, non-finite vertices, zero area or an empty
+    pixel footprint.
     """
-    mask, hits = polygon_marks(vertices, width, height)
-    mask.reshape(-1)[hits] = True
-    return mask
+    return PolygonMarks(vertices, width, height).mask()
 
 
 def count_region(image: BinaryImage, mask: np.ndarray) -> RegionCounts:

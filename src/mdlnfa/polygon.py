@@ -13,13 +13,12 @@ or only a triangle is left.
 from __future__ import annotations
 
 import math
-from array import array
 from dataclasses import dataclass
 
 import numpy as np
 
-from .imaging import (BinaryImage, count_region, edge_marks, polygon_marks,
-                      rasterize_polygon, zero_area)
+from .imaging import (BinaryImage, PolygonMarks, count_region, rasterize_polygon,
+                      zero_area)
 from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
 
 
@@ -50,7 +49,32 @@ class PolygonHypothesis:
         return len(self.vertices)
 
     def without_vertex(self, index: int) -> "PolygonHypothesis":
-        return PolygonHypothesis(np.delete(self.vertices, index, axis=0))
+        """This polygon less vertex `index`; raises where the checks of
+        `PolygonHypothesis` on those vertices would.
+
+        Every edge pair of the child that does not hold its new chord
+        v[i-1]v[i+1] is a pair of this simple polygon, so only the chord is
+        tested, against the edges v[k]v[k+1] it is not adjacent to
+        (k = i+2 .. i-3).  v[i-1] == v[i+1] needs no test: the edges starting
+        at v[i-1] and at v[i+1] would touch.
+        """
+        verts, c = self.vertices, self.c
+        child = np.delete(verts, index, axis=0)
+        if c == 3:
+            raise ValueError("polygon needs >= 3 vertices, got 2")
+        i = index % c
+        far = np.arange(i + 2, i + c - 2) % c
+        if _segments_touch(verts[i - 1], verts[(i + 1) % c],
+                           verts[far], verts[(far + 1) % c]).any():
+            raise ValueError("polygon is self-intersecting")
+        child.setflags(write=False)
+        poly = object.__new__(PolygonHypothesis)
+        object.__setattr__(poly, "vertices", child)
+        return poly
+
+
+# Slack of the bounding-box test for a point on a segment's line.
+_BOX_EPS = 1e-12
 
 
 def _segments_touch(p1, p2, p3, p4) -> np.ndarray:
@@ -71,10 +95,10 @@ def _segments_touch(p1, p2, p3, p4) -> np.ndarray:
     # Touching or collinear-overlap cases: a zero cross product with the
     # point inside the other segment's bounding box.
     def on_segment(o, e, p):
-        return ((np.minimum(o[..., 0], e[..., 0]) - 1e-12 <= p[..., 0])
-                & (p[..., 0] <= np.maximum(o[..., 0], e[..., 0]) + 1e-12)
-                & (np.minimum(o[..., 1], e[..., 1]) - 1e-12 <= p[..., 1])
-                & (p[..., 1] <= np.maximum(o[..., 1], e[..., 1]) + 1e-12))
+        return ((np.minimum(o[..., 0], e[..., 0]) - _BOX_EPS <= p[..., 0])
+                & (p[..., 0] <= np.maximum(o[..., 0], e[..., 0]) + _BOX_EPS)
+                & (np.minimum(o[..., 1], e[..., 1]) - _BOX_EPS <= p[..., 1])
+                & (p[..., 1] <= np.maximum(o[..., 1], e[..., 1]) + _BOX_EPS))
 
     return (proper
             | ((d1 == 0) & on_segment(p3, p4, p1))
@@ -132,106 +156,23 @@ def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
     return _counts(image, poly, relative=True).score()
 
 
-def _removable(verts: np.ndarray, i: int) -> bool:
-    """Does removing vertex i of a simple polygon pass the checks of
-    PolygonHypothesis and the zero-area check of rasterize_polygon?
-
-    Every edge pair of the child that does not hold its new chord
-    v[i-1]v[i+1] is a pair of the parent, so only the chord is tested,
-    against the edges v[k]v[k+1] it is not adjacent to (k = i+2 .. i-3).
-    v[i-1] == v[i+1] needs no test: the parent's edges ending at v[i-1] and
-    starting at v[i+1] would touch.
-    """
-    c = len(verts)
-    far = np.arange(i + 2, i + c - 2) % c
-    if _segments_touch(verts[i - 1], verts[(i + 1) % c],
-                       verts[far], verts[(far + 1) % c]).any():
-        return False
-    return not zero_area(np.delete(verts, i, axis=0))
-
-
-def _without_removable_vertex(poly: PolygonHypothesis, index: int) -> PolygonHypothesis:
-    """`poly.without_vertex(index)` for an `index` that `_removable` has
-    passed, which has already made the checks of `PolygonHypothesis` that
-    the removal can break, so `_is_simple` is not run again."""
-    verts = np.delete(poly.vertices, index, axis=0)
-    verts.setflags(write=False)
-    child = object.__new__(PolygonHypothesis)
-    object.__setattr__(child, "vertices", verts)
-    return child
-
-
-def _flat_marks(verts, width: int, height: int) -> tuple[bytearray, array]:
-    """`polygon_marks` of `verts`, flat: the parity of each pixel as a
-    bytearray and its hit count in an int array, both indexed row * width +
-    col."""
-    parity, hits = polygon_marks(verts, width, height)
-    counts = array("i", [0]) * (width * height)
-    for cell in hits:
-        counts[cell] += 1
-    return bytearray(parity), counts
-
-
-def _triangle(pts: list, i: int, width: int, height: int) -> tuple[set, dict]:
-    """What removing vertex i does to the marks of the polygon `pts`.
-
-    The child drops the edges v[i-1]v[i] and v[i]v[i+1] and gains the chord
-    v[i-1]v[i+1], each walked as its polygon runs.  So the parity of the
-    child's pixels differs from the parent's on the even-odd fill of the
-    triangle of these three edges, and its hit counts by -1 per hit of a
-    dropped edge and +1 per hit of the chord.  Returns the flat pixels whose
-    parity flips and the nonzero hit-count changes, by flat pixel.
-    """
-    a, b, d = pts[i - 1], pts[i], pts[(i + 1) % len(pts)]
-    rows, delta = {}, {}
-    for (x1, y1), (x2, y2), sign in ((a, b, -1), (b, d, -1), (a, d, 1)):
-        crossings, hits = edge_marks(x1, y1, x2, y2, width, height)
-        for row, x in crossings:
-            rows.setdefault(row, []).append(x)
-        for cell in hits:
-            delta[cell] = delta.get(cell, 0) + sign
-    flips = set()
-    for row, xs in rows.items():   # two crossings: the triangle is closed
-        x_in, x_out = sorted(xs)
-        start = row * width
-        flips.update(range(start + max(0, math.floor(x_in) + 1),
-                           start + min(width - 1, math.floor(x_out)) + 1))
-    return flips, {cell: change for cell, change in delta.items() if change}
-
-
-def _child_counts(image: BinaryImage, poly: PolygonHypothesis, marks: tuple,
-                  inside: RegionCounts, entries: list) -> list:
+def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
+                  marks: PolygonMarks, inside: RegionCounts, entries: list) -> list:
     """Interior (n, k) of each one-vertex removal from `poly`, or None where
-    the child has no footprint or leaves no exterior; `marks` (parity, hits)
-    are `_flat_marks` of `poly`, and `inside` its counts.  Whether the child
-    is a valid polygon is left to `_removable`, which the caller asks only of
-    a child that could win.
+    the child has no footprint or leaves no exterior; `marks` are those of
+    `poly`, and `inside` its counts.  Whether the child is a valid polygon is
+    left to the caller, which asks only of a child that could win.
 
-    `entries[i]` is None or (dn, dk, flips, delta) for removing vertex i:
-    the child's change of (n, k), and the `_triangle` change it comes from
-    (flips as a tuple).  An entry depends only on the triangle and on the
-    marks of the pixels in flips and delta, so the caller keeps it while no
-    change to the marks meets those pixels (see `bss_simplify`); None
-    entries are computed and stored.
+    `entries[i]` is None or the `marks.removal` of vertex i, whose counts
+    read the marks of its pixels only, so the caller keeps it while no change
+    to the marks meets those pixels (see `bss_simplify`); None entries are
+    computed and stored.
     """
-    parity, hits = marks
-    ones = None
     pts = poly.vertices.tolist()
     out = [None] * len(pts)
     for i, entry in enumerate(entries):
         if entry is None:
-            if ones is None:
-                ones = image.pixels.tobytes()
-            flips, delta = _triangle(pts, i, image.width, image.height)
-            dn = dk = 0
-            for cell in flips | delta.keys():
-                was = parity[cell] or hits[cell] > 0
-                now = (parity[cell] ^ (cell in flips)) or hits[cell] + delta.get(cell, 0) > 0
-                if was != now:
-                    change = 1 if now else -1
-                    dn += change
-                    dk += change * ones[cell]
-            entry = entries[i] = (dn, dk, tuple(flips), delta)
+            entry = entries[i] = marks.removal(pts, i, image)
         n = inside.n + entry[0]
         if 0 < n < image.n:   # a footprint and an exterior
             out[i] = n, inside.k + entry[1]
@@ -276,12 +217,11 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
     vertex index, which keeps trajectories deterministic.
 
-    The initial polygon is the only one rasterized: BSS keeps the even-odd
-    parity and edge-hit count of every pixel of the current polygon, and
-    counts each child from the few pixels of its removed triangle (see
-    `_child_counts`).  A child's count is kept from step to step until the
-    winner's triangle changes the marks of one of its pixels; the winner's
-    triangle is then applied to the marks.
+    The initial polygon is the only one rasterized: BSS keeps the
+    `PolygonMarks` of the current polygon and counts each child from the few
+    pixels its removal changes (see `_child_counts`).  A child's count is
+    kept from step to step until the winner's removal changes the marks of
+    one of its pixels; the winner's removal is then applied to the marks.
 
     Children with equal interior counts share one counts record and one key
     per step.  The key is never above the child's score: its MDL bits, or
@@ -289,17 +229,16 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     are walked in (key, index) order, and the walk stops at the first key
     that cannot beat the current score or the best valid child found so far.
     Only a child the walk reaches gets its tail computed, and only one that
-    would become the best is checked with `_removable`.  Interior counts
-    recur from step to step, so each NFA tail is computed at most once per
-    run.
+    would become the best is built, by `without_vertex`, and checked for
+    zero area.  Interior counts recur from step to step, so each NFA tail is
+    computed at most once per run.
     """
     if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     nfa, tails = criterion == "nfa", {}
     current = initial
-    marks = parity, hits = _flat_marks(current.vertices, image.width, image.height)
-    mask = np.frombuffer(parity, dtype=bool) | (np.frombuffer(hits, dtype=np.intc) > 0)
-    inside = count_region(image, mask.reshape(image.pixels.shape))
+    marks = PolygonMarks(current.vertices, image.width, image.height)
+    inside = count_region(image, marks.mask())
     counts = polygon_counts(image, current.c, (inside.n, inside.k))
     current_score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
@@ -321,23 +260,24 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
             if (bound, i) >= bar:
                 break
             score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
-            if (score, i) < bar and _removable(current.vertices, i):
-                best, bar = i, (score, i)
+            if (score, i) < bar:
+                try:
+                    child = current.without_vertex(i)
+                except ValueError:
+                    continue
+                if not zero_area(child.vertices):
+                    best, bar = child, (score, i)
         if best is None:
             break
-        _, _, flips, delta = entries[best]
-        for cell in flips:
-            parity[cell] ^= 1
-        for cell, change in delta.items():
-            hits[cell] += change
+        current_score, i = bar
+        _, _, changed, change = entries[i]
+        marks.apply(change)
         # Only these pixels changed, for the marks and for every later child;
-        # the two neighbours of the removed vertex get new triangles.
-        changed = {*flips, *delta}
+        # the two neighbours of the removed vertex get new removals.
         entries = [entry if entry is not None and changed.isdisjoint(entry[2])
-                   and changed.isdisjoint(entry[3]) else None for entry in entries]
-        del entries[best]
-        entries[best - 1] = entries[best % len(entries)] = None
-        current, current_score, inside = (_without_removable_vertex(current, best),
-                                          bar[0], RegionCounts(*children[best]))
+                   else None for entry in entries]
+        del entries[i]
+        entries[i - 1] = entries[i % len(entries)] = None
+        current, inside = best, RegionCounts(*children[i])
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -590,9 +590,9 @@ def bss_nfa_key(counts, tails):
 
 def bss_simplify_full(image, initial, criterion):
     """Reference BSS: `polygon.bss_simplify` as first written, every child
-    built as a `PolygonHypothesis` and scored through a full rasterization
-    by the scorers above.  The incremental library version must visit the
-    same polygons with the same scores.
+    built as a `PolygonHypothesis` with its full checks and scored through a
+    full rasterization by the scorers above.  The incremental library
+    version must visit the same polygons with the same scores.
 
     Backward stepwise selection under the MDL or NFA score.
 
@@ -602,8 +602,10 @@ def bss_simplify_full(image, initial, criterion):
     footprint) are skipped.  Equal-scoring removals resolve to the lowest
     vertex index, which keeps trajectories deterministic.
     """
+    import numpy as np
+
     from mdlnfa.imaging import count_region, rasterize_polygon
-    from mdlnfa.polygon import BssStep, BssTrajectory
+    from mdlnfa.polygon import BssStep, BssTrajectory, PolygonHypothesis
 
     score_fns = {"mdl": mdl_polygon_score, "nfa": nfa_polygon_score}
     if criterion not in score_fns:
@@ -622,7 +624,7 @@ def bss_simplify_full(image, initial, criterion):
         best_score = math.inf
         for i in range(current.c):
             try:
-                child = current.without_vertex(i)
+                child = PolygonHypothesis(np.delete(current.vertices, i, axis=0))
                 child_score = score_fn(image, child)
             except ValueError:   # DomainError is a ValueError
                 continue
@@ -636,8 +638,8 @@ def bss_simplify_full(image, initial, criterion):
 
 
 def removable_all(verts):
-    """Reference removability: `polygon._removable` at every vertex at once,
-    as first written, with one c x c chord-against-edge matrix.
+    """Reference removability: which one-vertex removals BSS may take, at
+    every vertex at once, with one c x c chord-against-edge matrix.
 
     Per vertex i of a simple polygon: does removing it pass the checks of
     PolygonHypothesis and the zero-area check of rasterize_polygon?  Only
@@ -850,3 +852,22 @@ def xi_longest_run(v) -> float:
 def xi_weighted_sum(v) -> float:
     """`equivalence.xi_weighted_sum` as first written."""
     return float(sum((j + 1) * s for j, s in enumerate(v)))
+
+
+def make_random_xi(seed: int, low: int = 0, high: int = 100):
+    """`equivalence.make_random_xi` as first written, one scalar draw per
+    row not seen before."""
+    import numpy as np
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+    table: dict[tuple, float] = {}
+
+    def xi(v: np.ndarray) -> np.ndarray:
+        out = np.empty(len(v))
+        for i, row in enumerate(map(tuple, v.tolist())):
+            if row not in table:
+                table[row] = float(rng.integers(low, high + 1))
+            out[i] = table[row]
+        return out
+
+    return xi

@@ -33,6 +33,7 @@ from mdlnfa.equivalence import (
 )
 from mdlnfa.experiments import default_equivalence_runs
 from oracles import check_equivalence_per_config, decide_per_tail
+from oracles import make_random_xi as make_random_xi_per_row
 from oracles import xi_count_ones as xi_count_ones_plain
 from oracles import xi_longest_run as xi_longest_run_plain
 from oracles import xi_weighted_sum as xi_weighted_sum_plain
@@ -517,3 +518,28 @@ class TestXiAgainstPlainVersions:
             assert new(empty).tolist() == [plain(())]
         assert xi_longest_run(empty).tolist() == [1.0]
         assert xi_count_ones(empty).tolist() == [0.0]
+
+
+class TestRandomXiAgainstPerRow:
+    """make_random_xi draws the values of all new rows in one call; they
+    must be the values the per-row version draws, on every (seed, low,
+    high) the tests use, over each of their configuration blocks."""
+
+    @pytest.mark.parametrize("seed,low,high,length", [
+        (0, 0, 100, 6), (1, 0, 100, 6), (2, 0, 100, 6), (42, 0, 100, 3),
+        (7, 0, 100, 3), (0, 0, 9, 3), (1, 0, 9, 5), (2, 0, 9, 6), (3, 0, 9, 7),
+        (5, 0, 100, 11)])
+    def test_identical_values(self, seed, low, high, length):
+        xi, plain = make_random_xi(seed, low, high), make_random_xi_per_row(seed, low, high)
+        blocks = list(enumerate_configs(3, length))
+        # Repeated and shuffled rows, then every block again from the memo.
+        shuffled = np.random.default_rng(seed).permutation(blocks[-1])
+        for block in [shuffled[:50], np.vstack([shuffled[:80]] * 2), *blocks, *blocks]:
+            got = xi(block)
+            assert got.dtype == np.float64
+            assert got.tolist() == plain(block).tolist()
+
+    def test_empty_configuration(self):
+        empty = np.zeros((3, 0), dtype=np.int64)
+        xi, plain = make_random_xi(0), make_random_xi_per_row(0)
+        assert xi(empty).tolist() == plain(empty).tolist()

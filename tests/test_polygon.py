@@ -15,19 +15,17 @@ from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
+    PolygonMarks,
     count_region,
     flip_noise,
-    polygon_marks,
     rasterize_polygon,
     synthesize_squares,
+    zero_area,
 )
 from mdlnfa.numeric import Score, binomial_first_term_log, complement
 from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
-    _flat_marks,
-    _removable,
-    _triangle,
     bss_simplify,
     mdl_polygon_score,
     nfa_polygon_score,
@@ -257,7 +255,7 @@ def full_child_counts(image, poly, i):
     """The interior (n, k) the full path gives child i, or None where it
     skips it."""
     try:
-        child = poly.without_vertex(i)
+        child = PolygonHypothesis(np.delete(poly.vertices, i, axis=0))
         inside = count_region(image, rasterize_polygon(child.vertices,
                                                        image.width, image.height))
         complement(image.counts, [inside])
@@ -266,9 +264,39 @@ def full_child_counts(image, poly, i):
         return None
 
 
-def removable_per_vertex(poly):
-    """`_removable` at every vertex, checked against the all-vertex oracle."""
-    removable = [_removable(poly.vertices, i) for i in range(poly.c)]
+def without_vertex_or_none(poly, i):
+    try:
+        return poly.without_vertex(i)
+    except ValueError:
+        return None
+
+
+def checked_without_vertex(poly, i):
+    """`without_vertex_or_none`, checked to raise exactly where the full
+    `PolygonHypothesis` checks of the same vertices do, with the same
+    message, and otherwise to give the same vertex bytes."""
+    outcomes = []
+    for build in (lambda: PolygonHypothesis(np.delete(poly.vertices, i, axis=0)),
+                  lambda: poly.without_vertex(i)):
+        try:
+            outcomes.append(build())
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    full, child = outcomes
+    if isinstance(full, str):
+        assert child == full
+        return None
+    assert child.vertices.tobytes() == full.vertices.tobytes()
+    return child
+
+
+def removable_per_vertex(poly, build=checked_without_vertex):
+    """Which removals BSS may take: `without_vertex` succeeds and the child
+    has area.  Checked at every vertex against the all-vertex oracle."""
+    removable = []
+    for i in range(poly.c):
+        child = build(poly, i)
+        removable.append(child is not None and not zero_area(child.vertices))
     assert removable == removable_all(poly.vertices).tolist()
     return removable
 
@@ -279,19 +307,19 @@ def valid_only(children, removable):
 
 def fresh_child_counts(image, poly, inside=None):
     """`_child_counts` of `poly` from fresh marks and no cached entries."""
-    marks = _flat_marks(poly.vertices, image.width, image.height)
+    marks = PolygonMarks(poly.vertices, image.width, image.height)
     if inside is None:
         inside = count_region(image, rasterize_polygon(poly.vertices, image.width,
                                                        image.height))
     return _child_counts(image, poly, marks, inside, [None] * poly.c)
 
 
-def assert_children_match_full_path(image, poly):
-    # `_child_counts` also counts children that `_removable` rejects; the
-    # full path skips them.
+def assert_children_match_full_path(image, poly, build=checked_without_vertex):
+    # `_child_counts` also counts children that BSS may not take; the full
+    # path skips them.
     incremental = fresh_child_counts(image, poly)
     full = [full_child_counts(image, poly, i) for i in range(poly.c)]
-    assert valid_only(incremental, removable_per_vertex(poly)) == full
+    assert valid_only(incremental, removable_per_vertex(poly, build)) == full
     return full
 
 
@@ -339,12 +367,13 @@ class TestIncrementalBss:
         for criterion in ("mdl", "nfa"):
             for step in shape_trajectories[seed, criterion][0].steps:
                 polygons.setdefault(step.polygon.vertices.tobytes(), step.polygon)
-        for poly in polygons.values():
-            assert_children_match_full_path(image, poly)
+        for poly in polygons.values():   # `without_vertex` is checked below
+            assert_children_match_full_path(image, poly, without_vertex_or_none)
         assert len(polygons) > 40
 
     def test_removable_matches_all_vertex_oracle(self, shape_trajectories):
-        # Every vertex of every polygon on the shape and star trajectories.
+        # Every vertex of every polygon on the shape and star trajectories,
+        # with `without_vertex` checked against the full constructor.
         trajectories = [traj for traj, _ in shape_trajectories.values()] + [
             bss_simplify(image, PolygonHypothesis(verts), criterion)
             for image, verts in (TestBssAgainstExhaustiveOracle().make_instance(seed, c)
@@ -356,6 +385,22 @@ class TestIncrementalBss:
                 removable_per_vertex(step.polygon)
                 checked += step.polygon.c
         assert checked > 5000
+
+    @pytest.mark.parametrize("vertices,raising", [
+        ([(2, 2), (2, 12), (12, 12), (12, 2), (7, 2)], []),      # collinear vertex
+        ([(2, 2), (10, 2), (10, 10), (6, 6)], []),               # collinear child
+        ([(2, 8), (8, 2), (14, 8), (8, 14), (0, 8)], [3]),       # chord through a far vertex
+        ([(0.5, 4.5), (4.5, 0.5), (8.5, 4.5), (4.5, 8.5), (2.5, 4.5)], [1]),
+        ([(0.5, 0.5), (6.5, 0.5), (6.5, 2.5), (2.5, 2.5), (4.5, 1.5), (0.5, 2.5)],
+         [1, 2]),
+        ([(0.5, 0.5), (4.5, 0.5), (4.5, 2.5), (2.5, 2.5), (2.5, 4.5), (4.5, 4.5),
+          (4.5, 6.5), (0.5, 6.5)], [0, 7]),
+        ([(0.5, 0.5), (5.5, 0.5), (0.5, 5.5)], [0, 1, 2]),      # a triangle
+    ])
+    def test_without_vertex_matches_full_checks(self, vertices, raising):
+        poly = PolygonHypothesis(np.array(vertices, dtype=float))
+        children = [checked_without_vertex(poly, i) for i in range(poly.c)]
+        assert [i for i, child in enumerate(children) if child is None] == raising
 
     def test_collinear_middle_vertex(self):
         poly = PolygonHypothesis(np.array(
@@ -413,28 +458,28 @@ class TestIncrementalBss:
         image, initial = TestBssAgainstExhaustiveOracle().make_instance(2, 8)
         initial = PolygonHypothesis(initial)
         calls = Counter()
-        marks, post_init = polygon_marks, PolygonHypothesis.__post_init__
+        post_init = PolygonHypothesis.__post_init__
 
         def counting_marks(*args, **kwargs):
-            calls["polygon_marks"] += 1
-            return marks(*args, **kwargs)
+            calls["PolygonMarks"] += 1
+            return PolygonMarks(*args, **kwargs)
 
         def counting_post_init(self):
             calls["PolygonHypothesis"] += 1
             post_init(self)
 
-        monkeypatch.setattr(polygon_module, "polygon_marks", counting_marks)
+        monkeypatch.setattr(polygon_module, "PolygonMarks", counting_marks)
         monkeypatch.setattr(PolygonHypothesis, "__post_init__", counting_post_init)
         steps = bss_simplify(image, initial, criterion).steps
         assert len(steps) > 2
-        assert calls["polygon_marks"] == 1
+        assert calls["PolygonMarks"] == 1
         assert calls["PolygonHypothesis"] == 0
 
 
 @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
 def test_step_polygons_pass_full_validation(shape_trajectories, criterion):
-    # bss_simplify builds each step's polygon without re-running the
-    # PolygonHypothesis checks, which `_removable` has already made.
+    # bss_simplify builds each step's polygon with `without_vertex`, which
+    # tests only the new chord, not with the full PolygonHypothesis checks.
     stars = [TestBssAgainstExhaustiveOracle().make_instance(seed, c)
              for seed, c in [(0, 6), (1, 7), (2, 8), (3, 8)]]
     trajectories = [shape_trajectories[seed, criterion][0] for seed in range(3)] + [
@@ -540,7 +585,7 @@ class TestLazyWalk:
         image = BinaryImage(rasterize_polygon(bow_tie, 20, 20).astype(np.uint8))
         initial = PolygonHypothesis(verts)
         scores = self.child_scores(image, initial, criterion)
-        assert int(np.argmin(scores)) == 1 and not _removable(initial.vertices, 1)
+        assert int(np.argmin(scores)) == 1 and not removable_per_vertex(initial)[1]
         traj = self.assert_matches_full_path(image, initial, criterion)
         assert traj.steps[1].polygon.vertices.tolist() == np.delete(verts, 2, axis=0).tolist()
 
@@ -599,18 +644,17 @@ def checked_bss(monkeypatch, image, initial, criterion):
     kept = []
 
     def checking_child_counts(image, poly, marks, inside, entries):
-        fresh = _flat_marks(poly.vertices, image.width, image.height)
-        assert marks == fresh
+        fresh = PolygonMarks(poly.vertices, image.width, image.height)
+        assert (marks.parity, marks.hits) == (fresh.parity, fresh.hits)
         assert inside == count_region(image, rasterize_polygon(
             poly.vertices, image.width, image.height))
-        removable_per_vertex(poly)
+        removable_per_vertex(poly, without_vertex_or_none)
         fresh_entries = [None] * poly.c
         expected = child_counts(image, poly, fresh, inside, fresh_entries)
         kept.append({tuple(v): entry is not None
                      for v, entry in zip(poly.vertices.tolist(), entries)})
-        for entry, (dn, dk, flips, delta) in zip(entries, fresh_entries):
-            assert entry is None or entry == (dn, dk, entry[2], delta)
-            assert entry is None or sorted(entry[2]) == sorted(flips)
+        for entry, fresh_entry in zip(entries, fresh_entries):
+            assert entry is None or entry == fresh_entry
         assert child_counts(image, poly, marks, inside, entries) == expected
         return expected
 
@@ -619,7 +663,7 @@ def checked_bss(monkeypatch, image, initial, criterion):
 
 
 class TestBandCache:
-    """A child's entry is kept until the winner's triangle changes the marks
+    """A child's entry is kept until the winner's removal changes the marks
     of a pixel it reads; kept entries must equal fresh ones."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -656,24 +700,25 @@ class TestBandCache:
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_reuses_bands_across_steps(self, monkeypatch, shape_instances,
                                        criterion):
-        # Re-counting every child at every step takes one triangle per
-        # child; keeping the entries leaves about two new ones per step.
+        # Re-counting every child at every step takes one removal per child;
+        # keeping the entries leaves about two new ones per step.
         image, initial = shape_instances[0]
         calls = Counter()
 
-        def counting(name):
-            f = getattr(polygon_module, name)
+        def counting(owner, name):
+            f = getattr(owner, name)
 
             def wrapper(*args):
                 calls[name] += 1
                 return f(*args)
-            return wrapper
+            monkeypatch.setattr(owner, name, wrapper)
 
-        for name in ("rasterize_polygon", "polygon_marks", "_triangle"):
-            monkeypatch.setattr(polygon_module, name, counting(name))
+        counting(polygon_module, "rasterize_polygon")
+        counting(polygon_module, "PolygonMarks")
+        counting(PolygonMarks, "removal")
         steps = bss_simplify(image, initial, criterion).steps
-        assert calls["rasterize_polygon"] == 0 and calls["polygon_marks"] == 1
-        assert calls["_triangle"] < sum(s.vertex_count for s in steps) / 8
+        assert calls["rasterize_polygon"] == 0 and calls["PolygonMarks"] == 1
+        assert calls["removal"] < sum(s.vertex_count for s in steps) / 8
 
 
 def random_polygon(seed, star, grid, nudge):
@@ -729,37 +774,27 @@ def test_live_entries_along_random_trajectories(seed, star, grid, nudge):
                 checked_bss(monkeypatch, *drawn, criterion)
 
 
-def marks_mask(marks, shape):
-    parity, hits = marks
-    return (np.frombuffer(parity, dtype=bool) | (np.asarray(hits) > 0)).reshape(shape)
-
-
 @settings(max_examples=150, deadline=None)
 @random_polygons
 def test_triangle_changes_give_the_child_marks(seed, star, grid, nudge):
-    # parity | hits is the two-pass oracle's mask, and applying a child's
-    # `_triangle` change to the parent's marks gives the child's own marks.
+    # The marks' mask is the two-pass oracle's, and applying a child's
+    # removal to the parent's marks gives the child's own marks.
     drawn = random_polygon(seed, star, grid, nudge)
     if drawn is None:
         return
     image, poly = drawn
     width, height = image.width, image.height
-    marks = _flat_marks(poly.vertices, width, height)
-    assert np.array_equal(marks_mask(marks, (height, width)),
+    assert np.array_equal(PolygonMarks(poly.vertices, width, height).mask(),
                           rasterize_polygon_two_pass(poly.vertices, width, height))
     pts = poly.vertices.tolist()
     for i in range(poly.c):
         child = np.delete(poly.vertices, i, axis=0)
         try:
-            expected = _flat_marks(child, width, height)
+            expected = PolygonMarks(child, width, height)
         except ValueError:
             continue   # no footprint: not a polygon `rasterize_polygon` takes
-        parity, hits = bytearray(marks[0]), marks[1][:]
-        flips, delta = _triangle(pts, i, width, height)
-        for cell in flips:
-            parity[cell] ^= 1
-        for cell, change in delta.items():
-            hits[cell] += change
-        assert (parity, hits) == expected
-        assert np.array_equal(marks_mask(expected, (height, width)),
+        marks = PolygonMarks(poly.vertices, width, height)
+        marks.apply(marks.removal(pts, i, image)[3])
+        assert (marks.parity, marks.hits) == (expected.parity, expected.hits)
+        assert np.array_equal(expected.mask(),
                               rasterize_polygon_two_pass(child, width, height))
