@@ -38,6 +38,7 @@ from .lsd import (
 )
 from .numeric import check_epsilon, meaningful
 from .polygon import PolygonHypothesis
+from .square_detect import four_square_layout
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -200,7 +201,6 @@ def cmd_gen(args) -> int:
         print(f"gen: single_square.pgm ({args.width}x{args.height}, "
               f"side {side}, delta {args.delta})")
     elif args.kind == "four-squares":
-        from .square_detect import four_square_layout
         hyps = four_square_layout(extent=args.extent, margin=args.margin,
                                   width=args.width, height=args.height)
         image = synthesize_squares(hyps[2].squares, args.width, args.height,

@@ -19,7 +19,8 @@ from pathlib import Path
 import numpy as np
 
 from .equivalence import XI_FAMILIES, EquivalenceReport, PartSpec, check_equivalence
-from .imaging import BinaryImage, NoiseConfig, flip_noise, rasterize_polygon, synthesize_squares
+from .imaging import (BinaryImage, NoiseConfig, _rng, flip_noise, rasterize_polygon,
+                      synthesize_squares, write_polygon_file)
 from .lsd import (
     AlignmentCounts,
     LsdConfig,
@@ -340,7 +341,7 @@ class ShapeSpec:
 
 
 def make_shape_instance(spec: ShapeSpec) -> tuple[BinaryImage, PolygonHypothesis]:
-    rng = np.random.Generator(np.random.PCG64(spec.seed))
+    rng = _rng(spec.seed)
     c = spec.size / 2.0
     angles = np.linspace(0.0, 2.0 * math.pi, spec.n_vertices, endpoint=False)
     radius = np.full(spec.n_vertices, spec.base_radius)
@@ -367,15 +368,12 @@ def run_polygon(image: BinaryImage, initial: PolygonHypothesis,
     driving criterion determines the path, the other is evaluated on it), so
     the two score-vs-vertex-count curves can be plotted from either file.
     """
-    from .imaging import write_polygon_file
-
     trajectories = {}
     for criterion in criteria:
         traj = bss_simplify(image, initial, criterion)
         trajectories[criterion] = traj
         if out_dir is not None:
-            scores = [polygon_counts(image, step.vertex_count,
-                                     (step.inside.n, step.inside.k),
+            scores = [polygon_counts(image, step.vertex_count, step.inside,
                                      relative=True).score()
                       for step in traj.steps]
             _write_csv(out_dir, f"bss_{criterion}.csv",

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import DomainError, RegionCounts, is_count
+from .numeric import RegionCounts, is_count
 
-# Pinned noise generator: PCG64 with explicit integer seeding keeps every
+# The pinned generator of every seeded image draw (flip noise, synthetic
+# shapes, isotropic orientation maps): PCG64 with explicit seeding keeps every
 # experiment reproducible bit-for-bit.
 def _rng(seed) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
@@ -58,9 +59,9 @@ class BinaryImage:
     def count_ones(self) -> int:
         return int(np.count_nonzero(self.pixels))
 
-    @property
+    @cached_property
     def counts(self) -> RegionCounts:
-        return RegionCounts(n=self.n, k=self.count_ones)
+        return RegionCounts(self.n, self.count_ones)
 
 
 @dataclass(frozen=True)
@@ -132,24 +133,15 @@ def flip_noise(image: BinaryImage, delta: float, seed) -> BinaryImage:
     return BinaryImage(image.pixels ^ flips)   # pixels are 0/1: XOR flips them
 
 
-def _square_bounds(square) -> tuple[int, int, int]:
-    try:
-        return int(square.row), int(square.col), int(square.side)
-    except AttributeError:
-        row, col, side = square
-        return int(row), int(col), int(side)
-
-
 def synthesize_squares(layout, width: int, height: int,
                        cfg: NoiseConfig) -> BinaryImage:
     """Ground-truth image with 1s inside the union of squares, then noise.
 
-    `layout` is any iterable of (row, col, side) triples or objects carrying
-    those attributes; it may be empty (pure background sample).
+    `layout` is any iterable of (row, col, side) triples, such as
+    `square_detect.Square`; it may be empty (pure background sample).
     """
     truth = np.zeros((height, width), dtype=np.uint8)
-    for square in layout:
-        row, col, side = _square_bounds(square)
+    for row, col, side in layout:
         if side < 1 or row < 0 or col < 0 or row + side > height or col + side > width:
             raise ValueError(f"square {(row, col, side)} does not fit in "
                              f"{width}x{height}")
@@ -328,16 +320,13 @@ def rasterize_polygon(vertices, width: int, height: int) -> np.ndarray:
 
 
 def count_region(image: BinaryImage, mask: np.ndarray) -> RegionCounts:
-    """Pixel/ones counts of the masked region of an image."""
+    """Pixel/ones counts of the masked region of an image; `RegionCounts`
+    rejects an empty mask."""
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != image.pixels.shape:
         raise ValueError(f"mask shape {mask.shape} does not match image "
                          f"{image.pixels.shape}")
-    n = int(mask.sum())
-    if n == 0:
-        raise DomainError("region mask is empty")
-    k = int(image.pixels[mask].sum())
-    return RegionCounts(n=n, k=k)
+    return RegionCounts(int(mask.sum()), int(image.pixels[mask].sum()))
 
 
 DEFAULT_GRADIENT_THRESHOLD = 2.0  # gray levels; guards against quantization noise

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import OrientationMap, _rows, gradient_orientation
+from .imaging import OrientationMap, _rng, _rows, gradient_orientation
 from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon
 
 DEFAULT_RHO = math.pi / 16.0
@@ -203,7 +203,7 @@ def rect_counts(n_image: int, counts: AlignmentCounts,
                 cfg: LsdConfig) -> HypothesisCounts:
     """Counts of a rectangle against the isotropic background (`mdl_rect`,
     `nfa_rect`)."""
-    return HypothesisCounts(2.5 * math.log2(n_image), ((counts.n_r, counts.k_r),),
+    return HypothesisCounts(((2.5 * math.log2(n_image), ((counts.n_r, counts.k_r),)),),
                             2.5 * math.log2(n_image) + math.log2(cfg.gamma),
                             (counts.n_r, counts.k_r, cfg.theta),
                             extra=counts.k_r * math.log2(cfg.theta))
@@ -429,8 +429,7 @@ def detect_segments(gray: np.ndarray, cfg: LsdConfig,
 
 def isotropic_orientation_map(width: int, height: int, seed) -> OrientationMap:
     """Uniform random orientations, all defined: the H0 background model."""
-    rng = np.random.Generator(np.random.PCG64(seed))
-    angles = rng.uniform(-math.pi, math.pi, size=(height, width))
+    angles = _rng(seed).uniform(-math.pi, math.pi, size=(height, width))
     angles[angles >= math.pi] = -math.pi
     return OrientationMap(angles=angles, defined=np.ones((height, width), bool))
 

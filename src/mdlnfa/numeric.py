@@ -46,18 +46,23 @@ _LOG2_FACT = [0.0] + np.cumsum(np.log2(np.arange(1, _TABLE_SIZE + 1,
                                                   dtype=np.float64))).tolist()
 
 
-@dataclass(frozen=True)
-class RegionCounts:
-    """Pixel count n and ones count k of a region; the density q is derived."""
+class RegionCounts(NamedTuple("RegionCounts", [("n", int), ("k", int)])):
+    """Pixel count n and ones count k of a region, a validated (n, k) tuple;
+    the density q is derived."""
 
-    n: int
-    k: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"region must contain at least one pixel, got n={self.n}")
-        if not 0 <= self.k <= self.n:
-            raise DomainError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+    def __new__(cls, n: int, k: int):
+        if n < 1:
+            raise DomainError(f"region must contain at least one pixel, got n={n}")
+        if not 0 <= k <= n:
+            raise DomainError(f"need 0 <= k <= n, got k={k}, n={n}")
+        return tuple.__new__(cls, (n, k))
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated, so `_replace` checks its result too."""
+        return cls(*iterable)
 
     @property
     def q(self) -> float:
@@ -122,17 +127,17 @@ def code_length(header: Bits, parts) -> Bits:
     return bits
 
 
-def complement(total: RegionCounts, parts) -> tuple[int, int]:
-    """Counts (n, k) of `total` outside the disjoint regions `parts`."""
+def complement(total: RegionCounts, parts) -> RegionCounts:
+    """Counts of `total` outside the disjoint regions `parts`."""
     n0 = total.n - sum(p.n for p in parts)
     if n0 == 0:
         raise DomainError("regions cover the whole image; no background left")
-    return n0, total.k - sum(p.k for p in parts)
+    return RegionCounts(n0, total.k - sum(p.k for p in parts))
 
 
 def l0_code_length(counts: RegionCounts) -> Bits:
     """Background code length: the whole image as a single part."""
-    return code_length(0.0, [(counts.n, counts.k)])
+    return code_length(0.0, [counts])
 
 
 @dataclass(frozen=True)
@@ -165,23 +170,23 @@ def meaningful(log2_nfa: Bits, epsilon: float = 1.0) -> bool:
 class HypothesisCounts(NamedTuple):
     """The counts of one hypothesis, which are all that its two scores read.
 
-    MDL codes the whole image: `header` bits and the code of each (n, k) of
-    `parts` (`code_length`), then each (header, parts) code of `codes`; less
-    L0 of the `whole` image's counts, when given; plus `extra` bits.  NFA
-    tests one part: `log2_tests` plus the log2 binomial tail of `tail` =
-    (n, k, q).  The terms are added in that order.
+    MDL codes the whole image as the two-part codes `codes`, each a (header,
+    parts) pair for `code_length`; less L0 of the `whole` image's counts,
+    when given; plus `extra` bits.  NFA tests one part: `log2_tests` plus
+    the log2 binomial tail of `tail` = (n, k, q).  The terms are added in
+    that order.
     """
 
-    header: Bits
-    parts: tuple
+    codes: tuple
     log2_tests: Bits
     tail: tuple
-    codes: tuple = ()
     whole: RegionCounts | None = None
     extra: Bits = 0.0
 
     def mdl_bits(self) -> Bits:
-        bits = code_length(self.header, self.parts)
+        # A loop, not sum(): from Python 3.12 sum() compensates float
+        # rounding, and every scorer adds its terms left to right.
+        bits = 0.0
         for header, parts in self.codes:
             bits += code_length(header, parts)
         if self.whole is not None:
@@ -209,14 +214,14 @@ class HypothesisCounts(NamedTuple):
 
     def approx_mdl_bits(self) -> Bits:
         """Stirling expansion of `mdl_bits` for parts coded against the
-        `whole` image (n, k), with no `codes` or `extra`, and q = k/n:
+        `whole` image (n, k), with a single code and no `extra`, and q = k/n:
         header - sum n_i D(q_i || q) + (sum g(k_i, n_i) - g(k, n)) / 2
         - log2(2 pi) / 2.  Undefined where a count is 0 or n."""
+        (bits, parts), = self.codes
         q = self.whole.q
-        bits = self.header
-        for n, k in self.parts:
+        for n, k in parts:
             bits -= n * bernoulli_kld(k / n, q)
-        residual = 0.5 * (sum(g_term(k, n) for n, k in self.parts)
+        residual = 0.5 * (sum(g_term(k, n) for n, k in parts)
                           - g_term(self.whole.k, self.whole.n))
         return bits + residual - 0.5 * math.log2(2.0 * math.pi)
 

@@ -126,16 +126,15 @@ def polygon_counts(image: BinaryImage, c: int, inside: tuple,
     if inside[0] == n:
         raise DomainError("polygon covers the whole image; no exterior left")
     unit = 1.0 + math.log2(n)
-    return HypothesisCounts(1.0 + c * unit, (inside, (n - inside[0], ones - inside[1])),
-                            c * unit, (*inside, ones / n),
+    outside = (n - inside[0], ones - inside[1])
+    return HypothesisCounts(((1.0 + c * unit, (inside, outside)),), c * unit, (*inside, ones / n),
                             whole=image.counts if relative else None)
 
 
 def _counts(image: BinaryImage, poly: PolygonHypothesis,
             relative: bool = False) -> HypothesisCounts:
     mask = rasterize_polygon(poly.vertices, image.width, image.height)
-    inside = count_region(image, mask)
-    return polygon_counts(image, poly.c, (inside.n, inside.k), relative)
+    return polygon_counts(image, poly.c, count_region(image, mask), relative)
 
 
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
@@ -158,7 +157,7 @@ def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
 
 def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
                   marks: PolygonMarks, inside: RegionCounts, entries: list) -> list:
-    """Interior (n, k) of each one-vertex removal from `poly`, or None where
+    """Interior counts of each one-vertex removal from `poly`, or None where
     the child has no footprint or leaves no exterior; `marks` are those of
     `poly`, and `inside` its counts.  Whether the child is a valid polygon is
     left to the caller, which asks only of a child that could win.
@@ -175,7 +174,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
             entry = entries[i] = marks.removal(pts, i, image)
         n = inside.n + entry[0]
         if 0 < n < image.n:   # a footprint and an exterior
-            out[i] = n, inside.k + entry[1]
+            out[i] = RegionCounts(n, inside.k + entry[1])
     return out
 
 
@@ -239,7 +238,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     current = initial
     marks = PolygonMarks(current.vertices, image.width, image.height)
     inside = count_region(image, marks.mask())
-    counts = polygon_counts(image, current.c, (inside.n, inside.k))
+    counts = polygon_counts(image, current.c, inside)
     current_score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     entries = [None] * current.c
@@ -278,6 +277,6 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                    else None for entry in entries]
         del entries[i]
         entries[i - 1] = entries[i % len(entries)] = None
-        current, inside = best, RegionCounts(*children[i])
+        current, inside = best, children[i]
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -34,22 +35,27 @@ from .numeric import (
 _EMPTY_SCORE = Score(mdl_bits=1.0, log2_nfa=math.inf)
 
 
-@dataclass(frozen=True)
-class Square:
-    """Axis-aligned square: top-left pixel (row, col) and side length."""
+class Square(NamedTuple("Square", [("row", int), ("col", int), ("side", int)])):
+    """Axis-aligned square, a validated (row, col, side) tuple: top-left
+    pixel (row, col) and side length."""
 
-    row: int
-    col: int
-    side: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not all(is_count(v) for v in (self.row, self.col, self.side)):
+    def __new__(cls, row: int, col: int, side: int):
+        self = tuple.__new__(cls, (row, col, side))
+        if not all(is_count(v) for v in self):
             raise ValueError(f"square fields must be integers, got {self}")
-        if self.side < 1:
-            raise ValueError(f"square side must be >= 1, got {self.side}")
-        if self.row < 0 or self.col < 0:
+        if side < 1:
+            raise ValueError(f"square side must be >= 1, got {side}")
+        if row < 0 or col < 0:
             raise ValueError(f"square corner must be non-negative, got "
-                             f"({self.row}, {self.col})")
+                             f"({row}, {col})")
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated, so `_replace` checks its result too."""
+        return cls(*iterable)
 
     @property
     def n1(self) -> int:
@@ -96,12 +102,11 @@ def single_counts(image: BinaryImage, sq: Square) -> HypothesisCounts:
     return _single_record(inside, complement(total, [inside]), total)
 
 
-def _single_record(square: RegionCounts, background: tuple,
+def _single_record(square: RegionCounts, background: RegionCounts,
                    image: RegionCounts) -> HypothesisCounts:
-    """One square's record, with the background given as (n, k)."""
-    part = (square.n, square.k)
-    return HypothesisCounts(1.5 * math.log2(image.n), (background, part),
-                            1.5 * math.log2(image.n), (*part, image.q), whole=image)
+    """One square's record against the rest of the image, `background`."""
+    return HypothesisCounts(((1.5 * math.log2(image.n), (background, square)),),
+                            1.5 * math.log2(image.n), (*square, image.q), whole=image)
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:
@@ -128,7 +133,7 @@ def approx_mdl_score(square: RegionCounts, background: RegionCounts,
                      image: RegionCounts) -> float:
     """Stirling expansion of `mdl_score_single`, for counts that are
     neither 0 nor n (`HypothesisCounts.approx_mdl_bits`)."""
-    return _single_record(square, (background.n, background.k), image).approx_mdl_bits()
+    return _single_record(square, background, image).approx_mdl_bits()
 
 
 def multi_counts(image: BinaryImage,
@@ -147,9 +152,9 @@ def multi_counts(image: BinaryImage,
     insides = [_square_counts(image, sq) for sq in hyp.squares]
     geometry = 1.5 * math.log2(total.n)
     return HypothesisCounts(
-        0.0, (complement(total, insides),), log2_tests,
-        (sum(c.n for c in insides), sum(c.k for c in insides), total.q),
-        codes=((hyp.c, ()), (1.0, ()), *((geometry, ((c.n, c.k),)) for c in insides)),
+        ((0.0, (complement(total, insides),)), (hyp.c, ()), (1.0, ()),
+         *((geometry, (c,)) for c in insides)),
+        log2_tests, (sum(c.n for c in insides), sum(c.k for c in insides), total.q),
         whole=total)
 
 

@@ -70,6 +70,12 @@ class TestKernel:
         assert complement(total, [RegionCounts(10, 7), RegionCounts(5, 0)]) \
             == (85, 33)
         assert complement(total, []) == (100, 40)
+        assert type(complement(total, [])) is RegionCounts
+        # Parts that hold more pixels, or more ones, than the total.
+        with pytest.raises(DomainError, match="at least one pixel, got n=-3"):
+            complement(RegionCounts(10, 5), [RegionCounts(8, 2), RegionCounts(5, 1)])
+        with pytest.raises(DomainError, match="got k=-2, n=3"):
+            complement(RegionCounts(10, 5), [RegionCounts(4, 4), RegionCounts(3, 3)])
 
     def test_complement_rejects_full_cover(self):
         with pytest.raises(DomainError, match="no background left"):

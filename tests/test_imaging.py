@@ -360,6 +360,9 @@ class TestCountRegion:
     def test_empty_mask_rejected(self):
         with pytest.raises(DomainError):
             count_region(blank(4, 4), np.zeros((4, 4), dtype=bool))
+        ones = BinaryImage(np.ones((4, 4), dtype=np.uint8))
+        with pytest.raises(DomainError, match="at least one pixel, got n=0"):
+            count_region(ones, np.zeros((4, 4), dtype=bool))
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):

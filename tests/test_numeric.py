@@ -1,6 +1,7 @@
 """Tests for the log-domain coding/probability primitives."""
 
 import math
+import pickle
 import warnings
 from fractions import Fraction
 
@@ -41,12 +42,29 @@ class TestRegionCounts:
         assert rc.q * rc.n == rc.k
 
     def test_invalid_counts_rejected(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one pixel, got n=0"):
             RegionCounts(n=0, k=0)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="at least one pixel, got n=-2"):
+            RegionCounts(-2, 0)
+        with pytest.raises(DomainError, match="got k=6, n=5"):
             RegionCounts(n=5, k=6)
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="got k=-1, n=5"):
             RegionCounts(n=5, k=-1)
+
+    def test_is_a_validated_pair(self):
+        rc = RegionCounts(10, 3)
+        assert rc == (10, 3) and hash(rc) == hash((10, 3))
+        n, k = rc
+        assert (n, k) == (rc.n, rc.k) == (10, 3)
+        assert repr(rc) == "RegionCounts(n=10, k=3)"
+        assert rc._replace(k=5) == (10, 5)
+        with pytest.raises(DomainError, match="got k=11, n=10"):
+            rc._replace(k=11)
+
+    def test_survives_pickle(self):
+        rc = RegionCounts(10, 3)
+        back = pickle.loads(pickle.dumps(rc))
+        assert type(back) is RegionCounts and back == rc and back.q == 0.3
 
 
 class TestLogBinomial:

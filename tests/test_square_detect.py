@@ -1,6 +1,7 @@
 """Tests for single- and multi-square MDL/NFA scoring and selection."""
 
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -38,20 +39,47 @@ def noiseless_square_image(side=40, at=(10, 20), size=100):
 
 class TestTypes:
     def test_square_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="side must be >= 1, got 0"):
             Square(0, 0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"non-negative, got \(-1, 0\)"):
             Square(-1, 0, 5)
+        with pytest.raises(ValueError, match=r"non-negative, got \(0, -4\)"):
+            Square(0, -4, 5)
         assert Square(2, 3, 4).n1 == 16
 
     @pytest.mark.parametrize("fields", [(2, 2, math.nan), (2, 2, 4.0),
                                         (2.5, 2, 4), (2, True, 4), ("2", 2, 4)])
     def test_square_rejects_non_integer_fields(self, fields):
-        with pytest.raises(ValueError, match="must be integers"):
+        with pytest.raises(ValueError, match="must be integers") as info:
             Square(*fields)
+        assert str(info.value).endswith(
+            "got Square(row={!r}, col={!r}, side={!r})".format(*fields))
 
     def test_square_accepts_numpy_integers(self):
         assert Square(np.int64(2), np.int32(3), np.uint8(4)).n1 == 16
+
+    def test_square_is_a_validated_triple(self):
+        sq = Square(2, 3, 4)
+        assert sq == (2, 3, 4) and hash(sq) == hash((2, 3, 4))
+        row, col, side = sq
+        assert (row, col, side) == (sq.row, sq.col, sq.side) == (2, 3, 4)
+        assert repr(sq) == "Square(row=2, col=3, side=4)"
+        assert sq._replace(side=5).n1 == 25
+        with pytest.raises(ValueError, match="side must be >= 1, got 0"):
+            sq._replace(side=0)
+
+    def test_square_survives_pickle(self):
+        sq = Square(2, 3, 4)
+        back = pickle.loads(pickle.dumps(sq))
+        assert type(back) is Square and back == sq and back.n1 == 16
+
+    @pytest.mark.parametrize("layout", [
+        [(10, 20, 40)], [(0, 0, 1), (99, 99, 1)], [(5, 5, 30), (50, 60, 25), (40, 0, 10)]])
+    def test_synthesize_squares_same_for_squares_and_triples(self, layout):
+        cfg = NoiseConfig(0.2, seed=7)
+        squares = synthesize_squares([Square(*t) for t in layout], 100, 100, cfg)
+        triples = synthesize_squares(layout, 100, 100, cfg)
+        assert np.array_equal(squares.pixels, triples.pixels)
 
     def test_hypothesis_rejects_overlap(self):
         with pytest.raises(ValueError):
