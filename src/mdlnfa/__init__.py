@@ -33,21 +33,17 @@ from .imaging import (
 from .square_detect import (
     Square,
     SquareHypothesis,
-    approx_log_nfa,
-    approx_mdl_score,
-    mdl_score_multi,
-    mdl_score_single,
-    nfa_score_multi,
-    nfa_score_single,
+    multi_counts,
     pick_hypothesis,
     select_hypothesis,
+    single_counts,
+    single_record,
 )
 from .polygon import (
     BssTrajectory,
     PolygonHypothesis,
     bss_simplify,
-    mdl_polygon_score,
-    nfa_polygon_score,
+    polygon_counts,
 )
 from .lsd import (
     AlignmentCounts,
@@ -56,8 +52,7 @@ from .lsd import (
     count_aligned,
     detect_segments,
     fit_rectangle,
-    mdl_rect,
-    nfa_rect,
+    rect_counts,
     region_grow_candidates,
 )
 from .equivalence import (

@@ -29,7 +29,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import LOG10_2, check_epsilon, is_count
+from .numeric import LOG10_2, check_epsilon, is_count, is_real
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -61,19 +61,29 @@ def _trial_seed(base_seed: int, *coords: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(base_seed),) + tuple(int(c) for c in coords))
 
 
-def _check_sweep(cfg, **lows) -> None:
-    """Check the fields both sweep configs share, and reject a run or
-    geometry field, or an entry of a grid field, that is not an integer at
-    least its low bound (bools included), naming the field."""
+def _check_sweep(cfg, noise=("deltas",), **lows) -> None:
+    """Check the fields both sweep configs share, naming the field: a run or
+    geometry field, or each entry of a grid field, must be an integer at
+    least its low bound, and a noise field in `noise` a real number in
+    (0, 0.5); a bool is neither."""
     for name, low in dict(base_seed=0, seeds_per_cell=1, workers=1, **lows).items():
-        value = getattr(cfg, name)
-        grid = isinstance(value, (tuple, list))
-        if not all(is_count(v) and v >= low for v in (value if grid else (value,))):
-            raise ConfigError(f"{name} must be {'integers' if grid else 'an integer'} "
-                              f">= {low}, got {value!r}")
+        _check_field(cfg, name, lambda v: is_count(v) and v >= low,
+                     ("an integer", "integers"), f">= {low}")
     check_epsilon(cfg.epsilon, ConfigError)
-    if any(not 0.0 < d < 0.5 for d in cfg.deltas):
-        raise ConfigError("all deltas must lie in (0, 0.5)")
+    for name in noise:
+        _check_field(cfg, name, lambda v: is_real(v) and 0.0 < v < 0.5,
+                     ("a number", "numbers"), "in (0, 0.5)")
+
+
+def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None:
+    """Raise ConfigError unless field `name` of `cfg` passes `ok`, or, for a
+    grid field (one whose default is a tuple), is a list or tuple whose
+    every entry does."""
+    value = getattr(cfg, name)
+    grid = isinstance(getattr(type(cfg), name), tuple)
+    if (grid and not isinstance(value, (tuple, list))) or not all(
+            ok(v) for v in (value if grid else (value,))):
+        raise ConfigError(f"{name} must be {kinds[grid]} {bound}, got {value!r}")
 
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
@@ -210,10 +220,8 @@ class MultiSweepConfig:
     workers: int = 1
 
     def __post_init__(self):
-        _check_sweep(self, width=1, height=1, noise_extent=1, noise_margin=0,
-                     margin_extent=1, margins=0)
-        if not 0.0 < self.margin_delta < 0.5:
-            raise ConfigError("margin_delta must lie in (0, 0.5)")
+        _check_sweep(self, ("deltas", "margin_delta"), width=1, height=1,
+                     noise_extent=1, noise_margin=0, margin_extent=1, margins=0)
         for axis, values in (("noise", self.deltas), ("margin", self.margins)):
             for i in range(len(values)):
                 _cell_layout(self, axis, i)

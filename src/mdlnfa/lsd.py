@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .imaging import OrientationMap, _rng, _rows, gradient_orientation
-from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon
+from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon, is_count
 
 DEFAULT_RHO = math.pi / 16.0
 
@@ -108,6 +108,8 @@ class AlignmentCounts:
     u_r: int = 0
 
     def __post_init__(self):
+        if not all(type(v) is int or is_count(v) for v in (self.n_r, self.k_r, self.u_r)):
+            raise ValueError(f"alignment counts must be integers, got {self}")
         if not 0 <= self.k_r <= self.n_r - self.u_r or self.u_r < 0:
             raise ValueError(f"need 0 <= k_r <= n_r - u_r, got {self}")
 
@@ -201,8 +203,16 @@ def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
 
 def rect_counts(n_image: int, counts: AlignmentCounts,
                 cfg: LsdConfig) -> HypothesisCounts:
-    """Counts of a rectangle against the isotropic background (`mdl_rect`,
-    `nfa_rect`)."""
+    """Counts of a rectangle against the isotropic background.
+
+    MDL: the code-length delta of describing the rectangle's aligned points
+    apart: 5/2 log2 n for the geometry, an enumerative code selecting which
+    points align, and k_r log2 theta of savings because aligned angles live
+    in a fraction theta of the angle alphabet.  The per-pixel background
+    cost (24 bits under the 2^24-value gradient alphabet) cancels and never
+    appears.  Negative means the rectangle pays for itself.  NFA:
+    log2 NFA = 5/2 log2 n + log2 gamma + log2 B(n_r, k_r, theta).
+    """
     return HypothesisCounts(((2.5 * math.log2(n_image), ((counts.n_r, counts.k_r),)),),
                             2.5 * math.log2(n_image) + math.log2(cfg.gamma),
                             (counts.n_r, counts.k_r, cfg.theta),
@@ -210,19 +220,12 @@ def rect_counts(n_image: int, counts: AlignmentCounts,
 
 
 def nfa_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
-    """log2 NFA = 5/2 log2 n + log2 gamma + log2 B(n_r, k_r, theta)."""
+    """`rect_counts(n_image, counts, cfg).log2_nfa()`, a perfbench span until ROADMAP item 1."""
     return rect_counts(n_image, counts, cfg).log2_nfa()
 
 
 def mdl_rect(n_image: int, counts: AlignmentCounts, cfg: LsdConfig) -> float:
-    """Code-length delta of describing the rectangle's aligned points apart.
-
-    5/2 log2 n for the geometry, an enumerative code selecting which points
-    align, and k_r log2 theta of savings because aligned angles live in a
-    fraction theta of the angle alphabet.  The per-pixel background cost
-    (24 bits under the 2^24-value gradient alphabet) cancels and never
-    appears.  Negative means the rectangle pays for itself.
-    """
+    """`rect_counts(n_image, counts, cfg).mdl_bits()`, a perfbench span until ROADMAP item 1."""
     return rect_counts(n_image, counts, cfg).mdl_bits()
 
 

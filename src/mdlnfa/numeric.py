@@ -19,6 +19,7 @@ geometry into counts.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -41,6 +42,12 @@ def is_count(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
+def is_real(value) -> bool:
+    """True for a Python, numpy or other `numbers.Real` number; a bool is not."""
+    return type(value) is float or (isinstance(value, numbers.Real)
+                                    and not isinstance(value, bool))
+
+
 # log2(m!) for 0 <= m <= _TABLE_SIZE, as Python floats.
 _LOG2_FACT = [0.0] + np.cumsum(np.log2(np.arange(1, _TABLE_SIZE + 1,
                                                   dtype=np.float64))).tolist()
@@ -53,6 +60,9 @@ class RegionCounts(NamedTuple("RegionCounts", [("n", int), ("k", int)])):
     __slots__ = ()
 
     def __new__(cls, n: int, k: int):
+        # `type(v) is int` first: BSS builds thousands of records per run.
+        if not ((type(n) is int or is_count(n)) and (type(k) is int or is_count(k))):
+            raise DomainError(f"region counts must be integers, got n={n!r}, k={k!r}")
         if n < 1:
             raise DomainError(f"region must contain at least one pixel, got n={n}")
         if not 0 <= k <= n:
@@ -155,9 +165,10 @@ class Score:
 
 
 def check_epsilon(epsilon: float, error: type[Exception] = DomainError) -> None:
-    """Raise `error` unless the NFA threshold `epsilon` is positive; NaN is
-    not.  Each caller passes the exception type of its own layer."""
-    if not epsilon > 0.0:
+    """Raise `error` unless the NFA threshold `epsilon` is a positive real
+    number; NaN is not, nor a bool or a string.  Each caller passes the
+    exception type of its own layer."""
+    if not (is_real(epsilon) and epsilon > 0.0):
         raise error(f"epsilon must be positive, got {epsilon}")
 
 

@@ -120,8 +120,14 @@ def _is_simple(verts: np.ndarray) -> bool:
 def polygon_counts(image: BinaryImage, c: int, inside: tuple,
                    relative: bool = False) -> HypothesisCounts:
     """Counts of a c-vertex polygon whose interior has counts `inside` =
-    (n, k): raw MDL code length (less L0 if `relative`) and c sides of 2n
-    tests each (`mdl_polygon_score`, `nfa_polygon_score`)."""
+    (n1, k1).
+
+    MDL: the raw code length L(x, P) of the image given the polygon, less
+    L0 if `relative`: 1 + c(1 + log2 n) bits for the vertex count and
+    coordinates, plus enumerative codes for the interior and exterior pixel
+    patterns.  NFA: log2 NFA = s(1 + log2 n) + log2 B(n1, k1, q), with
+    s = c sides of 2n tests each and q the image density.
+    """
     n, ones = image.n, image.count_ones
     if inside[0] == n:
         raise DomainError("polygon covers the whole image; no exterior left")
@@ -138,20 +144,17 @@ def _counts(image: BinaryImage, poly: PolygonHypothesis,
 
 
 def mdl_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
-    """Raw code length L(x, P) of the image given the polygon, in bits.
-
-    1 + c(1 + log2 n) for the vertex count and coordinates, plus enumerative
-    codes for the interior and exterior pixel patterns.
-    """
+    """`_counts(image, poly).mdl_bits()`, a perfbench span until ROADMAP item 1."""
     return _counts(image, poly).mdl_bits()
 
 
 def nfa_polygon_score(image: BinaryImage, poly: PolygonHypothesis) -> float:
-    """log2 NFA = s (1 + log2 n) + log2 B(n1, k1, q), with s = c sides."""
+    """`_counts(image, poly).log2_nfa()`, a perfbench span until ROADMAP item 1."""
     return _counts(image, poly).log2_nfa()
 
 
 def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
+    """`_counts(image, poly, relative=True).score()`, a perfbench span until ROADMAP item 1."""
     return _counts(image, poly, relative=True).score()
 
 

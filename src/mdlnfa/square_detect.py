@@ -20,14 +20,12 @@ import numpy as np
 
 from .imaging import BinaryImage
 from .numeric import (
-    DomainError,
     HypothesisCounts,
     RegionCounts,
     Score,
     check_epsilon,
     complement,
     is_count,
-    l0_code_length,  # re-exported
 )
 
 # The empty hypothesis: the background code plus 1 bit for c = 0 under the
@@ -95,51 +93,50 @@ def _square_counts(image: BinaryImage, sq: Square) -> RegionCounts:
 
 
 def single_counts(image: BinaryImage, sq: Square) -> HypothesisCounts:
-    """Counts of one square against background only (`mdl_score_single`,
-    `nfa_score_single`)."""
+    """Counts of one square against background only: `single_record` of
+    the square's counts in `image`."""
     inside = _square_counts(image, sq)
     total = image.counts
-    return _single_record(inside, complement(total, [inside]), total)
+    return single_record(inside, complement(total, [inside]), total)
 
 
-def _single_record(square: RegionCounts, background: RegionCounts,
-                   image: RegionCounts) -> HypothesisCounts:
-    """One square's record against the rest of the image, `background`."""
+def single_record(square: RegionCounts, background: RegionCounts,
+                  image: RegionCounts) -> HypothesisCounts:
+    """Counts of one square against the rest of the image, `background`,
+    from counts alone.
+
+    MDL: L1 - L0, with L1 = 3/2 log2 n (position and side) plus separate
+    enumerative codes for the background and square interiors.  NFA:
+    log2 NFA = 3/2 log2 n + log2 B(n1, k1, q), with q the image density.
+    The Stirling form `approx_mdl_bits` is defined only where no count is 0
+    or n; the Hoeffding bound `approx_log2_nfa` only where k1/n1 > q.
+    """
     return HypothesisCounts(((1.5 * math.log2(image.n), (background, square)),),
                             1.5 * math.log2(image.n), (*square, image.q), whole=image)
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:
-    """L1 - L0 for a single square hypothesis.
-
-    L1 = 3/2 log n (position and side) plus separate enumerative codes for
-    the background and square interiors.
-    """
+    """`single_counts(image, sq).mdl_bits()`, a perfbench span until ROADMAP item 1."""
     return single_counts(image, sq).mdl_bits()
 
 
 def nfa_score_single(image: BinaryImage, sq: Square) -> float:
-    """log2 NFA = 3/2 log2 n + log2 B(n1, k1, q) with q the image density."""
+    """`single_counts(image, sq).log2_nfa()`, a perfbench span until ROADMAP item 1."""
     return single_counts(image, sq).log2_nfa()
-
-
-def approx_log_nfa(square: RegionCounts, image: RegionCounts) -> float:
-    """Hoeffding approximation of `nfa_score_single`, for a square denser
-    than the image (`HypothesisCounts.approx_log2_nfa`)."""
-    return _single_record(square, complement(image, [square]), image).approx_log2_nfa()
-
-
-def approx_mdl_score(square: RegionCounts, background: RegionCounts,
-                     image: RegionCounts) -> float:
-    """Stirling expansion of `mdl_score_single`, for counts that are
-    neither 0 nor n (`HypothesisCounts.approx_mdl_bits`)."""
-    return _single_record(square, background, image).approx_mdl_bits()
 
 
 def multi_counts(image: BinaryImage,
                  hyp: SquareHypothesis) -> HypothesisCounts | None:
-    """Counts of c disjoint squares (`mdl_score_multi`, `nfa_score_multi`);
-    None for the empty hypothesis, which has no test."""
+    """Counts of c >= 1 disjoint squares.
+
+    MDL: L_H - L0, each square costing 3/2 log2 n for its geometry plus its
+    own enumerative code, and c sent with the geometric prior (c + 1 bits).
+    NFA: log2 NFA = c + (3c/2) log2 n + log2 B(sum n_i, sum k_i, q); the 2^c
+    factor spreads the false-alarm budget over sub-families by square count,
+    and pooled counts are meaningful because the squares are disjoint.
+    None for the empty hypothesis, which `_EMPTY_SCORE` scores: L0 + 1 bit
+    and no test.
+    """
     if hyp.c == 0:
         return None
     total = image.counts
@@ -156,28 +153,6 @@ def multi_counts(image: BinaryImage,
          *((geometry, (c,)) for c in insides)),
         log2_tests, (sum(c.n for c in insides), sum(c.k for c in insides), total.q),
         whole=total)
-
-
-def mdl_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
-    """L_H - L0 for a hypothesis of c disjoint squares.
-
-    Each square costs 3/2 log n for its geometry plus its own enumerative
-    code; the count c is sent with the geometric prior (c + 1 bits).  The
-    empty hypothesis therefore scores exactly +1.
-    """
-    counts = multi_counts(image, hyp)
-    return _EMPTY_SCORE.mdl_bits if counts is None else counts.mdl_bits()
-
-
-def nfa_score_multi(image: BinaryImage, hyp: SquareHypothesis) -> float:
-    """log2 NFA = c + (3c/2) log2 n + log2 B(sum n_i, sum k_i, q).
-
-    The 2^c factor spreads the false-alarm budget over sub-families by
-    square count; pooled counts are meaningful because squares are disjoint.
-    """
-    if hyp.c == 0:
-        raise DomainError("no NFA test is defined for the empty hypothesis")
-    return multi_counts(image, hyp).log2_nfa()
 
 
 @dataclass(frozen=True)

@@ -36,9 +36,8 @@ from mdlnfa.square_detect import (
     Square,
     SquareHypothesis,
     four_square_layout,
-    mdl_score_multi,
     mdl_score_single,
-    nfa_score_multi,
+    multi_counts,
     nfa_score_single,
 )
 
@@ -84,7 +83,23 @@ class TestKernel:
     def test_score_moved_but_still_importable(self):
         assert square_detect.Score is Score
         assert lsd.Score is Score
-        assert square_detect.l0_code_length is l0_code_length
+
+
+def test_package_exports_builders_not_wrappers():
+    # The counts builders are the scoring API; score a builder's record
+    # with `mdl_bits`, `log2_nfa` or `score`.
+    import mdlnfa
+    from mdlnfa import polygon
+
+    for module, name in [(square_detect, "single_counts"), (square_detect, "single_record"),
+                         (square_detect, "multi_counts"), (polygon, "polygon_counts"),
+                         (lsd, "rect_counts")]:
+        assert getattr(mdlnfa, name) is getattr(module, name)
+    for name in ["mdl_score_single", "nfa_score_single", "mdl_score_multi",
+                 "nfa_score_multi", "approx_log_nfa", "approx_mdl_score",
+                 "mdl_polygon_score", "nfa_polygon_score", "polygon_scores",
+                 "mdl_rect", "nfa_rect"]:
+        assert not hasattr(mdlnfa, name), name
 
 
 def noisy_squares(seed, delta, size=64):
@@ -103,11 +118,13 @@ class TestSquaresAgainstOracle:
         image, hyps = noisy_squares(seed, delta)
         assert sorted({h.c for h in hyps}) == [0, 1, 2, 4]
         for hyp in hyps:
-            assert mdl_score_multi(image, hyp) == \
-                oracles.mdl_score_multi(image, hyp)
-            if hyp.c > 0:
-                assert nfa_score_multi(image, hyp) == \
-                    oracles.nfa_score_multi(image, hyp)
+            counts = multi_counts(image, hyp)
+            if hyp.c == 0:
+                # No counts: selection scores it as L0 + 1 bit, no test.
+                assert counts is None
+                continue
+            assert counts.mdl_bits() == oracles.mdl_score_multi(image, hyp)
+            assert counts.log2_nfa() == oracles.nfa_score_multi(image, hyp)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_single_every_side_and_place(self, seed):

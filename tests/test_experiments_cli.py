@@ -53,7 +53,7 @@ class TestConfigs:
             SingleSweepConfig(seeds_per_cell=0)
         with pytest.raises(ConfigError):
             MultiSweepConfig(margin_delta=0.7)
-        for epsilon in (0.0, -1.0, math.nan):
+        for epsilon in (0.0, -1.0, math.nan, True, "1"):
             with pytest.raises(ConfigError, match="epsilon"):
                 SingleSweepConfig(epsilon=epsilon)
             with pytest.raises(ConfigError, match="epsilon"):
@@ -580,6 +580,26 @@ class TestCli:
                                "--out", str(out)]) == EXIT_CONFIG
         assert field in capsys.readouterr().err
         assert not (out / csv_name).exists()
+
+    @pytest.mark.parametrize("command,config,field", [
+        (["sweep-single"], {"deltas": [None]}, "deltas"),
+        (["sweep-single"], {"epsilon": "x"}, "epsilon"),
+        (["sweep-multi", "--axis", "margin"], {"margin_delta": "a"}, "margin_delta"),
+        (["sweep-single"], {"deltas": 0.1}, "deltas"),
+        (["sweep-single"], {"sides": 20}, "sides")])
+    def test_sweeps_reject_non_numeric_fields(self, tmp_path, capsys, command,
+                                              config, field):
+        # Without the checks each comparison, or iterating a grid given as
+        # one number, raised a TypeError whose message named no field
+        # ("'<' not supported between instances of ...").
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        assert main(command + ["--config", str(cfg_path),
+                               "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"{field} must be" in err and "not supported" not in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--epsilon", "-1"),
                                             ("--epsilon", "nan"),

@@ -113,6 +113,12 @@ class TestAlignmentCounts:
             AlignmentCounts(n_r=10, k_r=8, u_r=3)
         with pytest.raises(ValueError):
             AlignmentCounts(n_r=10, k_r=-1)
+        for n_r, k_r, u_r in [(2.5, 1, 0), (10, True, 0), (10, 2, False), (10.0, 2, 0),
+                              (10, 2, 1.0)]:
+            with pytest.raises(ValueError, match="alignment counts must be integers"):
+                AlignmentCounts(n_r, k_r, u_r)
+        assert AlignmentCounts(np.int64(10), np.int32(7), np.uint8(3)) == \
+            AlignmentCounts(10, 7, 3)
 
 
 class TestFitRectangle:

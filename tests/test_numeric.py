@@ -20,6 +20,7 @@ from mdlnfa.numeric import (
     g_term,
     hoeffding_tail_bound,
     is_count,
+    is_real,
     log_binomial,
     stirling_log_binomial,
 )
@@ -33,6 +34,16 @@ from oracles import exact_log2_binomial_tail, log_binomial_numpy
 def test_is_count(value, want):
     # The one integer test of the input checks: bools are not counts.
     assert is_count(value) is want
+
+
+@pytest.mark.parametrize("value,want", [
+    (0.5, True), (-3, True), (math.nan, True), (np.float32(0.1), True), (np.int64(5), True),
+    (Fraction(1, 3), True), (True, False), (np.bool_(True), False), ("0.1", False),
+    (None, False), (1j, False)])
+def test_is_real(value, want):
+    # The number test of the epsilon and noise-level checks; the range check
+    # (which rejects NaN) is the caller's.
+    assert is_real(value) is want
 
 
 class TestRegionCounts:
@@ -50,6 +61,13 @@ class TestRegionCounts:
             RegionCounts(n=5, k=6)
         with pytest.raises(DomainError, match="got k=-1, n=5"):
             RegionCounts(n=5, k=-1)
+        # Counts are integers (`is_count`): no bools, no floats, even integral.
+        for n, k in [(True, False), (2, True), (2.5, 1), (5, 2.0), (np.float64(4), 1),
+                     ("5", 1), (5, None)]:
+            with pytest.raises(DomainError, match="region counts must be integers"):
+                RegionCounts(n, k)
+        rc = RegionCounts(np.int64(5), np.uint8(2))
+        assert rc == (5, 2) and rc.q == 0.4
 
     def test_is_a_validated_pair(self):
         rc = RegionCounts(10, 3)

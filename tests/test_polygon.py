@@ -22,7 +22,7 @@ from mdlnfa.imaging import (
     synthesize_squares,
     zero_area,
 )
-from mdlnfa.numeric import Score, binomial_first_term_log, complement
+from mdlnfa.numeric import Score, binomial_first_term_log, complement, l0_code_length
 from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
@@ -32,7 +32,7 @@ from mdlnfa.polygon import (
     polygon_counts,
     polygon_scores,
 )
-from mdlnfa.square_detect import Square, l0_code_length, mdl_score_single
+from mdlnfa.square_detect import Square, mdl_score_single
 from oracles import (bss_nfa_key, bss_simplify_full, rasterize_polygon_two_pass,
                      removable_all)
 

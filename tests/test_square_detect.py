@@ -11,6 +11,8 @@ from mdlnfa.numeric import (
     DomainError,
     RegionCounts,
     bernoulli_kld,
+    complement,
+    l0_code_length,
     log_binomial,
 )
 from mdlnfa.square_detect import (
@@ -18,16 +20,13 @@ from mdlnfa.square_detect import (
     Square,
     SquareHypothesis,
     _square_counts,
-    approx_log_nfa,
-    approx_mdl_score,
     four_square_layout,
-    l0_code_length,
-    mdl_score_multi,
     mdl_score_single,
-    nfa_score_multi,
+    multi_counts,
     nfa_score_single,
     pick_hypothesis,
     select_hypothesis,
+    single_record,
 )
 import oracles
 from oracles import _square_counts as square_counts_sum
@@ -204,9 +203,11 @@ class TestApproximations:
         # raises, on every count of the grid.
         defined = {"mdl": 0, "nfa": 0}
         for square, background, image in count_grid():
-            mdl = outcome(approx_mdl_score, square, background, image)
+            record = single_record(square, background, image)
+            mdl = outcome(record.approx_mdl_bits)
             assert mdl == outcome(oracles.approx_mdl_score, square, background, image)
-            nfa = outcome(approx_log_nfa, square, image)
+            nfa = outcome(single_record(square, complement(image, [square]),
+                                        image).approx_log2_nfa)
             assert nfa == outcome(oracles.approx_log_nfa, square, image)
             defined["mdl"] += mdl is not DomainError
             defined["nfa"] += nfa is not DomainError
@@ -215,14 +216,16 @@ class TestApproximations:
     def test_approx_nfa_formula(self):
         square = RegionCounts(1600, 1440)   # q1 = 0.9
         image = RegionCounts(10**4, 3000)   # q = 0.3
-        got = approx_log_nfa(square, image)
+        got = single_record(square, complement(image, [square]), image).approx_log2_nfa()
         expected = 1.5 * math.log2(10**4) - 1600 * bernoulli_kld(0.9, 0.3)
         assert got == pytest.approx(expected, rel=1e-12)
         assert got < -1700
 
     def test_approx_nfa_requires_denser_square(self):
+        square, image = RegionCounts(100, 10), RegionCounts(1000, 300)
+        record = single_record(square, complement(image, [square]), image)
         with pytest.raises(DomainError):
-            approx_log_nfa(RegionCounts(100, 10), RegionCounts(1000, 300))
+            record.approx_log2_nfa()
 
     def test_approx_upper_bounds_exact_nfa(self):
         for seed in range(20):
@@ -233,7 +236,9 @@ class TestApproximations:
             square = RegionCounts(1600, int(block.sum()))
             if square.q <= img.counts.q:
                 continue
-            assert nfa_score_single(img, sq) <= approx_log_nfa(square, img.counts) + 1e-9
+            approx = single_record(square, complement(img.counts, [square]),
+                                   img.counts).approx_log2_nfa()
+            assert nfa_score_single(img, sq) <= approx + 1e-9
 
     def test_approx_mdl_close_to_exact(self):
         for seed in range(10):
@@ -247,13 +252,13 @@ class TestApproximations:
                    background.k, background.n - background.k) < 20:
                 continue
             exact = mdl_score_single(img, sq)
-            approx = approx_mdl_score(square, background, img.counts)
+            approx = single_record(square, background, img.counts).approx_mdl_bits()
             assert abs(approx - exact) < 0.5
 
     def test_approx_mdl_boundary_rejected(self):
         with pytest.raises(DomainError):
-            approx_mdl_score(RegionCounts(16, 0), RegionCounts(84, 20),
-                             RegionCounts(100, 20))
+            single_record(RegionCounts(16, 0), RegionCounts(84, 20),
+                          RegionCounts(100, 20)).approx_mdl_bits()
 
     def test_approx_mdl_equal_densities(self):
         # q0 = q1 = q leaves only the geometry and residual terms.
@@ -264,13 +269,16 @@ class TestApproximations:
         expected = (1.5 * math.log2(1000)
                     + 0.5 * (g_term(450, 900) + g_term(50, 100) - g_term(500, 1000))
                     - 0.5 * math.log2(2 * math.pi))
-        assert approx_mdl_score(square, background, image) == pytest.approx(expected)
+        assert single_record(square, background, image).approx_mdl_bits() == \
+            pytest.approx(expected)
 
 
 class TestMultiSquare:
     def test_empty_hypothesis_costs_one_bit(self):
         img = noiseless_square_image()
-        assert mdl_score_multi(img, SquareHypothesis()) == 1.0
+        empty = SquareHypothesis()
+        assert multi_counts(img, empty) is None
+        assert select_hypothesis(img, [empty], "mdl").table[0][1].mdl_bits == 1.0
 
     def test_empty_hypothesis_in_selection(self):
         # The same empty score reaches selection: L0 + 1 bits and no test.
@@ -280,38 +288,44 @@ class TestMultiSquare:
             sel = select_hypothesis(img, [empty], criterion)
             assert sel.chosen == empty
             assert sel.table == ((empty, Score(mdl_bits=1.0, log2_nfa=math.inf)),)
-        assert sel.table[0][1].mdl_bits == mdl_score_multi(img, empty)
+        assert sel.table[0][1].mdl_bits == oracles.mdl_score_multi(img, empty)
 
     def test_single_square_identity(self):
         for seed in range(5):
             img = synthesize_squares([(30, 30, 40)], 100, 100,
                                      NoiseConfig(0.2, seed=seed))
             sq = Square(30, 30, 40)
-            multi = mdl_score_multi(img, SquareHypothesis((sq,)))
+            multi = multi_counts(img, SquareHypothesis((sq,))).mdl_bits()
             single = mdl_score_single(img, sq)
             assert multi == single + 2.0
 
     def test_nfa_c1_is_single_plus_one(self):
         img = synthesize_squares([(30, 30, 40)], 100, 100, NoiseConfig(0.2, seed=3))
         sq = Square(30, 30, 40)
-        assert nfa_score_multi(img, SquareHypothesis((sq,))) == pytest.approx(
+        assert multi_counts(img, SquareHypothesis((sq,))).log2_nfa() == pytest.approx(
             nfa_score_single(img, sq) + 1.0, rel=1e-12)
 
     def test_nfa_needs_at_least_one_square(self):
-        with pytest.raises(DomainError):
-            nfa_score_multi(noiseless_square_image(), SquareHypothesis())
+        img = noiseless_square_image()
+        empty = SquareHypothesis()
+        assert multi_counts(img, empty) is None
+        # An NFA pick with nothing under epsilon returns the empty hypothesis.
+        blank = SquareHypothesis((Square(60, 60, 20),))   # k1 = 0
+        sel = select_hypothesis(img, [blank], "nfa")
+        assert not sel.table[0][1].nfa_detects()
+        assert sel.chosen == empty
 
     def test_noiseless_four_squares_preferred(self):
         hyps = four_square_layout(extent=70, margin=40, width=256, height=256)
         background, single, four, large = hyps
         img = synthesize_squares(four.squares, 256, 256, NoiseConfig(0.0))
-        mdl = {h: mdl_score_multi(img, h) for h in hyps}
+        mdl = {h: score.mdl_bits for h, score in select_hypothesis(img, hyps, "mdl").table}
         assert mdl[four] < mdl[large]
         assert mdl[four] < mdl[single]
         assert mdl[four] < mdl[background]
-        nfa_four = nfa_score_multi(img, four)
-        assert nfa_four < nfa_score_multi(img, large)
-        assert nfa_four < nfa_score_multi(img, single)
+        nfa_four = multi_counts(img, four).log2_nfa()
+        assert nfa_four < multi_counts(img, large).log2_nfa()
+        assert nfa_four < multi_counts(img, single).log2_nfa()
 
     def test_translation_invariance_bit_for_bit(self):
         rng = np.random.default_rng(17)
@@ -326,8 +340,9 @@ class TestMultiSquare:
         assert nfa_score_single(img_a, sq_a) == nfa_score_single(img_b, sq_b)
         hyp_a = SquareHypothesis((sq_a, Square(40, 15, 8)))
         hyp_b = SquareHypothesis((sq_b, Square(67, 27, 8)))
-        assert mdl_score_multi(img_a, hyp_a) == mdl_score_multi(img_b, hyp_b)
-        assert nfa_score_multi(img_a, hyp_a) == nfa_score_multi(img_b, hyp_b)
+        counts_a, counts_b = multi_counts(img_a, hyp_a), multi_counts(img_b, hyp_b)
+        assert counts_a.mdl_bits() == counts_b.mdl_bits()
+        assert counts_a.log2_nfa() == counts_b.log2_nfa()
 
     def test_nfa_monotone_in_k1_at_fixed_density(self):
         # Move ones into the square while keeping the image total fixed.
@@ -355,7 +370,9 @@ class TestMultiSquare:
         approx = []
         image_counts = RegionCounts(900, 120)
         for k in range(40, 90, 10):
-            approx.append(approx_log_nfa(RegionCounts(100, k), image_counts))
+            square = RegionCounts(100, k)
+            approx.append(single_record(square, complement(image_counts, [square]),
+                                        image_counts).approx_log2_nfa())
         assert all(a > b for a, b in zip(approx, approx[1:]))
 
 
