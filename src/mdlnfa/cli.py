@@ -58,8 +58,10 @@ def _load_json_config(path):
     return data
 
 
-def _merge_config(cls, json_data: dict, overrides: dict):
-    data = dict(json_data)
+def _merge_config(cls, overrides: dict, path=None):
+    """Build `cls` from the JSON config at `path`, then the flags given: a
+    flag left at None keeps the JSON value, and failing that the default."""
+    data = _load_json_config(path)
     data.update({k: v for k, v in overrides.items() if v is not None})
     return ex.config_from_dict(cls, data)
 
@@ -73,8 +75,7 @@ def _out_dir(args) -> Path:
 def cmd_sweep_single(args) -> int:
     overrides = {"base_seed": args.seed, "epsilon": args.epsilon,
                  "seeds_per_cell": args.seeds, "workers": args.workers}
-    cfg = _merge_config(ex.SingleSweepConfig, _load_json_config(args.config),
-                        overrides)
+    cfg = _merge_config(ex.SingleSweepConfig, overrides, args.config)
     result = ex.run_sweep_single(cfg, out_dir=_out_dir(args))
     cells = result.cells
     agree = sum(c.agree_rate >= 0.9 for c in cells) / len(cells)
@@ -91,8 +92,7 @@ def cmd_sweep_multi(args) -> int:
             raise ex.ConfigError("--delta sets the noise level of the margin "
                                  "axis; the noise axis sweeps its own deltas")
         overrides["margin_delta"] = args.delta
-    cfg = _merge_config(ex.MultiSweepConfig, _load_json_config(args.config),
-                        overrides)
+    cfg = _merge_config(ex.MultiSweepConfig, overrides, args.config)
     cells = ex.run_sweep_multi(cfg, args.axis, out_dir=_out_dir(args))
     for criterion in ("mdl", "nfa"):
         four = ex.threshold_along(cells, criterion, ("four",))
@@ -107,11 +107,14 @@ def cmd_polygon(args) -> int:
         check_epsilon(args.epsilon, ex.ConfigError)
     if args.trace_every < 1:
         raise ex.ConfigError(f"--trace-every must be >= 1, got {args.trace_every}")
+    if args.polygon and args.trace:
+        raise ex.ConfigError("--polygon and --trace both set the initial "
+                             "polygon; give one")
     if args.image:
         image = read_binary_pgm(args.image)
     else:
         image, initial = ex.make_shape_instance(
-            ex.ShapeSpec(seed=args.seed or 0))
+            _merge_config(ex.ShapeSpec, {"seed": args.seed}))
     if args.polygon:
         initial = PolygonHypothesis(read_polygon_file(args.polygon))
     elif args.trace:
@@ -123,11 +126,11 @@ def cmd_polygon(args) -> int:
         write_binary_pgm(out / "shape.pgm", image)
     criteria = ("mdl", "nfa") if args.criterion == "both" else (args.criterion,)
     trajectories = ex.run_polygon(image, initial, out_dir=out, criteria=criteria)
-    epsilon = 1.0 if args.epsilon is None else args.epsilon
+    epsilon = {} if args.epsilon is None else {"epsilon": args.epsilon}
     for criterion, traj in trajectories.items():
         chosen = traj.chosen
         flag = ""
-        if criterion == "nfa" and not meaningful(chosen.score, epsilon):
+        if criterion == "nfa" and not meaningful(chosen.score, **epsilon):
             flag = " (minimum not meaningful at this epsilon)"
         print(f"polygon[{criterion}]: {traj.steps[0].vertex_count} -> "
               f"{chosen.vertex_count} vertices, score {chosen.score:.2f} "
@@ -141,15 +144,10 @@ def cmd_polygon(args) -> int:
 def cmd_lsd(args) -> int:
     if args.table_n < 1:
         raise ex.ConfigError(f"--table-n must be >= 1, got {args.table_n}")
-    kwargs = {"gamma": args.gamma, "tau": args.tau}
-    if args.epsilon is not None:
-        kwargs["epsilon"] = args.epsilon
-    if args.theta is not None:
-        cfg = LsdConfig.from_theta(args.theta, **kwargs)
-    elif args.rho is not None:
-        cfg = LsdConfig(rho=args.rho, **kwargs)
-    else:
-        cfg = LsdConfig(**kwargs)
+    if not args.image and (args.candidates or args.tau is not None):
+        raise ex.ConfigError("--candidates and --tau are read only with --image")
+    cfg = _merge_config(LsdConfig, {"theta": args.theta, "gamma": args.gamma,
+                                    "epsilon": args.epsilon, "tau": args.tau})
     if args.image:
         gray = read_pgm(args.image)
         candidates = read_candidates_file(args.candidates) if args.candidates \
@@ -185,32 +183,30 @@ def cmd_equiv(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    if args.side is not None and args.side < 1:
+    if args.side < 1:
         raise ex.ConfigError(f"--side must be >= 1, got {args.side}")
     if args.width < 1 or args.height < 1:
         raise ex.ConfigError(f"--width and --height must be >= 1, got "
                              f"{args.width}x{args.height}")
-    seed = args.seed or 0
+    noise = {"delta": args.delta, "seed": args.seed}
     if args.kind == "single-square":
-        side = args.side or 40
-        row = (args.height - side) // 2
-        col = (args.width - side) // 2
-        image = synthesize_squares([(row, col, side)], args.width, args.height,
-                                   NoiseConfig(args.delta, seed=seed))
+        row = (args.height - args.side) // 2
+        col = (args.width - args.side) // 2
+        image = synthesize_squares([(row, col, args.side)], args.width,
+                                   args.height, _merge_config(NoiseConfig, noise))
         write_binary_pgm(_out_dir(args) / "single_square.pgm", image)
         print(f"gen: single_square.pgm ({args.width}x{args.height}, "
-              f"side {side}, delta {args.delta})")
+              f"side {args.side}, delta {args.delta})")
     elif args.kind == "four-squares":
         hyps = four_square_layout(extent=args.extent, margin=args.margin,
                                   width=args.width, height=args.height)
         image = synthesize_squares(hyps[2].squares, args.width, args.height,
-                                   NoiseConfig(args.delta, seed=seed))
+                                   _merge_config(NoiseConfig, noise))
         write_binary_pgm(_out_dir(args) / "four_squares.pgm", image)
         print(f"gen: four_squares.pgm (extent {args.extent}, margin "
               f"{args.margin}, delta {args.delta})")
     elif args.kind == "shape":
-        image, initial = ex.make_shape_instance(
-            ex.ShapeSpec(seed=seed, delta=args.delta))
+        image, initial = ex.make_shape_instance(_merge_config(ex.ShapeSpec, noise))
         out = _out_dir(args)
         write_binary_pgm(out / "shape.pgm", image)
         write_polygon_file(out / "shape_polygon.txt", initial.vertices)
@@ -235,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
     shared = {
         "config": dict(help="JSON file overriding config defaults"),
         "seed": dict(type=int, help="base seed"),
-        "epsilon": dict(type=float, help="NFA detection threshold (default 1)"),
+        "epsilon": dict(type=float, help="NFA detection threshold"),
     }
 
     def common(p, *flags):
@@ -247,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep-single", help="side x noise detection-rate grid")
     common(p, "config", "seed", "epsilon")
     p.add_argument("--seeds", type=int, help="seeds per cell")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help="worker processes")
     p.set_defaults(func=cmd_sweep_single)
 
     p = sub.add_parser("sweep-multi", help="four-square model selection sweep")
@@ -256,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--delta", type=float,
                    help="noise level for the margin axis")
     p.add_argument("--seeds", type=int, help="seeds per cell")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, help="worker processes")
     p.set_defaults(func=cmd_sweep_multi)
 
     p = sub.add_parser("polygon", help="backward-stepwise polygon selection")
@@ -280,13 +276,11 @@ def build_parser() -> argparse.ArgumentParser:
                                         "(ax ay bx by w per line)")
     p.add_argument("--criterion", choices=("mdl", "nfa", "both"),
                    default="both")
-    p.add_argument("--rho", type=float, help="alignment tolerance (radians)")
-    p.add_argument("--theta", type=float,
-                   help="alignment probability (overrides --rho)")
-    p.add_argument("--gamma", type=int, default=1,
+    p.add_argument("--theta", type=float, help="alignment probability")
+    p.add_argument("--gamma", type=int,
                    help="number of tolerance values tested")
-    p.add_argument("--tau", type=float, default=2.0,
-                   help="gradient magnitude threshold")
+    p.add_argument("--tau", type=float,
+                   help="gradient magnitude threshold (with --image)")
     p.add_argument("--table-n", type=int, default=512 * 512,
                    help="image size n for the boundary table")
     p.set_defaults(func=cmd_lsd)
@@ -301,10 +295,13 @@ def build_parser() -> argparse.ArgumentParser:
                                       "shape", "edge"), required=True)
     p.add_argument("--width", type=int, default=100)
     p.add_argument("--height", type=int, default=100)
-    p.add_argument("--side", type=int, help="square side (single-square)")
-    p.add_argument("--extent", type=int, default=70,
+    p.add_argument("--side", type=int, default=40,
+                   help="square side (single-square)")
+    p.add_argument("--extent", type=int,
+                   default=ex.MultiSweepConfig.noise_extent,
                    help="array extent (four-squares)")
-    p.add_argument("--margin", type=int, default=40,
+    p.add_argument("--margin", type=int,
+                   default=ex.MultiSweepConfig.noise_margin,
                    help="margin between squares (four-squares)")
     p.add_argument("--delta", type=float, default=0.1, help="flip probability")
     p.set_defaults(func=cmd_gen)

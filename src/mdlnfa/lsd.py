@@ -1,12 +1,12 @@
 """Line-segment candidates on orientation maps, validated by NFA and MDL.
 
 Angles are compared as orientations, modulo pi with wrap-around, so the
-comparison is symmetric and invariant to flipping every angle by pi.  Under
-an isotropic map the probability that a pixel aligns with a fixed direction
-within tolerance rho is then theta = 2 rho / pi; that theta is what both the
-binomial-tail NFA and the per-pixel code-length saving use.  The default
-tolerance rho = pi/16 gives theta = 0.125, the usual line-segment operating
-point.
+comparison is symmetric and invariant to flipping every angle by pi.  Both
+the binomial-tail NFA and the per-pixel code-length saving read the
+alignment probability theta, so the config stores theta; under an isotropic
+map a pixel aligns with a fixed direction with probability theta when the
+angle tolerance is rho = theta pi / 2.  The default theta = 0.125 (rho =
+pi/16) is the usual line-segment operating point.
 
 Candidate generation is a deliberately plain greedy region grower: it exists
 to hand an identical candidate set to both criteria, which is where the
@@ -23,30 +23,29 @@ from pathlib import Path
 
 import numpy as np
 
-from .imaging import OrientationMap, _rng, _rows, gradient_orientation
+from .imaging import (DEFAULT_GRADIENT_THRESHOLD, OrientationMap, _rng, _rows,
+                      gradient_orientation)
 from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon, is_count
-
-DEFAULT_RHO = math.pi / 16.0
 
 
 @dataclass(frozen=True)
 class LsdConfig:
     """Tolerance and test-count bookkeeping for rectangle validation.
 
-    theta = 2*rho/pi is the isotropic alignment probability for the modulo-pi
-    angle metric; rho < pi/2 keeps it below 1, where aligned angles are
-    cheaper to code.  gamma counts how many tolerance values are tested (each
-    one multiplies the test family).
+    theta is the isotropic alignment probability; theta < 1 is where aligned
+    angles are cheaper to code.  The angle tolerance rho = theta*pi/2 is
+    derived from it for the modulo-pi angle metric.  gamma counts how many
+    tolerance values are tested (each one multiplies the test family).
     """
 
-    rho: float = DEFAULT_RHO
+    theta: float = 0.125
     gamma: int = 1
     epsilon: float = 1.0
-    tau: float = 2.0
+    tau: float = DEFAULT_GRADIENT_THRESHOLD
 
     def __post_init__(self):
-        if not 0.0 < self.rho < math.pi / 2.0:
-            raise ValueError(f"rho must lie in (0, pi/2), got {self.rho}")
+        if not 0.0 < self.theta < 1.0:
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
         if isinstance(self.gamma, bool) or not (1 <= self.gamma < math.inf
                                                 and self.gamma % 1 == 0):
             raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
@@ -55,14 +54,8 @@ class LsdConfig:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
     @property
-    def theta(self) -> float:
-        return 2.0 * self.rho / math.pi
-
-    @classmethod
-    def from_theta(cls, theta: float, **kwargs) -> "LsdConfig":
-        if not 0.0 < theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {theta}")
-        return cls(rho=theta * math.pi / 2.0, **kwargs)
+    def rho(self) -> float:
+        return self.theta * math.pi / 2.0
 
 
 @dataclass(frozen=True)
@@ -390,11 +383,12 @@ def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
     """Score an identical candidate set under both criteria."""
     n_image = omap.height * omap.width
+    rho = cfg.rho
     scores: dict = {}   # many candidates share (n_r, k_r): one score each
     out = []
     for cand in candidates:
         try:
-            counts = count_aligned(cand, omap, cfg.rho)
+            counts = count_aligned(cand, omap, rho)
         except ValueError:
             continue
         record = rect_counts(n_image, counts, cfg)

@@ -166,8 +166,8 @@ class TestPolygonAgainstOracle:
 
 
 class TestRectAgainstOracle:
-    @pytest.mark.parametrize("cfg", [LsdConfig(), LsdConfig.from_theta(0.5),
-                                     LsdConfig(rho=math.pi / 8, gamma=3)])
+    @pytest.mark.parametrize("cfg", [LsdConfig(), LsdConfig(theta=0.5),
+                                     LsdConfig(theta=0.25, gamma=3)])
     @pytest.mark.parametrize("n_image", [4096, 96 * 96, 512 * 512])
     def test_every_count_up_to_60(self, cfg, n_image):
         for n_r in range(1, 61):
@@ -180,6 +180,9 @@ class TestRectAgainstOracle:
 
     def test_theta_below_one_by_construction(self):
         rng = np.random.default_rng(0)
-        for rho in rng.uniform(1e-9, math.pi / 2, 1000):
-            assert 0.0 < LsdConfig(rho=float(rho)).theta < 1.0
-        assert LsdConfig(rho=math.nextafter(math.pi / 2, 0.0)).theta < 1.0
+        for theta in map(float, rng.uniform(1e-9, 1.0, 1000)):
+            cfg = LsdConfig(theta=theta)
+            assert cfg.theta == theta
+            assert 0.0 < cfg.rho <= math.pi / 2
+        cfg = LsdConfig(theta=math.nextafter(1.0, 0.0))
+        assert cfg.theta < 1.0 and cfg.rho <= math.pi / 2

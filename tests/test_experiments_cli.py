@@ -1,5 +1,6 @@
 """Tests for the experiment drivers and the command-line interface."""
 
+import argparse
 import csv
 import json
 import math
@@ -12,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from mdlnfa.cli import EXIT_CONFIG, EXIT_OK, main
+from mdlnfa.cli import EXIT_CONFIG, EXIT_OK, build_parser, main
 from mdlnfa.experiments import (
     HYPOTHESIS_LABELS,
     ConfigError,
@@ -340,6 +341,15 @@ class TestWorkerPool:
         with pytest.raises(ConfigError):
             h0_false_alarm_counts(LsdConfig(), n_maps=0, workers=0)
 
+    def test_json_workers_reach_the_pool(self, pools, tmp_path):
+        # A --workers flag that defaulted to 1 overrode this JSON value.
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"sides": [10, 20], "deltas": [0.1],
+                                        "seeds_per_cell": 2, "workers": 2}))
+        assert main(["sweep-single", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == EXIT_OK
+        assert pools == [2]
+
 
 class TestEquivalenceRun:
     def test_default_runs_clean(self, tmp_path):
@@ -487,7 +497,7 @@ class TestCli:
                      "--out", str(tmp_path)]) == EXIT_CONFIG
         assert not (tmp_path / "sweep_multi_noise.csv").exists()
 
-    @pytest.mark.parametrize("flag,value", [("--rho", "2.0"),
+    @pytest.mark.parametrize("flag,value", [("--theta", "0"),
                                             ("--theta", "1.0")])
     def test_lsd_rejects_theta_at_least_one(self, tmp_path, flag, value):
         assert main(["lsd", flag, value, "--out", str(tmp_path)]) == EXIT_CONFIG
@@ -510,8 +520,11 @@ class TestCli:
         ["polygon", "--image", "missing.pgm", "--trace"],
         ["polygon", "--polygon", "missing.txt"],
         ["polygon", "--image", "p2.pgm", "--trace", "--trace-every", "0"],
+        ["polygon", "--polygon", "tri.txt", "--trace"],
         ["lsd", "--image", "missing.pgm"],
         ["lsd", "--image", "p2.pgm", "--table-n", "0"],
+        ["lsd", "--candidates", "missing.txt"],
+        ["lsd", "--tau", "4"],
         ["equiv", "--seed", "1"],
         ["gen", "--kind", "single-square", "--delta", "0.7"],
         ["gen", "--kind", "four-squares", "--margin", "41"],
@@ -524,6 +537,7 @@ class TestCli:
         # creates --out; `equiv` has no input but its flags.
         monkeypatch.chdir(tmp_path)
         Path("p2.pgm").write_text("P2 2 2 255 0 255 255 0")
+        Path("tri.txt").write_text("10 10\n50 10\n30 50\n")
         out = tmp_path / "out"
         try:
             code = main([*argv, "--out", str(out)])
@@ -551,7 +565,8 @@ class TestCli:
         ({}, ["--seed", "-1"], "base_seed"),
         ({"seeds_per_cell": 2.5}, [], "seeds_per_cell"),
         ({}, ["--seeds", "0"], "seeds_per_cell"),
-        ({}, ["--workers", "0"], "workers")])
+        ({}, ["--workers", "0"], "workers"),
+        ({"workers": 0}, [], "workers")])
     def test_sweeps_reject_bad_run_fields(self, tmp_path, capsys, command, small,
                                           csv_name, config, flags, field):
         # Without the checks a float base_seed runs as its integer part
@@ -631,11 +646,27 @@ class TestCli:
         ["equiv", "--seed", "9"],
         ["equiv", "--epsilon", "0.5"],
         ["gen", "--kind", "edge", "--epsilon", "-3"],
+        ["lsd", "--rho", "0.2"],
     ])
     def test_flags_a_command_does_not_read_are_rejected(self, tmp_path, argv):
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    def test_config_flags_default_to_none(self):
+        # A flag that sets a config field passes its value only when given,
+        # so the JSON config, then the config class, supplies the default.
+        config_flags = {"workers", "seed", "seeds", "epsilon", "gamma", "tau",
+                        "theta"}
+        subparsers = next(a for a in build_parser()._actions
+                          if isinstance(a, argparse._SubParsersAction))
+        seen = set()
+        for command, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if action.dest in config_flags:
+                    seen.add(action.dest)
+                    assert action.default is None, (command, action.dest)
+        assert seen == config_flags
 
     def test_console_script_help(self):
         import mdlnfa

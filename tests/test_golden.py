@@ -54,6 +54,8 @@ def _runs(root: Path):
         ("lsd", ["lsd", "--image", str(edge), "--table-n", "4096"]),
         ("lsd_candidates", ["lsd", "--image", str(edge), "--candidates",
                             str(candidates), "--table-n", "4096"]),
+        ("lsd_theta", ["lsd", "--image", str(edge), "--theta", "0.25",
+                       "--gamma", "2", "--tau", "4", "--table-n", "4096"]),
         ("equiv", ["equiv"]),
     ]
 
@@ -93,6 +95,8 @@ GOLDEN = {
     "lsd/segments.txt": "0dd5415137e7078d62ea33fd40174beb3431324e8d4abbcd9b418f91b3c32e05",
     "lsd_candidates/lsd_boundary.csv": "49e874bc844ffcbeac793a0441b44fa994617986b1d27a7238f4500e9f84ceb4",
     "lsd_candidates/segments.txt": "c885c8fd408335cadcca9d6350c4f88fe251bb375630b7766feec8b3bad5564c",
+    "lsd_theta/lsd_boundary.csv": "07ea80c8669e77999afbdcbdcf558fc1b9fabec1aca244eba3efb0a96c2aedb0",
+    "lsd_theta/segments.txt": "1471fea809db3917af7380d769e687cdffd81efbc5036c0f3fb77926f9e369e6",
     "equiv/equivalence_report.txt": "e554871609528cf139a5777b61bac3701efa84a09c6430c0f224967a216391d5",
 }
 

@@ -39,27 +39,26 @@ N_512 = 512 * 512
 
 class TestConfig:
     def test_default_operating_point(self):
+        # Bit for bit: the default tolerance is pi/16 at theta = 1/8.
         cfg = LsdConfig()
         assert cfg.theta == 0.125
+        assert cfg.rho == math.pi / 16
         assert cfg.gamma == 1
 
     def test_theta_tracks_rho(self):
-        assert LsdConfig(rho=math.pi / 4).theta == pytest.approx(0.5)
-        assert LsdConfig.from_theta(0.125).rho == pytest.approx(math.pi / 16)
+        assert LsdConfig(theta=0.5).rho == math.pi / 4
+        assert LsdConfig(theta=0.25).rho == math.pi / 8
+
+    def test_theta_reads_back_exactly(self):
+        # Recomputing theta as 2*rho/pi from a stored rho was one ulp off
+        # for 147 of these.
+        for i in range(1, 1000):
+            assert LsdConfig(theta=i / 1000).theta == i / 1000
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            LsdConfig(rho=0.0)
-        with pytest.raises(ValueError):
-            LsdConfig(rho=4.0)
-        with pytest.raises(ValueError):
-            LsdConfig(rho=2.0)
-        with pytest.raises(ValueError):
-            LsdConfig(rho=math.pi / 2)
-        with pytest.raises(ValueError):
-            LsdConfig.from_theta(1.0)
-        with pytest.raises(ValueError):
-            LsdConfig.from_theta(0.0)
+        for theta in (0.0, -0.5, 1.0, 2.0, math.nan, math.inf):
+            with pytest.raises(ValueError, match="theta"):
+                LsdConfig(theta=theta)
         with pytest.raises(ValueError):
             LsdConfig(gamma=0)
         with pytest.raises(ValueError):
@@ -83,7 +82,7 @@ class TestConfig:
         with pytest.raises(ValueError, match="tau"):
             LsdConfig(tau=tau)
         with pytest.raises(ValueError, match="tau"):
-            LsdConfig.from_theta(0.125, tau=tau)
+            LsdConfig(theta=0.25, tau=tau)
 
     def test_tau_zero_allowed(self):
         assert LsdConfig(tau=0.0).tau == 0.0
@@ -206,7 +205,7 @@ class TestCountAligned:
 
 class TestRectScores:
     def test_forty_thirty_detected_by_both(self):
-        cfg = LsdConfig.from_theta(0.125)
+        cfg = LsdConfig(theta=0.125)
         counts = AlignmentCounts(n_r=40, k_r=30)
         assert nfa_rect(N_512, counts, cfg) <= 0.0
         assert mdl_rect(N_512, counts, cfg) < 0.0
@@ -286,7 +285,7 @@ class TestRegionGrowing:
         omap = gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
         assert omap.magnitude is not None
         assert 0 < omap.defined.sum() < omap.defined.size
-        cfg = LsdConfig(rho=math.pi / 8)
+        cfg = LsdConfig(theta=0.25)
         got = region_grow_candidates(omap, cfg)
         assert got
         assert got == region_grow_candidates_numpy(omap, cfg)
@@ -418,8 +417,10 @@ class TestScalarPathsMatchNumpyOracles:
                 + rng.normal(0, 8, rows.shape))
         gray[20:45, 30:60] = 40.0              # flat patch: undefined pixels
         omap = gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
-        for rho in (math.pi / 16, math.pi / 8):
-            candidates = region_grow_candidates(omap, LsdConfig(rho=rho), 2)
+        for theta in (0.125, 0.25):
+            cfg = LsdConfig(theta=theta)
+            rho = cfg.rho
+            candidates = region_grow_candidates(omap, cfg, 2)
             counts = [outcome(count_aligned, c, omap, rho) for c in candidates]
             assert counts == [outcome(count_aligned_numpy, c, omap, rho)
                               for c in candidates]
@@ -602,7 +603,7 @@ class TestExactDecisions:
                     == exact_lsd_decisions(40, d.counts.n_r, d.counts.k_r)), d
 
     def test_criterion_9_boundary_table(self):
-        cfg = LsdConfig.from_theta(0.125)
+        cfg = LsdConfig(theta=0.125)
         assert cfg.theta == 0.125
         n_image = 512 * 512
         expected = []
