@@ -110,6 +110,8 @@ def cmd_polygon(args) -> int:
     if args.polygon and args.trace:
         raise ex.ConfigError("--polygon and --trace both set the initial "
                              "polygon; give one")
+    if args.image and args.seed is not None:
+        raise ex.ConfigError("--seed is read only without --image")
     if args.image:
         image = read_binary_pgm(args.image)
     else:
@@ -182,7 +184,21 @@ def cmd_equiv(args) -> int:
     return EXIT_OK
 
 
+# The flags each kind of `gen` reads; it rejects the others.
+_GEN_READS = {"single-square": {"width", "height", "side", "delta", "seed"},
+              "four-squares": {"width", "height", "extent", "margin", "delta", "seed"},
+              "shape": {"delta", "seed"}, "edge": {"width", "height"}}
+
+
 def cmd_gen(args) -> int:
+    defaults = {"width": 100, "height": 100, "side": 40, "delta": 0.1,
+                "extent": ex.MultiSweepConfig.noise_extent,
+                "margin": ex.MultiSweepConfig.noise_margin, "seed": None}
+    for name, value in defaults.items():
+        if getattr(args, name) is None:
+            setattr(args, name, value)
+        elif name not in _GEN_READS[args.kind]:
+            raise ex.ConfigError(f"--kind {args.kind} does not read --{name}")
     if args.side < 1:
         raise ex.ConfigError(f"--side must be >= 1, got {args.side}")
     if args.width < 1 or args.height < 1:
@@ -216,8 +232,6 @@ def cmd_gen(args) -> int:
         gray[:, args.width // 2:] = 255
         write_pgm(_out_dir(args) / "edge.pgm", gray)
         print("gen: edge.pgm")
-    else:  # pragma: no cover - argparse restricts choices
-        raise ex.ConfigError(f"unknown kind {args.kind!r}")
     return EXIT_OK
 
 
@@ -291,19 +305,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="synthesize test inputs")
     common(p, "seed")
-    p.add_argument("--kind", choices=("single-square", "four-squares",
-                                      "shape", "edge"), required=True)
-    p.add_argument("--width", type=int, default=100)
-    p.add_argument("--height", type=int, default=100)
-    p.add_argument("--side", type=int, default=40,
-                   help="square side (single-square)")
-    p.add_argument("--extent", type=int,
-                   default=ex.MultiSweepConfig.noise_extent,
-                   help="array extent (four-squares)")
+    p.add_argument("--kind", choices=tuple(_GEN_READS), required=True)
+    p.add_argument("--width", type=int, help="image width (not shape)")
+    p.add_argument("--height", type=int, help="image height (not shape)")
+    p.add_argument("--side", type=int, help="square side (single-square)")
+    p.add_argument("--extent", type=int, help="array extent (four-squares)")
     p.add_argument("--margin", type=int,
-                   default=ex.MultiSweepConfig.noise_margin,
                    help="margin between squares (four-squares)")
-    p.add_argument("--delta", type=float, default=0.1, help="flip probability")
+    p.add_argument("--delta", type=float, help="flip probability (not edge)")
     p.set_defaults(func=cmd_gen)
     return parser
 

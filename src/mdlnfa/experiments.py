@@ -66,13 +66,19 @@ def _check_sweep(cfg, noise=("deltas",), **lows) -> None:
     geometry field, or each entry of a grid field, must be an integer at
     least its low bound, and a noise field in `noise` a real number in
     (0, 0.5); a bool is neither."""
-    for name, low in dict(base_seed=0, seeds_per_cell=1, workers=1, **lows).items():
-        _check_field(cfg, name, lambda v: is_count(v) and v >= low,
-                     ("an integer", "integers"), f">= {low}")
+    _check_counts(cfg, base_seed=0, seeds_per_cell=1, workers=1, **lows)
     check_epsilon(cfg.epsilon, ConfigError)
     for name in noise:
         _check_field(cfg, name, lambda v: is_real(v) and 0.0 < v < 0.5,
                      ("a number", "numbers"), "in (0, 0.5)")
+
+
+def _check_counts(cfg, **lows) -> None:
+    """Each field named in `lows`, or each entry of a grid field, must be an
+    integer at least its low bound; a bool is not."""
+    for name, low in lows.items():
+        _check_field(cfg, name, lambda v: is_count(v) and v >= low,
+                     ("an integer", "integers"), f">= {low}")
 
 
 def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None:
@@ -344,8 +350,9 @@ class ShapeSpec:
 
     def __post_init__(self):
         NoiseConfig(self.delta)   # delta must lie in [0, 0.5)
-        if not is_count(self.n_vertices) or self.n_vertices < 3:
-            raise ConfigError(f"n_vertices must be an integer >= 3, got {self.n_vertices!r}")
+        _check_counts(self, seed=0, size=1, n_vertices=3)
+        _check_field(self, "jitter", lambda v: is_real(v) and v >= 0.0,
+                     ("a real number", "real numbers"), ">= 0")
 
 
 def make_shape_instance(spec: ShapeSpec) -> tuple[BinaryImage, PolygonHypothesis]:

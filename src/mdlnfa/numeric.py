@@ -4,10 +4,9 @@ Everything is expressed in bits (base-2 logarithms): code lengths are
 non-negative, log-probabilities are non-positive.  The information-theoretic
 convention 0*log(0) = 0 applies throughout.
 
-The elementwise operations (`log_binomial`, `binary_entropy`, `bernoulli_kld`,
-`g_term`, `stirling_log_binomial`) accept scalars or numpy arrays and return
-the matching kind; `log_binomial` maps arrays over its Python-int code.
-`binomial_tail_log` is a scalar reduction.
+Every operation takes scalars and returns a float: counts are Python or
+numpy integers or integral floats, densities real numbers in [0, 1]; an
+array is rejected like any other value outside the domain.
 
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
@@ -79,16 +78,12 @@ class RegionCounts(NamedTuple("RegionCounts", [("n", int), ("k", int)])):
         return self.k / self.n
 
 
-def _as_count_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x)
-    if arr.dtype.kind == "f":
-        # inf == floor(inf), so non-finite values are rejected first.
-        if not (np.all(np.isfinite(arr)) and np.all(arr == np.floor(arr))):
-            raise DomainError(f"{name} must be integral, got {x!r}")
-        arr = arr.astype(np.int64)
-    elif arr.dtype.kind not in "iu":
-        raise DomainError(f"{name} must be integral, got {x!r}")
-    return arr.astype(np.int64, copy=False)
+def _count(x, name: str) -> int:
+    """`x` as an int: a Python or numpy integer, or a finite integral float.
+    A bool, an array or any other value raises DomainError naming `name`."""
+    if is_count(x) or (isinstance(x, (float, np.floating)) and float(x).is_integer()):
+        return int(x)
+    raise DomainError(f"{name} must be integral, got {x!r}")
 
 
 def log_binomial(n, k) -> Bits:
@@ -98,28 +93,18 @@ def log_binomial(n, k) -> Bits:
     log-gamma difference above, so accuracy is limited only by float64
     rounding where tests bite and large sweeps stay cheap.
 
-    Two Python `int` arguments are computed directly on Python floats;
-    arrays, numpy integers and integral floats are checked, broadcast and
-    mapped over that code, giving a float64 array of the broadcast shape (a
-    float when both are 0-d).  Bools are rejected.
+    Counts other than two Python ints go through `_count` first.
     """
-    if type(n) is int and type(k) is int:
-        if n < 0 or k < 0 or k > n:
-            raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
-        if n < _TABLE_SIZE:
-            t = _LOG2_FACT
-            return t[n] - t[k] - t[n - k]
-        nf, kf = float(n), float(k)
-        return (math.lgamma(nf + 1.0) - math.lgamma(kf + 1.0)
-                - math.lgamma(nf - kf + 1.0)) / _LN2
-    n_arr = _as_count_array(n, "n")
-    k_arr = _as_count_array(k, "k")
-    if np.any(n_arr < 0) or np.any(k_arr < 0) or np.any(k_arr > n_arr):
+    if not (type(n) is int and type(k) is int):
+        n, k = _count(n, "n"), _count(k, "k")
+    if n < 0 or k < 0 or k > n:
         raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
-    n_arr, k_arr = np.broadcast_arrays(n_arr, k_arr)
-    bits = map(log_binomial, n_arr.ravel().tolist(), k_arr.ravel().tolist())
-    out = np.array(list(bits), dtype=np.float64).reshape(n_arr.shape)
-    return float(out) if out.ndim == 0 else out
+    if n < _TABLE_SIZE:
+        t = _LOG2_FACT
+        return t[n] - t[k] - t[n - k]
+    nf, kf = float(n), float(k)
+    return (math.lgamma(nf + 1.0) - math.lgamma(kf + 1.0)
+            - math.lgamma(nf - kf + 1.0)) / _LN2
 
 
 def code_length(header: Bits, parts) -> Bits:
@@ -318,18 +303,19 @@ def hoeffding_tail_bound(n: int, k: int, q: float) -> Bits:
     return -n * bernoulli_kld(q1, q)
 
 
+def _density(p, name: str) -> float:
+    """`p` as a float, if it is a real number in [0, 1]; NaN is not."""
+    if not (is_real(p) and 0.0 <= p <= 1.0):
+        raise DomainError(f"{name} must lie in [0, 1], got {p!r}")
+    return float(p)
+
+
 def binary_entropy(q) -> Bits:
     """Binary entropy h(q) = -q log2 q - (1-q) log2 (1-q), with h(0)=h(1)=0."""
-    arr = np.asarray(q, dtype=np.float64)
-    if np.any(arr < 0.0) or np.any(arr > 1.0):
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    scalar = arr.ndim == 0
-    arr = np.atleast_1d(arr)
-    out = np.zeros(arr.shape)
-    inner = (arr > 0.0) & (arr < 1.0)
-    p = arr[inner]
-    out[inner] = -p * np.log2(p) - (1.0 - p) * np.log2(1.0 - p)
-    return float(out[0]) if scalar else out
+    q = _density(q, "q")
+    if q == 0.0 or q == 1.0:
+        return 0.0
+    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
 
 
 def bernoulli_kld(p, q) -> Bits:
@@ -338,36 +324,21 @@ def bernoulli_kld(p, q) -> Bits:
     Non-negative, zero iff p == q.  A reference q in {0, 1} with mismatched p
     yields infinite divergence, reported as +inf.
     """
-    p_arr = np.asarray(p, dtype=np.float64)
-    q_arr = np.asarray(q, dtype=np.float64)
-    if np.any(p_arr < 0.0) or np.any(p_arr > 1.0):
-        raise DomainError(f"p must lie in [0, 1], got {p!r}")
-    if np.any(q_arr < 0.0) or np.any(q_arr > 1.0):
-        raise DomainError(f"q must lie in [0, 1], got {q!r}")
-    scalar = p_arr.ndim == 0 and q_arr.ndim == 0
-    p_arr, q_arr = np.broadcast_arrays(*np.atleast_1d(p_arr, q_arr))
-    out = np.zeros(p_arr.shape)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        top = p_arr > 0.0
-        term = np.where(top, p_arr * (np.log2(np.where(top, p_arr, 1.0))
-                                      - np.log2(q_arr)), 0.0)
-        bot = p_arr < 1.0
-        term = term + np.where(bot, (1.0 - p_arr) * (np.log2(np.where(bot, 1.0 - p_arr, 1.0))
-                                                     - np.log2(1.0 - q_arr)), 0.0)
-    out = np.where(np.isnan(term), np.inf, term)
-    out = np.maximum(out, 0.0)   # clip float rounding below zero at p ~ q
-    return float(out[0]) if scalar else out
+    p, q = _density(p, "p"), _density(q, "q")
+    if (p > 0.0 and q == 0.0) or (p < 1.0 and q == 1.0):
+        return math.inf
+    bits = p * (math.log2(p) - math.log2(q)) if p > 0.0 else 0.0
+    if p < 1.0:
+        bits += (1.0 - p) * (math.log2(1.0 - p) - math.log2(1.0 - q))
+    return max(0.0, bits)   # clip float rounding below zero at p ~ q
 
 
-def _inner_counts(n, k) -> tuple:
-    """n and k as float64 arrays of at least one dimension, with 0 < k < n,
-    and whether both were scalars."""
-    n_arr = _as_count_array(n, "n").astype(np.float64)
-    k_arr = _as_count_array(k, "k").astype(np.float64)
-    if np.any(k_arr <= 0) or np.any(k_arr >= n_arr):
+def _inner_counts(n, k) -> tuple[float, float]:
+    """n and k as floats, checked by `_count` and for 0 < k < n."""
+    n, k = _count(n, "n"), _count(k, "k")
+    if not 0 < k < n:
         raise DomainError(f"need 0 < k < n, got n={n!r}, k={k!r}")
-    return (*np.broadcast_arrays(*np.atleast_1d(n_arr, k_arr)),
-            n_arr.ndim == 0 and k_arr.ndim == 0)
+    return float(n), float(k)
 
 
 def stirling_log_binomial(n, k) -> Bits:
@@ -376,17 +347,15 @@ def stirling_log_binomial(n, k) -> Bits:
     0.5*log2(1/2pi) + 0.5*log2(n/(k(n-k))) + k*log2(n/k) + (n-k)*log2(n/(n-k)).
     Undefined at k in {0, n}; callers needing the boundary use the exact path.
     """
-    n, k, scalar = _inner_counts(n, k)
+    n, k = _inner_counts(n, k)
     nk = n - k
-    out = (0.5 * math.log2(1.0 / (2.0 * math.pi))
-           + 0.5 * np.log2(n / (k * nk))
-           + k * np.log2(n / k)
-           + nk * np.log2(n / nk))
-    return float(out[0]) if scalar else out
+    return (0.5 * math.log2(1.0 / (2.0 * math.pi))
+            + 0.5 * math.log2(n / (k * nk))
+            + k * math.log2(n / k)
+            + nk * math.log2(n / nk))
 
 
 def g_term(k, n) -> Bits:
     """log2(n^3 / (k (n-k))), the residual term of the Stirling-expanded score."""
-    n, k, scalar = _inner_counts(n, k)
-    out = 3.0 * np.log2(n) - np.log2(k) - np.log2(n - k)
-    return float(out[0]) if scalar else out
+    n, k = _inner_counts(n, k)
+    return 3.0 * math.log2(n) - math.log2(k) - math.log2(n - k)

@@ -36,12 +36,12 @@ def exact_log2_binomial_tail(n: int, k: int, q: float) -> float:
 def log_binomial_numpy(n, k):
     """Reference log2 C(n, k): the array path of `numeric.log_binomial` as
     first written, a numpy gather from a numpy table below n = 10^4 and an
-    element-wise `math.lgamma` difference above.  The library now maps
-    arrays over its integer code; the bits must not change.
+    element-wise `math.lgamma` difference above.  The library now takes
+    scalar counts only; its bits must not change.
     """
     import numpy as np
 
-    from mdlnfa.numeric import DomainError, _as_count_array
+    from mdlnfa.numeric import DomainError
 
     _TABLE_SIZE = 10_000
     _LN2 = math.log(2.0)
@@ -50,8 +50,10 @@ def log_binomial_numpy(n, k):
                                                  dtype=np.float64)))
     _lgamma = np.frompyfunc(math.lgamma, 1, 1)
 
-    n_arr = _as_count_array(n, "n")
-    k_arr = _as_count_array(k, "k")
+    n_arr, k_arr = np.asarray(n), np.asarray(k)
+    if n_arr.dtype.kind not in "iu" or k_arr.dtype.kind not in "iu":
+        raise DomainError(f"need integer arrays, got n={n!r}, k={k!r}")
+    n_arr, k_arr = n_arr.astype(np.int64), k_arr.astype(np.int64)
     if np.any(n_arr < 0) or np.any(k_arr < 0) or np.any(k_arr > n_arr):
         raise DomainError(f"need 0 <= k <= n, got n={n!r}, k={k!r}")
     scalar = n_arr.ndim == 0 and k_arr.ndim == 0

@@ -253,15 +253,20 @@ class TestPolygonRun:
 
     @pytest.mark.parametrize("field,value", [
         ("delta", 0.5), ("delta", 0.7), ("delta", -0.1), ("n_vertices", 2),
-        ("n_vertices", 3.0), ("n_vertices", True), ("n_vertices", "60")])
+        ("n_vertices", 3.0), ("n_vertices", True), ("n_vertices", "60"),
+        ("seed", -1), ("seed", 1.0), ("seed", True), ("size", 2.5), ("size", 0),
+        ("jitter", -1.0), ("jitter", math.nan), ("jitter", "1")])
     def test_shape_spec_rejects_bad_fields(self, field, value):
-        # `gen --kind shape --delta 0.7` used to exit 0.
+        # `gen --kind shape --delta 0.7` used to exit 0; a negative seed, a
+        # float size or a negative jitter failed later inside numpy.
         with pytest.raises(ValueError, match=field):
             ShapeSpec(**{field: value})
 
     def test_shape_spec_accepts_field_bounds(self):
         assert ShapeSpec(delta=0.0, n_vertices=3).n_vertices == 3
         assert ShapeSpec(n_vertices=np.int64(5)).n_vertices == 5
+        spec = ShapeSpec(seed=np.int64(0), size=1, jitter=0)
+        assert (spec.seed, spec.size, spec.jitter) == (0, 1, 0)
 
     def test_run_polygon_outputs(self, tmp_path):
         spec = ShapeSpec(seed=0, size=64, n_vertices=24, base_radius=20.0,
@@ -531,6 +536,11 @@ class TestCli:
         ["gen", "--kind", "shape", "--delta", "0.7"],
         ["gen", "--kind", "edge", "--width", "-1"],
         ["gen", "--kind", "edge", "--height", "0"],
+        ["gen", "--kind", "edge", "--seed", "5", "--delta", "0.3"],
+        ["gen", "--kind", "four-squares", "--side", "7"],
+        ["gen", "--kind", "shape", "--side", "7"],
+        ["gen", "--kind", "edge", "--extent", "30"],
+        ["polygon", "--image", "p2.pgm", "--trace", "--seed", "9"],
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
     def test_bad_input_makes_no_output_directory(self, tmp_path, monkeypatch, argv):
         # Every subcommand checks all of its inputs and flags before it
@@ -619,12 +629,14 @@ class TestCli:
     @pytest.mark.parametrize("flag,value", [("--epsilon", "0"), ("--epsilon", "-1"),
                                             ("--epsilon", "nan"),
                                             ("--trace-every", "0"),
-                                            ("--trace-every", "-3")])
+                                            ("--trace-every", "-3"),
+                                            ("--seed", "-1")])
     def test_polygon_rejects_bad_flags_before_any_work(self, tmp_path, capsys,
                                                        flag, value):
         # Without the checks a bad epsilon fails only after both BSS runs
         # wrote their files (nan never fails), and a trace step below 1
-        # runs as 1.
+        # runs as 1; a negative seed failed inside numpy with a message
+        # that did not name it.
         assert main(["polygon", f"{flag}={value}", "--out",
                      str(tmp_path)]) == EXIT_CONFIG
         assert flag.lstrip("-") in capsys.readouterr().err
@@ -652,6 +664,22 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--out", str(tmp_path)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("kind,unread", [
+        ("single-square", ["extent", "margin"]),
+        ("four-squares", ["side"]),
+        ("shape", ["width", "height", "side", "extent", "margin"]),
+        ("edge", ["side", "extent", "margin", "delta", "seed"])])
+    def test_gen_rejects_each_flag_its_kind_does_not_read(self, tmp_path, capsys,
+                                                          kind, unread):
+        values = {"width": "40", "height": "40", "side": "7", "extent": "30",
+                  "margin": "8", "delta": "0.1", "seed": "1"}
+        for flag in unread:
+            out = tmp_path / flag
+            assert main(["gen", "--kind", kind, f"--{flag}", values[flag],
+                         "--out", str(out)]) == EXIT_CONFIG
+            assert f"does not read --{flag}" in capsys.readouterr().err
+            assert not out.exists()
 
     def test_config_flags_default_to_none(self):
         # A flag that sets a config field passes its value only when given,
