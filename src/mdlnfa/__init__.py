@@ -58,9 +58,6 @@ from .lsd import (
 from .equivalence import (
     PartSpec,
     check_equivalence,
-    mdl_parts_decision,
-    nfa_decision,
-    tail_count,
 )
 
 __version__ = "0.1.0"

@@ -105,8 +105,11 @@ def cmd_sweep_multi(args) -> int:
 def cmd_polygon(args) -> int:
     if args.epsilon is not None:
         check_epsilon(args.epsilon, ex.ConfigError)
-    if args.trace_every < 1:
-        raise ex.ConfigError(f"--trace-every must be >= 1, got {args.trace_every}")
+    if args.trace_every is not None and not args.trace:
+        raise ex.ConfigError("--trace-every is read only with --trace")
+    every = 2 if args.trace_every is None else args.trace_every
+    if every < 1:
+        raise ex.ConfigError(f"--trace-every must be >= 1, got {every}")
     if args.polygon and args.trace:
         raise ex.ConfigError("--polygon and --trace both set the initial "
                              "polygon; give one")
@@ -120,7 +123,7 @@ def cmd_polygon(args) -> int:
     if args.polygon:
         initial = PolygonHypothesis(read_polygon_file(args.polygon))
     elif args.trace:
-        initial = PolygonHypothesis(trace_contour(image, every=args.trace_every))
+        initial = PolygonHypothesis(trace_contour(image, every=every))
     elif args.image:   # a synthetic instance comes with its initial polygon
         raise ex.ConfigError("provide --polygon FILE or --trace with --image")
     out = _out_dir(args)
@@ -146,16 +149,19 @@ def cmd_polygon(args) -> int:
 def cmd_lsd(args) -> int:
     if args.table_n < 1:
         raise ex.ConfigError(f"--table-n must be >= 1, got {args.table_n}")
-    if not args.image and (args.candidates or args.tau is not None):
-        raise ex.ConfigError("--candidates and --tau are read only with --image")
+    if not args.image and (args.candidates or args.tau is not None
+                           or args.criterion is not None):
+        raise ex.ConfigError("--candidates, --tau and --criterion are read "
+                             "only with --image")
     cfg = _merge_config(LsdConfig, {"theta": args.theta, "gamma": args.gamma,
                                     "epsilon": args.epsilon, "tau": args.tau})
     if args.image:
         gray = read_pgm(args.image)
         candidates = read_candidates_file(args.candidates) if args.candidates \
             else None
-        detections = detect_segments(gray, cfg, criterion=args.criterion,
-                                     candidates=candidates)
+        criterion = {} if args.criterion is None else {"criterion": args.criterion}
+        detections = detect_segments(gray, cfg, candidates=candidates,
+                                     **criterion)
         write_segments_file(_out_dir(args) / "segments.txt", detections)
         kept_nfa = sum(d.nfa_keep for d in detections)
         kept_mdl = sum(d.mdl_keep for d in detections)
@@ -275,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--polygon", help="initial polygon vertex file")
     p.add_argument("--trace", action="store_true",
                    help="trace the initial polygon from the image")
-    p.add_argument("--trace-every", type=int, default=2,
-                   help="keep every k-th traced boundary pixel")
+    p.add_argument("--trace-every", type=int,
+                   help="keep every k-th traced boundary pixel (with --trace)")
     p.add_argument("--criterion", choices=("mdl", "nfa", "both"),
                    default="both")
     p.add_argument("--overlay", action="store_true",
@@ -289,7 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="rectangle candidate file "
                                         "(ax ay bx by w per line)")
     p.add_argument("--criterion", choices=("mdl", "nfa", "both"),
-                   default="both")
+                   help="detections to list (with --image)")
     p.add_argument("--theta", type=float, help="alignment probability")
     p.add_argument("--gamma", type=int,
                    help="number of tolerance values tested")

@@ -29,9 +29,8 @@ takes such a matrix and returns one value per row.  Each block of a length
 is made once and handed to every part of that length, so a part costs one
 `xi` call per block, and its histogram is merged block by block from
 `np.unique` counts (memory grows with its distinct values, not with |X|^n).
-A single configuration `x` is scored as a one-row matrix.  Past the
-enumeration cap, `count_ones_histogram` gives the `count_ones` histogram in
-closed form.
+Past the enumeration cap, `count_ones_histogram` gives the `count_ones`
+histogram in closed form.
 
 The decider forms the tails as exact suffix sums of the counts.  Both rules
 are monotone in the tail, so `decide` bisects for each rule's first
@@ -198,30 +197,6 @@ def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, i
             for j in range(length + 1)]
 
 
-def tail_count(spec: PartSpec, alphabet_size: int, threshold: float) -> int:
-    """Exact count of configurations v with xi(v) >= threshold.
-
-    A threshold of +inf counts none and -inf counts all; NaN is refused.
-    """
-    values, counts = _histograms(alphabet_size, [spec])[0]
-    if math.isnan(threshold):
-        raise ValueError(f"part {_name(spec)}: threshold must be a number, got NaN")
-    return int(counts[np.searchsorted(values, threshold):].sum())
-
-
-def _tail_of(spec: PartSpec, alphabet_size: int, x) -> int:
-    """tail_count at xi(x), once x is checked to be a configuration of the
-    part: `spec.length` integer digits in [0, alphabet_size)."""
-    _check_alphabet(alphabet_size)
-    row = np.asarray(x)
-    if (row.dtype.kind not in "iu" or row.shape != (spec.length,)
-            or not ((row >= 0) & (row < alphabet_size)).all()):
-        raise ValueError(f"part {_name(spec)}: x must be {spec.length} integer "
-                         f"digits in [0, {alphabet_size}), got {x!r}")
-    threshold = float(_xi_rows(spec, row.astype(np.int64).reshape(1, -1))[0])
-    return tail_count(spec, alphabet_size, threshold)
-
-
 def _nfa_detects(eta: Fraction, tail: int, states: int) -> bool:
     # eta * P[xi >= threshold] < 1 in exact rational arithmetic.
     return eta * Fraction(tail, states) < 1
@@ -258,30 +233,6 @@ def decide(eta: Fraction, states: int, weights) -> tuple[int, int, int]:
     boundary = (weights[edge]
                 if edge < n and num * tails[edge] == den * states else 0)
     return tails[nfa], abs(tails[nfa] - tails[mdl]), boundary
-
-
-def nfa_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
-    """True iff eta * P[xi(V) >= xi(x)] < 1 under the uniform null model."""
-    tail = _tail_of(spec, alphabet_size, x)
-    return _nfa_detects(spec.eta, tail, spec.states(alphabet_size))
-
-
-def part_code_length(spec: PartSpec, alphabet_size: int, x) -> float:
-    """Ideal code length of describing x as a part: log2(eta) + log2(tail)."""
-    tail = _tail_of(spec, alphabet_size, x)
-    return math.log2(spec.eta) + math.log2(tail)
-
-
-def mdl_parts_decision(spec: PartSpec, alphabet_size: int, x) -> bool:
-    """True iff log2(eta) + l(x) < length * log2 |X|.
-
-    l(x) is the uniform code over the configurations scoring at least xi(x);
-    x always belongs to its own admissible set, so the tail is never empty.
-    The inequality is evaluated in exact rational form (it is the log of
-    eta * tail < |X|^n), keeping boundary ties rounding-free.
-    """
-    tail = _tail_of(spec, alphabet_size, x)
-    return _mdl_detects(spec.eta, tail, spec.states(alphabet_size))
 
 
 def kraft_sum(parts) -> Fraction:

@@ -351,26 +351,42 @@ class ShapeSpec:
     def __post_init__(self):
         NoiseConfig(self.delta)   # delta must lie in [0, 0.5)
         _check_counts(self, seed=0, size=1, n_vertices=3)
-        _check_field(self, "jitter", lambda v: is_real(v) and v >= 0.0,
-                     ("a real number", "real numbers"), ">= 0")
+
+        def finite(v):
+            return is_real(v) and math.isfinite(v)
+
+        real = ("a finite real number", "finite real numbers")
+        _check_field(self, "jitter", lambda v: finite(v) and v >= 0.0, real, ">= 0")
+        _check_field(self, "base_radius", lambda v: finite(v) and v > 0.0, real, "> 0")
+        _check_field(self, "harmonics", lambda v: isinstance(v, (tuple, list))
+                     and len(v) == 2 and all(map(finite, v)),
+                     ("a pair", "pairs"), "of finite real numbers (order, amplitude)")
 
 
 def make_shape_instance(spec: ShapeSpec) -> tuple[BinaryImage, PolygonHypothesis]:
+    """The noisy image of the shape and its jittered initial polygon; a
+    ValueError if either polygon leaves the image."""
     rng = _rng(spec.seed)
     c = spec.size / 2.0
     angles = np.linspace(0.0, 2.0 * math.pi, spec.n_vertices, endpoint=False)
+
+    def polygon(name, radius):
+        verts = np.column_stack([c + radius * np.cos(angles),
+                                 c + radius * np.sin(angles)])
+        if not ((verts >= 0.0) & (verts <= spec.size - 1)).all():
+            raise ValueError(f"the {name} polygon has a vertex outside "
+                             f"[0, {spec.size - 1}]: lower base_radius, "
+                             f"harmonics or jitter, or raise size")
+        return verts
+
     radius = np.full(spec.n_vertices, spec.base_radius)
     for order, amp in spec.harmonics:
         radius = radius + amp * np.sin(order * angles + rng.uniform(0, 2 * math.pi))
-    truth_verts = np.column_stack([c + radius * np.cos(angles),
-                                   c + radius * np.sin(angles)])
-    truth = rasterize_polygon(truth_verts, spec.size, spec.size)
+    truth = rasterize_polygon(polygon("truth", radius), spec.size, spec.size)
     image = flip_noise(BinaryImage(truth.astype(np.uint8)), spec.delta,
                        seed=spec.seed + 1)
     jittered = radius + rng.uniform(-spec.jitter, spec.jitter, spec.n_vertices)
-    initial = PolygonHypothesis(np.column_stack([c + jittered * np.cos(angles),
-                                                 c + jittered * np.sin(angles)]))
-    return image, initial
+    return image, PolygonHypothesis(polygon("initial", jittered))
 
 
 def run_polygon(image: BinaryImage, initial: PolygonHypothesis,

@@ -759,9 +759,11 @@ def pgm_bytes(magic, samples, maxval):
 
 def check_equivalence_per_config(alphabet_size, parts):
     """Reference checker: `equivalence.check_equivalence` as first written,
-    enumerating with `itertools.product`, calling `spec.xi` on one
-    configuration (a one-row matrix) at a time, and making and counting both
-    decisions once per configuration.  The library version, which scores
+    enumerating with `itertools.product`, and making and counting both
+    decisions once per configuration.  Each part's configurations form one
+    matrix, scored by one `spec.xi` call (the library's xi families give a
+    row the same value in any batch, as `TestXiAgainstPlainVersions` and
+    `TestRandomXiAgainstPerRow` check).  The library version, which scores
     digit-matrix blocks and decides each distinct value once, must give
     equal reports.
     """
@@ -790,9 +792,9 @@ def check_equivalence_per_config(alphabet_size, parts):
     reports = []
     for spec in parts:
         states = spec.states(alphabet_size)
-        values = np.array([float(spec.xi(np.array([v], dtype=np.int64))[0])
-                           for v in product(range(alphabet_size),
-                                            repeat=spec.length)])
+        configs = np.array(list(product(range(alphabet_size),
+                                        repeat=spec.length)), dtype=np.int64)
+        values = np.asarray(spec.xi(configs), dtype=np.float64)
         order = np.sort(values)
         tails = states - np.searchsorted(order, values, side="left")
         detections = mismatches = boundary = 0

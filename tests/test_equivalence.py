@@ -22,10 +22,6 @@ from mdlnfa.equivalence import (
     enumerate_configs,
     kraft_sum,
     make_random_xi,
-    mdl_parts_decision,
-    nfa_decision,
-    part_code_length,
-    tail_count,
     value_histogram,
     xi_count_ones,
     xi_longest_run,
@@ -88,84 +84,45 @@ class TestEnumerateConfigs:
 
 
 class TestTailCount:
+    """A part's tails are the suffix sums of its value histogram."""
+
     def test_binary_count_ones(self):
-        spec = count_ones_part()
-        assert tail_count(spec, 2, 4) == 1     # only 1111
-        assert tail_count(spec, 2, 0) == 16    # everything
-        assert tail_count(spec, 2, 3) == 5     # C(4,3) + C(4,4)
-
-    def test_non_increasing_in_threshold(self):
-        spec = count_ones_part()
-        counts = [tail_count(spec, 2, t) for t in range(5)]
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
-
-    def test_infinite_thresholds(self):
-        spec = count_ones_part()
-        assert tail_count(spec, 2, math.inf) == 0
-        assert tail_count(spec, 2, -math.inf) == 16
-
-    def test_nan_threshold_rejected(self):
-        # Every xi >= NaN is False, so NaN used to count as an empty tail.
-        spec = PartSpec(length=4, eta=8, xi=xi_count_ones)
-        with pytest.raises(ValueError, match="part 4: threshold must be a number"):
-            tail_count(spec, 2, math.nan)
-        with pytest.raises(ValueError, match="part ones: threshold"):
-            tail_count(PartSpec(length=4, eta=8, xi=xi_count_ones, name="ones"),
-                       2, np.float64("nan"))
+        # The tails 1 (only 1111), 5 (C(4,3) + C(4,4)) and 16 (everything)
+        # are suffix sums of these counts.
+        assert value_histogram(count_ones_part(), 2) == \
+            [(0.0, 1), (1.0, 4), (2.0, 6), (3.0, 4), (4.0, 1)]
 
     def test_refuses_oversized_state_space(self):
         spec = PartSpec(length=30, eta=Fraction(1), xi=xi_count_ones)
         with pytest.raises(EnumerationRefused):
-            tail_count(spec, 2, 0)
+            value_histogram(spec, 2)
+
+
+def part_report(spec, alphabet=2):
+    return check_equivalence(alphabet, [spec]).parts[0]
 
 
 class TestDecisions:
     def test_boundary_case_eta_16(self):
-        spec = count_ones_part(eta=16)
-        x = (1, 1, 1, 1)
-        # eta * P = 16/16 = 1, which is not < 1.
-        assert nfa_decision(spec, 2, x) is False
-        assert mdl_parts_decision(spec, 2, x) is False
+        # x = 1111: eta * P = 16/16 = 1, which is not < 1.
+        report = part_report(count_ones_part(eta=16))
+        assert (report.detections, report.boundary_exact) == (0, 1)
 
     def test_detection_at_eta_8(self):
-        spec = count_ones_part(eta=8)
-        x = (1, 1, 1, 1)
-        assert nfa_decision(spec, 2, x) is True
-        assert mdl_parts_decision(spec, 2, x) is True
-        assert part_code_length(spec, 2, x) == pytest.approx(3.0)  # 3 + 0 < 4
+        # x = 1111: log2(8) + log2(1) = 3 < 4.
+        report = part_report(count_ones_part(eta=8))
+        assert (report.detections, report.boundary_exact) == (1, 0)
 
     def test_eta_one_detects_everything_but_full_tail(self):
-        spec = count_ones_part(eta=1)
-        assert nfa_decision(spec, 2, (1, 1, 1, 1)) is True
-        assert nfa_decision(spec, 2, (0, 0, 0, 0)) is False  # tail is all 16
-
-    @pytest.mark.parametrize("x", [(1,) * 6, (1, 1, 1), (), (7, 7, 7, 7),
-                                   (1, 1, 2, 1), (0, -1, 0, 0),
-                                   ((1, 1), (1, 1)), (1.5, 1, 1, 1),
-                                   "1111"])
-    def test_x_must_be_a_configuration_of_the_part(self, x):
-        # Six ones used to score above every 4-digit configuration: tail 0,
-        # so nfa_decision said True and part_code_length took log2(0).
-        spec = count_ones_part(eta=8)
-        for decide in (nfa_decision, mdl_parts_decision, part_code_length):
-            with pytest.raises(ValueError, match=r"part count_ones: x must be 4 "
-                                                 r"integer digits in \[0, 2\)"):
-                decide(spec, 2, x)
-
-    def test_digits_checked_against_the_alphabet(self):
-        spec = count_ones_part(eta=8)
-        assert nfa_decision(spec, 3, (2, 2, 2, 2)) is False
-        assert nfa_decision(spec, 3, np.array([1, 1, 1, 1], np.uint8)) is True
-        with pytest.raises(ValueError, match=r"part count_ones: x must be 4 "
-                                             r"integer digits in \[0, 3\)"):
-            nfa_decision(spec, 3, (3, 1, 1, 1))
+        # Only 0000 has the full tail of 16, exactly on the boundary.
+        report = part_report(count_ones_part(eta=1))
+        assert (report.detections, report.boundary_exact) == (15, 1)
 
     def test_constant_xi_never_selected(self):
         spec = PartSpec(length=4, eta=Fraction(1),
                         xi=lambda v: np.full(len(v), 7.0))
-        for x in [(0, 0, 0, 0), (1, 0, 1, 0)]:
-            assert mdl_parts_decision(spec, 2, x) is False
-            assert nfa_decision(spec, 2, x) is False
+        report = part_report(spec)
+        assert (report.detections, report.boundary_exact) == (0, 16)
 
 
 class TestCheckEquivalence:
@@ -275,7 +232,7 @@ class TestCheckEquivalence:
         with pytest.raises(ValueError, match="alphabet size must be an integer"):
             check_equivalence(alphabet, [count_ones_part()])
         with pytest.raises(ValueError, match="alphabet size must be an integer"):
-            tail_count(count_ones_part(), alphabet, 0.0)
+            value_histogram(count_ones_part(), alphabet)
 
     def test_numpy_integer_alphabet_accepted(self):
         assert check_equivalence(np.int64(2), [count_ones_part()]) == \
@@ -329,7 +286,7 @@ class TestXiFamilies:
 
     def test_numpy_integer_length_accepted(self):
         spec = PartSpec(length=np.int64(4), eta=Fraction(16), xi=xi_count_ones)
-        assert tail_count(spec, 2, 3.0) == 5
+        assert value_histogram(spec, 2) == value_histogram(count_ones_part(), 2)
 
 
 class TestNonFiniteXi:
@@ -337,20 +294,19 @@ class TestNonFiniteXi:
     def test_rejected_on_every_path(self, bad):
         spec = PartSpec(length=2, eta=Fraction(2), name="bad_part",
                         xi=all_ones_xi(bad))
-        for check in (lambda: tail_count(spec, 2, 0.0),
-                      lambda: nfa_decision(spec, 2, (1, 1)),
+        for check in (lambda: value_histogram(spec, 2),
                       lambda: check_equivalence(2, [spec])):
             with pytest.raises(ValueError, match="part bad_part: xi values"):
                 check()
 
     def test_unnamed_part_named_by_length(self):
-        # A NaN xi used to get tail 0 from tail_count but tail 1 (and one
-        # detection) from check_equivalence.
+        # A NaN xi used to get tail 0 when counted against a threshold but
+        # tail 1 (and one detection) from check_equivalence.
         spec = PartSpec(length=2, eta=Fraction(2), xi=all_ones_xi(math.nan))
         with pytest.raises(ValueError, match="part 2: xi values"):
             check_equivalence(2, [spec])
         with pytest.raises(ValueError, match="part 2: xi values"):
-            tail_count(spec, 2, math.nan)
+            value_histogram(spec, 2)
 
 
 class TestXiShape:
@@ -359,8 +315,7 @@ class TestXiShape:
                                     lambda v: np.zeros(len(v) + 1)])
     def test_one_value_per_row_required(self, xi):
         spec = PartSpec(length=3, eta=Fraction(2), xi=xi, name="flat")
-        for check in (lambda: tail_count(spec, 2, 0.0),
-                      lambda: nfa_decision(spec, 2, (1, 1, 1)),
+        for check in (lambda: value_histogram(spec, 2),
                       lambda: check_equivalence(2, [spec])):
             with pytest.raises(ValueError,
                                match="part flat: xi must return one value per row"):

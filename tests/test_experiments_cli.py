@@ -255,10 +255,17 @@ class TestPolygonRun:
         ("delta", 0.5), ("delta", 0.7), ("delta", -0.1), ("n_vertices", 2),
         ("n_vertices", 3.0), ("n_vertices", True), ("n_vertices", "60"),
         ("seed", -1), ("seed", 1.0), ("seed", True), ("size", 2.5), ("size", 0),
-        ("jitter", -1.0), ("jitter", math.nan), ("jitter", "1")])
+        ("jitter", -1.0), ("jitter", math.nan), ("jitter", "1"),
+        ("jitter", math.inf), ("base_radius", "a"), ("base_radius", 0.0),
+        ("base_radius", -5.0), ("base_radius", math.nan),
+        ("base_radius", math.inf), ("base_radius", True), ("harmonics", 5),
+        ("harmonics", ((2, "x"),)), ("harmonics", (2, 6.0)),
+        ("harmonics", ((2,),)), ("harmonics", ((2, 6.0, 1.0),)),
+        ("harmonics", ((2, math.inf),)), ("harmonics", ((True, 6.0),))])
     def test_shape_spec_rejects_bad_fields(self, field, value):
         # `gen --kind shape --delta 0.7` used to exit 0; a negative seed, a
-        # float size or a negative jitter failed later inside numpy.
+        # float size, a negative jitter or a non-number harmonic or radius
+        # failed later inside numpy, not always with a ValueError.
         with pytest.raises(ValueError, match=field):
             ShapeSpec(**{field: value})
 
@@ -267,6 +274,19 @@ class TestPolygonRun:
         assert ShapeSpec(n_vertices=np.int64(5)).n_vertices == 5
         spec = ShapeSpec(seed=np.int64(0), size=1, jitter=0)
         assert (spec.seed, spec.size, spec.jitter) == (0, 1, 0)
+        spec = ShapeSpec(base_radius=np.int64(20), harmonics=[[2, 3], (3, 1.5)])
+        assert spec.base_radius == 20 and len(spec.harmonics) == 2
+        assert ShapeSpec(harmonics=()).harmonics == ()
+
+    @pytest.mark.parametrize("fields,polygon", [
+        ({"base_radius": 500.0}, "truth"), ({"size": 1}, "truth"),
+        ({"harmonics": ((2, 30.0),)}, "truth"), ({"jitter": 30.0}, "initial")])
+    def test_shape_must_lie_inside_the_image(self, fields, polygon):
+        # base_radius=500 used to build vertices from -440 to 569 on the
+        # 128-pixel image without complaint.
+        with pytest.raises(ValueError, match=f"the {polygon} polygon has a "
+                                             f"vertex outside"):
+            make_shape_instance(ShapeSpec(**fields))
 
     def test_run_polygon_outputs(self, tmp_path):
         spec = ShapeSpec(seed=0, size=64, n_vertices=24, base_radius=20.0,
@@ -541,6 +561,10 @@ class TestCli:
         ["gen", "--kind", "shape", "--side", "7"],
         ["gen", "--kind", "edge", "--extent", "30"],
         ["polygon", "--image", "p2.pgm", "--trace", "--seed", "9"],
+        ["polygon", "--image", "p2.pgm", "--polygon", "tri.txt",
+         "--trace-every", "3"],
+        ["polygon", "--trace-every", "5"],
+        ["lsd", "--criterion", "nfa", "--table-n", "4096"],
     ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
     def test_bad_input_makes_no_output_directory(self, tmp_path, monkeypatch, argv):
         # Every subcommand checks all of its inputs and flags before it
