@@ -80,9 +80,13 @@ class PartSpec:
         if isinstance(self.eta, bool):
             raise ValueError(f"risk weight eta must be a number, "
                              f"got {self.eta!r}")
-        eta = Fraction(self.eta)
-        if eta <= 0:
-            raise ValueError(f"risk weight eta must be positive, got {self.eta}")
+        try:
+            eta = Fraction(self.eta)
+        except (TypeError, ValueError, OverflowError):   # inf, nan, not a number
+            eta = None
+        if eta is None or eta <= 0:
+            raise ValueError(f"risk weight eta must be a positive finite number, "
+                             f"got {self.eta!r}")
         object.__setattr__(self, "eta", eta)
 
     def states(self, alphabet_size: int) -> int:

@@ -34,7 +34,6 @@ from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_cou
 from .square_detect import (
     Square,
     four_square_layout,
-    pick_hypothesis,
     select_hypothesis,
     single_counts,
 )
@@ -84,12 +83,17 @@ def _check_counts(cfg, **lows) -> None:
 def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None:
     """Raise ConfigError unless field `name` of `cfg` passes `ok`, or, for a
     grid field (one whose default is a tuple), is a list or tuple whose
-    every entry does."""
+    every entry does.  A grid field, and each list entry of it, is stored
+    as a tuple, so a config read from JSON hashes and compares like one
+    built in code."""
     value = getattr(cfg, name)
     grid = isinstance(getattr(type(cfg), name), tuple)
     if (grid and not isinstance(value, (tuple, list))) or not all(
             ok(v) for v in (value if grid else (value,))):
         raise ConfigError(f"{name} must be {kinds[grid]} {bound}, got {value!r}")
+    if grid:
+        object.__setattr__(cfg, name, tuple(tuple(v) if isinstance(v, list) else v
+                                            for v in value))
 
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
@@ -237,11 +241,9 @@ class MultiSweepConfig:
 class MultiCell:
     axis: str
     value: float           # delta (noise axis) or margin (margin axis)
-    chosen_mdl: tuple      # per-seed labels
-    chosen_nfa: tuple
     majority_mdl: str
     majority_nfa: str
-    rows: tuple
+    rows: tuple            # per seed: scores, then the MDL and NFA labels
 
 
 def _majority(labels) -> str:
@@ -279,27 +281,20 @@ def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
     value = delta if axis == "noise" else margin
     truth = hyps[2].squares       # the four small squares are the ground truth
     axis_tag = {"noise": 1, "margin": 2}[axis]
-    chosen_mdl, chosen_nfa, rows = [], [], []
+    rows = []
     for trial in range(cfg.seeds_per_cell):
         seed = _trial_seed(cfg.base_seed, axis_tag, value_idx, trial)
         image = synthesize_squares(truth, cfg.width, cfg.height,
                                    NoiseConfig(delta, seed=seed))
-        sel = select_hypothesis(image, hyps, "mdl", cfg.epsilon)
-        lab_mdl = HYPOTHESIS_LABELS[hyps.index(sel.chosen)]
-        # Nothing passing epsilon selects the empty hypothesis, hyps[0].
-        lab_nfa = HYPOTHESIS_LABELS[
-            hyps.index(pick_hypothesis(sel.table, "nfa", cfg.epsilon))]
-        chosen_mdl.append(lab_mdl)
-        chosen_nfa.append(lab_nfa)
+        sel = select_hypothesis(image, hyps, cfg.epsilon)
         scores = [item[1] for item in sel.table]
         rows.append((axis, value, delta, margin, trial,
                      *(s.mdl_bits for s in scores),
                      *(s.log2_nfa for s in scores),
-                     lab_mdl, lab_nfa))
-    return MultiCell(axis=axis, value=value, chosen_mdl=tuple(chosen_mdl),
-                     chosen_nfa=tuple(chosen_nfa),
-                     majority_mdl=_majority(chosen_mdl),
-                     majority_nfa=_majority(chosen_nfa), rows=tuple(rows))
+                     HYPOTHESIS_LABELS[hyps.index(sel.mdl)],
+                     HYPOTHESIS_LABELS[hyps.index(sel.nfa)]))
+    return MultiCell(axis=axis, value=value, majority_mdl=_majority(r[-2] for r in rows),
+                     majority_nfa=_majority(r[-1] for r in rows), rows=tuple(rows))
 
 
 def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
@@ -321,12 +316,13 @@ def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
 
 
 def threshold_along(cells, criterion: str, labels=("four",)):
-    """Last axis value whose majority choice is one of `labels` (None if
-    never)."""
+    """Last axis value whose majority choice under `criterion`, 'mdl' or
+    'nfa', is one of `labels` (None if never)."""
+    if criterion not in ("mdl", "nfa"):
+        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     chosen = None
     for cell in cells:
-        majority = cell.majority_mdl if criterion == "mdl" else cell.majority_nfa
-        if majority in labels:
+        if getattr(cell, f"majority_{criterion}") in labels:
             chosen = cell.value
     return chosen
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .numeric import RegionCounts, is_count
+from .numeric import RegionCounts, is_count, is_real
 
 # The pinned generator of every seeded image draw (flip noise, synthetic
 # shapes, isotropic orientation maps): PCG64 with explicit seeding keeps every
@@ -77,7 +77,7 @@ class NoiseConfig:
     seed: int | np.random.SeedSequence = 0
 
     def __post_init__(self):
-        if not 0.0 <= self.delta < 0.5:
+        if not (is_real(self.delta) and 0.0 <= self.delta < 0.5):
             raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
 
 

@@ -28,10 +28,6 @@ from .numeric import (
     is_count,
 )
 
-# The empty hypothesis: the background code plus 1 bit for c = 0 under the
-# geometric prior on c, and no NFA test.
-_EMPTY_SCORE = Score(mdl_bits=1.0, log2_nfa=math.inf)
-
 
 class Square(NamedTuple("Square", [("row", int), ("col", int), ("side", int)])):
     """Axis-aligned square, a validated (row, col, side) tuple: top-left
@@ -125,21 +121,20 @@ def nfa_score_single(image: BinaryImage, sq: Square) -> float:
     return single_counts(image, sq).log2_nfa()
 
 
-def multi_counts(image: BinaryImage,
-                 hyp: SquareHypothesis) -> HypothesisCounts | None:
-    """Counts of c >= 1 disjoint squares.
+def multi_counts(image: BinaryImage, hyp: SquareHypothesis) -> HypothesisCounts:
+    """Counts of c >= 0 disjoint squares.
 
     MDL: L_H - L0, each square costing 3/2 log2 n for its geometry plus its
     own enumerative code, and c sent with the geometric prior (c + 1 bits).
     NFA: log2 NFA = c + (3c/2) log2 n + log2 B(sum n_i, sum k_i, q); the 2^c
     factor spreads the false-alarm budget over sub-families by square count,
     and pooled counts are meaningful because the squares are disjoint.
-    None for the empty hypothesis, which `_EMPTY_SCORE` scores: L0 + 1 bit
-    and no test.
+    The empty hypothesis (c = 0) costs L0 + 1 bit, 1 bit relative, and makes
+    no test: its log2 NFA is +inf, infinite tests over the tail from k = 0.
     """
-    if hyp.c == 0:
-        return None
     total = image.counts
+    if hyp.c == 0:
+        return HypothesisCounts(((1.0, ()),), math.inf, (total.n, 0, total.q))
     log2_tests = hyp.c + 1.5 * hyp.c * math.log2(total.n)
     if hyp.c == 1:
         # The single-square code, then the 2 count bits: keeps the c=1
@@ -157,22 +152,23 @@ def multi_counts(image: BinaryImage,
 
 @dataclass(frozen=True)
 class SelectionResult:
-    chosen: SquareHypothesis
+    """The scored candidates, in order, and the choice of each criterion
+    from that one table."""
+
     table: tuple[tuple[SquareHypothesis, Score], ...]
+    mdl: SquareHypothesis
+    nfa: SquareHypothesis
 
 
-def select_hypothesis(image: BinaryImage, candidates, criterion: str,
+def select_hypothesis(image: BinaryImage, candidates,
                       epsilon: float = 1.0) -> SelectionResult:
-    """Score every candidate and pick one with `pick_hypothesis`."""
-    candidates = list(candidates)
-    if not candidates:
+    """Score every candidate once and pick under both criteria with
+    `pick_hypothesis`."""
+    table = tuple((hyp, multi_counts(image, hyp).score()) for hyp in candidates)
+    if not table:
         raise ValueError("candidate list must not be empty")
-    table = []
-    for hyp in candidates:
-        counts = multi_counts(image, hyp)
-        table.append((hyp, _EMPTY_SCORE if counts is None else counts.score()))
-    return SelectionResult(chosen=pick_hypothesis(table, criterion, epsilon),
-                           table=tuple(table))
+    return SelectionResult(table, pick_hypothesis(table, "mdl", epsilon),
+                           pick_hypothesis(table, "nfa", epsilon))
 
 
 def pick_hypothesis(table, criterion: str,

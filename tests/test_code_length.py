@@ -102,6 +102,30 @@ def test_package_exports_builders_not_wrappers():
         assert not hasattr(mdlnfa, name), name
 
 
+def test_only_numeric_forms_scores():
+    # Every Score is formed by `HypothesisCounts.score()`, so every score
+    # the scenarios report carries its counts; the modules only build counts.
+    import ast
+    from pathlib import Path
+
+    import mdlnfa
+
+    callers = []
+    for path in sorted(Path(mdlnfa.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        names = {"Score"} | {alias.asname for node in ast.walk(tree)
+                             if isinstance(node, ast.ImportFrom)
+                             for alias in node.names
+                             if alias.name == "Score" and alias.asname}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and (
+                    (isinstance(node.func, ast.Name) and node.func.id in names)
+                    or (isinstance(node.func, ast.Attribute)
+                        and node.func.attr == "Score")):
+                callers.append((path.stem, node.lineno))
+    assert callers and {module for module, _ in callers} == {"numeric"}, callers
+
+
 def noisy_squares(seed, delta, size=64):
     hyps = four_square_layout(extent=40, margin=10, width=size, height=size)
     image = synthesize_squares(hyps[2].squares, size, size,
@@ -119,11 +143,11 @@ class TestSquaresAgainstOracle:
         assert sorted({h.c for h in hyps}) == [0, 1, 2, 4]
         for hyp in hyps:
             counts = multi_counts(image, hyp)
-            if hyp.c == 0:
-                # No counts: selection scores it as L0 + 1 bit, no test.
-                assert counts is None
-                continue
             assert counts.mdl_bits() == oracles.mdl_score_multi(image, hyp)
+            if hyp.c == 0:
+                # L0 + 1 bit and no test.
+                assert counts.log2_nfa() == math.inf
+                continue
             assert counts.log2_nfa() == oracles.nfa_score_multi(image, hyp)
 
     @pytest.mark.parametrize("seed", range(3))

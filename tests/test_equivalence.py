@@ -278,6 +278,14 @@ class TestXiFamilies:
         with pytest.raises(ValueError, match="risk weight eta must be a number"):
             PartSpec(length=4, eta=eta, xi=xi_count_ones)
 
+    @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan, 0, -2])
+    def test_eta_must_be_positive_and_finite(self, eta):
+        # inf used to raise OverflowError, past every `except ValueError`,
+        # and nan a message that did not name eta.
+        with pytest.raises(ValueError, match="risk weight eta must be a "
+                                             "positive finite number"):
+            PartSpec(length=4, eta=eta, xi=xi_count_ones)
+
     @pytest.mark.parametrize("length", [4.0, True, "4", 3.5])
     def test_part_length_must_be_an_integer(self, length):
         # 4.0 used to build and fail mid-run; True was reported as "part True".

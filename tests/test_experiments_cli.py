@@ -104,7 +104,7 @@ class TestConfigs:
         cfg = MultiSweepConfig(width=np.int64(256), noise_extent=np.int32(70),
                                margins=(np.int64(8),))
         assert (cfg.width, cfg.noise_extent, cfg.margins) == (256, 70, (8,))
-        assert SingleSweepConfig(sides=[np.int16(20)]).sides == [20]
+        assert SingleSweepConfig(sides=[np.int16(20)]).sides == (20,)
 
     @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
     def test_accepts_numpy_integer_run_fields(self, cls):
@@ -145,7 +145,21 @@ class TestConfigs:
         cfg = config_from_dict(SingleSweepConfig,
                                {"sides": [10], "deltas": [0.2],
                                 "seeds_per_cell": 2})
-        assert cfg.sides == [10]
+        assert cfg.sides == (10,)
+
+    @pytest.mark.parametrize("cls,data,built", [
+        (SingleSweepConfig, {"sides": [10, 20], "deltas": [0.2]},
+         SingleSweepConfig(sides=(10, 20), deltas=(0.2,))),
+        (MultiSweepConfig, {"deltas": [0.1, 0.3], "margins": [0, 8]},
+         MultiSweepConfig(deltas=(0.1, 0.3), margins=(0, 8))),
+        (ShapeSpec, {"harmonics": [[2, 6.0], [3, 4.0]]},
+         ShapeSpec(harmonics=((2, 6.0), (3, 4.0)))),
+    ])
+    def test_json_config_equals_tuple_config(self, cls, data, built):
+        # JSON gives lists; the config stores tuples, so it hashes and
+        # compares equal to the one built in code.
+        cfg = config_from_dict(cls, json.loads(json.dumps(data)))
+        assert cfg == built and hash(cfg) == hash(built)
 
 
 class TestSingleSweep:
@@ -191,6 +205,9 @@ class TestMultiSweep:
         assert cells[2].majority_mdl == "background"
         assert (tmp_path / "sweep_multi_margin.csv").exists()
         assert threshold_along(cells, "mdl", ("four",)) == 8
+        for criterion in ("MDL", "best"):
+            with pytest.raises(ValueError, match="criterion"):
+                threshold_along(cells, criterion, ("four",))
 
     def test_noise_axis_tiny(self):
         cfg = MultiSweepConfig(deltas=(0.1, 0.45), seeds_per_cell=3)
@@ -252,7 +269,8 @@ class TestPolygonRun:
         assert np.array_equal(poly_a.vertices, poly_b.vertices)
 
     @pytest.mark.parametrize("field,value", [
-        ("delta", 0.5), ("delta", 0.7), ("delta", -0.1), ("n_vertices", 2),
+        ("delta", 0.5), ("delta", 0.7), ("delta", -0.1), ("delta", False),
+        ("n_vertices", 2),
         ("n_vertices", 3.0), ("n_vertices", True), ("n_vertices", "60"),
         ("seed", -1), ("seed", 1.0), ("seed", True), ("size", 2.5), ("size", 0),
         ("jitter", -1.0), ("jitter", math.nan), ("jitter", "1"),

@@ -132,10 +132,11 @@ class TestNoiseConfig:
     def test_range(self):
         NoiseConfig(delta=0.0)
         NoiseConfig(delta=0.49)
-        with pytest.raises(ValueError):
-            NoiseConfig(delta=0.5)
-        with pytest.raises(ValueError):
-            NoiseConfig(delta=-0.1)
+        # A bool is no noise level: False used to pass as 0, although the
+        # sweeps reject a bool one.
+        for delta in (0.5, -0.1, False, True, "0.1", None, math.nan):
+            with pytest.raises(ValueError, match="delta"):
+                NoiseConfig(delta=delta)
 
 
 class TestSynthesizeSquares:

@@ -277,17 +277,16 @@ class TestMultiSquare:
     def test_empty_hypothesis_costs_one_bit(self):
         img = noiseless_square_image()
         empty = SquareHypothesis()
-        assert multi_counts(img, empty) is None
-        assert select_hypothesis(img, [empty], "mdl").table[0][1].mdl_bits == 1.0
+        assert multi_counts(img, empty).mdl_bits() == 1.0
+        assert select_hypothesis(img, [empty]).table[0][1].mdl_bits == 1.0
 
     def test_empty_hypothesis_in_selection(self):
         # The same empty score reaches selection: L0 + 1 bits and no test.
         img = noiseless_square_image()
         empty = SquareHypothesis()
-        for criterion in ("mdl", "nfa"):
-            sel = select_hypothesis(img, [empty], criterion)
-            assert sel.chosen == empty
-            assert sel.table == ((empty, Score(mdl_bits=1.0, log2_nfa=math.inf)),)
+        sel = select_hypothesis(img, [empty])
+        assert sel.mdl == sel.nfa == empty
+        assert sel.table == ((empty, Score(mdl_bits=1.0, log2_nfa=math.inf)),)
         assert sel.table[0][1].mdl_bits == oracles.mdl_score_multi(img, empty)
 
     def test_single_square_identity(self):
@@ -308,18 +307,18 @@ class TestMultiSquare:
     def test_nfa_needs_at_least_one_square(self):
         img = noiseless_square_image()
         empty = SquareHypothesis()
-        assert multi_counts(img, empty) is None
+        assert multi_counts(img, empty).log2_nfa() == math.inf
         # An NFA pick with nothing under epsilon returns the empty hypothesis.
         blank = SquareHypothesis((Square(60, 60, 20),))   # k1 = 0
-        sel = select_hypothesis(img, [blank], "nfa")
+        sel = select_hypothesis(img, [blank])
         assert not sel.table[0][1].nfa_detects()
-        assert sel.chosen == empty
+        assert sel.nfa == empty
 
     def test_noiseless_four_squares_preferred(self):
         hyps = four_square_layout(extent=70, margin=40, width=256, height=256)
         background, single, four, large = hyps
         img = synthesize_squares(four.squares, 256, 256, NoiseConfig(0.0))
-        mdl = {h: score.mdl_bits for h, score in select_hypothesis(img, hyps, "mdl").table}
+        mdl = {h: score.mdl_bits for h, score in select_hypothesis(img, hyps).table}
         assert mdl[four] < mdl[large]
         assert mdl[four] < mdl[single]
         assert mdl[four] < mdl[background]
@@ -380,37 +379,41 @@ class TestSelectHypothesis:
     def test_noiseless_four_selected_by_both(self):
         hyps = four_square_layout(extent=70, margin=40, width=256, height=256)
         img = synthesize_squares(hyps[2].squares, 256, 256, NoiseConfig(0.0))
-        for criterion in ("mdl", "nfa"):
-            res = select_hypothesis(img, hyps, criterion)
-            assert res.chosen == hyps[2]
-            assert len(res.table) == 4
+        res = select_hypothesis(img, hyps)
+        assert res.mdl == res.nfa == hyps[2]
+        assert len(res.table) == 4
 
     def test_heavy_noise_selects_background(self):
         hyps = four_square_layout(extent=26, margin=16, width=256, height=256)
         img = synthesize_squares(hyps[2].squares, 256, 256,
                                  NoiseConfig(0.45, seed=8))
-        for criterion in ("mdl", "nfa"):
-            res = select_hypothesis(img, hyps, criterion)
-            assert res.chosen.c == 0
+        res = select_hypothesis(img, hyps)
+        assert res.mdl.c == res.nfa.c == 0
 
     def test_empty_candidates_rejected(self):
         with pytest.raises(ValueError):
-            select_hypothesis(noiseless_square_image(), [], "mdl")
+            select_hypothesis(noiseless_square_image(), [])
 
-    def test_unknown_criterion_rejected(self):
-        with pytest.raises(ValueError):
-            select_hypothesis(noiseless_square_image(), [SquareHypothesis()], "best")
+    def test_criterion_argument_rejected(self):
+        # Both criteria choose from one table; a criterion passed the old
+        # way fails loudly instead of picking under one of them.
+        img, cands = noiseless_square_image(), [SquareHypothesis()]
+        for criterion in ("mdl", "nfa", "best"):
+            with pytest.raises(ValueError, match="epsilon"):
+                select_hypothesis(img, cands, criterion)
+        with pytest.raises(TypeError):
+            select_hypothesis(img, cands, criterion="mdl")
 
     def test_epsilon_threshold_respected(self):
         img = synthesize_squares([(40, 40, 12)], 100, 100, NoiseConfig(0.25, seed=2))
         hyp = SquareHypothesis((Square(40, 40, 12),))
-        loose = select_hypothesis(img, [SquareHypothesis(), hyp], "nfa", epsilon=1.0)
-        assert loose.chosen == hyp
-        strict = select_hypothesis(img, [SquareHypothesis(), hyp], "nfa",
-                                   epsilon=1e-40)
-        assert strict.chosen.c == 0  # threshold too strict for a noisy square
+        loose = select_hypothesis(img, [SquareHypothesis(), hyp], epsilon=1.0)
+        assert loose.nfa == hyp
+        strict = select_hypothesis(img, [SquareHypothesis(), hyp], epsilon=1e-40)
+        assert strict.nfa.c == 0  # threshold too strict for a noisy square
+        assert strict.mdl == loose.mdl  # MDL has no threshold
         with pytest.raises(ValueError):
-            select_hypothesis(img, [hyp], "nfa", epsilon=0.0)
+            select_hypothesis(img, [hyp], epsilon=0.0)
 
     @pytest.mark.parametrize("delta,seed", [(0.0, 0), (0.2, 3), (0.3, 5),
                                             (0.45, 8)])
@@ -418,11 +421,17 @@ class TestSelectHypothesis:
         hyps = four_square_layout(extent=26, margin=8, width=96, height=96)
         img = synthesize_squares(hyps[2].squares, 96, 96,
                                  NoiseConfig(delta, seed=seed))
-        table = select_hypothesis(img, hyps, "mdl").table
-        for criterion in ("mdl", "nfa"):
-            for epsilon in (1e-30, 1.0, 1e6):
-                assert pick_hypothesis(table, criterion, epsilon) == \
-                    select_hypothesis(img, hyps, criterion, epsilon).chosen
+        table = select_hypothesis(img, hyps).table
+        mdl = {h: oracles.mdl_score_multi(img, h) for h in hyps}
+        nfa = {h: oracles.nfa_score_multi(img, h) for h in hyps if h.c}
+        for epsilon in (1e-30, 1.0, 1e6):
+            sel = select_hypothesis(img, hyps, epsilon)
+            assert sel.table == table
+            assert pick_hypothesis(table, "mdl", epsilon) == sel.mdl == \
+                min(hyps, key=mdl.get)
+            passing = [h for h in nfa if nfa[h] <= math.log2(epsilon)]
+            assert pick_hypothesis(table, "nfa", epsilon) == sel.nfa == \
+                min(passing, key=nfa.get, default=hyps[0])
         with pytest.raises(ValueError):
             pick_hypothesis(table, "best")
         with pytest.raises(ValueError):
