@@ -79,6 +79,10 @@ class NoiseConfig:
     def __post_init__(self):
         if not (is_real(self.delta) and 0.0 <= self.delta < 0.5):
             raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
+        if not (isinstance(self.seed, np.random.SeedSequence)
+                or (is_count(self.seed) and self.seed >= 0)):
+            raise ValueError("seed must be a non-negative integer or a "
+                             f"SeedSequence, got {self.seed!r}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -113,13 +113,150 @@ def orientation_distance(a, b):
     return np.minimum(d, math.pi - d)
 
 
-def _walk(lo: float, hi: float, first: int, last: int) -> range:
-    """The integers of first..last within one of [lo, hi], and perhaps one
-    more on each side; lo and hi may be infinite."""
-    if lo > last + 1 or hi < first - 1:
-        return range(0)
-    return range(first if lo < first + 1 else math.floor(lo) - 1,
-                 (last if hi > last - 1 else math.ceil(hi) + 1) + 1)
+# Candidates per `_count_batch` call in `score_candidates`, and pixels
+# tested per numpy pass of the kernel (plus at most one row): together they
+# bound its memory, whatever the size of the rectangles.
+_CHUNK = 256
+_PIXELS = 1 << 15
+
+
+def _ranges(lo, hi, first, last):
+    """Element by element, the start and stop of the integers of
+    first..last within one of [lo, hi], and perhaps one more on each side;
+    lo and hi may be infinite.  An empty range has stop <= start."""
+    empty = (lo > last + 1) | (hi < first - 1)
+    start = np.where(lo < first + 1, first, np.floor(lo) - 1)
+    stop = np.where(hi > last - 1, last, np.ceil(hi) + 1) + 1
+    return (np.where(empty, 0, start).astype(np.int64),
+            np.where(empty, 0, stop).astype(np.int64))
+
+
+def _expand(start, stop):
+    """The owner index and the value of every integer of the ranges."""
+    count = np.maximum(stop - start, 0)
+    owner = np.repeat(np.arange(len(count)), count)
+    return owner, np.arange(len(owner)) - (np.cumsum(count) - count - start)[owner]
+
+
+def _count_batch(rects, omap: OrientationMap, rho: float) -> list:
+    """For each rectangle, its `AlignmentCounts`, or the ValueError that
+    `count_aligned` raises for it.
+
+    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + 1e-9
+    and |-dx*uy + dy*ux| <= width/2 + 1e-9, with dx = c - cx, dy = r - cy;
+    that float test alone decides membership.  Only the rectangle's rows
+    are tested, and in each row only the columns between its two slab
+    limits.  Each limit is widened by a bound on the rounding of the test
+    and of the limit, and then by one pixel.
+
+    Every rectangle, row and pixel is an element of a numpy array, and each
+    element gets the float operations of a scalar walk over its rectangle
+    alone (`tests/oracles.py::count_aligned_rows`), so a rectangle's counts
+    do not depend on the batch.  The angle, its cosine and sine, the
+    normal and the length stay on `math`, one rectangle at a time.  Floats overflow to
+    infinity as Python floats do, and the ranges take infinite limits; a
+    rectangle whose bounding box does not fit in a float is refused.
+    """
+    height, width = omap.height, omap.width
+    geometry = []
+    for rect in rects:
+        dx, dy = rect.bx - rect.ax, rect.by - rect.ay
+        angle = math.atan2(dy, dx)
+        geometry.append((rect.ax, rect.ay, rect.bx, rect.by, rect.width,
+                         math.hypot(dx, dy), math.cos(angle), math.sin(angle),
+                         rect.normal_angle))
+    ax, ay, bx, by, wd, length, ux, uy, normal = np.array(
+        geometry, dtype=np.float64).reshape(-1, 9).T
+    n_rects = len(geometry)
+    with np.errstate(over="ignore"):
+        cx = 0.5 * (ax + bx)
+        cy = 0.5 * (ay + by)
+        half_len = length / 2.0
+        half_wid = wd / 2.0
+        reach = half_len + half_wid + 1.0
+        with np.errstate(invalid="ignore"):      # inf - inf: refused below
+            box = np.stack([cx - reach, cx + reach, cy - reach, cy + reach])
+        finite = np.isfinite(box).all(axis=0)
+        cx, cy, half_len, box = (np.where(finite, v, 0.0)
+                                 for v in (cx, cy, half_len, box))
+        col_lo = np.maximum(0.0, np.floor(box[0]))
+        col_hi = np.minimum(width - 1.0, np.ceil(box[1]))
+        row_lo = np.maximum(0.0, np.floor(box[2]))
+        row_hi = np.minimum(height - 1.0, np.ceil(box[3]))
+        len_tol = half_len + 1e-9
+        wid_tol = half_wid + 1e-9
+        # The rounding of the test and of the limits stays within a few ulps
+        # of the largest magnitude involved; pad bounds it generously.
+        pad = 1e-13 * np.max([np.abs(cx), np.abs(cy), np.full(n_rects, width),
+                              np.full(n_rects, height), half_len, half_wid],
+                             axis=0)
+        len_lim, wid_lim = len_tol + pad, wid_tol + pad
+        ext_y = len_lim * np.abs(uy) + wid_lim * np.abs(ux)
+        # Signed so that (-len_lim - b) / ux <= (len_lim - b) / ux, and alike
+        # for uy; cos of a float angle is never 0, but sin is 0 at angle 0.
+        len_lim = np.copysign(len_lim, ux)
+        wid_lim = np.copysign(wid_lim, uy)
+
+        inside_image = finite & (col_lo <= col_hi) & (row_lo <= row_hi)
+        keep = np.flatnonzero(inside_image)
+        rect_of, r = _expand(*_ranges((cy - ext_y)[keep], (cy + ext_y)[keep],
+                                      row_lo[keep], row_hi[keep]))  # per row
+        rect_of = keep[rect_of]
+        dy = r - cy[rect_of]
+        dy_uy, dy_ux = dy * uy[rect_of], dy * ux[rect_of]
+        lo = (-len_lim[rect_of] - dy_uy) / ux[rect_of]
+        hi = (len_lim[rect_of] - dy_uy) / ux[rect_of]
+        row_uy = uy[rect_of]
+        slanted = row_uy != 0.0
+        x = np.divide(dy_ux - wid_lim[rect_of], row_uy,
+                      out=np.full_like(lo, -np.inf), where=slanted)
+        lo = np.where(x > lo, x, lo)
+        x = np.divide(dy_ux + wid_lim[rect_of], row_uy,
+                      out=np.full_like(hi, np.inf), where=slanted)
+        hi = np.where(x < hi, x, hi)
+        row_cx = cx[rect_of]
+        start, stop = _ranges(row_cx + lo, row_cx + hi,
+                              col_lo[rect_of], col_hi[rect_of])
+
+        tested = np.cumsum(np.maximum(stop - start, 0))
+        total = int(tested[-1]) if len(tested) else 0
+        cuts = np.searchsorted(tested, np.arange(_PIXELS, total, _PIXELS)).tolist()
+        n_r = np.zeros(n_rects, dtype=np.int64)
+        u_r = n_r.copy()
+        k_r = n_r.copy()
+        tol = rho + 1e-12
+        for a, b in zip([0, *cuts], [*cuts, len(tested)]):
+            row, c = _expand(start[a:b], stop[a:b])     # per pixel
+            row += a
+            rect = rect_of[row]
+            dx = c - row_cx[row]
+            along = dx * ux[rect] + dy_uy[row]
+            across = -dx * uy[rect] + dy_ux[row]
+            inside = ((-len_tol[rect] <= along) & (along <= len_tol[rect])
+                      & (-wid_tol[rect] <= across) & (across <= wid_tol[rect]))
+            flat = r[row[inside]] * width + c[inside]
+            rect = rect[inside]
+            defined = omap.defined.reshape(-1)[flat]
+            n_r += np.bincount(rect, minlength=n_rects)
+            u_r += np.bincount(rect[~defined], minlength=n_rects)
+            rect = rect[defined]
+            d = np.remainder(omap.angles.reshape(-1)[flat[defined]]
+                             - normal[rect], math.pi)
+            k_r += np.bincount(rect[(d <= tol) | (math.pi - d <= tol)],
+                               minlength=n_rects)
+    out = []
+    for ok, inside, n, k, u in zip(finite.tolist(), inside_image.tolist(),
+                                   n_r.tolist(), k_r.tolist(), u_r.tolist()):
+        if not ok:
+            out.append(ValueError("rectangle extends past the float range"))
+        elif not inside:
+            out.append(ValueError("rectangle lies fully outside the image"))
+        elif not n:
+            out.append(ValueError(
+                "rectangle covers no pixel centers inside the image"))
+        else:
+            out.append(AlignmentCounts(n_r=n, k_r=k, u_r=u))
+    return out
 
 
 def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
@@ -127,71 +264,15 @@ def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
     """Count pixels whose centers fall inside the rectangle and whose
     orientation lies within rho of the rectangle normal (modulo pi).
 
-    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + 1e-9
-    and |-dx*uy + dy*ux| <= width/2 + 1e-9, with dx = c - cx, dy = r - cy;
-    that float test alone decides membership.  The loop runs on Python
-    scalars and visits only the rectangle's rows, and in each row only the
-    columns between its two slab limits.  Each limit is widened by a bound
-    on the rounding of the test and of the limit, and then by one pixel.
+    A batch of one for `_count_batch`, which `score_candidates` runs on
+    chunks of candidates; both give the same counts.  Raises ValueError
+    when the rectangle lies fully outside the image, covers no pixel center
+    in it, or has a bounding box that does not fit in a float.
     """
-    height, width = omap.height, omap.width
-    cx = 0.5 * (rect.ax + rect.bx)
-    cy = 0.5 * (rect.ay + rect.by)
-    ux, uy = math.cos(rect.angle), math.sin(rect.angle)
-    half_len = rect.length / 2.0
-    half_wid = rect.width / 2.0
-    reach = half_len + half_wid + 1.0
-    col_lo = max(0, math.floor(cx - reach))
-    col_hi = min(width - 1, math.ceil(cx + reach))
-    row_lo = max(0, math.floor(cy - reach))
-    row_hi = min(height - 1, math.ceil(cy + reach))
-    if col_hi < col_lo or row_hi < row_lo:
-        raise ValueError("rectangle lies fully outside the image")
-    len_tol = half_len + 1e-9
-    wid_tol = half_wid + 1e-9
-    # The rounding of the test and of the limits stays within a few ulps
-    # of the largest magnitude involved; pad bounds it generously.
-    pad = 1e-13 * max(abs(cx), abs(cy), width, height, half_len, half_wid)
-    len_lim, wid_lim = len_tol + pad, wid_tol + pad
-    ext_y = len_lim * abs(uy) + wid_lim * abs(ux)
-    # Signed so that (-len_lim - b) / ux <= (len_lim - b) / ux, and alike
-    # for uy; cos of a float angle is never 0, but sin is 0 at angle 0.
-    len_lim = math.copysign(len_lim, ux)
-    wid_lim = math.copysign(wid_lim, uy)
-    defined = memoryview(omap.defined.reshape(-1))
-    angles = memoryview(omap.angles.reshape(-1))
-    normal = rect.normal_angle
-    pi = math.pi
-    tol = rho + 1e-12
-    n_r = u_r = k_r = 0
-    for r in _walk(cy - ext_y, cy + ext_y, row_lo, row_hi):
-        dy = r - cy
-        dy_uy, dy_ux = dy * uy, dy * ux
-        lo = (-len_lim - dy_uy) / ux
-        hi = (len_lim - dy_uy) / ux
-        if uy:
-            x = (dy_ux - wid_lim) / uy
-            if x > lo:
-                lo = x
-            x = (dy_ux + wid_lim) / uy
-            if x < hi:
-                hi = x
-        base = r * width
-        for c in _walk(cx + lo, cx + hi, col_lo, col_hi):
-            dx = c - cx
-            if not (-len_tol <= dx * ux + dy_uy <= len_tol
-                    and -wid_tol <= -dx * uy + dy_ux <= wid_tol):
-                continue
-            n_r += 1
-            if not defined[base + c]:
-                u_r += 1
-                continue
-            d = (angles[base + c] - normal) % pi
-            if d <= tol or pi - d <= tol:     # min(d, pi - d) <= tol
-                k_r += 1
-    if not n_r:
-        raise ValueError("rectangle covers no pixel centers inside the image")
-    return AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
+    counts, = _count_batch([rect], omap, rho)
+    if isinstance(counts, ValueError):
+        raise counts
+    return counts
 
 
 def rect_counts(n_image: int, counts: AlignmentCounts,
@@ -381,23 +462,30 @@ class SegmentDetection:
 
 def score_candidates(omap: OrientationMap, candidates,
                      cfg: LsdConfig) -> list[SegmentDetection]:
-    """Score an identical candidate set under both criteria."""
+    """Score an identical candidate set under both criteria.
+
+    The counts come from `_count_batch` on chunks of `_CHUNK` candidates,
+    equal to `count_aligned` on each; a candidate that `count_aligned`
+    refuses is skipped.
+    """
     n_image = omap.height * omap.width
     rho = cfg.rho
     scores: dict = {}   # many candidates share (n_r, k_r): one score each
     out = []
-    for cand in candidates:
-        try:
-            counts = count_aligned(cand, omap, rho)
-        except ValueError:
-            continue
-        record = rect_counts(n_image, counts, cfg)
-        if record not in scores:
-            scores[record] = record.score()
-        score = scores[record]
-        out.append(SegmentDetection(candidate=cand, counts=counts, score=score,
-                                    nfa_keep=score.nfa_detects(cfg.epsilon),
-                                    mdl_keep=score.mdl_detects()))
+    candidates = list(candidates)
+    for at in range(0, len(candidates), _CHUNK):
+        chunk = candidates[at:at + _CHUNK]
+        for cand, counts in zip(chunk, _count_batch(chunk, omap, rho)):
+            if isinstance(counts, ValueError):
+                continue
+            record = rect_counts(n_image, counts, cfg)
+            if record not in scores:
+                scores[record] = record.score()
+            score = scores[record]
+            out.append(SegmentDetection(
+                candidate=cand, counts=counts, score=score,
+                nfa_keep=score.nfa_detects(cfg.epsilon),
+                mdl_keep=score.mdl_detects()))
     return out
 
 

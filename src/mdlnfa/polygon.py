@@ -57,16 +57,33 @@ class PolygonHypothesis:
         tested, against the edges v[k]v[k+1] it is not adjacent to
         (k = i+2 .. i-3).  v[i-1] == v[i+1] needs no test: the edges starting
         at v[i-1] and at v[i+1] would touch.
+
+        The far edges form one run of vertices v[i+2] .. v[i-2], so the
+        side of the chord that each run vertex lies on is formed once, and
+        two edges that share a vertex share it.  An edge with no zero cross
+        product touches the chord only by a proper crossing; the others go
+        through `_segments_touch`, which forms the same floats.
         """
         verts, c = self.vertices, self.c
         child = np.delete(verts, index, axis=0)
         if c == 3:
             raise ValueError("polygon needs >= 3 vertices, got 2")
         i = index % c
-        far = np.arange(i + 2, i + c - 2) % c
-        if _segments_touch(verts[i - 1], verts[(i + 1) % c],
-                           verts[far], verts[(far + 1) % c]).any():
+        (ax, ay), (bx, by) = verts[i - 1].tolist(), verts[(i + 1) % c].tolist()
+        run = verts[np.arange(i + 2, i + c - 1) % c]      # v[i+2] .. v[i-2]
+        rx, ry = run[:, 0], run[:, 1]
+        side = (bx - ax) * (ry - ay) - (by - ay) * (rx - ax)
+        ex, ey = rx[1:] - rx[:-1], ry[1:] - ry[:-1]
+        d1 = ex * (ay - ry[:-1]) - ey * (ax - rx[:-1])
+        d2 = ex * (by - ry[:-1]) - ey * (bx - rx[:-1])
+        if ((d1 * d2 < 0) & (side[:-1] * side[1:] < 0)).any():
             raise ValueError("polygon is self-intersecting")
+        if not (side.all() and d1.all() and d2.all()):
+            zero = side == 0
+            edge = np.flatnonzero((d1 == 0) | (d2 == 0) | zero[:-1] | zero[1:])
+            if _segments_touch(verts[i - 1], verts[(i + 1) % c],
+                               run[edge], run[edge + 1]).any():
+                raise ValueError("polygon is self-intersecting")
         child.setflags(write=False)
         poly = object.__new__(PolygonHypothesis)
         object.__setattr__(poly, "vertices", child)

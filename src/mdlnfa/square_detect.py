@@ -178,10 +178,14 @@ def pick_hypothesis(table, criterion: str,
     MDL: minimal code length, the empty hypothesis (cost L0 + 1) playing the
     role of "no detection".  NFA: minimal log2 NFA among candidates passing
     the epsilon threshold; if none passes, the empty hypothesis is returned.
+    An empty table is refused under both criteria.
     """
     if criterion not in ("mdl", "nfa"):
         raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
     check_epsilon(epsilon, ValueError)
+    table = tuple(table)
+    if not table:
+        raise ValueError("the table of scored hypotheses is empty")
     if criterion == "mdl":
         return min(table, key=lambda item: item[1].mdl_bits)[0]
     passing = [item for item in table if item[1].nfa_detects(epsilon)]

@@ -332,6 +332,92 @@ def count_aligned_numpy(rect, omap, rho):
     return AlignmentCounts(n_r=n_r, k_r=int(aligned.sum()), u_r=u_r)
 
 
+def _walk(lo, hi, first, last):
+    """The integers of first..last within one of [lo, hi], and perhaps one
+    more on each side; lo and hi may be infinite."""
+    if lo > last + 1 or hi < first - 1:
+        return range(0)
+    return range(first if lo < first + 1 else math.floor(lo) - 1,
+                 (last if hi > last - 1 else math.ceil(hi) + 1) + 1)
+
+
+def count_aligned_rows(rect, omap, rho):
+    """Reference alignment count: `lsd.count_aligned` as a scalar row walk,
+    one rectangle at a time.  The batched numpy kernel must give the same
+    counts and raise the same errors.
+
+    Count pixels whose centers fall inside the rectangle and whose
+    orientation lies within rho of the rectangle normal (modulo pi).
+
+    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + 1e-9
+    and |-dx*uy + dy*ux| <= width/2 + 1e-9, with dx = c - cx, dy = r - cy;
+    that float test alone decides membership.  The loop runs on Python
+    scalars and visits only the rectangle's rows, and in each row only the
+    columns between its two slab limits.  Each limit is widened by a bound
+    on the rounding of the test and of the limit, and then by one pixel.
+    """
+    from mdlnfa.lsd import AlignmentCounts
+
+    height, width = omap.height, omap.width
+    cx = 0.5 * (rect.ax + rect.bx)
+    cy = 0.5 * (rect.ay + rect.by)
+    ux, uy = math.cos(rect.angle), math.sin(rect.angle)
+    half_len = rect.length / 2.0
+    half_wid = rect.width / 2.0
+    reach = half_len + half_wid + 1.0
+    col_lo = max(0, math.floor(cx - reach))
+    col_hi = min(width - 1, math.ceil(cx + reach))
+    row_lo = max(0, math.floor(cy - reach))
+    row_hi = min(height - 1, math.ceil(cy + reach))
+    if col_hi < col_lo or row_hi < row_lo:
+        raise ValueError("rectangle lies fully outside the image")
+    len_tol = half_len + 1e-9
+    wid_tol = half_wid + 1e-9
+    # The rounding of the test and of the limits stays within a few ulps
+    # of the largest magnitude involved; pad bounds it generously.
+    pad = 1e-13 * max(abs(cx), abs(cy), width, height, half_len, half_wid)
+    len_lim, wid_lim = len_tol + pad, wid_tol + pad
+    ext_y = len_lim * abs(uy) + wid_lim * abs(ux)
+    # Signed so that (-len_lim - b) / ux <= (len_lim - b) / ux, and alike
+    # for uy; cos of a float angle is never 0, but sin is 0 at angle 0.
+    len_lim = math.copysign(len_lim, ux)
+    wid_lim = math.copysign(wid_lim, uy)
+    defined = memoryview(omap.defined.reshape(-1))
+    angles = memoryview(omap.angles.reshape(-1))
+    normal = rect.normal_angle
+    pi = math.pi
+    tol = rho + 1e-12
+    n_r = u_r = k_r = 0
+    for r in _walk(cy - ext_y, cy + ext_y, row_lo, row_hi):
+        dy = r - cy
+        dy_uy, dy_ux = dy * uy, dy * ux
+        lo = (-len_lim - dy_uy) / ux
+        hi = (len_lim - dy_uy) / ux
+        if uy:
+            x = (dy_ux - wid_lim) / uy
+            if x > lo:
+                lo = x
+            x = (dy_ux + wid_lim) / uy
+            if x < hi:
+                hi = x
+        base = r * width
+        for c in _walk(cx + lo, cx + hi, col_lo, col_hi):
+            dx = c - cx
+            if not (-len_tol <= dx * ux + dy_uy <= len_tol
+                    and -wid_tol <= -dx * uy + dy_ux <= wid_tol):
+                continue
+            n_r += 1
+            if not defined[base + c]:
+                u_r += 1
+                continue
+            d = (angles[base + c] - normal) % pi
+            if d <= tol or pi - d <= tol:     # min(d, pi - d) <= tol
+                k_r += 1
+    if not n_r:
+        raise ValueError("rectangle covers no pixel centers inside the image")
+    return AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
+
+
 def fit_rectangle_numpy(coords, weights=None):
     """Reference rectangle fit: `lsd.fit_rectangle` as first written, every
     step a numpy operation.  The library keeps the sums, the scatter

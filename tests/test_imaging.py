@@ -138,6 +138,15 @@ class TestNoiseConfig:
             with pytest.raises(ValueError, match="delta"):
                 NoiseConfig(delta=delta)
 
+    def test_seed(self):
+        # True seeded as 1, and 1.5 escaped as numpy's TypeError.
+        for seed in (True, 1.5, -1, "3", None, np.int64(-2)):
+            with pytest.raises(ValueError, match="seed"):
+                NoiseConfig(0.1, seed=seed)
+        sequence = np.random.SeedSequence(5)
+        for seed in (0, 7, np.int64(3), np.uint8(2), sequence):
+            assert NoiseConfig(0.1, seed=seed).seed is seed
+
 
 class TestSynthesizeSquares:
     def test_noiseless_square_count(self):

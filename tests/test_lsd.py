@@ -28,6 +28,7 @@ from mdlnfa.lsd import (
 )
 from oracles import (
     count_aligned_numpy,
+    count_aligned_rows,
     exact_lsd_decisions,
     fit_rectangle_numpy,
     region_grow_candidates_numpy,
@@ -396,8 +397,9 @@ def random_rectangles(rng, width, height, count):
 
 
 class TestScalarPathsMatchNumpyOracles:
-    """count_aligned and fit_rectangle against their numpy originals:
-    equal results, or the same exception type and message."""
+    """count_aligned against the scalar row walk and the numpy bounding-box
+    count, and fit_rectangle against its numpy original: equal results, or
+    the same exception type and message."""
 
     @pytest.mark.parametrize("seed", [20, 21, 22])
     def test_every_candidate_of_h0_maps(self, seed, fits_against_oracle):
@@ -407,8 +409,9 @@ class TestScalarPathsMatchNumpyOracles:
         assert len(candidates) > 1000
         assert len(fits_against_oracle) >= len(candidates)
         for cand in candidates:
-            assert (count_aligned(cand, omap, cfg.rho)
-                    == count_aligned_numpy(cand, omap, cfg.rho))
+            counts = count_aligned(cand, omap, cfg.rho)
+            assert counts == count_aligned_rows(cand, omap, cfg.rho)
+            assert counts == count_aligned_numpy(cand, omap, cfg.rho)
 
     def test_weighted_fits_and_undefined_pixels(self, fits_against_oracle):
         rng = np.random.default_rng(4)
@@ -422,8 +425,9 @@ class TestScalarPathsMatchNumpyOracles:
             rho = cfg.rho
             candidates = region_grow_candidates(omap, cfg, 2)
             counts = [outcome(count_aligned, c, omap, rho) for c in candidates]
-            assert counts == [outcome(count_aligned_numpy, c, omap, rho)
-                              for c in candidates]
+            for oracle in (count_aligned_rows, count_aligned_numpy):
+                assert counts == [outcome(oracle, c, omap, rho)
+                                  for c in candidates]
             assert any(isinstance(c, AlignmentCounts) and c.u_r > 0
                        for c in counts)
         assert all(w is not None for _, w in fits_against_oracle)
@@ -439,6 +443,7 @@ class TestScalarPathsMatchNumpyOracles:
         for i, rect in enumerate(random_rectangles(rng, 29, 23, 10_000)):
             rho = (math.pi / 16, math.pi / 5)[i % 2]
             got = outcome(count_aligned, rect, omap, rho)
+            assert got == outcome(count_aligned_rows, rect, omap, rho), rect
             assert got == outcome(count_aligned_numpy, rect, omap, rho), rect
             if isinstance(got, AlignmentCounts):
                 kinds["counted"] += 1
@@ -461,9 +466,13 @@ class TestScalarPathsMatchNumpyOracles:
             RectangleCandidate(3.3, 4.0, 2e16, 4.0, 1.0),    # centre 1e16 away
             RectangleCandidate(2e16, 4.5, 5.7, 4.5, 2.0),
             RectangleCandidate(6.0, -2e16, 6.0, 3.3, 1.0),
+            RectangleCandidate(0.0, 0.0, 1e10, 1e-300, 1.0),  # subnormal sine
+            RectangleCandidate(-1e300, 4.0, 1e300, 4.0, 1.0),
+            RectangleCandidate(4.0, 4.0, 5.0, 4.0, 1.7e308),  # every row
         ]:
-            assert (outcome(count_aligned, rect, omap, math.pi / 16)
-                    == outcome(count_aligned_numpy, rect, omap, math.pi / 16))
+            got = outcome(count_aligned, rect, omap, math.pi / 16)
+            assert got == outcome(count_aligned_rows, rect, omap, math.pi / 16)
+            assert got == outcome(count_aligned_numpy, rect, omap, math.pi / 16)
 
     def test_angles_on_the_tolerance_are_aligned(self):
         # rho chosen so that the modulo-pi distance d of every pixel to the
@@ -481,6 +490,7 @@ class TestScalarPathsMatchNumpyOracles:
                                   defined=np.ones((3, 8), bool))
             counts = count_aligned(rect, omap, rho)
             assert counts == AlignmentCounts(n_r=24, k_r=24)
+            assert counts == count_aligned_rows(rect, omap, rho)
             assert counts == count_aligned_numpy(rect, omap, rho)
             below = math.nextafter(rho, -math.inf)
             assert count_aligned(rect, omap, below).k_r == 0
@@ -557,6 +567,75 @@ class TestBatchedFit:
         sizes = [m for _, m in batches]
         assert sorted(sizes) == sorted(set(sizes))
         assert sum(b for b, _ in batches) >= len(candidates) > 10 * len(batches)
+
+
+def holed_map():
+    """A small isotropic map with scattered undefined pixels and a hole."""
+    omap = isotropic_orientation_map(29, 23, seed=8)
+    defined = np.random.default_rng(31).random((23, 29)) > 0.15
+    defined[5:11, 8:20] = False
+    return OrientationMap(angles=omap.angles, defined=defined)
+
+
+class TestCountBatch:
+    """`lsd._count_batch` counts each rectangle as it would alone."""
+
+    def batch_rectangles(self):
+        # A chunk and one more: grown candidates, random rectangles (some
+        # outside the map, some between pixel centers) and two past the
+        # float range.
+        omap = holed_map()
+        rects = region_grow_candidates(omap, LsdConfig(theta=0.25), 2)
+        rects += random_rectangles(np.random.default_rng(7), 29, 23,
+                                   lsd_module._CHUNK - len(rects) - 1)
+        rects += [RectangleCandidate(-1.7e308, 4.0, 1.7e308, 4.0, 1.0),
+                  RectangleCandidate(1e308, 4.0, 1.7e308, 5.0, 3.0)]
+        assert len(rects) == lsd_module._CHUNK + 1
+        return omap, rects
+
+    def test_alone_shuffled_and_across_chunks(self, monkeypatch):
+        omap, rects = self.batch_rectangles()
+        rho = math.pi / 8
+        alone = [outcome(count_aligned, r, omap, rho) for r in rects]
+        kinds = {c if isinstance(c, AlignmentCounts) else c[1] for c in alone}
+        assert {"rectangle lies fully outside the image",
+                "rectangle covers no pixel centers inside the image",
+                "rectangle extends past the float range"} < kinds
+
+        def as_outcome(got):
+            return (got if isinstance(got, AlignmentCounts)
+                    else (type(got), str(got)))
+
+        order = np.random.default_rng(3).permutation(len(rects))
+        shuffled = lsd_module._count_batch([rects[i] for i in order], omap, rho)
+        assert [as_outcome(shuffled[j]) for j in np.argsort(order)] == alone
+        # Pixel blocks of at most 5 pixels and one row.
+        monkeypatch.setattr(lsd_module, "_PIXELS", 5)
+        assert [as_outcome(c) for c in lsd_module._count_batch(rects, omap, rho)
+                ] == alone
+        monkeypatch.undo()
+        cfg = LsdConfig(theta=0.25)
+        detections = score_candidates(omap, rects, cfg)
+        kept = [(r, c) for r, c in zip(rects, alone)
+                if isinstance(c, AlignmentCounts)]
+        assert [(d.candidate, d.counts) for d in detections] == kept
+        assert detections == score_candidates_plain(omap, rects, cfg)
+
+    def test_rectangles_past_the_float_range_are_refused(self):
+        # The row walk's floor of an infinite bound raised OverflowError,
+        # which `score_candidates` did not catch.
+        omap = holed_map()
+        for rect in [RectangleCandidate(-1.7e308, 4.0, 1.7e308, 4.0, 1.0),
+                     RectangleCandidate(1e308, 4.0, 1.7e308, 5.0, 3.0),
+                     RectangleCandidate(-1e308, 4.0, -9e307, 4.0, 1.7e308)]:
+            with pytest.raises(ValueError, match="past the float range"):
+                count_aligned(rect, omap, math.pi / 16)
+            with pytest.raises(OverflowError):
+                count_aligned_rows(rect, omap, math.pi / 16)
+
+    def test_empty_batch(self):
+        assert lsd_module._count_batch([], holed_map(), math.pi / 16) == []
+        assert score_candidates(holed_map(), [], LsdConfig()) == []
 
 
 class TestScoreCandidates:

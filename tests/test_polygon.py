@@ -396,6 +396,17 @@ class TestIncrementalBss:
         ([(0.5, 0.5), (4.5, 0.5), (4.5, 2.5), (2.5, 2.5), (2.5, 4.5), (4.5, 4.5),
           (4.5, 6.5), (0.5, 6.5)], [0, 7]),
         ([(0.5, 0.5), (5.5, 0.5), (0.5, 5.5)], [0, 1, 2]),      # a triangle
+        # Dropping (4, -2) leaves the chord (0, 2) -> (8, 2) along the far
+        # edge (5, 2) -> (3, 2): collinear, so no proper crossing.
+        ([(0, 2), (4, -2), (8, 2), (8, 6), (5, 6), (5, 2), (3, 2), (3, 6), (0, 6)],
+         [1]),
+        # Dropping (4, -3) leaves the chord (0, 0) -> (8, 0) through the far
+        # vertex (4, 0), where two far edges meet.
+        ([(0, 0), (4, -3), (8, 0), (8, 5), (4, 0), (0, 5)], [1]),
+        # Dropping (4, -3) leaves the chord (0, 0) -> (8, 0); the far
+        # vertices (12, 0) and (16, 0) lie on its line, past its end.
+        ([(0, 0), (4, -3), (8, 0), (8, 5), (12, 5), (12, 0), (16, 0), (16, 8),
+          (0, 8)], [7, 8]),
     ])
     def test_without_vertex_matches_full_checks(self, vertices, raising):
         poly = PolygonHypothesis(np.array(vertices, dtype=float))

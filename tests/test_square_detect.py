@@ -437,6 +437,14 @@ class TestSelectHypothesis:
         with pytest.raises(ValueError):
             pick_hypothesis(table, "nfa", epsilon=math.nan)
 
+    def test_pick_refuses_an_empty_table(self):
+        # Under mdl this was min()'s bare error; under nfa the empty
+        # hypothesis, as if every candidate had failed epsilon.
+        for criterion in ("mdl", "nfa"):
+            for table in ([], (), iter([])):
+                with pytest.raises(ValueError, match="table .* is empty"):
+                    pick_hypothesis(table, criterion)
+
 
 class TestFourSquareLayout:
     def test_margin_zero_tiles_exactly(self):
