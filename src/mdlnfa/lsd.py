@@ -25,7 +25,7 @@ import numpy as np
 
 from .imaging import (DEFAULT_GRADIENT_THRESHOLD, OrientationMap, _rng, _rows,
                       gradient_orientation)
-from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon, is_count
+from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon, is_count, is_real
 
 
 @dataclass(frozen=True)
@@ -44,14 +44,14 @@ class LsdConfig:
     tau: float = DEFAULT_GRADIENT_THRESHOLD
 
     def __post_init__(self):
-        if not 0.0 < self.theta < 1.0:
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta}")
-        if isinstance(self.gamma, bool) or not (1 <= self.gamma < math.inf
-                                                and self.gamma % 1 == 0):
+        if not (is_real(self.theta) and 0.0 < self.theta < 1.0):
+            raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
+        if not (is_real(self.gamma) and 1 <= self.gamma < math.inf
+                and self.gamma % 1 == 0):
             raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
         check_epsilon(self.epsilon, ValueError)
-        if not 0.0 <= self.tau < math.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+        if not (is_real(self.tau) and 0.0 <= self.tau < math.inf):
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
 
     @property
     def rho(self) -> float:
@@ -69,8 +69,9 @@ class RectangleCandidate:
     width: float
 
     def __post_init__(self):
-        if not all(map(math.isfinite, (self.ax, self.ay, self.bx, self.by, self.width))):
-            raise ValueError(f"rectangle values must be finite, got {self}")
+        if not all(is_real(v) and math.isfinite(v)
+                   for v in (self.ax, self.ay, self.bx, self.by, self.width)):
+            raise ValueError(f"rectangle values must be finite reals, got {self}")
         if self.width < 1.0:
             raise ValueError(f"rectangle width must be >= 1, got {self.width}")
         if self.ax == self.bx and self.ay == self.by:
@@ -107,17 +108,17 @@ class AlignmentCounts:
             raise ValueError(f"need 0 <= k_r <= n_r - u_r, got {self}")
 
 
-def orientation_distance(a, b):
-    """Distance between orientations modulo pi, in [0, pi/2]."""
-    d = np.mod(np.asarray(a) - np.asarray(b), math.pi)
-    return np.minimum(d, math.pi - d)
-
-
 # Candidates per `_count_batch` call in `score_candidates`, and pixels
 # tested per numpy pass of the kernel (plus at most one row): together they
 # bound its memory, whatever the size of the rectangles.
 _CHUNK = 256
 _PIXELS = 1 << 15
+# Slacks of the count's float tests: a pixel center on a side is inside, and
+# an angle on the tolerance is aligned, up to rounding.  The grower's join
+# test min(d, pi - d) > rho has none: it only proposes what the count decides.
+_SLAB_SLACK = 1e-9    # |along| <= len/2 + slack and |across| <= width/2 + slack
+_PAD = 1e-13          # relative bound on the rounding of those tests and limits
+_ALIGN_SLACK = 1e-12  # min(d, pi - d) <= rho + slack
 
 
 def _ranges(lo, hi, first, last):
@@ -138,16 +139,17 @@ def _expand(start, stop):
     return owner, np.arange(len(owner)) - (np.cumsum(count) - count - start)[owner]
 
 
-def _count_batch(rects, omap: OrientationMap, rho: float) -> list:
-    """For each rectangle, its `AlignmentCounts`, or the ValueError that
-    `count_aligned` raises for it.
+def _count_batch(rects, omap: OrientationMap, rho: float):
+    """Four parallel int lists, one entry per rectangle: a refusal code (0
+    for counted, else `count_aligned` raises `_REFUSALS[code - 1]`), n_r,
+    k_r and u_r (all 0 when refused).
 
-    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + 1e-9
-    and |-dx*uy + dy*ux| <= width/2 + 1e-9, with dx = c - cx, dy = r - cy;
-    that float test alone decides membership.  Only the rectangle's rows
-    are tested, and in each row only the columns between its two slab
-    limits.  Each limit is widened by a bound on the rounding of the test
-    and of the limit, and then by one pixel.
+    A pixel center (c, r) is inside when |dx*ux + dy*uy| <= len/2 + s and
+    |-dx*uy + dy*ux| <= width/2 + s, with dx = c - cx, dy = r - cy and
+    s = `_SLAB_SLACK`; that float test alone decides membership.  Only the
+    rectangle's rows are tested, and in each row only the columns between
+    its two slab limits.  Each limit is widened by a bound on the rounding
+    of the test and of the limit (`_PAD`), and then by one pixel.
 
     Every rectangle, row and pixel is an element of a numpy array, and each
     element gets the float operations of a scalar walk over its rectangle
@@ -183,13 +185,13 @@ def _count_batch(rects, omap: OrientationMap, rho: float) -> list:
         col_hi = np.minimum(width - 1.0, np.ceil(box[1]))
         row_lo = np.maximum(0.0, np.floor(box[2]))
         row_hi = np.minimum(height - 1.0, np.ceil(box[3]))
-        len_tol = half_len + 1e-9
-        wid_tol = half_wid + 1e-9
+        len_tol = half_len + _SLAB_SLACK
+        wid_tol = half_wid + _SLAB_SLACK
         # The rounding of the test and of the limits stays within a few ulps
         # of the largest magnitude involved; pad bounds it generously.
-        pad = 1e-13 * np.max([np.abs(cx), np.abs(cy), np.full(n_rects, width),
-                              np.full(n_rects, height), half_len, half_wid],
-                             axis=0)
+        pad = _PAD * np.max([np.abs(cx), np.abs(cy), np.full(n_rects, width),
+                             np.full(n_rects, height), half_len, half_wid],
+                            axis=0)
         len_lim, wid_lim = len_tol + pad, wid_tol + pad
         ext_y = len_lim * np.abs(uy) + wid_lim * np.abs(ux)
         # Signed so that (-len_lim - b) / ux <= (len_lim - b) / ux, and alike
@@ -224,7 +226,7 @@ def _count_batch(rects, omap: OrientationMap, rho: float) -> list:
         n_r = np.zeros(n_rects, dtype=np.int64)
         u_r = n_r.copy()
         k_r = n_r.copy()
-        tol = rho + 1e-12
+        tol = rho + _ALIGN_SLACK
         for a, b in zip([0, *cuts], [*cuts, len(tested)]):
             row, c = _expand(start[a:b], stop[a:b])     # per pixel
             row += a
@@ -244,19 +246,15 @@ def _count_batch(rects, omap: OrientationMap, rho: float) -> list:
                              - normal[rect], math.pi)
             k_r += np.bincount(rect[(d <= tol) | (math.pi - d <= tol)],
                                minlength=n_rects)
-    out = []
-    for ok, inside, n, k, u in zip(finite.tolist(), inside_image.tolist(),
-                                   n_r.tolist(), k_r.tolist(), u_r.tolist()):
-        if not ok:
-            out.append(ValueError("rectangle extends past the float range"))
-        elif not inside:
-            out.append(ValueError("rectangle lies fully outside the image"))
-        elif not n:
-            out.append(ValueError(
-                "rectangle covers no pixel centers inside the image"))
-        else:
-            out.append(AlignmentCounts(n_r=n, k_r=k, u_r=u))
-    return out
+    # 1: past the float range, 2: outside the image, 3: no pixel center.
+    code = np.where(n_r == 0, 1 + finite.astype(np.int64) + inside_image, 0)
+    return code.tolist(), n_r.tolist(), k_r.tolist(), u_r.tolist()
+
+
+# Why `count_aligned` refuses a rectangle, by `_count_batch`'s code less one.
+_REFUSALS = ("rectangle extends past the float range",
+             "rectangle lies fully outside the image",
+             "rectangle covers no pixel centers inside the image")
 
 
 def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
@@ -269,10 +267,10 @@ def count_aligned(rect: RectangleCandidate, omap: OrientationMap,
     when the rectangle lies fully outside the image, covers no pixel center
     in it, or has a bounding box that does not fit in a float.
     """
-    counts, = _count_batch([rect], omap, rho)
-    if isinstance(counts, ValueError):
-        raise counts
-    return counts
+    (code,), (n_r,), (k_r,), (u_r,) = _count_batch([rect], omap, rho)
+    if code:
+        raise ValueError(_REFUSALS[code - 1])
+    return AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
 
 
 def rect_counts(n_image: int, counts: AlignmentCounts,
@@ -393,9 +391,9 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
 
     Seeds are visited in decreasing gradient-magnitude order (scan order when
     the map carries no magnitudes).  A pixel joins a region when its angle is
-    within rho of the region's running mean orientation (the modulo-pi
-    distance of `orientation_distance`); every pixel belongs to at most one
-    region, and regions grow breadth-first.
+    within rho of the region's running mean orientation (modulo pi: the
+    distance min(d, pi - d) of d = (angle - mean) mod pi); every pixel
+    belongs to at most one region, and regions grow breadth-first.
 
     The loop runs on Python scalars over flat memoryviews of the map's
     arrays, copied onto a grid with a one-pixel undefined border: every
@@ -466,26 +464,27 @@ def score_candidates(omap: OrientationMap, candidates,
 
     The counts come from `_count_batch` on chunks of `_CHUNK` candidates,
     equal to `count_aligned` on each; a candidate that `count_aligned`
-    refuses is skipped.
+    refuses is skipped.  Both criteria read only (n_r, k_r), so each
+    distinct pair is scored and decided once.
     """
     n_image = omap.height * omap.width
     rho = cfg.rho
-    scores: dict = {}   # many candidates share (n_r, k_r): one score each
+    decisions = {}      # (n_r, k_r) -> (score, nfa_keep, mdl_keep)
     out = []
     candidates = list(candidates)
     for at in range(0, len(candidates), _CHUNK):
         chunk = candidates[at:at + _CHUNK]
-        for cand, counts in zip(chunk, _count_batch(chunk, omap, rho)):
-            if isinstance(counts, ValueError):
+        counted = _count_batch(chunk, omap, rho)
+        for cand, code, n_r, k_r, u_r in zip(chunk, *counted):
+            if code:
                 continue
-            record = rect_counts(n_image, counts, cfg)
-            if record not in scores:
-                scores[record] = record.score()
-            score = scores[record]
-            out.append(SegmentDetection(
-                candidate=cand, counts=counts, score=score,
-                nfa_keep=score.nfa_detects(cfg.epsilon),
-                mdl_keep=score.mdl_detects()))
+            counts = AlignmentCounts(n_r=n_r, k_r=k_r, u_r=u_r)
+            decision = decisions.get((n_r, k_r))
+            if decision is None:
+                score = rect_counts(n_image, counts, cfg).score()
+                decision = decisions[n_r, k_r] = (
+                    score, score.nfa_detects(cfg.epsilon), score.mdl_detects())
+            out.append(SegmentDetection(cand, counts, *decision))
     return out
 
 

@@ -218,8 +218,8 @@ class BssTrajectory:
 
     @property
     def chosen_index(self) -> int:
-        scores = [s.score for s in self.steps]
-        return int(np.argmin(scores))
+        """The last step: BSS moves only to a strictly lower score."""
+        return len(self.steps) - 1
 
     @property
     def chosen(self) -> BssStep:

@@ -219,6 +219,15 @@ def split_term_extrema_table(n: int):
     return best_min, best_max
 
 
+def orientation_distance(a, b):
+    """Distance between orientations modulo pi, in [0, pi/2], element by
+    element; the library writes it inline as min(d, pi - d)."""
+    import numpy as np
+
+    d = np.mod(np.asarray(a) - np.asarray(b), math.pi)
+    return np.minimum(d, math.pi - d)
+
+
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
               (0, 1), (1, -1), (1, 0), (1, 1))
 
@@ -235,10 +244,6 @@ def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
     import numpy as np
 
     from mdlnfa.lsd import fit_rectangle
-
-    def orientation_distance(a, b):
-        d = np.mod(np.asarray(a) - np.asarray(b), math.pi)
-        return np.minimum(d, math.pi - d)
 
     height, width = omap.height, omap.width
     defined = omap.defined
@@ -299,7 +304,7 @@ def count_aligned_numpy(rect, omap, rho):
     """
     import numpy as np
 
-    from mdlnfa.lsd import AlignmentCounts, orientation_distance
+    from mdlnfa.lsd import AlignmentCounts
 
     height, width = omap.height, omap.width
     cx = 0.5 * (rect.ax + rect.bx)

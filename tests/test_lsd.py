@@ -19,7 +19,6 @@ from mdlnfa.lsd import (
     isotropic_orientation_map,
     mdl_rect,
     nfa_rect,
-    orientation_distance,
     read_candidates_file,
     region_grow_candidates,
     score_candidates,
@@ -31,6 +30,7 @@ from oracles import (
     count_aligned_rows,
     exact_lsd_decisions,
     fit_rectangle_numpy,
+    orientation_distance,
     region_grow_candidates_numpy,
     score_candidates_plain,
 )
@@ -57,7 +57,8 @@ class TestConfig:
             assert LsdConfig(theta=i / 1000).theta == i / 1000
 
     def test_validation(self):
-        for theta in (0.0, -0.5, 1.0, 2.0, math.nan, math.inf):
+        for theta in (0.0, -0.5, 1.0, 2.0, math.nan, math.inf, "0.5", None,
+                      True):
             with pytest.raises(ValueError, match="theta"):
                 LsdConfig(theta=theta)
         with pytest.raises(ValueError):
@@ -66,7 +67,7 @@ class TestConfig:
             LsdConfig(epsilon=0.0)
 
     @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, 2.5,
-                                       True, 0.0])
+                                       True, 0.0, "2", None])
     def test_gamma_must_be_an_integer_at_least_one(self, gamma):
         # A NaN gamma made every log2 NFA NaN, so no segment was ever kept.
         with pytest.raises(ValueError, match="gamma"):
@@ -78,7 +79,8 @@ class TestConfig:
             assert (nfa_rect(N_512, counts, LsdConfig(gamma=gamma))
                     == nfa_rect(N_512, counts, LsdConfig(gamma=2)))
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, -math.inf, -0.5,
+                                     "0.5", None, True])
     def test_tau_must_be_finite_and_non_negative(self, tau):
         with pytest.raises(ValueError, match="tau"):
             LsdConfig(tau=tau)
@@ -577,8 +579,18 @@ def holed_map():
     return OrientationMap(angles=omap.angles, defined=defined)
 
 
+def as_outcomes(counted):
+    """`lsd._count_batch`'s four lists as `count_aligned` outcomes: the
+    counts, or the type and message of what it raises."""
+    return [AlignmentCounts(n_r, k_r, u_r) if not code
+            else (ValueError, lsd_module._REFUSALS[code - 1])
+            for code, n_r, k_r, u_r in zip(*counted)]
+
+
 class TestCountBatch:
-    """`lsd._count_batch` counts each rectangle as it would alone."""
+    """`lsd._count_batch` counts each rectangle as it would alone, as four
+    parallel lists of Python ints: a refusal code (0 means counted), n_r,
+    k_r and u_r."""
 
     def batch_rectangles(self):
         # A chunk and one more: grown candidates, random rectangles (some
@@ -602,17 +614,19 @@ class TestCountBatch:
                 "rectangle covers no pixel centers inside the image",
                 "rectangle extends past the float range"} < kinds
 
-        def as_outcome(got):
-            return (got if isinstance(got, AlignmentCounts)
-                    else (type(got), str(got)))
-
+        counted = lsd_module._count_batch(rects, omap, rho)
+        assert [len(column) for column in counted] == [len(rects)] * 4
+        assert all(type(v) is int for column in counted for v in column)
+        assert all(n_r == k_r == u_r == 0
+                   for code, n_r, k_r, u_r in zip(*counted) if code)
+        assert as_outcomes(counted) == alone
         order = np.random.default_rng(3).permutation(len(rects))
-        shuffled = lsd_module._count_batch([rects[i] for i in order], omap, rho)
-        assert [as_outcome(shuffled[j]) for j in np.argsort(order)] == alone
+        shuffled = as_outcomes(
+            lsd_module._count_batch([rects[i] for i in order], omap, rho))
+        assert [shuffled[j] for j in np.argsort(order)] == alone
         # Pixel blocks of at most 5 pixels and one row.
         monkeypatch.setattr(lsd_module, "_PIXELS", 5)
-        assert [as_outcome(c) for c in lsd_module._count_batch(rects, omap, rho)
-                ] == alone
+        assert as_outcomes(lsd_module._count_batch(rects, omap, rho)) == alone
         monkeypatch.undo()
         cfg = LsdConfig(theta=0.25)
         detections = score_candidates(omap, rects, cfg)
@@ -634,29 +648,41 @@ class TestCountBatch:
                 count_aligned_rows(rect, omap, math.pi / 16)
 
     def test_empty_batch(self):
-        assert lsd_module._count_batch([], holed_map(), math.pi / 16) == []
+        assert lsd_module._count_batch([], holed_map(), math.pi / 16) == (
+            [], [], [], [])
         assert score_candidates(holed_map(), [], LsdConfig()) == []
 
 
 class TestScoreCandidates:
     def test_one_score_per_distinct_counts(self, monkeypatch):
+        # One counts record, one Score, one decision per criterion and one
+        # binomial tail for each distinct (n_r, k_r), however many
+        # candidates share it.
         cfg = LsdConfig()
         omap = isotropic_orientation_map(128, 128, seed=6)
         candidates = region_grow_candidates(omap, cfg)
         candidates.append(RectangleCandidate(500.0, 5.0, 600.0, 5.0, 2.0))
-        calls = []
-        real = numeric_module.binomial_tail_log
+        calls = {}
+        for owner, name in [(numeric_module, "binomial_tail_log"),
+                            (lsd_module, "rect_counts"),
+                            (numeric_module.HypothesisCounts, "score"),
+                            (numeric_module.Score, "nfa_detects"),
+                            (numeric_module.Score, "mdl_detects")]:
+            def counted(*args, real=getattr(owner, name),
+                        seen=calls.setdefault(name, [])):
+                seen.append(args)
+                return real(*args)
 
-        def counted(n, k, q):
-            calls.append((n, k))
-            return real(n, k, q)
-
-        monkeypatch.setattr(numeric_module, "binomial_tail_log", counted)
+            monkeypatch.setattr(owner, name, counted)
         got = score_candidates(omap, candidates, cfg)
         monkeypatch.undo()
         assert len(got) == len(candidates) - 1
-        assert sorted(calls) == sorted({(d.counts.n_r, d.counts.k_r) for d in got})
-        assert len(calls) < len(got) / 3
+        distinct = sorted({(d.counts.n_r, d.counts.k_r) for d in got})
+        assert sorted((n, k) for n, k, _ in calls["binomial_tail_log"]) == distinct
+        assert sorted((c.n_r, c.k_r) for _, c, _ in calls["rect_counts"]) == distinct
+        assert [len(calls[name]) for name in ("score", "nfa_detects", "mdl_detects")
+                ] == [len(distinct)] * 3
+        assert len(distinct) < len(got) / 3
         assert got == score_candidates_plain(omap, candidates, cfg)
 
 
@@ -798,7 +824,7 @@ def test_rectangle_candidate_validation():
     with pytest.raises(ValueError):
         RectangleCandidate(0.0, 0.0, 1.0, 1.0, 0.5)
     for i in range(5):
-        for value in (math.inf, -math.inf, math.nan):
+        for value in (math.inf, -math.inf, math.nan, "1", None, True):
             args = [0.0, 0.0, 10.0, 10.0, 2.0]
             args[i] = value
             with pytest.raises(ValueError, match="finite"):
