@@ -89,7 +89,7 @@ class NoiseConfig:
 class OrientationMap:
     """Per-pixel angles in [-pi, pi) with a defined/undefined flag.
 
-    `magnitude` (optional) orders region-growing seeds; synthetic maps
+    `magnitude` (optional, finite) orders region-growing seeds; synthetic maps
     without a gradient source may leave it None.
     """
 
@@ -102,7 +102,8 @@ class OrientationMap:
         defined = np.ascontiguousarray(self.defined, dtype=bool)
         if angles.shape != defined.shape or angles.ndim != 2:
             raise ValueError("angles and defined must be matching 2-D arrays")
-        if np.any((angles[defined] < -math.pi) | (angles[defined] >= math.pi)):
+        angle = angles[defined]      # NaN fails both comparisons
+        if not np.all((-math.pi <= angle) & (angle < math.pi)):
             raise ValueError("defined angles must lie in [-pi, pi)")
         angles.setflags(write=False)
         defined.setflags(write=False)
@@ -112,6 +113,8 @@ class OrientationMap:
             mag = np.ascontiguousarray(self.magnitude, dtype=np.float64)
             if mag.shape != angles.shape:
                 raise ValueError("magnitude shape must match angles")
+            if not np.isfinite(mag).all():
+                raise ValueError("magnitude must be finite")
             mag.setflags(write=False)
             object.__setattr__(self, "magnitude", mag)
 
@@ -131,8 +134,8 @@ def flip_noise(image: BinaryImage, delta: float, seed) -> BinaryImage:
     themselves to [0, 0.5) via NoiseConfig, but the raw mechanism supports
     forced flips (delta = 1) as well.
     """
-    if not 0.0 <= delta <= 1.0:
-        raise ValueError(f"delta must lie in [0, 1], got {delta}")
+    if not (is_real(delta) and 0.0 <= delta <= 1.0):
+        raise ValueError(f"delta must lie in [0, 1], got {delta!r}")
     flips = _rng(seed).random(image.pixels.shape) < delta
     return BinaryImage(image.pixels ^ flips)   # pixels are 0/1: XOR flips them
 
@@ -146,6 +149,9 @@ def synthesize_squares(layout, width: int, height: int,
     """
     truth = np.zeros((height, width), dtype=np.uint8)
     for row, col, side in layout:
+        if not all(is_count(v) for v in (row, col, side)):
+            raise ValueError(f"square {(row, col, side)}: row, col and side "
+                             "must be integers")
         if side < 1 or row < 0 or col < 0 or row + side > height or col + side > width:
             raise ValueError(f"square {(row, col, side)} does not fit in "
                              f"{width}x{height}")
@@ -191,14 +197,15 @@ def _cycle_marks(edges, width: int, height: int) -> tuple[list, dict]:
 
     An edge crosses the rows of its half-open y-range [min y, max y) and hits
     the pixel centers on its closed segment.  Pixel centers have integer y,
-    so one walk over the edge's integer rows finds both.  In each row the
-    sorted crossings pair up, and a pair (x_in, x_out) holds the columns
-    floor(x_in) + 1 .. floor(x_out): a pixel has odd parity when an odd number
-    of crossings lie left of its center (x < col).  An edge and its reverse
-    cross the same rows, but their x can differ in the last bit: walk an edge
-    in the direction its polygon runs.
+    so one walk over the edge's integer rows finds both.  One sort by (row, x)
+    pairs consecutive crossings: a closed cycle crosses each row an even number
+    of times, so no pair straddles two rows.  A pair (x_in, x_out) holds the
+    columns floor(x_in) + 1 .. floor(x_out): a pixel has odd parity when an
+    odd number of crossings lie left of its center (x < col).  An edge and its
+    reverse cross the same rows, but their x can differ in the last bit: walk
+    an edge in the direction its polygon runs.
     """
-    rows, hits = {}, {}
+    crossings, hits = [], {}
     eps = _ROW_EPS
     for (x1, y1), (x2, y2), sign in edges:
         lo, hi = (y1, y2) if y1 < y2 else (y2, y1)
@@ -216,19 +223,17 @@ def _cycle_marks(edges, width: int, height: int) -> tuple[list, dict]:
             # Keep this operation order: boundary pixels depend on its rounding.
             x = x1 + (row - y1) * (x2 - x1) / (y2 - y1)
             if lo <= row < hi:
-                rows.setdefault(row, []).append(x)
+                crossings.append((row, x))
             col = round(x)
             if abs(x - col) < _COL_EPS and 0 <= col < width:
                 cell = row * width + col
                 hits[cell] = hits.get(cell, 0) + sign
     spans = []
-    for row, xs in rows.items():   # a closed cycle crosses each row evenly
-        xs.sort()
-        base = row * width
-        for j in range(0, len(xs), 2):
-            start, stop = max(0, math.floor(xs[j]) + 1), min(width, math.floor(xs[j + 1]) + 1)
-            if start < stop:       # empty when the pair lies off the image
-                spans.append((base + start, base + stop))
+    it = iter(sorted(crossings))
+    for (row, x_in), (_, x_out) in zip(it, it):
+        start, stop = max(0, math.floor(x_in) + 1), min(width, math.floor(x_out) + 1)
+        if start < stop:           # empty when the pair lies off the image
+            spans.append((row * width + start, row * width + stop))
     return spans, {cell: count for cell, count in hits.items() if count}
 
 

@@ -4,7 +4,10 @@
 traced run starts, and `perfbench/workloads.py` imports library names at
 load time.  A refactor that drops or renames one of them would only show
 in a `--trace 1` run; these tests make it fail here instead.  Each
-workload's warm-up is run as well, so a changed signature fails too.
+workload's warm-up is run as well, so a changed signature fails too, and
+pass 0 of seed 0 is checked against the recorded reference digests, so a
+changed output byte or `repr` fails here and not only as `correct: false`
+in a benchmark run.
 """
 
 import sys
@@ -14,6 +17,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
+import run
 import tracing
 import workloads
 
@@ -35,3 +39,14 @@ def test_every_workload_warms_up(name):
     # Each warm-up runs its timed code paths once on a small input, so an
     # API change that breaks the benchmark fails here.
     workloads.WORKLOADS[name].warm_up()
+
+
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_pass_zero_matches_the_reference_digests(name, tmp_path):
+    reference = run.load_reference(name, 0)
+    calls = workloads.WORKLOADS[name].build(0)
+    assert reference is not None and len(reference) == len(calls)
+    for i, (call, recorded) in enumerate(zip(calls, reference)):
+        out_dir = tmp_path / f"call{i}"
+        groups = call.check(call.run(out_dir), out_dir)
+        assert [digest for _, digest in groups] == recorded, f"call {i}"

@@ -1,6 +1,7 @@
 """Tests for image synthesis, rasterization, counting, and I/O."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
     OrientationMap,
+    PolygonMarks,
     binary_to_gray,
     count_region,
     flip_noise,
@@ -107,8 +109,10 @@ class TestFlipNoise:
         assert np.array_equal(twice.pixels, img.pixels)
 
     def test_delta_range_checked(self):
-        with pytest.raises(ValueError):
-            flip_noise(blank(2, 2), 1.5, seed=0)
+        # A bool is no flip rate, though True compares equal to 1.
+        for delta in (1.5, -0.1, math.nan, True, False, "0.1", None):
+            with pytest.raises(ValueError, match="delta"):
+                flip_noise(blank(2, 2), delta, seed=0)
 
     @pytest.mark.parametrize("shape", [(1, 1), (4, 4), (7, 13), (100, 100),
                                        (256, 256)])
@@ -171,6 +175,14 @@ class TestSynthesizeSquares:
     def test_out_of_bounds_square(self):
         with pytest.raises(ValueError):
             synthesize_squares([(90, 90, 20)], 100, 100, NoiseConfig(0.0))
+
+    @pytest.mark.parametrize("square", [
+        (1, 1, 2.5), (1.0, 1, 2), (True, 1, 2), (1, 1, None), (1, "1", 2)])
+    def test_square_entries_must_be_integers(self, square):
+        # A float side would reach the slice as a TypeError, and a bool
+        # would be drawn as 0 or 1.
+        with pytest.raises(ValueError, match=re.escape(f"square {square}")):
+            synthesize_squares([(2, 2, 3), square], 10, 10, NoiseConfig(0.0))
 
 
 class TestRasterizePolygon:
@@ -332,6 +344,81 @@ class TestRasterizeAgainstTwoPass:
         width = data.draw(st.integers(min_value=1, max_value=24))
         height = data.draw(st.integers(min_value=1, max_value=24))
         assert_matches_two_pass(vertices, width, height)
+
+
+# The three maps that generate the 8 symmetries of a square grid, each as
+# (vertex map, array map) on a height x width grid: pixel (row, col) has its
+# center at (x, y) = (col, row).
+GRID_SYMMETRIES = {
+    "x-mirror": (lambda x, y, width, height: (width - 1 - x, y),
+                 lambda a: a[:, ::-1]),
+    "y-mirror": (lambda x, y, width, height: (x, height - 1 - y),
+                 lambda a: a[::-1, :]),
+    "transpose": (lambda x, y, width, height: (y, x), lambda a: a.T),
+}
+
+SYMMETRY_IMAGE = BinaryImage(
+    np.random.default_rng(12).integers(0, 2, size=(64, 64)).astype(np.uint8))
+
+
+def scanline_marks(vertices, image):
+    """The mask of the polygon on `image`'s grid and the (dn, dk) of each
+    vertex removal, or the error the rasterizer raises."""
+    height, width = image.pixels.shape
+    try:
+        mask = rasterize_polygon(vertices, width, height)
+    except ValueError as exc:
+        return str(exc)
+    marks = PolygonMarks(vertices, width, height)
+    pts = [[float(x), float(y)] for x, y in vertices]
+    return mask, [marks.removal(pts, i, image)[:2] for i in range(len(pts))]
+
+
+def assert_scanline_equivariant(vertices, symmetry, image=SYMMETRY_IMAGE):
+    move_vertex, move_array = GRID_SYMMETRIES[symmetry]
+    height, width = image.pixels.shape
+    moved = [move_vertex(x, y, width, height) for x, y in vertices]
+    got = scanline_marks(moved, BinaryImage(move_array(image.pixels)))
+    expected = scanline_marks(vertices, image)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert not isinstance(got, str), got
+    assert np.array_equal(got[0], move_array(expected[0]))
+    assert got[1] == expected[1]
+
+
+class TestScanlineSymmetry:
+    """Masks and removal counts of the scanline walk commute with the grid's
+    symmetries, for vertices whose mirrored coordinates are exact floats."""
+
+    @pytest.mark.parametrize("symmetry", sorted(GRID_SYMMETRIES))
+    @pytest.mark.parametrize("vertices", [
+        # A concave comb: rows 18..32 cross it six times.
+        [(3, 52), (5, 8), (9.5, 8), (11, 33), (16, 33), (18.5, 12),
+         (23, 12.5), (24, 33), (31, 33), (33.25, 18), (40.75, 18), (44, 52)],
+        # Partly off the image, past every side.
+        [(-6.5, 20), (30, -9), (70.5, 41), (25.25, 75)],
+        [(-10, 5), (20, 30.5), (-3, 60)],
+        # Self-crossing: two triangles that meet at (30, 30).
+        [(10, 10), (50, 50), (50, 10), (10, 50)],
+    ], ids=["comb", "off-every-side", "off-left", "bow-tie"])
+    def test_fixed_polygons(self, vertices, symmetry):
+        assert_scanline_equivariant(vertices, symmetry)
+
+    @pytest.mark.parametrize("symmetry", sorted(GRID_SYMMETRIES))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_random_polygons(self, symmetry, data):
+        # Integer, half-integer and dyadic vertices (1/64): their mirror
+        # images are exact, and crossings and pixel centres meet edges.
+        grid = data.draw(st.sampled_from([1, 2, 64]))
+        coord = st.integers(min_value=-8 * grid, max_value=71 * grid).map(
+            lambda v: v / grid)
+        c = data.draw(st.integers(min_value=3, max_value=8))
+        vertices = data.draw(st.lists(st.tuples(coord, coord),
+                                      min_size=c, max_size=c))
+        assert_scanline_equivariant(vertices, symmetry)
 
 
 class TestCountRegion:
@@ -625,5 +712,19 @@ class TestTraceContourOracle:
 
 
 def test_orientation_map_validation():
+    defined = np.ones((2, 2), bool)
     with pytest.raises(ValueError):
-        OrientationMap(angles=np.full((2, 2), 4.0), defined=np.ones((2, 2), bool))
+        OrientationMap(angles=np.full((2, 2), 4.0), defined=defined)
+    # NaN fails every comparison: a test for out-of-range angles would let a
+    # defined NaN through, and it would join every region it neighbours.
+    for bad in (math.nan, math.inf, -math.inf, math.pi):
+        angles = np.zeros((2, 2))
+        angles[1, 0] = bad
+        with pytest.raises(ValueError, match="defined angles"):
+            OrientationMap(angles=angles, defined=defined)
+        # An undefined pixel's angle is never read.
+        assert OrientationMap(angles=angles, defined=angles == 0).defined.sum() == 3
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="magnitude must be finite"):
+            OrientationMap(angles=np.zeros((2, 2)), defined=defined,
+                           magnitude=np.full((2, 2), bad))
