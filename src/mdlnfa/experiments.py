@@ -80,6 +80,14 @@ def _check_counts(cfg, **lows) -> None:
                      ("an integer", "integers"), f">= {low}")
 
 
+def _check_args(**lows) -> None:
+    """Each keyword is a (value, low) pair: the value must be an integer at
+    least low, else ConfigError names the keyword; a bool is not."""
+    for name, (value, low) in lows.items():
+        if not (is_count(value) and value >= low):
+            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
+
+
 def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None:
     """Raise ConfigError unless field `name` of `cfg` passes `ok`, or, for a
     grid field (one whose default is a tuple), is a list or tuple whose
@@ -98,9 +106,8 @@ def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
     """[fn(*task) for task in tasks], in order; spread over worker
-    processes when more than one worker, CPU and task are available."""
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    processes when more than one worker, CPU and task are available.
+    Callers check that workers is an integer >= 1."""
     workers = min(workers, os.cpu_count() or 1, len(tasks))
     if workers <= 1:
         return [fn(*task) for task in tasks]
@@ -441,7 +448,9 @@ class BoundaryRow:
 def lsd_boundary_table(cfg: LsdConfig, n_image: int = 512 * 512,
                        max_n_r: int = 60,
                        out_dir: Path | None = None) -> list[BoundaryRow]:
-    """Minimal aligned count detected by each criterion, per rectangle size."""
+    """Minimal aligned count detected by each criterion, per rectangle size
+    4..max_n_r."""
+    _check_args(n_image=(n_image, 1), max_n_r=(max_n_r, 4))
     rows = []
     for n_r in range(4, max_n_r + 1):
         min_nfa = min_mdl = None
@@ -473,6 +482,8 @@ def h0_false_alarm_counts(cfg: LsdConfig, n_maps: int = 100, width: int = 256,
                           height: int = 256, base_seed: int = 0,
                           workers: int = 1) -> list[int]:
     """NFA detection counts over isotropic random orientation maps."""
+    _check_args(n_maps=(n_maps, 0), width=(width, 1), height=(height, 1),
+                workers=(workers, 1))
     tasks = [(cfg, width, height, _trial_seed(base_seed, 0xFA, i))
              for i in range(n_maps)]
     return _map(_h0_map_detections, tasks, workers, chunksize=2)

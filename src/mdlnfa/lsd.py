@@ -383,6 +383,55 @@ def _fit_regions(pixels: np.ndarray, starts: np.ndarray, width: int,
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
               (0, 1), (1, -1), (1, 0), (1, 1))
+# Widening of rho in `_lone_seeds`: far above the ~1e-15 by which its
+# distance and the grower's may differ, so it never calls a joinable pair
+# apart.  It only drops seeds; it decides no join.
+_LONE_MARGIN = 1e-9
+
+
+def _lone_seeds(omap: OrientationMap, rho: float) -> bytearray:
+    """One byte per pixel of the grower's bordered flat grid: 1 where the
+    pixel is defined and no defined 8-neighbor lies within rho of its angle,
+    modulo pi.
+
+    Such a seed grows no further than itself: until its first join the
+    grower tests neighbors against the seed's own angle.  For x = a[q] -
+    a[p], |x| < 2 pi, the distance to the multiples of pi is
+    pi/2 - |z - pi/2| with z = ||x| - pi|; it and the grower's
+    min(x % pi, pi - x % pi) are each within about 1e-15 of the true
+    distance, so a pair counts as aligned here when within
+    rho + `_LONE_MARGIN`, and the mask holds only seeds that the grower's
+    test rejects against every neighbor.  fl(a - b) = -fl(b - a), so one
+    difference per pair, over the E, SW, S and SE neighbors, serves both
+    ends.  Undefined angles may be anything: their pairs are masked out,
+    and what they compute does not warn.
+    """
+    height, width = omap.height, omap.width
+    angles, defined = omap.angles, omap.defined
+    half_pi = math.pi / 2.0
+    limit = half_pi - (rho + _LONE_MARGIN)     # aligned: |z - pi/2| >= limit
+    aligned = np.zeros((height, width), dtype=bool)
+    buf = np.empty(height * width)
+    hit = np.empty(height * width, dtype=bool)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):   # q = p + (dr, dc)
+            p = (slice(0, height - dr), slice(max(0, -dc), width - max(0, dc)))
+            q = (slice(dr, height), slice(max(0, dc), width + min(0, dc)))
+            shape = (height - dr, width - abs(dc))
+            x = buf[:shape[0] * shape[1]].reshape(shape)
+            h = hit[:x.size].reshape(shape)
+            np.subtract(angles[q], angles[p], out=x)
+            np.abs(x, out=x)
+            x -= math.pi
+            np.abs(x, out=x)
+            x -= half_pi
+            np.abs(x, out=x)
+            np.greater_equal(x, limit, out=h)
+            h &= defined[p]
+            h &= defined[q]
+            aligned[p] |= h
+            aligned[q] |= h
+    return bytearray(np.pad(defined & ~aligned, 1))
 
 
 def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
@@ -403,7 +452,20 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     The kept regions go into one flat index buffer, and are fitted after
     the loop in batches of equal size (`fit_rectangle` on each region gives
     the same rectangles).
+
+    Regions below max(2, min_region_size) pixels are dropped, so a seed that
+    `_lone_seeds` marks, whose region is itself alone, is only blocked.  The
+    mask is not folded into `blocked`: a lone pixel may still join an
+    earlier seed's region, whose mean is not its angle.  Its margin only
+    widens which pairs count as aligned, so it skips no seed that could
+    grow.  Raises ValueError unless min_region_size is an integer >= 1.
     """
+    if not (is_count(min_region_size) and min_region_size >= 1):
+        raise ValueError(f"min_region_size must be an integer >= 1, "
+                         f"got {min_region_size!r}")
+    # Made first, so its float buffer is freed before the grid copies below
+    # are made: the process peak stays as it was.
+    lone = _lone_seeds(omap, cfg.rho)
     height, width = omap.height + 2, omap.width + 2     # bordered grid
     blocked = bytearray(np.pad(~omap.defined, 1, constant_values=True))
     angles = memoryview(np.pad(omap.angles, 1).ravel())
@@ -423,6 +485,8 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         if blocked[seed]:
             continue
         blocked[seed] = 1
+        if lone[seed]:
+            continue
         region = [seed]
         mean_angle = angles[seed]
         sx = cos(2.0 * mean_angle)
@@ -444,7 +508,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         if len(region) >= min_size:
             pixels.extend(region)
             starts.append(len(pixels))
-    del angles, blocked, order  # lowers the peak: the fit needs none of them
+    del angles, blocked, lone, order  # lowers the peak: the fit needs none of them
     return _fit_regions(np.frombuffer(pixels, dtype=np.int64),
                         np.array(starts), width, magnitude)
 

@@ -294,6 +294,35 @@ def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
     return candidates
 
 
+def lone_seeds_exact(omap, rho):
+    """Reference for `lsd._lone_seeds`, without its border: a (height,
+    width) bool array, True where a pixel is defined and the grower's own
+    join test, `(a - b) % pi` against the pixel's angle b as the region
+    mean, rejects every defined 8-neighbor a.  Python floats throughout,
+    as in the grow loop."""
+    import numpy as np
+
+    height, width = omap.height, omap.width
+    angles = omap.angles.tolist()
+    defined = omap.defined.tolist()
+    lone = np.zeros((height, width), dtype=bool)
+    for r in range(height):
+        for c in range(width):
+            if not defined[r][c]:
+                continue
+            b = angles[r][c]
+            lone[r, c] = True
+            for dr, dc in _NEIGHBORS:
+                rr, cc = r + dr, c + dc
+                if not (0 <= rr < height and 0 <= cc < width and defined[rr][cc]):
+                    continue
+                d = (angles[rr][cc] - b) % math.pi
+                if d <= rho or math.pi - d <= rho:
+                    lone[r, c] = False
+                    break
+    return lone
+
+
 def count_aligned_numpy(rect, omap, rho):
     """Reference alignment count: `lsd.count_aligned` as first written, a
     numpy meshgrid over the rectangle's 2*reach bounding box.  The scalar

@@ -5,9 +5,9 @@ traced run starts, and `perfbench/workloads.py` imports library names at
 load time.  A refactor that drops or renames one of them would only show
 in a `--trace 1` run; these tests make it fail here instead.  Each
 workload's warm-up is run as well, so a changed signature fails too, and
-pass 0 of seed 0 is checked against the recorded reference digests, so a
-changed output byte or `repr` fails here and not only as `correct: false`
-in a benchmark run.
+the pass of seed 0 (seeds 0-3 for `lsd_h0`) is checked against the
+recorded reference digests, so a changed output byte or `repr` fails here
+and not only as `correct: false` in a benchmark run.
 """
 
 import sys
@@ -41,10 +41,18 @@ def test_every_workload_warms_up(name):
     workloads.WORKLOADS[name].warm_up()
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_pass_zero_matches_the_reference_digests(name, tmp_path):
-    reference = run.load_reference(name, 0)
-    calls = workloads.WORKLOADS[name].build(0)
+# The pass of seed 0 of every workload, and of seeds 1-3 of `lsd_h0`, whose
+# region grower rests on the most float decisions per map.
+REFERENCE_PASSES = [(name, 0) for name in sorted(workloads.WORKLOADS)] + [
+    ("lsd_h0", seed) for seed in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("name,seed", REFERENCE_PASSES,
+                         ids=[name if seed == 0 else f"{name}-{seed}"
+                              for name, seed in REFERENCE_PASSES])
+def test_pass_zero_matches_the_reference_digests(name, seed, tmp_path):
+    reference = run.load_reference(name, seed)
+    calls = workloads.WORKLOADS[name].build(seed)
     assert reference is not None and len(reference) == len(calls)
     for i, (call, recorded) in enumerate(zip(calls, reference)):
         out_dir = tmp_path / f"call{i}"

@@ -334,6 +334,29 @@ class TestLsdRuns:
         assert len(counts) == 2
         assert sum(counts) <= 1
 
+    @pytest.mark.parametrize("name,value", [
+        ("n_maps", -1), ("n_maps", True), ("n_maps", 2.0), ("width", 0),
+        ("width", 1.5), ("height", 0), ("height", False), ("height", None),
+        ("workers", 1.5), ("workers", True)])
+    def test_h0_counts_refuse_bad_counts(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
+            h0_false_alarm_counts(LsdConfig(), **{name: value})
+
+    def test_h0_counts_smallest_map(self):
+        assert h0_false_alarm_counts(LsdConfig(), n_maps=np.int64(1), width=1,
+                                     height=1) == [0]
+
+    @pytest.mark.parametrize("name,value", [
+        ("n_image", 0), ("n_image", True), ("n_image", 2.5), ("max_n_r", 3),
+        ("max_n_r", 2), ("max_n_r", 60.0)])
+    def test_boundary_table_refuses_bad_counts(self, name, value):
+        with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
+            lsd_boundary_table(LsdConfig(), **{name: value})
+
+    def test_boundary_table_smallest(self):
+        rows = lsd_boundary_table(LsdConfig(), n_image=1, max_n_r=4)
+        assert [row.n_r for row in rows] == [4]
+
 
 @pytest.fixture
 def pools(monkeypatch):

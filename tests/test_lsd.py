@@ -30,6 +30,7 @@ from oracles import (
     count_aligned_rows,
     exact_lsd_decisions,
     fit_rectangle_numpy,
+    lone_seeds_exact,
     orientation_distance,
     region_grow_candidates_numpy,
     score_candidates_plain,
@@ -242,6 +243,16 @@ class TestRectScores:
         assert mdl_rect(N_512, counts, four) == mdl_rect(N_512, counts, one)
 
 
+def gradient_map():
+    """A noisy 72x88 sine-grating gradient map with magnitudes and a flat
+    patch of undefined pixels."""
+    rng = np.random.default_rng(4)
+    rows, cols = np.mgrid[0:72, 0:88]
+    gray = 128 + 90 * np.sin(0.25 * cols + 0.1 * rows) + rng.normal(0, 8, rows.shape)
+    gray[20:45, 30:60] = 40.0              # flat patch: undefined pixels
+    return gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
+
+
 class TestRegionGrowing:
     def test_ideal_edge_produces_candidate_near_edge(self):
         cfg = LsdConfig()
@@ -281,11 +292,7 @@ class TestRegionGrowing:
         assert got == region_grow_candidates_numpy(omap, cfg, min_size)
 
     def test_matches_numpy_reference_with_magnitudes_and_undefined(self):
-        rng = np.random.default_rng(4)
-        rows, cols = np.mgrid[0:72, 0:88]
-        gray = 128 + 90 * np.sin(0.25 * cols + 0.1 * rows) + rng.normal(0, 8, rows.shape)
-        gray[20:45, 30:60] = 40.0              # flat patch: undefined pixels
-        omap = gradient_orientation(np.clip(gray, 0, 255), tau=4.0)
+        omap = gradient_map()
         assert omap.magnitude is not None
         assert 0 < omap.defined.sum() < omap.defined.size
         cfg = LsdConfig(theta=0.25)
@@ -330,6 +337,95 @@ class TestRegionGrowing:
         got = region_grow_candidates(omap, cfg, 2)
         assert len(got) > 1
         assert got == region_grow_candidates_numpy(omap, cfg, 2)
+
+    @pytest.mark.parametrize("bad", [True, math.nan, -3, 0, 2.5, "5", None])
+    def test_min_region_size_must_be_a_count(self, bad):
+        omap = isotropic_orientation_map(32, 32, seed=0)
+        with pytest.raises(ValueError, match="min_region_size"):
+            region_grow_candidates(omap, LsdConfig(), bad)
+
+    def test_min_region_size_below_two_keeps_pairs(self):
+        omap = isotropic_orientation_map(32, 32, seed=0)
+        cfg = LsdConfig()
+        pairs = region_grow_candidates(omap, cfg, 2)
+        assert region_grow_candidates(omap, cfg, 1) == pairs
+        assert region_grow_candidates(omap, cfg, np.int64(2)) == pairs
+
+
+def quantized_map(seed, height=30, width=40, magnitude=False):
+    """Angles k pi / 16: at theta = 1/8 the tolerance is pi / 16, so many
+    neighbor pairs sit on it up to rounding.  About a tenth of the pixels
+    are undefined and hold NaN, +inf or 1e300; `magnitude` adds tied
+    magnitudes in 1..3."""
+    rng = np.random.default_rng(seed)
+    angles = rng.integers(-16, 16, size=(height, width)) * (math.pi / 16)
+    defined = rng.random((height, width)) > 0.1
+    angles[~defined] = rng.choice([math.nan, math.inf, 1e300], size=(~defined).sum())
+    mag = rng.integers(1, 4, size=(height, width)).astype(float) if magnitude else None
+    return OrientationMap(angles=angles, defined=defined, magnitude=mag)
+
+
+def lone_mask(omap, rho):
+    """`lsd._lone_seeds` as a (height, width) bool array, after checking
+    that its border is 0."""
+    mask = np.frombuffer(lsd_module._lone_seeds(omap, rho), dtype=np.uint8)
+    mask = mask.reshape(omap.height + 2, omap.width + 2).astype(bool)
+    assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
+    return mask[1:-1, 1:-1]
+
+
+class TestLoneSeeds:
+    """`lsd._lone_seeds` marks seeds whose region cannot grow past the seed,
+    so the grower skips them with the same candidates."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.125, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_exact_test_on_isotropic_maps(self, seed, theta):
+        omap = isotropic_orientation_map(40, 30, seed=seed)
+        rho = LsdConfig(theta=theta).rho
+        lone = lone_mask(omap, rho)
+        assert lone.any()
+        assert np.array_equal(lone, lone_seeds_exact(omap, rho))
+
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
+    @pytest.mark.parametrize("kind", ["quantized", "gradient"])
+    def test_within_the_exact_test(self, kind, theta):
+        maps = ([quantized_map(seed) for seed in range(4)] if kind == "quantized"
+                else [gradient_map()])
+        rho = LsdConfig(theta=theta).rho
+        for omap in maps:
+            lone = lone_mask(omap, rho)
+            assert lone.any()
+            assert not (lone & ~lone_seeds_exact(omap, rho)).any()
+
+    @pytest.mark.parametrize("theta,margin", [
+        (1 / 16, 0.0), (1 / 4, 0.0), (1 / 2, 0.0), (1 / 8, None)])
+    def test_pair_on_the_tolerance_is_aligned(self, monkeypatch, theta, margin):
+        # The angles differ by exactly rho, and the grower joins them from
+        # at least one end (its test is not symmetric at a tie).  At these
+        # theta the filter's distance lands on rho exactly, so its
+        # comparison must be inclusive even with no margin; at theta = 1/8
+        # it lands past rho, and only the margin keeps the pair aligned.
+        if margin is not None:
+            monkeypatch.setattr(lsd_module, "_LONE_MARGIN", margin)
+        rho = LsdConfig(theta=theta).rho
+        for pair in ([0.0, rho], [rho, 0.0], [-rho / 2, rho / 2]):
+            omap = OrientationMap(angles=np.array([pair]), defined=np.ones((1, 2), bool))
+            assert not lone_mask(omap, rho).any()
+            assert not lone_seeds_exact(omap, rho).all()
+        apart = OrientationMap(angles=np.array([[0.0, rho + 1e-6]]),
+                               defined=np.ones((1, 2), bool))
+        assert lone_mask(apart, rho).all()
+
+    @pytest.mark.parametrize("magnitude", [False, True], ids=["scan", "magnitude"])
+    @pytest.mark.parametrize("min_size", [2, 5])
+    def test_ties_match_numpy_reference(self, magnitude, min_size):
+        cfg = LsdConfig(theta=1 / 8)
+        for seed in range(3):
+            omap = quantized_map(seed, magnitude=magnitude)
+            got = region_grow_candidates(omap, cfg, min_size)
+            assert got
+            assert got == region_grow_candidates_numpy(omap, cfg, min_size)
 
 
 def outcome(fn, *args):

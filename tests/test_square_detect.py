@@ -1,10 +1,13 @@
 """Tests for single- and multi-square MDL/NFA scoring and selection."""
 
+import itertools
 import math
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mdlnfa.imaging import BinaryImage, NoiseConfig, synthesize_squares
 from mdlnfa.numeric import (
@@ -26,6 +29,7 @@ from mdlnfa.square_detect import (
     nfa_score_single,
     pick_hypothesis,
     select_hypothesis,
+    single_counts,
     single_record,
 )
 import oracles
@@ -455,3 +459,104 @@ class TestFourSquareLayout:
     def test_odd_margin_rejected(self):
         with pytest.raises(ValueError):
             four_square_layout(extent=26, margin=15, width=256, height=256)
+
+
+# The 8 symmetries of the pixel grid: flip the rows, flip the columns, then
+# transpose, each or not.
+GRID_SYMMETRIES = list(itertools.product((False, True), repeat=3))
+
+
+def move(symmetry, pixels, squares):
+    """`pixels` and `squares` under one grid symmetry."""
+    flip_rows, flip_cols, transpose = symmetry
+    height, width = pixels.shape
+    moved = []
+    for sq in squares:
+        row = height - sq.row - sq.side if flip_rows else sq.row
+        col = width - sq.col - sq.side if flip_cols else sq.col
+        moved.append(Square(*((col, row) if transpose else (row, col)), sq.side))
+    if flip_rows:
+        pixels = pixels[::-1]
+    if flip_cols:
+        pixels = pixels[:, ::-1]
+    if transpose:
+        pixels = pixels.T
+    return BinaryImage(np.ascontiguousarray(pixels)), moved
+
+
+@st.composite
+def squares_on_an_image(draw):
+    """A random binary image of 2..20 by 2..20 pixels and 0..3 disjoint
+    squares on it that leave some background."""
+    height = draw(st.integers(2, 20))
+    width = draw(st.integers(2, 20))
+    density = draw(st.sampled_from([0.1, 0.5, 0.8]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pixels = (rng.random((height, width)) < density).astype(np.uint8)
+    squares = []
+    for _ in range(draw(st.integers(0, 3))):
+        side = draw(st.integers(1, min(height, width)))
+        sq = Square(draw(st.integers(0, height - side)),
+                    draw(st.integers(0, width - side)), side)
+        if not any(sq.overlaps(other) for other in squares):
+            squares.append(sq)
+    if sum(sq.n1 for sq in squares) == height * width:
+        squares.pop()
+    return pixels, squares
+
+
+PINNED = [
+    # A dense square on a sparse, non-square image.
+    (np.pad(np.ones((4, 4), np.uint8), ((1, 6), (2, 9))), [Square(1, 2, 4)]),
+    # A sparse square on a dense image, with two more squares.
+    (np.pad(np.zeros((3, 3), np.uint8), ((0, 4), (5, 1)), constant_values=1),
+     [Square(0, 5, 3), Square(4, 0, 2), Square(3, 3, 1)]),
+]
+
+
+class TestSquareSymmetry:
+    """The square scorers read only counts, so they commute with the grid's
+    symmetries exactly; complementing the image keeps the MDL bits up to
+    rounding but not the one-sided NFA."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(PINNED[0])
+    @example(PINNED[1])
+    @given(squares_on_an_image())
+    def test_grid_symmetries(self, case):
+        pixels, squares = case
+        image = BinaryImage(pixels)
+        hyp = SquareHypothesis(tuple(squares))
+        singles = [single_counts(image, sq) for sq in squares]
+        multi = multi_counts(image, hyp)
+        for symmetry in GRID_SYMMETRIES:
+            moved_image, moved = move(symmetry, pixels, squares)
+            for sq, counts in zip(moved, singles):
+                got = single_counts(moved_image, sq)
+                assert got == counts
+                assert got.score() == counts.score()
+            got = multi_counts(moved_image, SquareHypothesis(tuple(moved)))
+            assert got == multi
+            assert got.score() == multi.score()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @example(PINNED[0])
+    @example(PINNED[1])
+    @given(squares_on_an_image())
+    def test_complement(self, case):
+        pixels, squares = case
+        image, inverse = BinaryImage(pixels), BinaryImage(1 - pixels)
+        hyp = SquareHypothesis(tuple(squares))
+        records = [(squares, multi_counts(image, hyp), multi_counts(inverse, hyp))]
+        records += [([sq], single_counts(image, sq), single_counts(inverse, sq))
+                    for sq in squares]
+        for group, counts, flipped_counts in records:
+            score, flipped = counts.score(), flipped_counts.score()
+            assert flipped.mdl_bits == pytest.approx(score.mdl_bits, rel=0, abs=1e-9)
+            if not group:
+                continue
+            inside = [_square_counts(image, sq) for sq in group]
+            n1, k1 = sum(c.n for c in inside), sum(c.k for c in inside)
+            background = complement(image.counts, inside)
+            if k1 * background.n < background.k * n1:   # sparser than its background
+                assert flipped.log2_nfa < score.log2_nfa
