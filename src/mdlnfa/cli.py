@@ -147,8 +147,8 @@ def cmd_polygon(args) -> int:
 
 
 def cmd_lsd(args) -> int:
-    if args.table_n < 1:
-        raise ex.ConfigError(f"--table-n must be >= 1, got {args.table_n}")
+    # lsd_boundary_table's rule for n_image, under the flag's name
+    ex._check_args(**{"--table-n": (args.table_n, 1)})
     if not args.image and (args.candidates or args.tau is not None
                            or args.criterion is not None):
         raise ex.ConfigError("--candidates, --tau and --criterion are read "

@@ -383,36 +383,52 @@ def _fit_regions(pixels: np.ndarray, starts: np.ndarray, width: int,
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
               (0, 1), (1, -1), (1, 0), (1, 1))
-# Widening of rho in `_lone_seeds`: far above the ~1e-15 by which its
-# distance and the grower's may differ, so it never calls a joinable pair
-# apart.  It only drops seeds; it decides no join.
+# Widening of rho in `_lone_seeds`, and of the 2 rho of its neighbor band
+# (by twice this), and of rho in the grower's check of a pixel against the
+# running mean before it walks the band: far above the ~1e-15 by which the
+# float distances may differ from the true one, so it never calls a
+# joinable pair apart.  It only drops seeds and skips neighbors that would
+# be rejected; it decides no join.
 _LONE_MARGIN = 1e-9
 
 
-def _lone_seeds(omap: OrientationMap, rho: float) -> bytearray:
-    """One byte per pixel of the grower's bordered flat grid: 1 where the
-    pixel is defined and no defined 8-neighbor lies within rho of its angle,
-    modulo pi.
+def _lone_seeds(omap: OrientationMap, rho: float) -> tuple[bytearray, bytearray]:
+    """Two masks, one byte per pixel of the grower's bordered flat grid:
+    `lone`, 1 where the pixel is defined and no defined 8-neighbor lies
+    within rho of its angle, modulo pi; and `near`, whose bit j is set
+    where neighbor j (in `_NEIGHBORS` order) is defined and lies within
+    2 rho of the pixel's angle.
 
-    Such a seed grows no further than itself: until its first join the
+    A lone seed grows no further than itself: until its first join the
     grower tests neighbors against the seed's own angle.  For x = a[q] -
     a[p], |x| < 2 pi, the distance to the multiples of pi is
     pi/2 - |z - pi/2| with z = ||x| - pi|; it and the grower's
     min(x % pi, pi - x % pi) are each within about 1e-15 of the true
     distance, so a pair counts as aligned here when within
-    rho + `_LONE_MARGIN`, and the mask holds only seeds that the grower's
-    test rejects against every neighbor.  fl(a - b) = -fl(b - a), so one
-    difference per pair, over the E, SW, S and SE neighbors, serves both
-    ends.  Undefined angles may be anything: their pairs are masked out,
-    and what they compute does not warn.
+    rho + `_LONE_MARGIN`, and `lone` holds only seeds that the grower's
+    test rejects against every neighbor.
+
+    `near` bounds the neighbors that can join through a pixel p while p
+    lies within rho + `_LONE_MARGIN` of the region mean m: a joining q
+    lies within rho of m, so by the triangle inequality for the distance
+    modulo pi it lies within 2 rho + `_LONE_MARGIN` + ~1e-15 of p, inside
+    the band's 2 (rho + `_LONE_MARGIN`).  The distance is symmetric, so the
+    band, unlike the grower's join test at a tie, does not depend on which
+    end seeds.  fl(a - b) = -fl(b - a), so one difference per pair, over
+    the E, SW, S and SE neighbors, serves both ends of both masks.
+    Undefined angles may be anything: their pairs are masked out, and what
+    they compute does not warn.
     """
     height, width = omap.height, omap.width
     angles, defined = omap.angles, omap.defined
     half_pi = math.pi / 2.0
     limit = half_pi - (rho + _LONE_MARGIN)     # aligned: |z - pi/2| >= limit
+    band = half_pi - 2.0 * (rho + _LONE_MARGIN)
     aligned = np.zeros((height, width), dtype=bool)
+    near = np.zeros((height + 2, width + 2), dtype=np.uint8)
     buf = np.empty(height * width)
     hit = np.empty(height * width, dtype=bool)
+    bits = np.empty(height * width, dtype=np.uint8)
     with np.errstate(invalid="ignore", over="ignore"):
         for dr, dc in ((0, 1), (1, -1), (1, 0), (1, 1)):   # q = p + (dr, dc)
             p = (slice(0, height - dr), slice(max(0, -dc), width - max(0, dc)))
@@ -420,18 +436,26 @@ def _lone_seeds(omap: OrientationMap, rho: float) -> bytearray:
             shape = (height - dr, width - abs(dc))
             x = buf[:shape[0] * shape[1]].reshape(shape)
             h = hit[:x.size].reshape(shape)
+            b = bits[:x.size].reshape(shape)
             np.subtract(angles[q], angles[p], out=x)
             np.abs(x, out=x)
             x -= math.pi
             np.abs(x, out=x)
             x -= half_pi
             np.abs(x, out=x)
+            np.greater_equal(x, band, out=h)
+            h &= defined[p]
+            h &= defined[q]
+            for end, j in ((p, _NEIGHBORS.index((dr, dc))),
+                           (q, _NEIGHBORS.index((-dr, -dc)))):
+                np.left_shift(h.view(np.uint8), j, out=b)
+                near[1:-1, 1:-1][end] |= b
             np.greater_equal(x, limit, out=h)
             h &= defined[p]
             h &= defined[q]
             aligned[p] |= h
             aligned[q] |= h
-    return bytearray(np.pad(defined & ~aligned, 1))
+    return bytearray(np.pad(defined & ~aligned, 1)), bytearray(near)
 
 
 def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
@@ -453,19 +477,26 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     the loop in batches of equal size (`fit_rectangle` on each region gives
     the same rectangles).
 
-    Regions below max(2, min_region_size) pixels are dropped, so a seed that
-    `_lone_seeds` marks, whose region is itself alone, is only blocked.  The
-    mask is not folded into `blocked`: a lone pixel may still join an
-    earlier seed's region, whose mean is not its angle.  Its margin only
-    widens which pairs count as aligned, so it skips no seed that could
-    grow.  Raises ValueError unless min_region_size is an integer >= 1.
+    `_lone_seeds` makes two masks.  Regions below max(2, min_region_size)
+    pixels are dropped, so a seed that `lone` marks, whose region is
+    itself alone, is only blocked.  That mask is not folded into `blocked`:
+    a lone pixel may still join an earlier seed's region, whose mean is not
+    its angle.  When a pixel p starts its expansion within rho +
+    `_LONE_MARGIN` of the mean, it tests only the neighbors that `near[p]`
+    holds, in the usual order: no other one can join while the mean stays
+    put, and a skipped neighbor is a reject, which changes neither
+    `blocked` nor the mean.  The mean moves only at a join, so after each
+    join p is checked again, and once it has left that band every later
+    neighbor is tested.  Otherwise p tests all 8.  The margins only widen
+    which pairs are tested, so the regions are those of testing every
+    neighbor.  Raises ValueError unless min_region_size is an integer >= 1.
     """
     if not (is_count(min_region_size) and min_region_size >= 1):
         raise ValueError(f"min_region_size must be an integer >= 1, "
                          f"got {min_region_size!r}")
-    # Made first, so its float buffer is freed before the grid copies below
-    # are made: the process peak stays as it was.
-    lone = _lone_seeds(omap, cfg.rho)
+    # Made first, so their float buffer is freed before the grid copies
+    # below are made: the process peak stays as it was.
+    lone, near = _lone_seeds(omap, cfg.rho)
     height, width = omap.height + 2, omap.width + 2     # bordered grid
     blocked = bytearray(np.pad(~omap.defined, 1, constant_values=True))
     angles = memoryview(np.pad(omap.angles, 1).ravel())
@@ -475,9 +506,12 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         magnitude = np.pad(omap.magnitude, 1).ravel()
         order = memoryview(np.argsort(-magnitude, kind="stable"))
     rho = cfg.rho
+    lim = rho + _LONE_MARGIN
     pi = math.pi
     cos, sin, atan2 = math.cos, math.sin, math.atan2
-    offsets = [dr * width + dc for dr, dc in _NEIGHBORS]
+    offsets = tuple(dr * width + dc for dr, dc in _NEIGHBORS)
+    walks = [tuple(off for j, off in enumerate(offsets) if bits >> j & 1)
+             for bits in range(256)]        # the offsets a `near` byte holds
     min_size = max(2, min_region_size)
     pixels = array("q")         # kept regions, back to back
     starts = [0]
@@ -492,23 +526,35 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         sx = cos(2.0 * mean_angle)
         sy = sin(2.0 * mean_angle)
         for flat in region:        # breadth-first: appended pixels come later
-            for off in offsets:
-                nb = flat + off
-                if blocked[nb]:
-                    continue
-                a = angles[nb]
-                d = (a - mean_angle) % pi
-                if d > rho and pi - d > rho:      # min(d, pi - d) > rho
-                    continue
-                blocked[nb] = 1
-                region.append(nb)
-                sx += cos(2.0 * a)
-                sy += sin(2.0 * a)
-                mean_angle = 0.5 * atan2(sy, sx)
+            d = (angles[flat] - mean_angle) % pi
+            short = d <= lim or pi - d <= lim
+            todo = walks[near[flat]] if short else offsets
+            while todo:
+                for off in todo:
+                    nb = flat + off
+                    if blocked[nb]:
+                        continue
+                    a = angles[nb]
+                    d = (a - mean_angle) % pi
+                    if d > rho and pi - d > rho:      # min(d, pi - d) > rho
+                        continue
+                    blocked[nb] = 1
+                    region.append(nb)
+                    sx += cos(2.0 * a)
+                    sy += sin(2.0 * a)
+                    mean_angle = 0.5 * atan2(sy, sx)
+                    if short:
+                        d = (angles[flat] - mean_angle) % pi
+                        if d > lim and pi - d > lim:  # flat left the band
+                            short = False
+                            todo = offsets[offsets.index(off) + 1:]
+                            break
+                else:
+                    break
         if len(region) >= min_size:
             pixels.extend(region)
             starts.append(len(pixels))
-    del angles, blocked, lone, order  # lowers the peak: the fit needs none of them
+    del angles, blocked, lone, near, order  # lowers the peak: the fit needs none
     return _fit_regions(np.frombuffer(pixels, dtype=np.int64),
                         np.array(starts), width, magnitude)
 

@@ -323,6 +323,33 @@ def lone_seeds_exact(omap, rho):
     return lone
 
 
+def near_neighbours_exact(omap, rho):
+    """Reference for the `near` mask of `lsd._lone_seeds`, without its
+    border: a (height, width) uint8 array whose bit j is set where a pixel
+    and its neighbor j (in `_NEIGHBORS` order) are defined and the grower's
+    own form, `(a - b) % pi` against the pixel's angle b, puts the
+    neighbor's angle a within 2 rho.  Python floats throughout."""
+    import numpy as np
+
+    height, width = omap.height, omap.width
+    angles = omap.angles.tolist()
+    defined = omap.defined.tolist()
+    near = np.zeros((height, width), dtype=np.uint8)
+    for r in range(height):
+        for c in range(width):
+            if not defined[r][c]:
+                continue
+            b = angles[r][c]
+            for j, (dr, dc) in enumerate(_NEIGHBORS):
+                rr, cc = r + dr, c + dc
+                if not (0 <= rr < height and 0 <= cc < width and defined[rr][cc]):
+                    continue
+                d = (angles[rr][cc] - b) % math.pi
+                if d <= 2.0 * rho or math.pi - d <= 2.0 * rho:
+                    near[r, c] |= 1 << j
+    return near
+
+
 def count_aligned_numpy(rect, omap, rho):
     """Reference alignment count: `lsd.count_aligned` as first written, a
     numpy meshgrid over the rectangle's 2*reach bounding box.  The scalar

@@ -483,6 +483,13 @@ class TestCli:
         assert "--side must be >= 1" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lsd_table_n_error_names_the_flag(self, tmp_path, capsys):
+        # The flag follows the rule of lsd_boundary_table's n_image.
+        out = tmp_path / "out"
+        assert main(["lsd", "--table-n", "-3", "--out", str(out)]) == EXIT_CONFIG
+        assert "--table-n must be an integer >= 1, got -3" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("magic", ["P2", "P5"])
     def test_maxval_1_pgm_runs_like_its_maxval_255_twin(self, tmp_path, magic):
         # Read as raw samples, a maxval-1 image thresholded to all zeros:
@@ -589,6 +596,7 @@ class TestCli:
         ["polygon", "--polygon", "tri.txt", "--trace"],
         ["lsd", "--image", "missing.pgm"],
         ["lsd", "--image", "p2.pgm", "--table-n", "0"],
+        ["lsd", "--table-n", "-3"],
         ["lsd", "--candidates", "missing.txt"],
         ["lsd", "--tau", "4"],
         ["equiv", "--seed", "1"],

@@ -31,6 +31,7 @@ from oracles import (
     exact_lsd_decisions,
     fit_rectangle_numpy,
     lone_seeds_exact,
+    near_neighbours_exact,
     orientation_distance,
     region_grow_candidates_numpy,
     score_candidates_plain,
@@ -368,7 +369,7 @@ def quantized_map(seed, height=30, width=40, magnitude=False):
 def lone_mask(omap, rho):
     """`lsd._lone_seeds` as a (height, width) bool array, after checking
     that its border is 0."""
-    mask = np.frombuffer(lsd_module._lone_seeds(omap, rho), dtype=np.uint8)
+    mask = np.frombuffer(lsd_module._lone_seeds(omap, rho)[0], dtype=np.uint8)
     mask = mask.reshape(omap.height + 2, omap.width + 2).astype(bool)
     assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
     return mask[1:-1, 1:-1]
@@ -426,6 +427,83 @@ class TestLoneSeeds:
             got = region_grow_candidates(omap, cfg, min_size)
             assert got
             assert got == region_grow_candidates_numpy(omap, cfg, min_size)
+
+
+def near_mask(omap, rho):
+    """The `near` mask of `lsd._lone_seeds` as a (height, width) uint8
+    array, after checking that its border is 0."""
+    mask = np.frombuffer(lsd_module._lone_seeds(omap, rho)[1], dtype=np.uint8)
+    mask = mask.reshape(omap.height + 2, omap.width + 2)
+    assert not (mask[[0, -1]].any() or mask[:, [0, -1]].any())
+    return mask[1:-1, 1:-1]
+
+
+class TestNeighbourBand:
+    """The `near` mask of `lsd._lone_seeds` holds every neighbor within
+    2 rho of a pixel, so the grower tests only those while the pixel stays
+    within rho of the mean, with the same candidates."""
+
+    @pytest.mark.parametrize("theta", [0.05, 0.125, 0.3, 0.5])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_the_exact_band_on_isotropic_maps(self, seed, theta):
+        omap = isotropic_orientation_map(40, 30, seed=seed)
+        rho = LsdConfig(theta=theta).rho
+        near = near_mask(omap, rho)
+        assert near.any()
+        assert np.array_equal(near, near_neighbours_exact(omap, rho))
+
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
+    @pytest.mark.parametrize("kind", ["quantized", "gradient"])
+    def test_holds_the_exact_band(self, kind, theta):
+        maps = ([quantized_map(seed) for seed in range(4)] if kind == "quantized"
+                else [gradient_map()])
+        rho = LsdConfig(theta=theta).rho
+        for omap in maps:
+            near = near_mask(omap, rho)
+            exact = near_neighbours_exact(omap, rho)
+            assert exact.any()
+            assert not (exact & ~near).any()
+
+    @pytest.mark.parametrize("theta,margin", [
+        (1 / 16, None), (1 / 8, 0.0), (1 / 4, 0.0)])
+    def test_pair_on_twice_the_tolerance_is_near(self, monkeypatch, theta, margin):
+        # The angles differ by exactly 2 rho.  At theta = 1/8 and 1/4 the
+        # band's distance lands on 2 rho exactly, so its comparison must be
+        # inclusive even with no margin; at theta = 1/16 it lands past
+        # 2 rho, and only the margin keeps the pair in the band.
+        if margin is not None:
+            monkeypatch.setattr(lsd_module, "_LONE_MARGIN", margin)
+        rho = LsdConfig(theta=theta).rho
+        for pair in ([0.0, 2 * rho], [2 * rho, 0.0], [-rho, rho]):
+            omap = OrientationMap(angles=np.array([pair]), defined=np.ones((1, 2), bool))
+            near = near_mask(omap, rho)
+            assert near.tolist() == [[1 << 4, 1 << 3]]     # E of one, W of the other
+            assert near_neighbours_exact(omap, rho).any()
+        apart = OrientationMap(angles=np.array([[0.0, 2 * rho + 1e-6]]),
+                               defined=np.ones((1, 2), bool))
+        assert not near_mask(apart, rho).any()
+
+    def test_a_drifted_mean_tests_every_later_neighbour(self):
+        # The seed p (centre, angle 0) is joined by A, B and C in turn,
+        # each within rho of the mean and within 2 rho of p; after C the
+        # mean lies past rho from p.  The last neighbor q lies past 2 rho
+        # from p, outside its band, yet within rho of the mean, and no
+        # other pixel of the region touches it: only the grower's fallback
+        # to every later neighbor lets it join.
+        cfg = LsdConfig()
+        rho, nan = cfg.rho, math.nan
+        angles = np.array([[0.99 * rho, nan, 1.49 * rho],
+                           [nan, 0.0, nan],
+                           [1.82 * rho, nan, 2.04 * rho]])
+        defined = ~np.isnan(angles)
+        magnitude = np.where(defined, 1.0, 0.0)
+        magnitude[1, 1] = 9.0
+        omap = OrientationMap(angles=angles, defined=defined, magnitude=magnitude)
+        near = near_mask(omap, rho)
+        assert near[1, 1] == 0b00100101            # A, B and C; not q
+        got = region_grow_candidates(omap, cfg)
+        assert len(got) == 1                       # all five pixels
+        assert got == region_grow_candidates_numpy(omap, cfg)
 
 
 def outcome(fn, *args):
