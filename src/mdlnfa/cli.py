@@ -36,7 +36,7 @@ from .lsd import (
     read_candidates_file,
     write_segments_file,
 )
-from .numeric import check_epsilon, meaningful
+from .numeric import EPSILON, meaningful, rule
 from .polygon import PolygonHypothesis
 from .square_detect import four_square_layout
 
@@ -104,12 +104,11 @@ def cmd_sweep_multi(args) -> int:
 
 def cmd_polygon(args) -> int:
     if args.epsilon is not None:
-        check_epsilon(args.epsilon, ex.ConfigError)
+        EPSILON.check("--epsilon", args.epsilon, ex.ConfigError)
     if args.trace_every is not None and not args.trace:
         raise ex.ConfigError("--trace-every is read only with --trace")
     every = 2 if args.trace_every is None else args.trace_every
-    if every < 1:
-        raise ex.ConfigError(f"--trace-every must be >= 1, got {every}")
+    rule("count", ge=1).check("--trace-every", every, ex.ConfigError)
     if args.polygon and args.trace:
         raise ex.ConfigError("--polygon and --trace both set the initial "
                              "polygon; give one")
@@ -148,7 +147,7 @@ def cmd_polygon(args) -> int:
 
 def cmd_lsd(args) -> int:
     # lsd_boundary_table's rule for n_image, under the flag's name
-    ex._check_args(**{"--table-n": (args.table_n, 1)})
+    rule("count", ge=1).check("--table-n", args.table_n, ex.ConfigError)
     if not args.image and (args.candidates or args.tau is not None
                            or args.criterion is not None):
         raise ex.ConfigError("--candidates, --tau and --criterion are read "
@@ -205,11 +204,8 @@ def cmd_gen(args) -> int:
             setattr(args, name, value)
         elif name not in _GEN_READS[args.kind]:
             raise ex.ConfigError(f"--kind {args.kind} does not read --{name}")
-    if args.side < 1:
-        raise ex.ConfigError(f"--side must be >= 1, got {args.side}")
-    if args.width < 1 or args.height < 1:
-        raise ex.ConfigError(f"--width and --height must be >= 1, got "
-                             f"{args.width}x{args.height}")
+    for name in ("side", "width", "height"):
+        rule("count", ge=1).check(f"--{name}", getattr(args, name), ex.ConfigError)
     noise = {"delta": args.delta, "seed": args.seed}
     if args.kind == "single-square":
         row = (args.height - args.side) // 2

@@ -50,7 +50,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numeric import is_count
+from .numeric import Fields, rule
 
 MAX_STATES = 2**24   # desk-scale exhaustiveness cap per part
 BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
@@ -73,42 +73,25 @@ class PartSpec:
     xi: Callable[[np.ndarray], np.ndarray]
     name: str = ""
 
+    FIELDS = Fields(ValueError, length=rule("count", ge=1), eta=rule("finite", gt=0))
+
     def __post_init__(self):
-        if not is_count(self.length) or self.length < 1:
-            raise ValueError(f"part length must be an integer >= 1, "
-                             f"got {self.length!r}")
-        if isinstance(self.eta, bool):
-            raise ValueError(f"risk weight eta must be a number, "
-                             f"got {self.eta!r}")
-        try:
-            eta = Fraction(self.eta)
-        except (TypeError, ValueError, OverflowError):   # inf, nan, not a number
-            eta = None
-        if eta is None or eta <= 0:
-            raise ValueError(f"risk weight eta must be a positive finite number, "
-                             f"got {self.eta!r}")
-        object.__setattr__(self, "eta", eta)
+        PartSpec.FIELDS.check(self)
+        eta = self.eta   # Fraction reads a numpy float only as a float
+        object.__setattr__(self, "eta", Fraction(
+            eta if isinstance(eta, (int, np.integer, Fraction)) else float(eta)))
 
     def states(self, alphabet_size: int) -> int:
         return alphabet_size ** self.length
 
 
-def _check_alphabet(alphabet_size: int) -> None:
-    if not is_count(alphabet_size) or alphabet_size < 2:
-        raise ValueError(f"alphabet size must be an integer >= 2, "
-                         f"got {alphabet_size!r}")
-
-
-def _check_length(length: int) -> None:
-    if not is_count(length) or length < 0:
-        raise ValueError(f"length must be an integer >= 0, got {length!r}")
 
 
 def enumerate_configs(alphabet_size: int, length: int):
     """All |X|^length configurations, lexicographically, as int64 digit
     matrices of at most `BLOCK_ROWS` rows (one configuration per row)."""
-    _check_alphabet(alphabet_size)
-    _check_length(length)
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    rule("count", ge=0).check("length", length)
     trailing = 0
     while trailing < length and alphabet_size ** (trailing + 1) <= BLOCK_ROWS:
         trailing += 1
@@ -153,7 +136,7 @@ def _histograms(alphabet_size: int, specs) -> list:
     distinct length is enumerated once, and each of its blocks is scored by
     every part of that length.
     """
-    _check_alphabet(alphabet_size)
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
     for spec in specs:
         states = spec.states(alphabet_size)
         if states > MAX_STATES:
@@ -195,8 +178,8 @@ def value_histogram(spec: PartSpec, alphabet_size: int) -> list[tuple[float, int
 def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
     """`value_histogram` of `xi_count_ones` in closed form, for any length:
     C(L, j) * (|X| - 1)^(L - j) configurations have j ones."""
-    _check_alphabet(alphabet_size)
-    _check_length(length)
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    rule("count", ge=0).check("length", length)
     return [(float(j), math.comb(length, j) * (alphabet_size - 1) ** (length - j))
             for j in range(length + 1)]
 
@@ -297,7 +280,7 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
     sum(1/eta) <= 1 (otherwise the weight family is not a valid allocation
     and the check is refused).  The theorem asserts zero mismatches.
     """
-    _check_alphabet(alphabet_size)
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
     parts = list(parts)
     if not parts:
         raise ValueError("at least one part is required")

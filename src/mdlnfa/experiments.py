@@ -29,7 +29,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import LOG10_2, check_epsilon, is_count, is_real
+from .numeric import CRITERION, EPSILON, LOG10_2, Fields, rule
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -60,48 +60,11 @@ def _trial_seed(base_seed: int, *coords: int) -> np.random.SeedSequence:
     return np.random.SeedSequence((int(base_seed),) + tuple(int(c) for c in coords))
 
 
-def _check_sweep(cfg, noise=("deltas",), **lows) -> None:
-    """Check the fields both sweep configs share, naming the field: a run or
-    geometry field, or each entry of a grid field, must be an integer at
-    least its low bound, and a noise field in `noise` a real number in
-    (0, 0.5); a bool is neither."""
-    _check_counts(cfg, base_seed=0, seeds_per_cell=1, workers=1, **lows)
-    check_epsilon(cfg.epsilon, ConfigError)
-    for name in noise:
-        _check_field(cfg, name, lambda v: is_real(v) and 0.0 < v < 0.5,
-                     ("a number", "numbers"), "in (0, 0.5)")
-
-
-def _check_counts(cfg, **lows) -> None:
-    """Each field named in `lows`, or each entry of a grid field, must be an
-    integer at least its low bound; a bool is not."""
-    for name, low in lows.items():
-        _check_field(cfg, name, lambda v: is_count(v) and v >= low,
-                     ("an integer", "integers"), f">= {low}")
-
-
-def _check_args(**lows) -> None:
-    """Each keyword is a (value, low) pair: the value must be an integer at
-    least low, else ConfigError names the keyword; a bool is not."""
-    for name, (value, low) in lows.items():
-        if not (is_count(value) and value >= low):
-            raise ConfigError(f"{name} must be an integer >= {low}, got {value!r}")
-
-
-def _check_field(cfg, name: str, ok, kinds: tuple[str, str], bound: str) -> None:
-    """Raise ConfigError unless field `name` of `cfg` passes `ok`, or, for a
-    grid field (one whose default is a tuple), is a list or tuple whose
-    every entry does.  A grid field, and each list entry of it, is stored
-    as a tuple, so a config read from JSON hashes and compares like one
-    built in code."""
-    value = getattr(cfg, name)
-    grid = isinstance(getattr(type(cfg), name), tuple)
-    if (grid and not isinstance(value, (tuple, list))) or not all(
-            ok(v) for v in (value if grid else (value,))):
-        raise ConfigError(f"{name} must be {kinds[grid]} {bound}, got {value!r}")
-    if grid:
-        object.__setattr__(cfg, name, tuple(tuple(v) if isinstance(v, list) else v
-                                            for v in value))
+# The fields both sweep configs share.
+_SWEEP = dict(width=rule("count", ge=1), height=rule("count", ge=1),
+              deltas=rule("real", gt=0, lt=0.5, grid=True),
+              seeds_per_cell=rule("count", ge=1), base_seed=rule("count", ge=0),
+              epsilon=EPSILON, workers=rule("count", ge=1))
 
 
 def _map(fn, tasks, workers: int, chunksize: int = 1) -> list:
@@ -139,10 +102,12 @@ class SingleSweepConfig:
     epsilon: float = 1.0
     workers: int = 1
 
+    FIELDS = Fields(ConfigError, **_SWEEP, sides=rule("count", ge=1, grid=True))
+
     def __post_init__(self):
+        SingleSweepConfig.FIELDS.check(self)
         if not self.sides or not self.deltas:
             raise ConfigError("sides and deltas grids must be non-empty")
-        _check_sweep(self, width=1, height=1, sides=1)
         if any(s > min(self.width, self.height) for s in self.sides):
             raise ConfigError("sides must fit inside the image")
         if any(s * s == self.width * self.height for s in self.sides):
@@ -236,9 +201,13 @@ class MultiSweepConfig:
     epsilon: float = 1.0
     workers: int = 1
 
+    FIELDS = Fields(ConfigError, **_SWEEP, noise_extent=rule("count", ge=1),
+                    noise_margin=rule("count", ge=0), margin_extent=rule("count", ge=1),
+                    margins=rule("count", ge=0, grid=True),
+                    margin_delta=rule("real", gt=0, lt=0.5))
+
     def __post_init__(self):
-        _check_sweep(self, ("deltas", "margin_delta"), width=1, height=1,
-                     noise_extent=1, noise_margin=0, margin_extent=1, margins=0)
+        MultiSweepConfig.FIELDS.check(self)
         for axis, values in (("noise", self.deltas), ("margin", self.margins)):
             for i in range(len(values)):
                 _cell_layout(self, axis, i)
@@ -307,8 +276,7 @@ def _multi_cell(cfg: MultiSweepConfig, axis: str, value_idx: int) -> MultiCell:
 def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
                     out_dir: Path | None = None) -> tuple[MultiCell, ...]:
     """Evaluate the four standard hypotheses along the noise or margin axis."""
-    if axis not in ("noise", "margin"):
-        raise ConfigError(f"axis must be 'noise' or 'margin', got {axis!r}")
+    rule("choice", "noise", "margin").check("axis", axis, ConfigError)
     values = cfg.deltas if axis == "noise" else cfg.margins
     tasks = [(cfg, axis, i) for i in range(len(values))]
     cells = tuple(_map(_multi_cell, tasks, cfg.workers))
@@ -325,8 +293,7 @@ def run_sweep_multi(cfg: MultiSweepConfig, axis: str,
 def threshold_along(cells, criterion: str, labels=("four",)):
     """Last axis value whose majority choice under `criterion`, 'mdl' or
     'nfa', is one of `labels` (None if never)."""
-    if criterion not in ("mdl", "nfa"):
-        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
+    CRITERION.check("criterion", criterion)
     chosen = None
     for cell in cells:
         if getattr(cell, f"majority_{criterion}") in labels:
@@ -351,19 +318,11 @@ class ShapeSpec:
     jitter: float = 1.0
     delta: float = 0.15
 
-    def __post_init__(self):
-        NoiseConfig(self.delta)   # delta must lie in [0, 0.5)
-        _check_counts(self, seed=0, size=1, n_vertices=3)
-
-        def finite(v):
-            return is_real(v) and math.isfinite(v)
-
-        real = ("a finite real number", "finite real numbers")
-        _check_field(self, "jitter", lambda v: finite(v) and v >= 0.0, real, ">= 0")
-        _check_field(self, "base_radius", lambda v: finite(v) and v > 0.0, real, "> 0")
-        _check_field(self, "harmonics", lambda v: isinstance(v, (tuple, list))
-                     and len(v) == 2 and all(map(finite, v)),
-                     ("a pair", "pairs"), "of finite real numbers (order, amplitude)")
+    FIELDS = Fields(ConfigError, seed=rule("count", ge=0), size=rule("count", ge=1),
+                    n_vertices=rule("count", ge=3), base_radius=rule("float", gt=0),
+                    harmonics=rule("pair", grid=True), jitter=rule("float", ge=0),
+                    delta=rule("real", ge=0, lt=0.5))
+    __post_init__ = FIELDS.check
 
 
 def make_shape_instance(spec: ShapeSpec) -> tuple[BinaryImage, PolygonHypothesis]:
@@ -450,7 +409,8 @@ def lsd_boundary_table(cfg: LsdConfig, n_image: int = 512 * 512,
                        out_dir: Path | None = None) -> list[BoundaryRow]:
     """Minimal aligned count detected by each criterion, per rectangle size
     4..max_n_r."""
-    _check_args(n_image=(n_image, 1), max_n_r=(max_n_r, 4))
+    rule("count", ge=1).check("n_image", n_image, ConfigError)
+    rule("count", ge=4).check("max_n_r", max_n_r, ConfigError)
     rows = []
     for n_r in range(4, max_n_r + 1):
         min_nfa = min_mdl = None
@@ -482,8 +442,9 @@ def h0_false_alarm_counts(cfg: LsdConfig, n_maps: int = 100, width: int = 256,
                           height: int = 256, base_seed: int = 0,
                           workers: int = 1) -> list[int]:
     """NFA detection counts over isotropic random orientation maps."""
-    _check_args(n_maps=(n_maps, 0), width=(width, 1), height=(height, 1),
-                workers=(workers, 1))
+    rule("count", ge=0).check("n_maps", n_maps, ConfigError)
+    for name, value in (("width", width), ("height", height), ("workers", workers)):
+        rule("count", ge=1).check(name, value, ConfigError)
     tasks = [(cfg, width, height, _trial_seed(base_seed, 0xFA, i))
              for i in range(n_maps)]
     return _map(_h0_map_detections, tasks, workers, chunksize=2)

@@ -13,10 +13,11 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
-from .numeric import RegionCounts, is_count, is_real
+from .numeric import Fields, RegionCounts, rule
 
 # The pinned generator of every seeded image draw (flip noise, synthetic
 # shapes, isotropic orientation maps): PCG64 with explicit seeding keeps every
@@ -76,13 +77,39 @@ class NoiseConfig:
     delta: float
     seed: int | np.random.SeedSequence = 0
 
-    def __post_init__(self):
-        if not (is_real(self.delta) and 0.0 <= self.delta < 0.5):
-            raise ValueError(f"delta must lie in [0, 0.5), got {self.delta}")
-        if not (isinstance(self.seed, np.random.SeedSequence)
-                or (is_count(self.seed) and self.seed >= 0)):
-            raise ValueError("seed must be a non-negative integer or a "
-                             f"SeedSequence, got {self.seed!r}")
+    FIELDS = Fields(ValueError, delta=rule("real", ge=0, lt=0.5),
+                    seed=rule("seed", ge=0))
+    __post_init__ = FIELDS.check
+
+
+class Square(NamedTuple("Square", [("row", int), ("col", int), ("side", int)])):
+    """Axis-aligned square, a validated (row, col, side) tuple: top-left
+    pixel (row, col) and side length."""
+
+    __slots__ = ()
+
+    FIELDS = Fields(ValueError, row=rule("count", ge=0), col=rule("count", ge=0),
+                    side=rule("count", ge=1))
+
+    def __new__(cls, row: int, col: int, side: int):
+        self = tuple.__new__(cls, (row, col, side))
+        Square.FIELDS.check(self)
+        return self
+
+    @classmethod
+    def _make(cls, iterable):
+        """Validated, so `_replace` checks its result too."""
+        return cls(*iterable)
+
+    @property
+    def n1(self) -> int:
+        return self.side * self.side
+
+    def overlaps(self, other: "Square") -> bool:
+        return not (self.row + self.side <= other.row
+                    or other.row + other.side <= self.row
+                    or self.col + self.side <= other.col
+                    or other.col + other.side <= self.col)
 
 
 @dataclass(frozen=True, eq=False)
@@ -134,8 +161,7 @@ def flip_noise(image: BinaryImage, delta: float, seed) -> BinaryImage:
     themselves to [0, 0.5) via NoiseConfig, but the raw mechanism supports
     forced flips (delta = 1) as well.
     """
-    if not (is_real(delta) and 0.0 <= delta <= 1.0):
-        raise ValueError(f"delta must lie in [0, 1], got {delta!r}")
+    rule("real", ge=0, le=1).check("delta", delta)
     flips = _rng(seed).random(image.pixels.shape) < delta
     return BinaryImage(image.pixels ^ flips)   # pixels are 0/1: XOR flips them
 
@@ -144,15 +170,13 @@ def synthesize_squares(layout, width: int, height: int,
                        cfg: NoiseConfig) -> BinaryImage:
     """Ground-truth image with 1s inside the union of squares, then noise.
 
-    `layout` is any iterable of (row, col, side) triples, such as
-    `square_detect.Square`; it may be empty (pure background sample).
+    `layout` is any iterable of (row, col, side) triples, each checked as a
+    `Square`; it may be empty (pure background sample).
     """
     truth = np.zeros((height, width), dtype=np.uint8)
     for row, col, side in layout:
-        if not all(is_count(v) for v in (row, col, side)):
-            raise ValueError(f"square {(row, col, side)}: row, col and side "
-                             "must be integers")
-        if side < 1 or row < 0 or col < 0 or row + side > height or col + side > width:
+        Square(row, col, side)
+        if row + side > height or col + side > width:
             raise ValueError(f"square {(row, col, side)} does not fit in "
                              f"{width}x{height}")
         truth[row:row + side, col:col + side] = 1
@@ -477,8 +501,7 @@ def trace_contour(image: BinaryImage, every: int = 1) -> np.ndarray:
     passes run on a flat copy of the image with a one-pixel background
     border, so every neighbour is a fixed flat offset with no bounds check.
     """
-    if not is_count(every) or every < 1:
-        raise ValueError(f"every must be an integer >= 1, got {every!r}")
+    rule("count", ge=1).check("every", every)
     width = image.width + 2                     # bordered grid
     grid = bytearray(np.pad(image.pixels, 1))   # 1: foreground not yet labelled
     best = []       # the first largest 4-connected component in scan order

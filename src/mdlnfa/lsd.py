@@ -25,7 +25,7 @@ import numpy as np
 
 from .imaging import (DEFAULT_GRADIENT_THRESHOLD, OrientationMap, _rng, _rows,
                       gradient_orientation)
-from .numeric import LOG10_2, HypothesisCounts, Score, check_epsilon, is_count, is_real
+from .numeric import EPSILON, LOG10_2, Fields, HypothesisCounts, Score, rule
 
 
 @dataclass(frozen=True)
@@ -43,15 +43,10 @@ class LsdConfig:
     epsilon: float = 1.0
     tau: float = DEFAULT_GRADIENT_THRESHOLD
 
-    def __post_init__(self):
-        if not (is_real(self.theta) and 0.0 < self.theta < 1.0):
-            raise ValueError(f"theta must lie in (0, 1), got {self.theta!r}")
-        if not (is_real(self.gamma) and 1 <= self.gamma < math.inf
-                and self.gamma % 1 == 0):
-            raise ValueError(f"gamma must be an integer >= 1, got {self.gamma!r}")
-        check_epsilon(self.epsilon, ValueError)
-        if not (is_real(self.tau) and 0.0 <= self.tau < math.inf):
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau!r}")
+    FIELDS = Fields(ValueError, theta=rule("real", gt=0, lt=1),
+                    gamma=rule("whole", ge=1), epsilon=EPSILON,
+                    tau=rule("finite", ge=0))
+    __post_init__ = FIELDS.check
 
     @property
     def rho(self) -> float:
@@ -68,12 +63,11 @@ class RectangleCandidate:
     by: float
     width: float
 
+    FIELDS = Fields(ValueError, ax=rule("float"), ay=rule("float"), bx=rule("float"),
+                    by=rule("float"), width=rule("float", ge=1))
+
     def __post_init__(self):
-        if not all(is_real(v) and math.isfinite(v)
-                   for v in (self.ax, self.ay, self.bx, self.by, self.width)):
-            raise ValueError(f"rectangle values must be finite reals, got {self}")
-        if self.width < 1.0:
-            raise ValueError(f"rectangle width must be >= 1, got {self.width}")
+        RectangleCandidate.FIELDS.check(self)
         if self.ax == self.bx and self.ay == self.by:
             raise ValueError("rectangle endpoints must differ")
 
@@ -101,10 +95,12 @@ class AlignmentCounts:
     k_r: int
     u_r: int = 0
 
+    FIELDS = Fields(ValueError, n_r=rule("count", ge=0), k_r=rule("count", ge=0),
+                    u_r=rule("count", ge=0))
+
     def __post_init__(self):
-        if not all(type(v) is int or is_count(v) for v in (self.n_r, self.k_r, self.u_r)):
-            raise ValueError(f"alignment counts must be integers, got {self}")
-        if not 0 <= self.k_r <= self.n_r - self.u_r or self.u_r < 0:
+        AlignmentCounts.FIELDS.check(self)
+        if self.k_r > self.n_r - self.u_r:
             raise ValueError(f"need 0 <= k_r <= n_r - u_r, got {self}")
 
 
@@ -491,9 +487,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     which pairs are tested, so the regions are those of testing every
     neighbor.  Raises ValueError unless min_region_size is an integer >= 1.
     """
-    if not (is_count(min_region_size) and min_region_size >= 1):
-        raise ValueError(f"min_region_size must be an integer >= 1, "
-                         f"got {min_region_size!r}")
+    rule("count", ge=1).check("min_region_size", min_region_size)
     # Made first, so their float buffer is freed before the grid copies
     # below are made: the process peak stays as it was.
     lone, near = _lone_seeds(omap, cfg.rho)
@@ -607,9 +601,7 @@ def detect_segments(gray: np.ndarray, cfg: LsdConfig,
     every scored candidate with its keep flags).  Supplying `candidates`
     bypasses region growing for criterion-only comparisons.
     """
-    if criterion not in ("mdl", "nfa", "both"):
-        raise ValueError(f"criterion must be 'mdl', 'nfa' or 'both', "
-                         f"got {criterion!r}")
+    rule("choice", "mdl", "nfa", "both").check("criterion", criterion)
     omap = gradient_orientation(gray, tau=cfg.tau)
     if candidates is None:
         candidates = region_grow_candidates(omap, cfg)

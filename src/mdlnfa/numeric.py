@@ -8,6 +8,9 @@ Every operation takes scalars and returns a float: counts are Python or
 numpy integers or integral floats, densities real numbers in [0, 1]; an
 array is rejected like any other value outside the domain.
 
+`rule` and `Fields` check every record field, argument and command-line
+flag that has a rule: `<name> must be <kind> <bound>, got <value!r>`.
+
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
 decision rules.  `HypothesisCounts` is the one place that turns counts into
@@ -17,10 +20,11 @@ geometry into counts.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -45,6 +49,94 @@ def is_real(value) -> bool:
     """True for a Python, numpy or other `numbers.Real` number; a bool is not."""
     return type(value) is float or (isinstance(value, numbers.Real)
                                     and not isinstance(value, bool))
+
+
+# The names a rule's test reads; each kind's test of a value v, the fast
+# path of its common type first, and its words for a value and for entries.
+_NAMES = {"is_count": is_count, "is_real": is_real, "inf": math.inf, "np": np}
+_INT, _REAL = "(type(v) is int or is_count(v))", "(type(v) is float or is_real(v))"
+_FINITE, _MAX = f"{_REAL} and -inf < v < inf", repr(float(np.finfo(float).max))
+# Only an int or a Fraction can be finite yet past the float range; a numpy
+# float always fits, and would warn if compared with the largest float.
+_FLOAT = (f"{_FINITE} and (type(v) is float or isinstance(v, np.floating) "
+          f"or -{_MAX} <= v <= {_MAX})")
+_KINDS = {
+    "count": (_INT, "an integer", "integers"),
+    "whole": (f"{_FINITE} and v % 1 == 0", "a whole number", "whole numbers"),
+    "real": (_REAL, "a real number", "real numbers"),
+    "finite": (_FINITE, "a finite real number", "finite real numbers"),
+    "float": (_FLOAT, "a finite float", "finite floats"),
+    # A SeedSequence, or an integer within the bounds: `and` binds first.
+    # `np.random` is looked up at each check, as importing it costs 6 MB.
+    "seed": (f"isinstance(v, np.random.SeedSequence) or {_INT}",
+             "a SeedSequence or an integer", ""),
+    "pair": (f"isinstance(v, (tuple, list)) and len(v) == 2 and all([{_FLOAT} for v in v])",
+             "a pair of finite floats", "pairs of finite floats"),
+}
+
+
+class Rule(NamedTuple):
+    """A rule: `test`, an expression in `v` true iff a value passes; `check(name,
+    value, error=ValueError)`, which raises `error` naming `name` unless `value`
+    passes; `text`, the rule in words ('an integer >= 1'); and `grid`."""
+
+    test: str
+    check: Callable[..., None]
+    text: str
+    grid: bool = False
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def rule(kind: str, *choices, ge=None, gt=None, le=None, lt=None,
+         grid: bool = False) -> Rule:
+    """The rule of a 'count' (a Python or numpy integer), 'whole' (a finite
+    real with no fractional part), 'real' (a `numbers.Real`), 'finite' real,
+    'float' (a real in the float range), 'seed' (a `numpy.random.SeedSequence`
+    or a count), 'pair' (a tuple or list of two floats) or 'choice' (one of
+    the strings `choices`), never a bool.  `ge`, `gt`, `le` and `lt` bound it;
+    NaN fails each bound.  A rule is built once: ask for it on every call."""
+    if kind == "choice":
+        words = ", ".join(map(repr, choices[:-1])) + f" or {choices[-1]!r}"
+        test = f"isinstance(v, str) and v in {choices!r}"
+    else:
+        test, one, many = _KINDS[kind]
+        bounds = [f"{op} {b!r}" for op, b in ((">=", ge), (">", gt), ("<=", le),
+                                               ("<", lt)) if b is not None]
+        test += "".join(f" and v {bound}" for bound in bounds)
+        words = " ".join([many if grid else one, " and ".join(bounds)]).rstrip()
+    if grid:    # a tuple or list of such entries
+        test = f"isinstance(v, (tuple, list)) and all([{test} for v in v])"
+    names = dict(_NAMES, text=words)
+    exec(f"def check(name, v, error=ValueError):\n    if not ({test}): "
+         "raise error(f'{name} must be {text}, got {v!r}')", names)
+    return Rule(f"({test})", names["check"], words, grid)
+
+
+class Fields:
+    """A record class's `Rule` per field, in order, and its layer's error type.
+    `check(record)` raises that error naming the first field that breaks its
+    rule, and stores a grid field (a tuple or list) as a tuple of tuples, so
+    a record read from JSON hashes like one built in code.  It is a function
+    compiled as `dataclasses` compiles `__init__`, to cost what tests written
+    out by hand would."""
+
+    def __init__(self, error: type[Exception], **rules: Rule):
+        self.error, self.rules = error, rules
+        lines = ["def check(record):"]
+        for name, r in rules.items():     # on a refusal, the rule's check raises
+            lines += [f"    v = record.{name}",
+                      f"    if not {r.test}: rules[{name!r}].check({name!r}, v, error)"]
+            if r.grid:
+                lines.append(f"    store(record, {name!r}, tuple("
+                             f"tuple(v) if isinstance(v, list) else v for v in v))")
+        names = dict(_NAMES, store=object.__setattr__, rules=rules, error=error)
+        exec("\n".join(lines), names)
+        self.check = names["check"]
+
+
+# The NFA threshold of every decision, and the criteria a choice names.
+EPSILON = rule("finite", gt=0)
+CRITERION = rule("choice", "mdl", "nfa")
 
 
 # log2(m!) for 0 <= m <= _TABLE_SIZE, as Python floats.
@@ -149,17 +241,9 @@ class Score:
         return meaningful(self.log2_nfa, epsilon)
 
 
-def check_epsilon(epsilon: float, error: type[Exception] = DomainError) -> None:
-    """Raise `error` unless the NFA threshold `epsilon` is a positive real
-    number; NaN is not, nor a bool or a string.  Each caller passes the
-    exception type of its own layer."""
-    if not (is_real(epsilon) and epsilon > 0.0):
-        raise error(f"epsilon must be positive, got {epsilon}")
-
-
 def meaningful(log2_nfa: Bits, epsilon: float = 1.0) -> bool:
     """The a-contrario decision NFA <= epsilon, read on the log2 NFA."""
-    check_epsilon(epsilon)
+    EPSILON.check("epsilon", epsilon, DomainError)
     return log2_nfa <= math.log2(epsilon)
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .imaging import (BinaryImage, PolygonMarks, count_region, rasterize_polygon,
                       zero_area)
-from .numeric import DomainError, HypothesisCounts, RegionCounts, Score
+from .numeric import CRITERION, DomainError, HypothesisCounts, RegionCounts, Score
 
 
 @dataclass(frozen=True, eq=False)
@@ -252,8 +252,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     zero area.  Interior counts recur from step to step, so each NFA tail is
     computed at most once per run.
     """
-    if criterion not in ("mdl", "nfa"):
-        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
+    CRITERION.check("criterion", criterion)
     nfa, tails = criterion == "nfa", {}
     current = initial
     marks = PolygonMarks(current.vertices, image.width, image.height)

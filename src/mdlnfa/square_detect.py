@@ -14,52 +14,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .imaging import BinaryImage
-from .numeric import (
-    HypothesisCounts,
-    RegionCounts,
-    Score,
-    check_epsilon,
-    complement,
-    is_count,
-)
-
-
-class Square(NamedTuple("Square", [("row", int), ("col", int), ("side", int)])):
-    """Axis-aligned square, a validated (row, col, side) tuple: top-left
-    pixel (row, col) and side length."""
-
-    __slots__ = ()
-
-    def __new__(cls, row: int, col: int, side: int):
-        self = tuple.__new__(cls, (row, col, side))
-        if not all(is_count(v) for v in self):
-            raise ValueError(f"square fields must be integers, got {self}")
-        if side < 1:
-            raise ValueError(f"square side must be >= 1, got {side}")
-        if row < 0 or col < 0:
-            raise ValueError(f"square corner must be non-negative, got "
-                             f"({row}, {col})")
-        return self
-
-    @classmethod
-    def _make(cls, iterable):
-        """Validated, so `_replace` checks its result too."""
-        return cls(*iterable)
-
-    @property
-    def n1(self) -> int:
-        return self.side * self.side
-
-    def overlaps(self, other: "Square") -> bool:
-        return not (self.row + self.side <= other.row
-                    or other.row + other.side <= self.row
-                    or self.col + self.side <= other.col
-                    or other.col + other.side <= self.col)
+from .imaging import BinaryImage, Square
+from .numeric import CRITERION, EPSILON, HypothesisCounts, RegionCounts, Score, complement
 
 
 @dataclass(frozen=True)
@@ -180,9 +139,8 @@ def pick_hypothesis(table, criterion: str,
     the epsilon threshold; if none passes, the empty hypothesis is returned.
     An empty table is refused under both criteria.
     """
-    if criterion not in ("mdl", "nfa"):
-        raise ValueError(f"criterion must be 'mdl' or 'nfa', got {criterion!r}")
-    check_epsilon(epsilon, ValueError)
+    CRITERION.check("criterion", criterion)
+    EPSILON.check("epsilon", epsilon)
     table = tuple(table)
     if not table:
         raise ValueError("the table of scored hypotheses is empty")

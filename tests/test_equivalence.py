@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -229,9 +230,10 @@ class TestCheckEquivalence:
     @pytest.mark.parametrize("alphabet", [2.0, True, "2", 2.5])
     def test_alphabet_must_be_an_integer(self, alphabet):
         # 2.0 used to raise a TypeError from deep inside the enumeration.
-        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+        message = re.escape(f"alphabet_size must be an integer >= 2, got {alphabet!r}")
+        with pytest.raises(ValueError, match=message):
             check_equivalence(alphabet, [count_ones_part()])
-        with pytest.raises(ValueError, match="alphabet size must be an integer"):
+        with pytest.raises(ValueError, match=message):
             value_histogram(count_ones_part(), alphabet)
 
     def test_numpy_integer_alphabet_accepted(self):
@@ -275,21 +277,37 @@ class TestXiFamilies:
     @pytest.mark.parametrize("eta", [True, False])
     def test_eta_must_not_be_a_bool(self, eta):
         # Fraction(True) is 1, so eta=True used to build a weight-1 part.
-        with pytest.raises(ValueError, match="risk weight eta must be a number"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"eta must be a finite real number > 0, got {eta!r}")):
             PartSpec(length=4, eta=eta, xi=xi_count_ones)
 
     @pytest.mark.parametrize("eta", [math.inf, -math.inf, math.nan, 0, -2])
     def test_eta_must_be_positive_and_finite(self, eta):
         # inf used to raise OverflowError, past every `except ValueError`,
         # and nan a message that did not name eta.
-        with pytest.raises(ValueError, match="risk weight eta must be a "
-                                             "positive finite number"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"eta must be a finite real number > 0, got {eta!r}")):
             PartSpec(length=4, eta=eta, xi=xi_count_ones)
+
+    @pytest.mark.parametrize("eta", ["3", "1/2"])
+    def test_eta_must_not_be_a_string(self, eta):
+        # Fraction("1/2") used to build a weight-1/2 part from a string.
+        with pytest.raises(ValueError, match=re.escape(
+                f"eta must be a finite real number > 0, got {eta!r}")):
+            PartSpec(length=3, eta=eta, xi=xi_count_ones)
+
+    @pytest.mark.parametrize("eta,stored", [
+        (Fraction(9), Fraction(9)), (2, Fraction(2)), (1.5, Fraction(3, 2)),
+        (np.int64(4), Fraction(4)), (np.float32(1.5), Fraction(3, 2))])
+    def test_eta_numbers_are_stored_as_fractions(self, eta, stored):
+        spec = PartSpec(length=3, eta=eta, xi=xi_count_ones)
+        assert type(spec.eta) is Fraction and spec.eta == stored
 
     @pytest.mark.parametrize("length", [4.0, True, "4", 3.5])
     def test_part_length_must_be_an_integer(self, length):
         # 4.0 used to build and fail mid-run; True was reported as "part True".
-        with pytest.raises(ValueError, match="part length must be an integer"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"length must be an integer >= 1, got {length!r}")):
             PartSpec(length=length, eta=Fraction(2), xi=xi_count_ones)
 
     def test_numpy_integer_length_accepted(self):

@@ -62,8 +62,8 @@ class TestConfigs:
 
     @pytest.mark.parametrize("epsilon", [0.0, -1.0, math.nan])
     def test_every_epsilon_check_keeps_its_error(self, epsilon, tmp_path, capsys):
-        # One rule (`numeric.check_epsilon`); each caller raises its own type.
-        message = f"epsilon must be positive, got {epsilon}"
+        # One rule (`numeric.EPSILON`); each caller raises its own type.
+        message = f"epsilon must be a finite real number > 0, got {epsilon!r}"
         checks = [(DomainError, lambda: meaningful(-5.0, epsilon)),
                   (ValueError, lambda: pick_hypothesis([], "nfa", epsilon)),
                   (ValueError, lambda: LsdConfig(epsilon=epsilon)),
@@ -76,29 +76,22 @@ class TestConfigs:
                      str(tmp_path)]) == EXIT_CONFIG
         assert message in capsys.readouterr().err
 
-    @pytest.mark.parametrize("cls", [SingleSweepConfig, MultiSweepConfig])
-    @pytest.mark.parametrize("field,value", [
-        ("base_seed", 1.5), ("base_seed", -1), ("base_seed", True),
-        ("base_seed", "3"), ("seeds_per_cell", 2.5), ("seeds_per_cell", 0),
-        ("seeds_per_cell", False), ("workers", 0), ("workers", -2),
-        ("workers", 1.0)])
-    def test_rejects_bad_run_fields(self, cls, field, value):
-        with pytest.raises(ConfigError, match=field):
-            cls(**{field: value})
-
-    @pytest.mark.parametrize("cls,field,value", [
-        (SingleSweepConfig, "width", 100.0), (SingleSweepConfig, "height", True),
-        (SingleSweepConfig, "sides", (5.5,)), (SingleSweepConfig, "sides", [10, True]),
-        (MultiSweepConfig, "width", 256.0), (MultiSweepConfig, "height", "256"),
-        (MultiSweepConfig, "noise_extent", 70.0),
-        (MultiSweepConfig, "noise_margin", math.nan),
-        (MultiSweepConfig, "margin_extent", 26.0),
-        (MultiSweepConfig, "margins", (0, 2.0)), (MultiSweepConfig, "margins", [False])])
-    def test_rejects_non_integer_geometry(self, cls, field, value):
-        # Without the checks these configs build and the sweep crashes with
-        # a TypeError once it slices the image.
-        with pytest.raises(ConfigError, match=field):
-            cls(**{field: value})
+    @pytest.mark.parametrize("error,refuse", [
+        (DomainError, lambda: meaningful(-5.0, math.inf)),
+        (ValueError, lambda: pick_hypothesis([], "nfa", math.inf)),
+        (ValueError, lambda: LsdConfig(epsilon=math.inf)),
+        (ConfigError, lambda: SingleSweepConfig(epsilon=math.inf)),
+        (ConfigError, lambda: MultiSweepConfig(epsilon=math.inf)),
+    ], ids=["meaningful", "pick_hypothesis", "LsdConfig", "SingleSweepConfig",
+            "MultiSweepConfig"])
+    def test_infinite_epsilon_refused(self, error, refuse):
+        # log2 NFA <= log2(inf) holds for every score, so an infinite epsilon
+        # made every hypothesis meaningful.  The commands that read
+        # --epsilon are in `BAD_INPUT`.
+        with pytest.raises(ValueError) as caught:
+            refuse()
+        assert type(caught.value) is error
+        assert str(caught.value) == "epsilon must be a finite real number > 0, got inf"
 
     def test_accepts_numpy_integer_geometry(self):
         cfg = MultiSweepConfig(width=np.int64(256), noise_extent=np.int32(70),
@@ -434,6 +427,46 @@ class TestEquivalenceRun:
             assert len(parts) == 9
 
 
+# (argv, the flag its refusal names or None): each is refused before --out
+# is made.
+BAD_INPUT = [
+    (["sweep-single", "--seeds", "0"], None),
+    (["sweep-multi", "--axis", "noise", "--delta", "0.3"], None),
+    (["polygon", "--image", "missing.pgm", "--trace"], None),
+    (["polygon", "--polygon", "missing.txt"], None),
+    (["polygon", "--image", "p2.pgm", "--trace", "--trace-every", "0"], None),
+    (["polygon", "--polygon", "tri.txt", "--trace"], None),
+    (["lsd", "--image", "missing.pgm"], None),
+    (["lsd", "--image", "p2.pgm", "--table-n", "0"], None),
+    (["lsd", "--table-n", "-3"], None),
+    (["lsd", "--candidates", "missing.txt"], None),
+    (["lsd", "--tau", "4"], None),
+    (["equiv", "--seed", "1"], None),
+    (["gen", "--kind", "single-square", "--delta", "0.7"], None),
+    (["gen", "--kind", "four-squares", "--margin", "41"], None),
+    (["gen", "--kind", "shape", "--delta", "0.7"], None),
+    (["gen", "--kind", "edge", "--width", "-1"], None),
+    (["gen", "--kind", "edge", "--height", "0"], None),
+    (["gen", "--kind", "edge", "--seed", "5", "--delta", "0.3"], None),
+    (["gen", "--kind", "four-squares", "--side", "7"], None),
+    (["gen", "--kind", "shape", "--side", "7"], None),
+    (["gen", "--kind", "edge", "--extent", "30"], None),
+    (["polygon", "--image", "p2.pgm", "--trace", "--seed", "9"], None),
+    (["polygon", "--image", "p2.pgm", "--polygon", "tri.txt", "--trace-every", "3"],
+     None),
+    (["polygon", "--trace-every", "5"], None),
+    (["lsd", "--criterion", "nfa", "--table-n", "4096"], None),
+    (["sweep-single", "--epsilon", "inf"], "epsilon"),
+    (["sweep-multi", "--axis", "noise", "--epsilon", "inf"], "epsilon"),
+    (["polygon", "--epsilon", "inf"], "--epsilon"),
+    (["lsd", "--epsilon", "inf"], "epsilon"),
+    (["polygon", "--trace", "--trace-every", "0"], "--trace-every"),
+    (["gen", "--kind", "single-square", "--side", "0"], "--side"),
+    (["lsd", "--table-n", "0"], "--table-n"),
+]
+BAD_INPUT_IDS = ["-".join(a.lstrip("-") for a in argv) for argv, _ in BAD_INPUT]
+
+
 class TestCli:
     def test_gen_and_lsd(self, tmp_path):
         out = str(tmp_path)
@@ -480,7 +513,8 @@ class TestCli:
         out = tmp_path / "out"
         assert main(["gen", "--kind", "single-square", f"--side={side}",
                      "--out", str(out)]) == EXIT_CONFIG
-        assert "--side must be >= 1" in capsys.readouterr().err
+        assert (f"--side must be an integer >= 1, got {side}"
+                in capsys.readouterr().err)
         assert not out.exists()
 
     def test_lsd_table_n_error_names_the_flag(self, tmp_path, capsys):
@@ -587,37 +621,12 @@ class TestCli:
         assert "tau" in capsys.readouterr().err
         assert not (tmp_path / "segments.txt").exists()
 
-    @pytest.mark.parametrize("argv", [
-        ["sweep-single", "--seeds", "0"],
-        ["sweep-multi", "--axis", "noise", "--delta", "0.3"],
-        ["polygon", "--image", "missing.pgm", "--trace"],
-        ["polygon", "--polygon", "missing.txt"],
-        ["polygon", "--image", "p2.pgm", "--trace", "--trace-every", "0"],
-        ["polygon", "--polygon", "tri.txt", "--trace"],
-        ["lsd", "--image", "missing.pgm"],
-        ["lsd", "--image", "p2.pgm", "--table-n", "0"],
-        ["lsd", "--table-n", "-3"],
-        ["lsd", "--candidates", "missing.txt"],
-        ["lsd", "--tau", "4"],
-        ["equiv", "--seed", "1"],
-        ["gen", "--kind", "single-square", "--delta", "0.7"],
-        ["gen", "--kind", "four-squares", "--margin", "41"],
-        ["gen", "--kind", "shape", "--delta", "0.7"],
-        ["gen", "--kind", "edge", "--width", "-1"],
-        ["gen", "--kind", "edge", "--height", "0"],
-        ["gen", "--kind", "edge", "--seed", "5", "--delta", "0.3"],
-        ["gen", "--kind", "four-squares", "--side", "7"],
-        ["gen", "--kind", "shape", "--side", "7"],
-        ["gen", "--kind", "edge", "--extent", "30"],
-        ["polygon", "--image", "p2.pgm", "--trace", "--seed", "9"],
-        ["polygon", "--image", "p2.pgm", "--polygon", "tri.txt",
-         "--trace-every", "3"],
-        ["polygon", "--trace-every", "5"],
-        ["lsd", "--criterion", "nfa", "--table-n", "4096"],
-    ], ids=lambda argv: "-".join(a.lstrip("-") for a in argv))
-    def test_bad_input_makes_no_output_directory(self, tmp_path, monkeypatch, argv):
+    @pytest.mark.parametrize("argv,flag", BAD_INPUT, ids=BAD_INPUT_IDS)
+    def test_bad_input_makes_no_output_directory(self, tmp_path, monkeypatch,
+                                                 capsys, argv, flag):
         # Every subcommand checks all of its inputs and flags before it
-        # creates --out; `equiv` has no input but its flags.
+        # creates --out; `equiv` has no input but its flags.  Where `flag`
+        # is given, the refusal names it.
         monkeypatch.chdir(tmp_path)
         Path("p2.pgm").write_text("P2 2 2 255 0 255 255 0")
         Path("tri.txt").write_text("10 10\n50 10\n30 50\n")
@@ -628,6 +637,7 @@ class TestCli:
             code = exc.code
         assert code == EXIT_CONFIG
         assert not out.exists()
+        assert flag is None or flag in capsys.readouterr().err
 
     def test_config_error_exit_code(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

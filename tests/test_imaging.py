@@ -176,12 +176,16 @@ class TestSynthesizeSquares:
         with pytest.raises(ValueError):
             synthesize_squares([(90, 90, 20)], 100, 100, NoiseConfig(0.0))
 
-    @pytest.mark.parametrize("square", [
-        (1, 1, 2.5), (1.0, 1, 2), (True, 1, 2), (1, 1, None), (1, "1", 2)])
-    def test_square_entries_must_be_integers(self, square):
+    @pytest.mark.parametrize("square,message", [
+        ((1, 1, 2.5), "side must be an integer >= 1, got 2.5"),
+        ((1.0, 1, 2), "row must be an integer >= 0, got 1.0"),
+        ((True, 1, 2), "row must be an integer >= 0, got True"),
+        ((1, 1, None), "side must be an integer >= 1, got None"),
+        ((1, "1", 2), "col must be an integer >= 0, got '1'")])
+    def test_square_entries_must_be_integers(self, square, message):
         # A float side would reach the slice as a TypeError, and a bool
         # would be drawn as 0 or 1.
-        with pytest.raises(ValueError, match=re.escape(f"square {square}")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             synthesize_squares([(2, 2, 3), square], 10, 10, NoiseConfig(0.0))
 
 
