@@ -89,9 +89,15 @@ class PartSpec:
 
 def enumerate_configs(alphabet_size: int, length: int):
     """All |X|^length configurations, lexicographically, as int64 digit
-    matrices of at most `BLOCK_ROWS` rows (one configuration per row)."""
+    matrices of at most `BLOCK_ROWS` rows (one configuration per row).
+
+    Raises EnumerationRefused where |X|^length would pass `MAX_STATES`."""
     rule("count", ge=2).check("alphabet_size", alphabet_size)
     rule("count", ge=0).check("length", length)
+    if length > _max_length(alphabet_size):
+        raise EnumerationRefused(
+            f"length {length} over an alphabet of {alphabet_size} has more "
+            f"configurations than the {MAX_STATES} exhaustive-enumeration cap")
     trailing = 0
     while trailing < length and alphabet_size ** (trailing + 1) <= BLOCK_ROWS:
         trailing += 1
@@ -101,6 +107,16 @@ def enumerate_configs(alphabet_size: int, length: int):
         trailing, alphabet_size ** trailing).T
     return (_with_prefix(tail, prefix, leading, alphabet_size)
             for prefix in range(alphabet_size ** leading))
+
+
+def _max_length(alphabet_size: int) -> int:
+    """The largest length of at most `MAX_STATES` configurations, found with
+    integers and no power past |X| * MAX_STATES, so that a huge length is
+    refused without forming |X|^length."""
+    fits, states = 0, alphabet_size
+    while states <= MAX_STATES:
+        fits, states = fits + 1, states * alphabet_size
+    return fits
 
 
 def _with_prefix(tail: np.ndarray, prefix: int, leading: int,
@@ -137,9 +153,12 @@ def _histograms(alphabet_size: int, specs) -> list:
     every part of that length.
     """
     rule("count", ge=2).check("alphabet_size", alphabet_size)
+    fits = _max_length(alphabet_size)
     for spec in specs:
-        states = spec.states(alphabet_size)
-        if states > MAX_STATES:
+        if spec.length > fits:
+            # |X|^length in full only while it has at most 64 times the digits of |X|.
+            states = (spec.states(alphabet_size) if spec.length <= 64
+                      else f"{alphabet_size}^{spec.length}")
             raise EnumerationRefused(
                 f"part {_name(spec)} has {states} configurations, "
                 f"beyond the {MAX_STATES} exhaustive-enumeration cap")

@@ -29,7 +29,7 @@ from .lsd import (
     region_grow_candidates,
     score_candidates,
 )
-from .numeric import CRITERION, EPSILON, LOG10_2, Fields, rule
+from .numeric import CRITERION, EPSILON, LOG10_2, Fields, l0_code_length, rule
 from .polygon import BssTrajectory, PolygonHypothesis, bss_simplify, polygon_counts
 from .square_detect import (
     Square,
@@ -360,20 +360,27 @@ def run_polygon(image: BinaryImage, initial: PolygonHypothesis,
     Each trajectory CSV carries both scores for every visited polygon (the
     driving criterion determines the path, the other is evaluated on it), so
     the two score-vs-vertex-count curves can be plotted from either file.
+    The driving criterion's column is the step's score (less L0 for MDL,
+    the same float as `polygon_counts(..., relative=True).mdl_bits()`); only
+    the other column is scored from the step's counts.
     """
     trajectories = {}
+    l0 = l0_code_length(image.counts)
     for criterion in criteria:
         traj = bss_simplify(image, initial, criterion)
         trajectories[criterion] = traj
         if out_dir is not None:
-            scores = [polygon_counts(image, step.vertex_count, step.inside,
-                                     relative=True).score()
-                      for step in traj.steps]
+            rows = []
+            for i, step in enumerate(traj.steps):
+                counts = polygon_counts(image, step.vertex_count, step.inside,
+                                        relative=True)
+                mdl, log2_nfa = ((step.score - l0, counts.log2_nfa())
+                                 if criterion == "mdl" else
+                                 (counts.mdl_bits(), step.score))
+                rows.append([i, step.vertex_count, f"{mdl:.6f}",
+                             f"{log2_nfa * LOG10_2:.6f}"])
             _write_csv(out_dir, f"bss_{criterion}.csv",
-                       ["step", "vertex_count", "mdl_bits", "log10_nfa"],
-                       ([i, step.vertex_count, f"{both.mdl_bits:.6f}",
-                         f"{both.log2_nfa * LOG10_2:.6f}"]
-                        for i, (step, both) in enumerate(zip(traj.steps, scores))))
+                       ["step", "vertex_count", "mdl_bits", "log10_nfa"], rows)
             write_polygon_file(Path(out_dir) / f"chosen_{criterion}.txt",
                                traj.chosen.polygon.vertices)
     return trajectories

@@ -15,7 +15,8 @@ flag that has a rule: `<name> must be <kind> <bound>, got <value!r>`.
 `Score` pairs such a code-length delta with a log2 NFA and holds both
 decision rules.  `HypothesisCounts` is the one place that turns counts into
 both scores, their approximations and bounds; the scenario modules only turn
-geometry into counts.
+geometry into counts.  Its NFA tail memo and tail bound are the functions
+`memo_tail` and `tail_bound`, which a scorer of many counts calls directly.
 """
 
 from __future__ import annotations
@@ -275,19 +276,12 @@ class HypothesisCounts(NamedTuple):
 
     def log2_nfa(self, tails: dict | None = None) -> Bits:
         """`tails` memoizes the log2 tail of each (n, k, q) across calls."""
-        tails = {} if tails is None else tails
-        if self.tail not in tails:
-            tails[self.tail] = binomial_tail_log(*self.tail)
-        return self.log2_tests + tails[self.tail]
+        return self.log2_tests + memo_tail(self.tail, {} if tails is None else tails)
 
     def log2_nfa_bound(self, tails: dict) -> Bits:
-        """A value never above `log2_nfa(tails)`: that value where `tails`
-        holds the tail, else `log2_tests` plus min(0, `binomial_first_term_log`),
-        which `binomial_tail_log` starts its sum from and only adds to."""
-        tail = tails.get(self.tail)
-        if tail is None:
-            tail = min(0.0, binomial_first_term_log(*self.tail))
-        return self.log2_tests + tail
+        """A value never above `log2_nfa(tails)`: `log2_tests` plus
+        `tail_bound(tail, tails)`."""
+        return self.log2_tests + tail_bound(self.tail, tails)
 
     def score(self) -> Score:
         return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa())
@@ -317,6 +311,24 @@ def binomial_first_term_log(n: int, k: int, q: float) -> Bits:
     if q == 0.0 or q == 1.0:
         return -math.inf
     return log_binomial(n, k) + k * math.log2(q) + (n - k) * math.log2(1.0 - q)
+
+
+def memo_tail(tail: tuple, tails: dict) -> Bits:
+    """`binomial_tail_log(*tail)` of `tail` = (n, k, q), computed once per
+    `tails` memo."""
+    if tail not in tails:
+        tails[tail] = binomial_tail_log(*tail)
+    return tails[tail]
+
+
+def tail_bound(tail: tuple, tails: dict) -> Bits:
+    """A value never above `memo_tail(tail, tails)`: that value where `tails`
+    holds it, else min(0, `binomial_first_term_log(*tail)`), which
+    `binomial_tail_log` starts its sum from and only adds to."""
+    bound = tails.get(tail)
+    if bound is None:
+        bound = min(0.0, binomial_first_term_log(*tail))
+    return bound
 
 
 def _check_tail(n: int, k: int, q: float) -> None:

@@ -19,7 +19,8 @@ import numpy as np
 
 from .imaging import (BinaryImage, PolygonMarks, count_region, rasterize_polygon,
                       zero_area)
-from .numeric import CRITERION, DomainError, HypothesisCounts, RegionCounts, Score
+from .numeric import (CRITERION, DomainError, HypothesisCounts, RegionCounts, Score,
+                      code_length, memo_tail, tail_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -148,10 +149,36 @@ def polygon_counts(image: BinaryImage, c: int, inside: tuple,
     n, ones = image.n, image.count_ones
     if inside[0] == n:
         raise DomainError("polygon covers the whole image; no exterior left")
-    unit = 1.0 + math.log2(n)
+    header, tests = _terms(n, c)
     outside = (n - inside[0], ones - inside[1])
-    return HypothesisCounts(((1.0 + c * unit, (inside, outside)),), c * unit, (*inside, ones / n),
+    return HypothesisCounts(((header, (inside, outside)),), tests, (*inside, ones / n),
                             whole=image.counts if relative else None)
+
+
+def _terms(n: int, c: int) -> tuple[float, float]:
+    """The MDL header and the log2 NFA test count of a c-vertex polygon on
+    an n-pixel image: 1 + c(1 + log2 n) and c(1 + log2 n)."""
+    tests = c * (1.0 + math.log2(n))
+    return 1.0 + tests, tests
+
+
+def _child_scores(image: BinaryImage, c: int, nfa: bool, tails: dict):
+    """The key and the score of a c-vertex polygon from its interior counts
+    (n, k) alone, as two functions of (n, k), for `bss_simplify`.
+
+    MDL: both are `polygon_counts(image, c, (n, k)).mdl_bits()`.  NFA: the
+    key is that record's `log2_nfa_bound(tails)` and the score its
+    `log2_nfa(tails)`.  Each is that float bit for bit, with no record built.
+    """
+    n, ones = image.n, image.count_ones
+    header, tests = _terms(n, c)
+    if not nfa:
+        def mdl(inside):
+            return code_length(header, (inside, (n - inside[0], ones - inside[1])))
+        return mdl, mdl
+    q = ones / n
+    return (lambda inside: tests + tail_bound((*inside, q), tails),
+            lambda inside: tests + memo_tail((*inside, q), tails))
 
 
 def _counts(image: BinaryImage, poly: PolygonHypothesis,
@@ -177,10 +204,11 @@ def polygon_scores(image: BinaryImage, poly: PolygonHypothesis) -> Score:
 
 def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
                   marks: PolygonMarks, inside: RegionCounts, entries: list) -> list:
-    """Interior counts of each one-vertex removal from `poly`, or None where
-    the child has no footprint or leaves no exterior; `marks` are those of
-    `poly`, and `inside` its counts.  Whether the child is a valid polygon is
-    left to the caller, which asks only of a child that could win.
+    """Interior counts (n, k), as plain tuples, of each one-vertex removal
+    from `poly`, or None where the child has no footprint or leaves no
+    exterior; `marks` are those of `poly`, and `inside` its counts.  Whether
+    the child is a valid polygon is left to the caller, which asks only of a
+    child that could win.
 
     `entries[i]` is None or the `marks.removal` of vertex i, whose counts
     read the marks of its pixels only, so the caller keeps it while no change
@@ -194,7 +222,7 @@ def _child_counts(image: BinaryImage, poly: PolygonHypothesis,
             entry = entries[i] = marks.removal(pts, i, image)
         n = inside.n + entry[0]
         if 0 < n < image.n:   # a footprint and an exterior
-            out[i] = RegionCounts(n, inside.k + entry[1])
+            out[i] = (n, inside.k + entry[1])
     return out
 
 
@@ -242,15 +270,17 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     kept from step to step until the winner's removal changes the marks of
     one of its pixels; the winner's removal is then applied to the marks.
 
-    Children with equal interior counts share one counts record and one key
-    per step.  The key is never above the child's score: its MDL bits, or
-    `HypothesisCounts.log2_nfa_bound` with the run's tail memo.  The children
-    are walked in (key, index) order, and the walk stops at the first key
-    that cannot beat the current score or the best valid child found so far.
-    Only a child the walk reaches gets its tail computed, and only one that
-    would become the best is built, by `without_vertex`, and checked for
-    zero area.  Interior counts recur from step to step, so each NFA tail is
-    computed at most once per run.
+    Children with equal interior counts share one key per step, formed
+    from those counts alone by `_child_scores`; the header and the test
+    count are formed once per step.  The key is never above the child's
+    score: it is the score itself under MDL, and under NFA the test count
+    plus `numeric.tail_bound` on the run's tail memo.  The children are
+    walked in (key, index) order, and the walk stops at the first key that
+    cannot beat the current score or the best valid child found so far.
+    Only a child the walk reaches gets its NFA tail computed, and only one
+    that would become the best is built, by `without_vertex`, and checked
+    for zero area.  Interior counts recur from step to step, so each NFA
+    tail is computed at most once per run.
     """
     CRITERION.check("criterion", criterion)
     nfa, tails = criterion == "nfa", {}
@@ -263,28 +293,28 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     entries = [None] * current.c
     while current.c > 3:
         children = _child_counts(image, current, marks, inside, entries)
-        keys, keyed = {}, []   # (n, k) -> (key, counts), once per step
+        key_of, score_of = _child_scores(image, current.c - 1, nfa, tails)
+        keys, keyed = {}, []   # (n, k) -> key, once per step
         for i, child in enumerate(children):
             if child is not None:
-                if child not in keys:
-                    counts = polygon_counts(image, current.c - 1, child)
-                    keys[child] = (counts.log2_nfa_bound(tails) if nfa
-                                   else counts.mdl_bits(), counts)
-                keyed.append((keys[child][0], i, keys[child][1]))
+                key = keys.get(child)
+                if key is None:
+                    key = keys[child] = key_of(child)
+                keyed.append((key, i, child))
         # `bar` is the (score, index) a child must beat: the current score
         # with no index, then the best valid child so far.
         best, bar = None, (current_score, -1)
-        for bound, i, counts in sorted(keyed):
-            if (bound, i) >= bar:
+        for key, i, child in sorted(keyed):
+            if (key, i) >= bar:
                 break
-            score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
+            score = score_of(child) if nfa else key
             if (score, i) < bar:
                 try:
-                    child = current.without_vertex(i)
+                    poly = current.without_vertex(i)
                 except ValueError:
                     continue
-                if not zero_area(child.vertices):
-                    best, bar = child, (score, i)
+                if not zero_area(poly.vertices):
+                    best, bar = poly, (score, i)
         if best is None:
             break
         current_score, i = bar
@@ -296,6 +326,6 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
                    else None for entry in entries]
         del entries[i]
         entries[i - 1] = entries[i % len(entries)] = None
-        current, inside = best, children[i]
+        current, inside = best, RegionCounts(*children[i])
         steps.append(BssStep(polygon=current, score=current_score, inside=inside))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own code paths: exact integer /
 rational arithmetic and per-pixel loops only, or the plain first version of
-a loop the library has since made fast.
+a loop the library has since made fast.  `GRID_SYMMETRIES` holds the grid
+maps that the symmetry guards of several modules share.
 """
 
 from __future__ import annotations
@@ -784,6 +785,47 @@ def bss_simplify_full(image, initial, criterion):
         current, current_score = best_child, best_score
         steps.append(step(current, current_score))
     return BssTrajectory(criterion=criterion, steps=tuple(steps))
+
+
+def shoelace_roll(verts):
+    """`imaging._shoelace` as first written, its next vertices by `np.roll`."""
+    import numpy as np
+
+    nxt = np.roll(verts, -1, axis=-2)
+    return (verts[..., 0] * nxt[..., 1] - verts[..., 1] * nxt[..., 0]).sum(axis=-1)
+
+
+# The three maps that generate the 8 symmetries of a square grid, each as
+# (vertex map, array map) on a height x width grid: pixel (row, col) has its
+# center at (x, y) = (col, row).
+GRID_SYMMETRIES = {
+    "x-mirror": (lambda x, y, width, height: (width - 1 - x, y),
+                 lambda a: a[:, ::-1]),
+    "y-mirror": (lambda x, y, width, height: (x, height - 1 - y),
+                 lambda a: a[::-1, :]),
+    "transpose": (lambda x, y, width, height: (y, x), lambda a: a.T),
+}
+
+
+def bss_csv_bytes(image, traj):
+    """The bytes of the `bss_<criterion>.csv` that `experiments.run_polygon`
+    writes for `traj`, as first written: both columns of every step from
+    `polygon_counts(..., relative=True).score()`."""
+    import csv
+    import io
+
+    from mdlnfa.numeric import LOG10_2
+    from mdlnfa.polygon import polygon_counts
+
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    writer.writerow(["step", "vertex_count", "mdl_bits", "log10_nfa"])
+    for i, step in enumerate(traj.steps):
+        both = polygon_counts(image, step.vertex_count, step.inside,
+                              relative=True).score()
+        writer.writerow([i, step.vertex_count, f"{both.mdl_bits:.6f}",
+                         f"{both.log2_nfa * LOG10_2:.6f}"])
+    return out.getvalue().encode()
 
 
 def removable_all(verts):

@@ -5,9 +5,9 @@ traced run starts, and `perfbench/workloads.py` imports library names at
 load time.  A refactor that drops or renames one of them would only show
 in a `--trace 1` run; these tests make it fail here instead.  Each
 workload's warm-up is run as well, so a changed signature fails too, and
-the pass of seed 0 (every recorded seed, 0-15, for `lsd_h0`) is checked
-against the recorded reference digests, so a changed output byte or `repr`
-fails here and not only as `correct: false` in a benchmark run.
+the pass of seed 0 (every recorded seed, 0-15, for `lsd_h0` and `bss`) is
+checked against the recorded reference digests, so a changed output byte or
+`repr` fails here and not only as `correct: false` in a benchmark run.
 """
 
 import sys
@@ -41,11 +41,11 @@ def test_every_workload_warms_up(name):
     workloads.WORKLOADS[name].warm_up()
 
 
-# The pass of seed 0 of every workload, and of every other seed recorded for
-# `lsd_h0` (1-15), whose region grower rests on the most float decisions per
-# map.
+# The pass of seed 0 of every workload, and of every other seed recorded (1-15)
+# for `lsd_h0` and `bss`, whose region grower and walk rest on the most float
+# decisions per pass.
 REFERENCE_PASSES = [(name, 0) for name in sorted(workloads.WORKLOADS)] + [
-    ("lsd_h0", seed) for seed in range(1, 16)]
+    (name, seed) for name in ("bss", "lsd_h0") for seed in range(1, 16)]
 
 
 @pytest.mark.parametrize("name,seed", REFERENCE_PASSES,

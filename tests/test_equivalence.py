@@ -83,6 +83,22 @@ class TestEnumerateConfigs:
         with pytest.raises(ValueError):
             enumerate_configs(alphabet, length)
 
+    # 2^24 and 3^15 are the last powers within MAX_STATES = 2^24.
+    @pytest.mark.parametrize("alphabet,length", [
+        (2, 25), (3, 16), (2**24, 2), (2**24 + 1, 1), (2, 10**400), (10**400, 1)],
+        ids=["2^25", "3^16", "2^48", "(2^24+1)^1", "2^(10^400)", "(10^400)^1"])
+    def test_refused_past_the_cap_when_called(self, alphabet, length):
+        # |X|^length is never formed: 2^(10^400) would exhaust memory.
+        with pytest.raises(EnumerationRefused, match="enumeration cap"):
+            enumerate_configs(alphabet, length)
+
+    @pytest.mark.parametrize("alphabet,length", [(2, 24), (3, 15), (2**24, 1),
+                                                 (10**400, 0)],
+                             ids=["2^24", "3^15", "(2^24)^1", "(10^400)^0"])
+    def test_largest_lengths_within_the_cap(self, alphabet, length):
+        block = next(iter(enumerate_configs(alphabet, length)))
+        assert block.shape[1] == length and not block[0].any()
+
 
 class TestTailCount:
     """A part's tails are the suffix sums of its value histogram."""
@@ -177,6 +193,13 @@ class TestCheckEquivalence:
                                  f"the {MAX_STATES} exhaustive-enumeration cap"):
             check_equivalence(2, parts)
         assert calls == []
+
+    def test_huge_part_refused_without_its_size(self):
+        # 2^(10^400) would exhaust memory before any comparison with the cap.
+        part = PartSpec(length=10**400, eta=2, xi=xi_count_ones, name="huge")
+        with pytest.raises(EnumerationRefused,
+                           match=r"part huge has 2\^1000.* configurations, beyond"):
+            check_equivalence(2, [part])
 
     def test_one_enumeration_per_length(self, monkeypatch):
         # Parts of one length share each block: one enumeration per distinct

@@ -13,6 +13,7 @@ from mdlnfa.imaging import (
     NoiseConfig,
     OrientationMap,
     PolygonMarks,
+    _shoelace,
     binary_to_gray,
     count_region,
     flip_noise,
@@ -31,11 +32,13 @@ from mdlnfa.imaging import (
 from mdlnfa.numeric import DomainError
 from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from oracles import (
+    GRID_SYMMETRIES,
     count_ones_sum,
     flip_noise_where,
     pgm_bytes,
     rasterize_polygon_bruteforce,
     rasterize_polygon_two_pass,
+    shoelace_roll,
     trace_contour_grid,
 )
 
@@ -282,6 +285,25 @@ def assert_matches_two_pass(vertices, width, height):
         assert got.dtype == bool and np.array_equal(got, expected)
 
 
+class TestShoelace:
+    """`_shoelace` joins its next vertices by `np.concatenate`; they are the
+    values `np.roll` gives, so every area is the same float."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_single_polygons(self, seed):
+        rng = np.random.default_rng(seed)
+        for c in range(3, 64):
+            verts = rng.uniform(-50.0, 150.0, size=(c, 2))
+            assert _shoelace(verts).tobytes() == shoelace_roll(verts).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1, 3), (7, 5), (40, 59), (3, 4, 12)])
+    def test_stacks_of_polygons(self, shape):
+        verts = np.random.default_rng(len(shape)).uniform(0.0, 128.0, (*shape, 2))
+        got = _shoelace(verts)
+        assert got.shape == shape[:-1]
+        assert got.tobytes() == shoelace_roll(verts).tobytes()
+
+
 class TestRasterizeAgainstTwoPass:
     """The one-pass rasterizer returns the masks, and raises the errors, of
     the two-pass numpy version it replaced."""
@@ -349,17 +371,6 @@ class TestRasterizeAgainstTwoPass:
         height = data.draw(st.integers(min_value=1, max_value=24))
         assert_matches_two_pass(vertices, width, height)
 
-
-# The three maps that generate the 8 symmetries of a square grid, each as
-# (vertex map, array map) on a height x width grid: pixel (row, col) has its
-# center at (x, y) = (col, row).
-GRID_SYMMETRIES = {
-    "x-mirror": (lambda x, y, width, height: (width - 1 - x, y),
-                 lambda a: a[:, ::-1]),
-    "y-mirror": (lambda x, y, width, height: (x, height - 1 - y),
-                 lambda a: a[::-1, :]),
-    "transpose": (lambda x, y, width, height: (y, x), lambda a: a.T),
-}
 
 SYMMETRY_IMAGE = BinaryImage(
     np.random.default_rng(12).integers(0, 2, size=(64, 64)).astype(np.uint8))

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import mdlnfa.numeric as numeric_module
 import mdlnfa.polygon as polygon_module
-from mdlnfa.experiments import ShapeSpec, make_shape_instance
+from mdlnfa.experiments import ShapeSpec, make_shape_instance, run_polygon
 from mdlnfa.imaging import (
     BinaryImage,
     NoiseConfig,
@@ -33,8 +33,8 @@ from mdlnfa.polygon import (
     polygon_scores,
 )
 from mdlnfa.square_detect import Square, mdl_score_single
-from oracles import (bss_nfa_key, bss_simplify_full, rasterize_polygon_two_pass,
-                     removable_all)
+from oracles import (GRID_SYMMETRIES, bss_csv_bytes, bss_nfa_key, bss_simplify_full,
+                     rasterize_polygon_two_pass, removable_all)
 
 SQUARE_POLY = [(10, 10), (10, 49), (49, 49), (49, 10)]
 
@@ -563,6 +563,116 @@ class TestTailMemo:
         monkeypatch.setattr(numeric_module, "binomial_tail_log", counting)
         steps = bss_simplify(image, initial, "nfa").steps
         assert 0 < len(calls) <= len(steps)
+
+
+def checked_scores_bss(monkeypatch, image, initial, criterion):
+    """bss_simplify, with every child key and every walked score it forms
+    from a child's counts checked, bit for bit, against the counts record of
+    that child: `mdl_bits()`, or `bss_nfa_key` on the run's memo and
+    `log2_nfa()` on a fresh one.  Also returns how many of each it formed."""
+    child_scores = polygon_module._child_scores
+    formed = Counter()
+
+    def checking_child_scores(image, c, nfa, tails):
+        key_of, score_of = child_scores(image, c, nfa, tails)
+
+        def key(inside):
+            counts = polygon_counts(image, c, inside)
+            expected = bss_nfa_key(counts, tails) if nfa else counts.mdl_bits()
+            got = key_of(inside)
+            assert type(got) is float and got.hex() == expected.hex()
+            formed["keys"] += 1
+            return got
+
+        def score(inside):
+            got = score_of(inside)
+            counts = polygon_counts(image, c, inside)
+            expected = counts.log2_nfa() if nfa else counts.mdl_bits()
+            assert type(got) is float and got.hex() == expected.hex()
+            formed["scores"] += 1
+            return got
+
+        return key, score
+
+    monkeypatch.setattr(polygon_module, "_child_scores", checking_child_scores)
+    return bss_simplify(image, initial, criterion), formed
+
+
+class TestChildScores:
+    """Each child's key and score come from its (n, k) alone, with no counts
+    record built; they must be the floats that record gives."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_keys_and_walked_scores_along_shape_trajectories(
+            self, monkeypatch, shape_instances, shape_trajectories, seed, criterion):
+        image, initial = shape_instances[seed]
+        traj, formed = checked_scores_bss(monkeypatch, image, initial, criterion)
+        assert trajectory_record(traj) == trajectory_record(
+            shape_trajectories[seed, criterion][1])
+        # The MDL walk takes each key as the child's score; the NFA walk
+        # scores each child it reaches.
+        assert formed["keys"] > 500
+        assert (formed["scores"] > len(traj.steps) if criterion == "nfa"
+                else formed["scores"] == 0)
+        for step in traj.steps:
+            counts = polygon_counts(image, step.vertex_count, step.inside)
+            expected = counts.log2_nfa() if criterion == "nfa" else counts.mdl_bits()
+            assert step.score.hex() == expected.hex()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_csv_matches_the_counts_record_writer(self, shape_instances,
+                                                  shape_trajectories, tmp_path, seed):
+        # `run_polygon` takes the driving column from each step's score and
+        # scores only the other column; the bytes are the writer's that
+        # scores both from `polygon_counts(..., relative=True)`.
+        image, initial = shape_instances[seed]
+        trajectories = run_polygon(image, initial, tmp_path)
+        for criterion, traj in trajectories.items():
+            assert trajectory_record(traj) == trajectory_record(
+                shape_trajectories[seed, criterion][1])
+            assert ((tmp_path / f"bss_{criterion}.csv").read_bytes()
+                    == bss_csv_bytes(image, traj))
+
+
+@pytest.fixture(scope="module")
+def symmetry_shapes():
+    """The image, initial polygon and `bss_simplify` trajectories of
+    `ShapeSpec(0..3)`, fixed before the guards below were first run."""
+    out = {}
+    for seed in range(4):
+        image, initial = make_shape_instance(ShapeSpec(seed=seed))
+        out[seed] = image, initial, {criterion: bss_simplify(image, initial, criterion)
+                                     for criterion in ("mdl", "nfa")}
+    return out
+
+
+class TestBssSymmetry:
+    """BSS trajectories commute with the grid's symmetries: the mirrored or
+    transposed image and polygon give, step for step, the mapped polygon,
+    its vertex count and its score.  The mapped vertices are not all exact
+    floats (127 - x rounds), so this guards the rasterizer, the marks and
+    the walk on general float input."""
+
+    @pytest.mark.parametrize("symmetry", sorted(GRID_SYMMETRIES))
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_shape_trajectories(self, symmetry_shapes, symmetry, seed, criterion):
+        image, initial, trajectories = symmetry_shapes[seed]
+        move_vertex, move_array = GRID_SYMMETRIES[symmetry]
+        height, width = image.pixels.shape
+
+        def move(verts):
+            return np.array([move_vertex(x, y, width, height) for x, y in verts.tolist()])
+
+        moved = bss_simplify(BinaryImage(move_array(image.pixels)),
+                             PolygonHypothesis(move(initial.vertices)), criterion)
+        steps = trajectories[criterion].steps
+        assert len(steps) > 20
+        assert ([(s.vertex_count, s.score) for s in moved.steps]
+                == [(s.vertex_count, s.score) for s in steps])
+        for got, step in zip(moved.steps, steps):
+            assert np.array_equal(got.polygon.vertices, move(step.polygon.vertices))
 
 
 class TestLazyWalk:
