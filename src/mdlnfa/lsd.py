@@ -1,6 +1,7 @@
 """Line-segment candidates on orientation maps, validated by NFA and MDL.
 
-Angles are compared as orientations, modulo pi with wrap-around, so the
+Angles are compared as orientations, within r when d <= r or pi - d <= r
+for d = |a - b| mod pi (`_mod_pi`); fl(a - b) = -fl(b - a), so the
 comparison is symmetric and invariant to flipping every angle by pi.  Both
 the binomial-tail NFA and the per-pixel code-length saving read the
 alignment probability theta, so the config stores theta; under an isotropic
@@ -111,10 +112,19 @@ _CHUNK = 256
 _PIXELS = 1 << 15
 # Slacks of the count's float tests: a pixel center on a side is inside, and
 # an angle on the tolerance is aligned, up to rounding.  The grower's join
-# test min(d, pi - d) > rho has none: it only proposes what the count decides.
+# test min(d, pi - d) <= rho has none: it only proposes what the count decides.
 _SLAB_SLACK = 1e-9    # |along| <= len/2 + slack and |across| <= width/2 + slack
 _PAD = 1e-13          # relative bound on the rounding of those tests and limits
 _ALIGN_SLACK = 1e-12  # min(d, pi - d) <= rho + slack
+
+
+def _mod_pi(x: np.ndarray) -> np.ndarray:
+    """d = |x| mod pi, in place, for differences x of angles in [-pi, pi):
+    the float of the grower's scalar `abs(x) % pi`, as fmod is exact and so
+    is |x| - pi for pi <= |x| < 2 pi (Sterbenz), at far less cost than
+    np.remainder.  Two angles lie within r when d <= r or pi - d <= r."""
+    np.abs(x, out=x)
+    return np.subtract(x, math.pi * (x >= math.pi), out=x)    # x - 0.0 is x
 
 
 def _ranges(lo, hi, first, last):
@@ -145,14 +155,15 @@ def _count_batch(rects, omap: OrientationMap, rho: float):
     s = `_SLAB_SLACK`; that float test alone decides membership.  Only the
     rectangle's rows are tested, and in each row only the columns between
     its two slab limits.  Each limit is widened by a bound on the rounding
-    of the test and of the limit (`_PAD`), and then by one pixel.
+    of the test and of the limit (`_PAD`), and then by one pixel.  `_mod_pi`
+    measures each defined pixel's angle against the normal.
 
     Every rectangle, row and pixel is an element of a numpy array, and each
     element gets the float operations of a scalar walk over its rectangle
     alone (`tests/oracles.py::count_aligned_rows`), so a rectangle's counts
-    do not depend on the batch.  The angle, its cosine and sine, the
-    normal and the length stay on `math`, one rectangle at a time.  Floats overflow to
-    infinity as Python floats do, and the ranges take infinite limits; a
+    do not depend on the batch.  The angle, its cosine and sine, the normal
+    and the length stay on `math`, one rectangle at a time.  Floats overflow
+    to infinity as Python floats do, and the ranges take infinite limits; a
     rectangle whose bounding box does not fit in a float is refused.
     """
     height, width = omap.height, omap.width
@@ -238,8 +249,7 @@ def _count_batch(rects, omap: OrientationMap, rho: float):
             n_r += np.bincount(rect, minlength=n_rects)
             u_r += np.bincount(rect[~defined], minlength=n_rects)
             rect = rect[defined]
-            d = np.remainder(omap.angles.reshape(-1)[flat[defined]]
-                             - normal[rect], math.pi)
+            d = _mod_pi(omap.angles.reshape(-1)[flat[defined]] - normal[rect])
             k_r += np.bincount(rect[(d <= tol) | (math.pi - d <= tol)],
                                minlength=n_rects)
     # 1: past the float range, 2: outside the image, 3: no pixel center.
@@ -281,8 +291,9 @@ def rect_counts(n_image: int, counts: AlignmentCounts,
     appears.  Negative means the rectangle pays for itself.  NFA:
     log2 NFA = 5/2 log2 n + log2 gamma + log2 B(n_r, k_r, theta).
     """
-    return HypothesisCounts(((2.5 * math.log2(n_image), ((counts.n_r, counts.k_r),)),),
-                            2.5 * math.log2(n_image) + math.log2(cfg.gamma),
+    header = 2.5 * math.log2(n_image)
+    return HypothesisCounts(((header, ((counts.n_r, counts.k_r),)),),
+                            header + math.log2(cfg.gamma),
                             (counts.n_r, counts.k_r, cfg.theta),
                             extra=counts.k_r * math.log2(cfg.theta))
 
@@ -379,12 +390,11 @@ def _fit_regions(pixels: np.ndarray, starts: np.ndarray, width: int,
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
               (0, 1), (1, -1), (1, 0), (1, 1))
-# Widening of rho in `_lone_seeds`, and of the 2 rho of its neighbor band
-# (by twice this), and of rho in the grower's check of a pixel against the
-# running mean before it walks the band: far above the ~1e-15 by which the
-# float distances may differ from the true one, so it never calls a
-# joinable pair apart.  It only drops seeds and skips neighbors that would
-# be rejected; it decides no join.
+# Widening of rho in the grower's check of a pixel against the running mean
+# before it walks the neighbor band of `_lone_seeds`, and of the band's
+# 2 rho (by twice this): far above the ~1e-15 by which the float distances
+# may differ from the true one, so the band's triangle inequality holds.
+# It only skips neighbors that would be rejected; it decides no join.
 _LONE_MARGIN = 1e-9
 
 
@@ -396,30 +406,21 @@ def _lone_seeds(omap: OrientationMap, rho: float) -> tuple[bytearray, bytearray]
     2 rho of the pixel's angle.
 
     A lone seed grows no further than itself: until its first join the
-    grower tests neighbors against the seed's own angle.  For x = a[q] -
-    a[p], |x| < 2 pi, the distance to the multiples of pi is
-    pi/2 - |z - pi/2| with z = ||x| - pi|; it and the grower's
-    min(x % pi, pi - x % pi) are each within about 1e-15 of the true
-    distance, so a pair counts as aligned here when within
-    rho + `_LONE_MARGIN`, and `lone` holds only seeds that the grower's
-    test rejects against every neighbor.
+    grower tests neighbors against the seed's own angle, by the float test
+    that `lone` makes with `_mod_pi`, with no margin.
 
     `near` bounds the neighbors that can join through a pixel p while p
     lies within rho + `_LONE_MARGIN` of the region mean m: a joining q
     lies within rho of m, so by the triangle inequality for the distance
     modulo pi it lies within 2 rho + `_LONE_MARGIN` + ~1e-15 of p, inside
-    the band's 2 (rho + `_LONE_MARGIN`).  The distance is symmetric, so the
-    band, unlike the grower's join test at a tie, does not depend on which
-    end seeds.  fl(a - b) = -fl(b - a), so one difference per pair, over
-    the E, SW, S and SE neighbors, serves both ends of both masks.
-    Undefined angles may be anything: their pairs are masked out, and what
-    they compute does not warn.
+    the band's 2 (rho + `_LONE_MARGIN`).  fl(a - b) = -fl(b - a), so one
+    difference per pair, over the E, SW, S and SE neighbors, serves both
+    ends of both masks.  Undefined angles may be anything: their pairs are
+    masked out, and what they compute does not warn.
     """
     height, width = omap.height, omap.width
     angles, defined = omap.angles, omap.defined
-    half_pi = math.pi / 2.0
-    limit = half_pi - (rho + _LONE_MARGIN)     # aligned: |z - pi/2| >= limit
-    band = half_pi - 2.0 * (rho + _LONE_MARGIN)
+    band = 2.0 * (rho + _LONE_MARGIN)
     aligned = np.zeros((height, width), dtype=bool)
     near = np.zeros((height + 2, width + 2), dtype=np.uint8)
     buf = np.empty(height * width)
@@ -434,19 +435,16 @@ def _lone_seeds(omap: OrientationMap, rho: float) -> tuple[bytearray, bytearray]
             h = hit[:x.size].reshape(shape)
             b = bits[:x.size].reshape(shape)
             np.subtract(angles[q], angles[p], out=x)
-            np.abs(x, out=x)
-            x -= math.pi
-            np.abs(x, out=x)
-            x -= half_pi
-            np.abs(x, out=x)
-            np.greater_equal(x, band, out=h)
+            _mod_pi(x)
+            np.minimum(x, math.pi - x, out=x)
+            np.less_equal(x, band, out=h)
             h &= defined[p]
             h &= defined[q]
             for end, j in ((p, _NEIGHBORS.index((dr, dc))),
                            (q, _NEIGHBORS.index((-dr, -dc)))):
                 np.left_shift(h.view(np.uint8), j, out=b)
                 near[1:-1, 1:-1][end] |= b
-            np.greater_equal(x, limit, out=h)
+            np.less_equal(x, rho, out=h)
             h &= defined[p]
             h &= defined[q]
             aligned[p] |= h
@@ -460,9 +458,9 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
 
     Seeds are visited in decreasing gradient-magnitude order (scan order when
     the map carries no magnitudes).  A pixel joins a region when its angle is
-    within rho of the region's running mean orientation (modulo pi: the
-    distance min(d, pi - d) of d = (angle - mean) mod pi); every pixel
-    belongs to at most one region, and regions grow breadth-first.
+    within rho of the region's running mean orientation, modulo pi as in
+    `_mod_pi`; every pixel belongs to at most one region, and regions grow
+    breadth-first.
 
     The loop runs on Python scalars over flat memoryviews of the map's
     arrays, copied onto a grid with a one-pixel undefined border: every
@@ -483,7 +481,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
     put, and a skipped neighbor is a reject, which changes neither
     `blocked` nor the mean.  The mean moves only at a join, so after each
     join p is checked again, and once it has left that band every later
-    neighbor is tested.  Otherwise p tests all 8.  The margins only widen
+    neighbor is tested.  Otherwise p tests all 8.  The margin only widens
     which pairs are tested, so the regions are those of testing every
     neighbor.  Raises ValueError unless min_region_size is an integer >= 1.
     """
@@ -520,7 +518,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
         sx = cos(2.0 * mean_angle)
         sy = sin(2.0 * mean_angle)
         for flat in region:        # breadth-first: appended pixels come later
-            d = (angles[flat] - mean_angle) % pi
+            d = abs(angles[flat] - mean_angle) % pi     # `_mod_pi`, inline
             short = d <= lim or pi - d <= lim
             todo = walks[near[flat]] if short else offsets
             while todo:
@@ -529,7 +527,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
                     if blocked[nb]:
                         continue
                     a = angles[nb]
-                    d = (a - mean_angle) % pi
+                    d = abs(a - mean_angle) % pi
                     if d > rho and pi - d > rho:      # min(d, pi - d) > rho
                         continue
                     blocked[nb] = 1
@@ -538,7 +536,7 @@ def region_grow_candidates(omap: OrientationMap, cfg: LsdConfig,
                     sy += sin(2.0 * a)
                     mean_angle = 0.5 * atan2(sy, sx)
                     if short:
-                        d = (angles[flat] - mean_angle) % pi
+                        d = abs(angles[flat] - mean_angle) % pi
                         if d > lim and pi - d > lim:  # flat left the band
                             short = False
                             todo = offsets[offsets.index(off) + 1:]

@@ -66,8 +66,9 @@ def single_record(square: RegionCounts, background: RegionCounts,
     The Stirling form `approx_mdl_bits` is defined only where no count is 0
     or n; the Hoeffding bound `approx_log2_nfa` only where k1/n1 > q.
     """
-    return HypothesisCounts(((1.5 * math.log2(image.n), (background, square)),),
-                            1.5 * math.log2(image.n), (*square, image.q), whole=image)
+    header = 1.5 * math.log2(image.n)
+    return HypothesisCounts(((header, (background, square)),), header,
+                            (*square, image.q), whole=image)
 
 
 def mdl_score_single(image: BinaryImage, sq: Square) -> float:

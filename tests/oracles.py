@@ -222,11 +222,15 @@ def split_term_extrema_table(n: int):
 
 def orientation_distance(a, b):
     """Distance between orientations modulo pi, in [0, pi/2], element by
-    element; the library writes it inline as min(d, pi - d)."""
+    element: min(d, pi - d) with d = |a - b| mod pi, the same from either
+    end.  The library forms d with `lsd._mod_pi`, and inline in its grower;
+    within r is d <= r or pi - d <= r, which is this distance <= r."""
     import numpy as np
 
-    d = np.mod(np.asarray(a) - np.asarray(b), math.pi)
-    return np.minimum(d, math.pi - d)
+    d = abs(a - b) % math.pi
+    if isinstance(d, np.ndarray):
+        return np.minimum(d, math.pi - d)
+    return min(d, math.pi - d)
 
 
 _NEIGHBORS = ((-1, -1), (-1, 0), (-1, 1), (0, -1),
@@ -298,9 +302,9 @@ def region_grow_candidates_numpy(omap, cfg, min_region_size: int = 5):
 def lone_seeds_exact(omap, rho):
     """Reference for `lsd._lone_seeds`, without its border: a (height,
     width) bool array, True where a pixel is defined and the grower's own
-    join test, `(a - b) % pi` against the pixel's angle b as the region
-    mean, rejects every defined 8-neighbor a.  Python floats throughout,
-    as in the grow loop."""
+    join test, `orientation_distance` against the pixel's angle b as the
+    region mean, rejects every defined 8-neighbor a.  Python floats
+    throughout, as in the grow loop."""
     import numpy as np
 
     height, width = omap.height, omap.width
@@ -317,8 +321,7 @@ def lone_seeds_exact(omap, rho):
                 rr, cc = r + dr, c + dc
                 if not (0 <= rr < height and 0 <= cc < width and defined[rr][cc]):
                     continue
-                d = (angles[rr][cc] - b) % math.pi
-                if d <= rho or math.pi - d <= rho:
+                if orientation_distance(angles[rr][cc], b) <= rho:
                     lone[r, c] = False
                     break
     return lone
@@ -327,9 +330,9 @@ def lone_seeds_exact(omap, rho):
 def near_neighbours_exact(omap, rho):
     """Reference for the `near` mask of `lsd._lone_seeds`, without its
     border: a (height, width) uint8 array whose bit j is set where a pixel
-    and its neighbor j (in `_NEIGHBORS` order) are defined and the grower's
-    own form, `(a - b) % pi` against the pixel's angle b, puts the
-    neighbor's angle a within 2 rho.  Python floats throughout."""
+    and its neighbor j (in `_NEIGHBORS` order) are defined and
+    `orientation_distance` puts the neighbor's angle a within 2 rho of the
+    pixel's angle b.  Python floats throughout."""
     import numpy as np
 
     height, width = omap.height, omap.width
@@ -345,8 +348,7 @@ def near_neighbours_exact(omap, rho):
                 rr, cc = r + dr, c + dc
                 if not (0 <= rr < height and 0 <= cc < width and defined[rr][cc]):
                     continue
-                d = (angles[rr][cc] - b) % math.pi
-                if d <= 2.0 * rho or math.pi - d <= 2.0 * rho:
+                if orientation_distance(angles[rr][cc], b) <= 2.0 * rho:
                     near[r, c] |= 1 << j
     return near
 
@@ -447,7 +449,6 @@ def count_aligned_rows(rect, omap, rho):
     defined = memoryview(omap.defined.reshape(-1))
     angles = memoryview(omap.angles.reshape(-1))
     normal = rect.normal_angle
-    pi = math.pi
     tol = rho + 1e-12
     n_r = u_r = k_r = 0
     for r in _walk(cy - ext_y, cy + ext_y, row_lo, row_hi):
@@ -472,8 +473,7 @@ def count_aligned_rows(rect, omap, rho):
             if not defined[base + c]:
                 u_r += 1
                 continue
-            d = (angles[base + c] - normal) % pi
-            if d <= tol or pi - d <= tol:     # min(d, pi - d) <= tol
+            if orientation_distance(angles[base + c], normal) <= tol:
                 k_r += 1
     if not n_r:
         raise ValueError("rectangle covers no pixel centers inside the image")

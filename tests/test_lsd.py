@@ -21,12 +21,14 @@ from mdlnfa.lsd import (
     mdl_rect,
     nfa_rect,
     read_candidates_file,
+    rect_counts,
     region_grow_candidates,
     score_candidates,
     write_candidates_file,
     write_segments_file,
 )
 from oracles import (
+    GRID_SYMMETRIES,
     count_aligned_numpy,
     count_aligned_rows,
     exact_lsd_decisions,
@@ -74,8 +76,7 @@ class TestOrientationDistance:
         rng = np.random.default_rng(0)
         a = rng.uniform(-math.pi, math.pi, 100)
         b = rng.uniform(-math.pi, math.pi, 100)
-        np.testing.assert_allclose(orientation_distance(a, b),
-                                   orientation_distance(b, a), atol=1e-12)
+        assert np.array_equal(orientation_distance(a, b), orientation_distance(b, a))
         np.testing.assert_allclose(orientation_distance(a + math.pi, b),
                                    orientation_distance(a, b), atol=1e-9)
         assert np.all(orientation_distance(a, b) <= math.pi / 2 + 1e-12)
@@ -84,6 +85,19 @@ class TestOrientationDistance:
         assert orientation_distance(0.0, math.pi / 2) == pytest.approx(math.pi / 2)
         assert orientation_distance(0.1, -0.1) == pytest.approx(0.2)
         assert orientation_distance(math.pi - 0.05, 0.0) == pytest.approx(0.05)
+
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
+    def test_numpy_form_is_the_grower_form(self, theta):
+        # `lsd._mod_pi` against the grower's scalar abs(x) % pi, bit for bit,
+        # on differences |x| < 2 pi and on the ties of k pi / 16 maps.
+        rho = LsdConfig(theta=theta).rho
+        ties = [0.0, rho, 2 * rho, math.pi - rho, math.pi,
+                math.nextafter(math.pi, 0), math.nextafter(2 * math.pi, 0)]
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(-2 * math.pi, 2 * math.pi, 10_000),
+                            ties, [-t for t in ties]])
+        got = lsd_module._mod_pi(x.copy())
+        assert got.tobytes() == np.array([abs(v) % math.pi for v in x.tolist()]).tobytes()
 
 
 class TestAlignmentCounts:
@@ -185,6 +199,52 @@ class TestCountAligned:
                                   width=3.0)
         with pytest.raises(ValueError):
             count_aligned(rect, omap, math.pi / 16)
+
+
+# The angle a pixel's orientation takes under each grid map, before it is
+# wrapped back into [-pi, pi): a gradient (gx, gy) becomes (-gx, gy) under
+# the x-mirror and (gy, gx) under the transpose.
+TURNS = {"x-mirror": lambda a: math.pi - a, "transpose": lambda a: math.pi / 2 - a}
+
+
+class TestCountSymmetry:
+    """`count_aligned`, and `rect_counts` on its counts, commute with the
+    grid's x-mirror and transpose.  The grower scans in row order, so its
+    candidates are not equivariant, and it is left out."""
+
+    @pytest.mark.parametrize("symmetry", sorted(TURNS))
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_random_rectangles(self, seed, symmetry):
+        point, grid = GRID_SYMMETRIES[symmetry]
+        rng = np.random.default_rng([33, seed])
+        omap = OrientationMap(angles=isotropic_orientation_map(40, 30, seed).angles,
+                              defined=rng.random((30, 40)) > 0.1)
+        turned = TURNS[symmetry](omap.angles)
+        turned[turned >= math.pi] -= 2.0 * math.pi
+        mapped = OrientationMap(angles=grid(turned), defined=grid(omap.defined))
+        kinds = {"counted": 0, "refused": 0}
+        for i in range(250):
+            # Float endpoints, half of them on a quarter-pixel grid whose
+            # images are exact, so pixel centres meet the sides.
+            ax, bx = rng.uniform(-6, 46, 2)
+            ay, by = rng.uniform(-6, 36, 2)
+            wid = rng.uniform(1, 6)
+            if i % 2:
+                ax, ay, bx, by, wid = (round(4 * v) / 4 for v in (ax, ay, bx, by, wid))
+            rect = RectangleCandidate(ax, ay, bx, by, wid)
+            image = RectangleCandidate(*point(ax, ay, 40, 30), *point(bx, by, 40, 30),
+                                       wid)
+            cfg = LsdConfig(theta=(1 / 8, 1 / 4)[i % 3 == 0])
+            got = outcome(count_aligned, rect, omap, cfg.rho)
+            seen = outcome(count_aligned, image, mapped, cfg.rho)
+            assert got == seen, rect
+            if isinstance(got, AlignmentCounts):
+                kinds["counted"] += 1
+                assert (rect_counts(1200, got, cfg).score()
+                        == rect_counts(1200, seen, cfg).score())
+            else:
+                kinds["refused"] += 1
+        assert min(kinds.values()) > 10
 
 
 class TestRectScores:
@@ -318,6 +378,23 @@ class TestRegionGrowing:
         assert len(got) > 1
         assert got == region_grow_candidates_numpy(omap, cfg, 2)
 
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
+    def test_pair_on_the_tolerance_grows_from_either_end(self, theta):
+        # Two pixels exactly rho apart: whichever one seeds (the first in
+        # scan order), the other joins it, in a row and in a column.
+        cfg = LsdConfig(theta=theta)
+        rho = cfg.rho
+        for a, b in ((0.0, rho), (-rho / 2, rho / 2), (-rho, 0.0), (rho, 2 * rho)):
+            for shape in ((1, 2), (2, 1)):
+                grown = []
+                for pair in ([a, b], [b, a]):
+                    omap = OrientationMap(angles=np.reshape(pair, shape),
+                                          defined=np.ones(shape, bool))
+                    grown.append(region_grow_candidates(omap, cfg, 2))
+                    assert grown[-1] == region_grow_candidates_numpy(omap, cfg, 2)
+                assert len(grown[0]) == 1
+                assert grown[0] == grown[1]
+
     def test_min_region_size_below_two_keeps_pairs(self):
         omap = isotropic_orientation_map(32, 32, seed=0)
         cfg = LsdConfig()
@@ -363,38 +440,36 @@ class TestLoneSeeds:
 
     @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
     @pytest.mark.parametrize("kind", ["quantized", "gradient"])
-    def test_within_the_exact_test(self, kind, theta):
+    def test_equals_the_exact_test_at_ties(self, kind, theta):
         maps = ([quantized_map(seed) for seed in range(4)] if kind == "quantized"
                 else [gradient_map()])
         rho = LsdConfig(theta=theta).rho
         for omap in maps:
             lone = lone_mask(omap, rho)
             assert lone.any()
-            assert not (lone & ~lone_seeds_exact(omap, rho)).any()
+            assert np.array_equal(lone, lone_seeds_exact(omap, rho))
 
-    @pytest.mark.parametrize("theta,margin", [
-        (1 / 16, 0.0), (1 / 4, 0.0), (1 / 2, 0.0), (1 / 8, None)])
-    def test_pair_on_the_tolerance_is_aligned(self, monkeypatch, theta, margin):
-        # The angles differ by exactly rho, and the grower joins them from
-        # at least one end (its test is not symmetric at a tie).  At these
-        # theta the filter's distance lands on rho exactly, so its
-        # comparison must be inclusive even with no margin; at theta = 1/8
-        # it lands past rho, and only the margin keeps the pair aligned.
-        if margin is not None:
-            monkeypatch.setattr(lsd_module, "_LONE_MARGIN", margin)
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4, 1 / 2])
+    def test_pair_on_the_tolerance_is_aligned(self, monkeypatch, theta):
+        # The angles differ by exactly rho, so the distance lands on rho and
+        # the grower joins them from either end.  The filter makes the
+        # grower's own float test, inclusive and with no margin.
+        monkeypatch.setattr(lsd_module, "_LONE_MARGIN", 0.0)
         rho = LsdConfig(theta=theta).rho
         for pair in ([0.0, rho], [rho, 0.0], [-rho / 2, rho / 2]):
             omap = OrientationMap(angles=np.array([pair]), defined=np.ones((1, 2), bool))
             assert not lone_mask(omap, rho).any()
-            assert not lone_seeds_exact(omap, rho).all()
+            assert not lone_seeds_exact(omap, rho).any()
         apart = OrientationMap(angles=np.array([[0.0, rho + 1e-6]]),
                                defined=np.ones((1, 2), bool))
         assert lone_mask(apart, rho).all()
+        assert lone_seeds_exact(apart, rho).all()
 
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
     @pytest.mark.parametrize("magnitude", [False, True], ids=["scan", "magnitude"])
     @pytest.mark.parametrize("min_size", [2, 5])
-    def test_ties_match_numpy_reference(self, magnitude, min_size):
-        cfg = LsdConfig(theta=1 / 8)
+    def test_ties_match_numpy_reference(self, magnitude, min_size, theta):
+        cfg = LsdConfig(theta=theta)
         for seed in range(3):
             omap = quantized_map(seed, magnitude=magnitude)
             got = region_grow_candidates(omap, cfg, min_size)
@@ -437,15 +512,12 @@ class TestNeighbourBand:
             assert exact.any()
             assert not (exact & ~near).any()
 
-    @pytest.mark.parametrize("theta,margin", [
-        (1 / 16, None), (1 / 8, 0.0), (1 / 4, 0.0)])
-    def test_pair_on_twice_the_tolerance_is_near(self, monkeypatch, theta, margin):
-        # The angles differ by exactly 2 rho.  At theta = 1/8 and 1/4 the
-        # band's distance lands on 2 rho exactly, so its comparison must be
-        # inclusive even with no margin; at theta = 1/16 it lands past
-        # 2 rho, and only the margin keeps the pair in the band.
-        if margin is not None:
-            monkeypatch.setattr(lsd_module, "_LONE_MARGIN", margin)
+    @pytest.mark.parametrize("theta", [1 / 16, 1 / 8, 1 / 4])
+    def test_pair_on_twice_the_tolerance_is_near(self, monkeypatch, theta):
+        # The angles differ by exactly 2 rho, and the band's distance lands
+        # on 2 rho exactly, so its comparison must be inclusive even with
+        # no margin.
+        monkeypatch.setattr(lsd_module, "_LONE_MARGIN", 0.0)
         rho = LsdConfig(theta=theta).rho
         for pair in ([0.0, 2 * rho], [2 * rho, 0.0], [-rho, rho]):
             omap = OrientationMap(angles=np.array([pair]), defined=np.ones((1, 2), bool))
@@ -629,8 +701,7 @@ class TestScalarPathsMatchNumpyOracles:
         rect = RectangleCandidate(ax=0.0, ay=1.0, bx=7.0, by=1.0, width=3.0)
         normal = rect.normal_angle
         for angle in (normal + 0.2, normal - 0.2):
-            d = (angle - normal) % math.pi
-            edge = min(d, math.pi - d)
+            edge = orientation_distance(angle, normal)
             rho = edge - 1e-12
             while rho + 1e-12 < edge:
                 rho = math.nextafter(rho, math.inf)
