@@ -104,6 +104,9 @@ def cmd_sweep_multi(args) -> int:
 
 def cmd_polygon(args) -> int:
     if args.epsilon is not None:
+        if args.criterion == "mdl":
+            raise ex.ConfigError("--epsilon is read only when the NFA criterion "
+                                 "runs (--criterion nfa or both)")
         EPSILON.check("--epsilon", args.epsilon, ex.ConfigError)
     if args.trace_every is not None and not args.trace:
         raise ex.ConfigError("--trace-every is read only with --trace")

@@ -30,7 +30,7 @@ is made once and handed to every part of that length, so a part costs one
 `xi` call per block, and its histogram is merged block by block from
 `np.unique` counts (memory grows with its distinct values, not with |X|^n).
 Past the enumeration cap, `count_ones_histogram` gives the `count_ones`
-histogram in closed form.
+histogram in closed form, up to `MAX_HISTOGRAM_LENGTH`.
 
 The decider forms the tails as exact suffix sums of the counts.  Both rules
 are monotone in the tail, so `decide` bisects for each rule's first
@@ -53,6 +53,7 @@ import numpy as np
 from .numeric import Fields, rule
 
 MAX_STATES = 2**24   # desk-scale exhaustiveness cap per part
+MAX_HISTOGRAM_LENGTH = 4096   # count_ones_histogram's cap: L + 1 exact big terms
 BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
 
 
@@ -195,10 +196,11 @@ def value_histogram(spec: PartSpec, alphabet_size: int) -> list[tuple[float, int
 
 
 def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
-    """`value_histogram` of `xi_count_ones` in closed form, for any length:
-    C(L, j) * (|X| - 1)^(L - j) configurations have j ones."""
+    """`value_histogram` of `xi_count_ones` in closed form, for a length up
+    to `MAX_HISTOGRAM_LENGTH`: C(L, j) * (|X| - 1)^(L - j) configurations
+    have j ones."""
     rule("count", ge=2).check("alphabet_size", alphabet_size)
-    rule("count", ge=0).check("length", length)
+    rule("count", ge=0, le=MAX_HISTOGRAM_LENGTH).check("length", length)
     return [(float(j), math.comb(length, j) * (alphabet_size - 1) ** (length - j))
             for j in range(length + 1)]
 

@@ -412,14 +412,12 @@ class BoundaryRow:
 
 
 def lsd_boundary_table(cfg: LsdConfig, n_image: int = 512 * 512,
-                       max_n_r: int = 60,
                        out_dir: Path | None = None) -> list[BoundaryRow]:
     """Minimal aligned count detected by each criterion, per rectangle size
-    4..max_n_r."""
+    4..60."""
     rule("count", ge=1).check("n_image", n_image, ConfigError)
-    rule("count", ge=4).check("max_n_r", max_n_r, ConfigError)
     rows = []
-    for n_r in range(4, max_n_r + 1):
+    for n_r in range(4, 61):
         min_nfa = min_mdl = None
         for k_r in range(0, n_r + 1):
             counts = AlignmentCounts(n_r=n_r, k_r=k_r)

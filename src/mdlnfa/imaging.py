@@ -180,10 +180,7 @@ def synthesize_squares(layout, width: int, height: int,
             raise ValueError(f"square {(row, col, side)} does not fit in "
                              f"{width}x{height}")
         truth[row:row + side, col:col + side] = 1
-    image = BinaryImage(truth)
-    if cfg.delta == 0.0:
-        return image
-    return flip_noise(image, cfg.delta, cfg.seed)
+    return flip_noise(BinaryImage(truth), cfg.delta, cfg.seed)
 
 
 # Rasterizer tolerances.  Pixel-center rows within _ROW_EPS of an edge's

@@ -13,10 +13,11 @@ flag that has a rule: `<name> must be <kind> <bound>, got <value!r>`.
 
 `code_length` is the two-part code every MDL score is built from, and
 `Score` pairs such a code-length delta with a log2 NFA and holds both
-decision rules.  `HypothesisCounts` is the one place that turns counts into
-both scores, their approximations and bounds; the scenario modules only turn
-geometry into counts.  Its NFA tail memo and tail bound are the functions
-`memo_tail` and `tail_bound`, which a scorer of many counts calls directly.
+decision rules.  `HypothesisCounts` turns the counts of one hypothesis
+into both scores and their approximations; the scenario modules only turn
+geometry into counts.  A scorer of many counts (BSS) forms the same floats
+from (n, k) alone, with the NFA tail memo `memo_tail` and its bound
+`tail_bound`.
 """
 
 from __future__ import annotations
@@ -274,14 +275,8 @@ class HypothesisCounts(NamedTuple):
             bits -= l0_code_length(self.whole)
         return bits + self.extra
 
-    def log2_nfa(self, tails: dict | None = None) -> Bits:
-        """`tails` memoizes the log2 tail of each (n, k, q) across calls."""
-        return self.log2_tests + memo_tail(self.tail, {} if tails is None else tails)
-
-    def log2_nfa_bound(self, tails: dict) -> Bits:
-        """A value never above `log2_nfa(tails)`: `log2_tests` plus
-        `tail_bound(tail, tails)`."""
-        return self.log2_tests + tail_bound(self.tail, tails)
+    def log2_nfa(self) -> Bits:
+        return self.log2_tests + binomial_tail_log(*self.tail)
 
     def score(self) -> Score:
         return Score(mdl_bits=self.mdl_bits(), log2_nfa=self.log2_nfa())

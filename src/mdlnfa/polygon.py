@@ -167,8 +167,9 @@ def _child_scores(image: BinaryImage, c: int, nfa: bool, tails: dict):
     (n, k) alone, as two functions of (n, k), for `bss_simplify`.
 
     MDL: both are `polygon_counts(image, c, (n, k)).mdl_bits()`.  NFA: the
-    key is that record's `log2_nfa_bound(tails)` and the score its
-    `log2_nfa(tails)`.  Each is that float bit for bit, with no record built.
+    score is that record's `log2_nfa()`, its tail memoized in `tails` by
+    `memo_tail`, and the key is the test count plus `tail_bound` of that
+    tail.  Each is that float bit for bit, with no record built.
     """
     n, ones = image.n, image.count_ones
     header, tests = _terms(n, c)
@@ -287,8 +288,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     current = initial
     marks = PolygonMarks(current.vertices, image.width, image.height)
     inside = count_region(image, marks.mask())
-    counts = polygon_counts(image, current.c, inside)
-    current_score = counts.log2_nfa(tails) if nfa else counts.mdl_bits()
+    current_score = _child_scores(image, current.c, nfa, tails)[1](inside)
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     entries = [None] * current.c
     while current.c > 3:

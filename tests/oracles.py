@@ -853,23 +853,13 @@ def removable_all(verts):
     return ~(touch & far).any(axis=1) & (np.abs(_shoelace(children)) >= 1e-12)
 
 
-def trace_contour_grid(image, every: int = 1):
-    """Reference tracer: `imaging.trace_contour` as first written, with a 2-D
-    breadth-first labelling and a bounds-checked Moore walk on the pixel
-    grid.
-
-    Labels the 4-connected components of ones in scan order, keeps the first
-    largest, and walks its Moore neighbourhood clockwise from its topmost,
-    then leftmost pixel; returns every `every`-th boundary pixel as (x, y).
-    """
+def component_labels(pixels):
+    """The 4-connected components of ones, labelled 1, 2, ... in scan order
+    by a 2-D breadth-first walk: the label array and {label: size}."""
     from collections import deque
 
     import numpy as np
 
-    if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
-            or every < 1):
-        raise ValueError(f"every must be an integer >= 1, got {every!r}")
-    pixels = image.pixels
     height, width = pixels.shape
     labels = np.zeros_like(pixels, dtype=np.int32)
     sizes = {}
@@ -890,6 +880,26 @@ def trace_contour_grid(image, every: int = 1):
                             labels[rr, cc] = next_label
                             queue.append((rr, cc))
                 sizes[next_label] = size
+    return labels, sizes
+
+
+def trace_contour_grid(image, every: int = 1):
+    """Reference tracer: `imaging.trace_contour` as first written, with a 2-D
+    breadth-first labelling and a bounds-checked Moore walk on the pixel
+    grid.
+
+    Labels the 4-connected components of ones in scan order, keeps the first
+    largest, and walks its Moore neighbourhood clockwise from its topmost,
+    then leftmost pixel; returns every `every`-th boundary pixel as (x, y).
+    """
+    import numpy as np
+
+    if (isinstance(every, bool) or not isinstance(every, (int, np.integer))
+            or every < 1):
+        raise ValueError(f"every must be an integer >= 1, got {every!r}")
+    pixels = image.pixels
+    height, width = pixels.shape
+    labels, sizes = component_labels(pixels)
     if not sizes:
         raise ValueError("image has no foreground pixels to trace")
     target = max(sizes, key=sizes.get)

@@ -301,7 +301,7 @@ def test_criterion_8_polygon_bss():
 
 def test_criterion_9_lsd_boundary_table():
     cfg = LsdConfig(theta=0.125)
-    rows = lsd_boundary_table(cfg, n_image=512 * 512, max_n_r=60)
+    rows = lsd_boundary_table(cfg, n_image=512 * 512)
     ok = True
     detectable_started = {"nfa": False, "mdl": False}
     prev = {"nfa": None, "mdl": None}

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 import mdlnfa.equivalence as equivalence_module
 from mdlnfa.equivalence import (
     BLOCK_ROWS,
+    MAX_HISTOGRAM_LENGTH,
     MAX_STATES,
     XI_FAMILIES,
     EnumerationRefused,
@@ -499,6 +500,13 @@ class TestCountOnesHistogram:
     def test_arguments_checked(self, alphabet, length):
         with pytest.raises(ValueError):
             count_ones_histogram(alphabet, length)
+
+    def test_length_capped(self):
+        # Without the cap a length of 10^400 would never return.
+        for length in (MAX_HISTOGRAM_LENGTH + 1, 10**400):
+            with pytest.raises(ValueError, match="length must be an integer >= 0 "
+                                                 f"and <= {MAX_HISTOGRAM_LENGTH}"):
+                count_ones_histogram(3, length)
 
 
 class TestXiAgainstPlainVersions:

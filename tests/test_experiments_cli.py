@@ -340,15 +340,17 @@ class TestLsdRuns:
                                      height=1) == [0]
 
     @pytest.mark.parametrize("name,value", [
-        ("n_image", 0), ("n_image", True), ("n_image", 2.5), ("max_n_r", 3),
-        ("max_n_r", 2), ("max_n_r", 60.0)])
+        ("n_image", 0), ("n_image", True), ("n_image", 2.5)])
     def test_boundary_table_refuses_bad_counts(self, name, value):
         with pytest.raises(ConfigError, match=f"{name} must be an integer >= "):
             lsd_boundary_table(LsdConfig(), **{name: value})
 
     def test_boundary_table_smallest(self):
-        rows = lsd_boundary_table(LsdConfig(), n_image=1, max_n_r=4)
-        assert [row.n_r for row in rows] == [4]
+        # One pixel and gamma = 1 make one test, so NFA = 1 <= epsilon at
+        # k_r = 0 for every size of the fixed range.
+        rows = lsd_boundary_table(LsdConfig(), n_image=1)
+        assert [row.n_r for row in rows] == list(range(4, 61))
+        assert all(row.min_k_nfa == 0 for row in rows)
 
 
 @pytest.fixture
@@ -459,6 +461,7 @@ BAD_INPUT = [
     (["sweep-single", "--epsilon", "inf"], "epsilon"),
     (["sweep-multi", "--axis", "noise", "--epsilon", "inf"], "epsilon"),
     (["polygon", "--epsilon", "inf"], "--epsilon"),
+    (["polygon", "--criterion", "mdl", "--epsilon", "0.5"], "--epsilon"),
     (["lsd", "--epsilon", "inf"], "epsilon"),
     (["polygon", "--trace", "--trace-every", "0"], "--trace-every"),
     (["gen", "--kind", "single-square", "--side", "0"], "--side"),

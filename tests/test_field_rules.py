@@ -145,9 +145,8 @@ ARGUMENTS = [
      call(lambda alphabet_size=2, length=1: enumerate_configs(alphabet_size, length)),
      ValueError, {"alphabet_size": COUNT_1, "length": COUNT_0}),
     ("lsd_boundary_table",
-     call(lambda n_image=1, max_n_r=4: lsd_boundary_table(LsdConfig(), n_image,
-                                                          max_n_r)),
-     ConfigError, {"n_image": COUNT_1, "max_n_r": COUNT_1}),
+     call(lambda n_image=1: lsd_boundary_table(LsdConfig(), n_image)),
+     ConfigError, {"n_image": COUNT_1}),
     ("h0_false_alarm_counts",
      call(lambda n_maps=0, width=1, height=1, workers=1: h0_false_alarm_counts(
          LsdConfig(), n_maps, width, height, workers=workers)),

@@ -33,6 +33,7 @@ from mdlnfa.numeric import DomainError
 from mdlnfa.experiments import ShapeSpec, make_shape_instance
 from oracles import (
     GRID_SYMMETRIES,
+    component_labels,
     count_ones_sum,
     flip_noise_where,
     pgm_bytes,
@@ -724,6 +725,49 @@ class TestTraceContourOracle:
         assert verts[:, 0].min() == 0.0 and verts[:, 0].max() == 11.0
         assert verts[:, 1].min() == 0.0 and verts[:, 1].max() == 9.0
         assert np.array_equal(verts, trace_contour_grid(image))
+
+
+def cycle_rotations(verts):
+    """The vertex cycle `verts` from each start, in each direction."""
+    cycle = [tuple(v) for v in verts.tolist()]
+    return {tuple(order[i:] + order[:i])
+            for order in (cycle, cycle[::-1]) for i in range(len(order))}
+
+
+class TestTraceContourSymmetry:
+    """The traced cycle (`every=1`) commutes with the grid's symmetries, up
+    to its start and its direction, wherever the largest component is
+    unique (a tie goes to the first in scan order, which a map reorders)."""
+
+    @staticmethod
+    def blobs():
+        rng = np.random.default_rng(34)
+        images = []
+        while len(images) < 60:
+            height, width = (int(v) for v in rng.integers(2, 30, size=2))
+            pixels = (rng.random((height, width))
+                      < rng.uniform(0.3, 0.8)).astype(np.uint8)
+            sizes = sorted(component_labels(pixels)[1].values())
+            if sizes and sizes[-2:-1] != sizes[-1:]:
+                images.append(BinaryImage(pixels))
+        return images
+
+    @pytest.mark.parametrize("symmetry", sorted(GRID_SYMMETRIES))
+    def test_mapped_image_traces_the_mapped_cycle(self, symmetry):
+        vertex_map, array_map = GRID_SYMMETRIES[symmetry]
+        traced = 0
+        for image in self.blobs():
+            try:
+                verts = trace_contour(image)
+            except ValueError:     # fewer than 3 boundary pixels
+                continue
+            x, y = vertex_map(verts[:, 0], verts[:, 1], image.width, image.height)
+            got = trace_contour(BinaryImage(np.ascontiguousarray(
+                array_map(image.pixels))))
+            assert tuple(map(tuple, got.tolist())) in cycle_rotations(
+                np.stack([x, y], axis=1))
+            traced += 1
+        assert traced > 50
 
 
 def test_orientation_map_validation():

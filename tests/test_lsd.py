@@ -942,7 +942,7 @@ class TestExactDecisions:
                 (n_r,
                  next((k for k, (nfa, _) in enumerate(keeps) if nfa), None),
                  next((k for k, (_, mdl) in enumerate(keeps) if mdl), None)))
-        rows = lsd_boundary_table(cfg, n_image=n_image, max_n_r=60)
+        rows = lsd_boundary_table(cfg, n_image=n_image)
         assert [(r.n_r, r.min_k_nfa, r.min_k_mdl) for r in rows] == expected
 
 

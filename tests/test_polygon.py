@@ -479,12 +479,19 @@ class TestIncrementalBss:
             calls["PolygonHypothesis"] += 1
             post_init(self)
 
+        def counting_counts(*args, **kwargs):
+            calls["polygon_counts"] += 1
+            return polygon_counts(*args, **kwargs)
+
         monkeypatch.setattr(polygon_module, "PolygonMarks", counting_marks)
         monkeypatch.setattr(PolygonHypothesis, "__post_init__", counting_post_init)
+        monkeypatch.setattr(polygon_module, "polygon_counts", counting_counts)
         steps = bss_simplify(image, initial, criterion).steps
         assert len(steps) > 2
         assert calls["PolygonMarks"] == 1
         assert calls["PolygonHypothesis"] == 0
+        # The start is scored from its counts like a child: no record built.
+        assert calls["polygon_counts"] == 0
 
 
 @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
@@ -528,24 +535,25 @@ class TestTailMemo:
     @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
     def test_nfa_key_matches_oracle(self, shape_instances, shape_trajectories,
                                     seed, criterion):
-        # Every child of every step of the trajectory, its tail first absent
-        # from the memo, then present for every other child (as for a child
-        # the walk has scored), gets the oracle's key.
+        # The walk's key of every child of every step of the trajectory, its
+        # tail first absent from the memo, then present for every other child
+        # (as for a child the walk has scored), is the oracle's key.
         image, _ = shape_instances[seed]
         tails, keys, hits = {}, 0, 0
         for step in shape_trajectories[seed, criterion][0].steps:
             poly = step.polygon
             if poly.c == 3:
                 continue
+            key_of = polygon_module._child_scores(image, poly.c - 1, True, tails)[0]
             for i, child in enumerate(fresh_child_counts(image, poly, step.inside)):
                 if child is None:
                     continue
                 counts = polygon_counts(image, poly.c - 1, child)
                 hits += counts.tail in tails
-                assert counts.log2_nfa_bound(tails) == bss_nfa_key(counts, tails)
+                assert key_of(child) == bss_nfa_key(counts, tails)
                 if i % 2:
-                    counts.log2_nfa(tails)
-                    assert counts.log2_nfa_bound(tails) == bss_nfa_key(counts, tails)
+                    numeric_module.memo_tail(counts.tail, tails)
+                    assert key_of(child) == bss_nfa_key(counts, tails)
                 keys += 1
         assert keys > 1000 and 0 < hits < keys
 
@@ -566,10 +574,11 @@ class TestTailMemo:
 
 
 def checked_scores_bss(monkeypatch, image, initial, criterion):
-    """bss_simplify, with every child key and every walked score it forms
-    from a child's counts checked, bit for bit, against the counts record of
-    that child: `mdl_bits()`, or `bss_nfa_key` on the run's memo and
-    `log2_nfa()` on a fresh one.  Also returns how many of each it formed."""
+    """bss_simplify, with every child key and every score it forms from
+    counts (the start's and each walked child's) checked, bit for bit,
+    against the counts record of that polygon: `mdl_bits()`, or `bss_nfa_key`
+    on the run's memo and `log2_nfa()`.  Also returns how many of each it
+    formed."""
     child_scores = polygon_module._child_scores
     formed = Counter()
 
@@ -610,11 +619,12 @@ class TestChildScores:
         traj, formed = checked_scores_bss(monkeypatch, image, initial, criterion)
         assert trajectory_record(traj) == trajectory_record(
             shape_trajectories[seed, criterion][1])
-        # The MDL walk takes each key as the child's score; the NFA walk
-        # scores each child it reaches.
+        # Both walks score the start as they score a child.  The MDL walk
+        # takes each key as the child's score; the NFA walk scores each
+        # child it reaches.
         assert formed["keys"] > 500
         assert (formed["scores"] > len(traj.steps) if criterion == "nfa"
-                else formed["scores"] == 0)
+                else formed["scores"] == 1)
         for step in traj.steps:
             counts = polygon_counts(image, step.vertex_count, step.inside)
             expected = counts.log2_nfa() if criterion == "nfa" else counts.mdl_bits()

@@ -9,7 +9,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mdlnfa.imaging import BinaryImage, NoiseConfig, synthesize_squares
+from mdlnfa.imaging import (BinaryImage, NoiseConfig, count_region, rasterize_polygon,
+                            synthesize_squares)
 from mdlnfa.numeric import (
     DomainError,
     RegionCounts,
@@ -18,6 +19,7 @@ from mdlnfa.numeric import (
     l0_code_length,
     log_binomial,
 )
+from mdlnfa.polygon import polygon_counts
 from mdlnfa.square_detect import (
     Score,
     Square,
@@ -564,3 +566,28 @@ class TestSquareSymmetry:
             background = complement(image.counts, inside)
             if k1 * background.n < background.k * n1:   # sparser than its background
                 assert flipped.log2_nfa < score.log2_nfa
+
+
+class TestCrossScenario:
+    """A square is also a polygon: the polygon through its four corner pixel
+    centres rasterizes to its pixels, so both scenarios count the same (n, k)
+    and the square record's parts are the polygon record's."""
+
+    def test_square_counts_equal_its_polygon_counts(self):
+        rng = np.random.default_rng(35)
+        width, height = 40, 30
+        for _ in range(300):
+            pixels = rng.random((height, width)) < rng.uniform(0.1, 0.6)
+            image = BinaryImage(pixels.astype(np.uint8))
+            side = int(rng.integers(2, 25))
+            sq = Square(int(rng.integers(0, height - side + 1)),
+                        int(rng.integers(0, width - side + 1)), side)
+            x0, y0, x1, y1 = sq.col, sq.row, sq.col + side - 1, sq.row + side - 1
+            mask = rasterize_polygon(np.array(
+                [(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float), width, height)
+            region = count_region(image, mask)
+            assert region == _square_counts(image, sq)
+            single, polygon = single_counts(image, sq), polygon_counts(image, 4, region)
+            (_, (background, square)), = single.codes
+            (_, (inside, outside)), = polygon.codes
+            assert (square, background, single.tail) == (inside, outside, polygon.tail)
