@@ -161,14 +161,14 @@ def cmd_lsd(args) -> int:
         gray = read_pgm(args.image)
         candidates = read_candidates_file(args.candidates) if args.candidates \
             else None
-        criterion = {} if args.criterion is None else {"criterion": args.criterion}
-        detections = detect_segments(gray, cfg, candidates=candidates,
-                                     **criterion)
-        write_segments_file(_out_dir(args) / "segments.txt", detections)
-        kept_nfa = sum(d.nfa_keep for d in detections)
-        kept_mdl = sum(d.mdl_keep for d in detections)
-        print(f"lsd: {len(detections)} candidates, {kept_nfa} kept by NFA, "
-              f"{kept_mdl} kept by MDL")
+        detections = detect_segments(gray, cfg, candidates=candidates)
+        kept = {"nfa": [d for d in detections if d.nfa_keep],
+                "mdl": [d for d in detections if d.mdl_keep]}
+        # --criterion filters only the rows written; the summary counts all.
+        write_segments_file(_out_dir(args) / "segments.txt",
+                            kept.get(args.criterion, detections))
+        print(f"lsd: {len(detections)} candidates, {len(kept['nfa'])} kept by "
+              f"NFA, {len(kept['mdl'])} kept by MDL")
     rows = ex.lsd_boundary_table(cfg, n_image=args.table_n, out_dir=_out_dir(args))
     detectable = [r for r in rows if r.min_k_nfa is not None]
     if detectable:
@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--candidates", help="rectangle candidate file "
                                         "(ax ay bx by w per line)")
     p.add_argument("--criterion", choices=("mdl", "nfa", "both"),
-                   help="detections to list (with --image)")
+                   help="segments.txt rows to write (with --image)")
     p.add_argument("--theta", type=float, help="alignment probability")
     p.add_argument("--gamma", type=int,
                    help="number of tolerance values tested")

@@ -41,7 +41,6 @@ the configurations between the two thresholds, and the boundary-exact tail
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -197,12 +196,16 @@ def value_histogram(spec: PartSpec, alphabet_size: int) -> list[tuple[float, int
 
 def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
     """`value_histogram` of `xi_count_ones` in closed form, for a length up
-    to `MAX_HISTOGRAM_LENGTH`: C(L, j) * (|X| - 1)^(L - j) configurations
-    have j ones."""
+    to `MAX_HISTOGRAM_LENGTH`: T(j) = C(L, j) * (|X| - 1)^(L - j)
+    configurations have j ones.  T(0) = (|X| - 1)^L, and T(j + 1) =
+    T(j) (L - j) / ((j + 1) (|X| - 1)) is an exact integer division."""
     rule("count", ge=2).check("alphabet_size", alphabet_size)
     rule("count", ge=0, le=MAX_HISTOGRAM_LENGTH).check("length", length)
-    return [(float(j), math.comb(length, j) * (alphabet_size - 1) ** (length - j))
-            for j in range(length + 1)]
+    other = alphabet_size - 1
+    counts = [other ** length]
+    for j in range(length):
+        counts.append(counts[-1] * (length - j) // ((j + 1) * other))
+    return [(float(j), count) for j, count in enumerate(counts)]
 
 
 def _nfa_detects(eta: Fraction, tail: int, states: int) -> bool:

@@ -159,9 +159,10 @@ def flip_noise(image: BinaryImage, delta: float, seed) -> BinaryImage:
 
     Accepts the full range delta in [0, 1]; experiment configs restrict
     themselves to [0, 0.5) via NoiseConfig, but the raw mechanism supports
-    forced flips (delta = 1) as well.
+    forced flips (delta = 1) as well.  The seed follows NoiseConfig's rule.
     """
     rule("real", ge=0, le=1).check("delta", delta)
+    rule("seed", ge=0).check("seed", seed)
     flips = _rng(seed).random(image.pixels.shape) < delta
     return BinaryImage(image.pixels ^ flips)   # pixels are 0/1: XOR flips them
 
@@ -369,8 +370,10 @@ def gradient_orientation(gray: np.ndarray,
 
     The value at (row, col) uses the four pixels of the 2x2 block anchored
     there, so the last row and column carry no gradient and are undefined,
-    as are pixels whose gradient magnitude falls below tau.
+    as are pixels whose gradient magnitude falls below tau.  tau follows
+    LsdConfig's rule: a finite real >= 0.
     """
+    rule("finite", ge=0).check("tau", tau)
     img = np.asarray(gray, dtype=np.float64)
     if img.ndim != 2 or img.shape[0] < 2 or img.shape[1] < 2:
         raise ValueError("grayscale image must be at least 2x2")

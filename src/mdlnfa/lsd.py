@@ -169,11 +169,9 @@ def _count_batch(rects, omap: OrientationMap, rho: float):
     height, width = omap.height, omap.width
     geometry = []
     for rect in rects:
-        dx, dy = rect.bx - rect.ax, rect.by - rect.ay
-        angle = math.atan2(dy, dx)
-        geometry.append((rect.ax, rect.ay, rect.bx, rect.by, rect.width,
-                         math.hypot(dx, dy), math.cos(angle), math.sin(angle),
-                         rect.normal_angle))
+        angle = rect.angle
+        geometry.append((rect.ax, rect.ay, rect.bx, rect.by, rect.width, rect.length,
+                         math.cos(angle), math.sin(angle), rect.normal_angle))
     ax, ay, bx, by, wd, length, ux, uy, normal = np.array(
         geometry, dtype=np.float64).reshape(-1, 9).T
     n_rects = len(geometry)
@@ -319,10 +317,9 @@ def _fit_batch(coords: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
     LAPACK calls as it would alone (a sequential sum over its m rows, one
     gemm, one `eigh`, two gemv), so its row does not depend on the batch.
     """
-    if weights is None:
-        w_col, w_sum = 1.0, float(coords.shape[1])  # unit weights: x * 1.0 == x
-    else:
-        w_col, w_sum = weights[:, :, None], weights.sum(axis=1)[:, None, None]
+    if weights is None:     # x * 1.0 and a sum of m ones are exact
+        weights = np.ones(coords.shape[:2])
+    w_col, w_sum = weights[:, :, None], weights.sum(axis=1)[:, None, None]
     center = (coords * w_col).sum(axis=1, keepdims=True) / w_sum
     centered = coords - center
     # `centered * w_col` is a new buffer even for unit weights: an array
@@ -590,29 +587,26 @@ def score_candidates(omap: OrientationMap, candidates,
     return out
 
 
-def detect_segments(gray: np.ndarray, cfg: LsdConfig,
-                    criterion: str = "both",
+def detect_segments(gray: np.ndarray, cfg: LsdConfig, *,
                     candidates=None) -> list[SegmentDetection]:
     """Full pipeline: orientation map, candidate growth, dual validation.
 
-    `criterion` filters the returned detections ('mdl', 'nfa', or 'both' for
-    every scored candidate with its keep flags).  Supplying `candidates`
-    bypasses region growing for criterion-only comparisons.
+    Returns every scored candidate with both keep flags.  Supplying
+    `candidates` bypasses region growing for criterion-only comparisons.
     """
-    rule("choice", "mdl", "nfa", "both").check("criterion", criterion)
     omap = gradient_orientation(gray, tau=cfg.tau)
     if candidates is None:
         candidates = region_grow_candidates(omap, cfg)
-    detections = score_candidates(omap, candidates, cfg)
-    if criterion == "mdl":
-        return [d for d in detections if d.mdl_keep]
-    if criterion == "nfa":
-        return [d for d in detections if d.nfa_keep]
-    return detections
+    return score_candidates(omap, candidates, cfg)
 
 
 def isotropic_orientation_map(width: int, height: int, seed) -> OrientationMap:
-    """Uniform random orientations, all defined: the H0 background model."""
+    """Uniform random orientations, all defined: the H0 background model.
+    Raises ValueError unless width and height are integers >= 1 and seed
+    follows NoiseConfig's rule."""
+    for name, size in (("width", width), ("height", height)):
+        rule("count", ge=1).check(name, size)
+    rule("seed", ge=0).check("seed", seed)
     angles = _rng(seed).uniform(-math.pi, math.pi, size=(height, width))
     angles[angles >= math.pi] = -math.pi
     return OrientationMap(angles=angles, defined=np.ones((height, width), bool))

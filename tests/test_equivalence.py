@@ -501,6 +501,17 @@ class TestCountOnesHistogram:
         with pytest.raises(ValueError):
             count_ones_histogram(alphabet, length)
 
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    def test_built_at_the_cap(self, alphabet):
+        # The recurrence's exact divisions against fresh binomials.
+        length = MAX_HISTOGRAM_LENGTH
+        histogram = count_ones_histogram(alphabet, length)
+        assert [value for value, _ in histogram] == list(map(float, range(length + 1)))
+        assert sum(count for _, count in histogram) == alphabet**length
+        for j in (0, 1, 2, 777, length // 2, length - 1, length):
+            assert histogram[j][1] == \
+                math.comb(length, j) * (alphabet - 1) ** (length - j)
+
     def test_length_capped(self):
         # Without the cap a length of 10^400 would never return.
         for length in (MAX_HISTOGRAM_LENGTH + 1, 10**400):

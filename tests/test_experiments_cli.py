@@ -480,6 +480,46 @@ class TestCli:
         assert (tmp_path / "segments.txt").exists()
         assert (tmp_path / "lsd_boundary.csv").exists()
 
+    @pytest.mark.parametrize("inputs", ["golden_candidates", "stripes"])
+    def test_lsd_criterion_filters_only_the_rows_written(self, tmp_path, capsys,
+                                                         inputs):
+        # `--criterion nfa` used to print the NFA-kept rows as the candidate
+        # count, and `--criterion mdl` to report 0 kept by NFA.
+        if inputs == "golden_candidates":    # the golden run `lsd_candidates`
+            assert main(["gen", "--kind", "edge", "--width", "48", "--height", "48",
+                         "--out", str(tmp_path)]) == EXIT_OK
+            image = tmp_path / "edge.pgm"
+            cands = tmp_path / "candidates.txt"
+            cands.write_text("# ax ay bx by w\n\n"
+                             "23.0 2.0 23.0 40.0 1.0 -3.2 -10.1 1 1\n"
+                             "10 10 30 12 2\n")
+            extra = ["--candidates", str(cands)]
+        else:      # vertical stripes 4 pixels wide, where the criteria differ
+            rng = np.random.default_rng(1)
+            stripes = np.kron((np.arange(96) // 4 % 2)[None, :] * 80 + 100,
+                              np.ones((96, 1))) + rng.normal(0, 4, (96, 96))
+            image = tmp_path / "stripes.pgm"
+            image.write_bytes(pgm_bytes("P5", np.clip(stripes, 0, 255).astype(
+                np.uint8), 255))
+            extra = []
+        capsys.readouterr()
+        runs = {}
+        for criterion in ("both", "nfa", "mdl"):
+            out = tmp_path / criterion
+            assert main(["lsd", "--image", str(image), *extra, "--criterion",
+                         criterion, "--table-n", "4096", "--out", str(out)]) == EXIT_OK
+            summary = capsys.readouterr().out.splitlines()[0]
+            rows = (out / "segments.txt").read_text().splitlines()[1:]
+            runs[criterion] = summary, [row.split() for row in rows]
+        summary, rows = runs["both"]
+        for criterion, column in (("nfa", 7), ("mdl", 8)):
+            assert runs[criterion] == (summary,
+                                       [row for row in rows if row[column] == "1"])
+        if inputs == "golden_candidates":
+            assert summary == "lsd: 2 candidates, 1 kept by NFA, 1 kept by MDL"
+        else:
+            assert runs["mdl"][1] and runs["nfa"][1] != runs["mdl"][1]
+
     @pytest.mark.parametrize("line", ["0 0 10 10 inf", "0 0 nan 10 2"])
     def test_lsd_rejects_non_finite_candidates(self, tmp_path, capsys, line):
         assert main(["gen", "--kind", "edge", "--out", str(tmp_path)]) == EXIT_OK

@@ -30,6 +30,7 @@ from mdlnfa.imaging import (
     NoiseConfig,
     Square,
     flip_noise,
+    gradient_orientation,
     synthesize_squares,
     trace_contour,
 )
@@ -37,7 +38,6 @@ from mdlnfa.lsd import (
     AlignmentCounts,
     LsdConfig,
     RectangleCandidate,
-    detect_segments,
     isotropic_orientation_map,
     region_grow_candidates,
 )
@@ -126,17 +126,21 @@ ARGUMENTS = [
      ValueError, {"criterion": CHOICE}),
     ("threshold_along", call(lambda criterion: threshold_along([], criterion)),
      ValueError, {"criterion": CHOICE}),
-    ("detect_segments",
-     call(lambda criterion: detect_segments(np.zeros((4, 4)), LsdConfig(), criterion)),
-     ValueError, {"criterion": CHOICE}),
+    ("isotropic_orientation_map",
+     call(lambda width=1, height=1, seed=0: isotropic_orientation_map(width, height,
+                                                                      seed)),
+     ValueError, {"width": COUNT_1, "height": COUNT_1, "seed": COUNT_0}),
     ("region_grow_candidates",
      call(lambda min_region_size: region_grow_candidates(OMAP, LsdConfig(),
                                                          min_region_size)),
      ValueError, {"min_region_size": COUNT_1}),
     ("trace_contour", call(lambda every: trace_contour(IMAGE, every)), ValueError,
      {"every": COUNT_1}),
-    ("flip_noise", call(lambda delta: flip_noise(IMAGE, delta, seed=0)), ValueError,
-     {"delta": ALL - {"0", "0.0", "1.0"}}),
+    ("flip_noise", call(lambda delta=0.0, seed=0: flip_noise(IMAGE, delta, seed)),
+     ValueError, {"delta": ALL - {"0", "0.0", "1.0"}, "seed": COUNT_0}),
+    ("gradient_orientation",
+     call(lambda tau: gradient_orientation(np.zeros((4, 4)), tau)), ValueError,
+     {"tau": NON_NEGATIVE}),
     ("synthesize_squares",
      call(lambda row=0, col=0, side=1: synthesize_squares(
          [(row, col, side)], 10, 10, NoiseConfig(0.0))),

@@ -9,7 +9,7 @@ import pytest
 import mdlnfa.lsd as lsd_module
 import mdlnfa.numeric as numeric_module
 from mdlnfa.experiments import lsd_boundary_table
-from mdlnfa.imaging import OrientationMap, gradient_orientation
+from mdlnfa.imaging import BinaryImage, OrientationMap, Square, gradient_orientation
 from mdlnfa.lsd import (
     AlignmentCounts,
     LsdConfig,
@@ -27,6 +27,7 @@ from mdlnfa.lsd import (
     write_candidates_file,
     write_segments_file,
 )
+from mdlnfa.square_detect import _square_counts
 from oracles import (
     GRID_SYMMETRIES,
     count_aligned_numpy,
@@ -245,6 +246,31 @@ class TestCountSymmetry:
             else:
                 kinds["refused"] += 1
         assert min(kinds.values()) > 10
+
+
+class TestCrossScenario:
+    """A square is also an axis-aligned rectangle.  On a map whose angle is
+    the rectangle's normal on the ones of a binary image and its direction
+    elsewhere, the rectangle counts the square's pixels as n_r and its ones
+    as k_r."""
+
+    def test_rectangle_counts_equal_its_square_counts(self):
+        rng = np.random.default_rng(12)
+        width, height = 40, 30
+        rho = LsdConfig().rho
+        for _ in range(300):
+            image = BinaryImage((rng.random((height, width)) < 0.4).astype(np.uint8))
+            side = int(rng.integers(2, 25))
+            sq = Square(int(rng.integers(0, height - side + 1)),
+                        int(rng.integers(0, width - side + 1)), side)
+            x0, y0, mid, last = sq.col, sq.row, (side - 1) / 2, side - 1.0
+            want = AlignmentCounts(side * side, _square_counts(image, sq).k, 0)
+            for rect in (RectangleCandidate(x0, y0 + mid, x0 + last, y0 + mid, side),
+                         RectangleCandidate(x0 + mid, y0, x0 + mid, y0 + last, side)):
+                omap = OrientationMap(
+                    angles=np.where(image.pixels == 1, rect.normal_angle, rect.angle),
+                    defined=np.ones((height, width), dtype=bool))
+                assert count_aligned(rect, omap, rho) == want, (sq, rect)
 
 
 class TestRectScores:
@@ -968,22 +994,13 @@ class TestDetectSegments:
         agreement = len(kept_nfa & kept_mdl) / len(union)
         assert agreement >= 0.9
 
-    def test_criterion_filtering(self):
-        cfg = LsdConfig()
-        both = detect_segments(self.facade(), cfg, criterion="both")
-        nfa_only = detect_segments(self.facade(), cfg, criterion="nfa")
-        assert {d.candidate for d in nfa_only} == \
-            {d.candidate for d in both if d.nfa_keep}
-        with pytest.raises(ValueError):
-            detect_segments(self.facade(), cfg, criterion="fast")
-
     def test_noise_images_rarely_fire(self):
         cfg = LsdConfig()
         rng = np.random.default_rng(11)
         total = 0
         for seed in range(3):
             img = rng.integers(0, 256, size=(128, 128)).astype(np.uint8)
-            total += len(detect_segments(img, cfg, criterion="nfa"))
+            total += sum(d.nfa_keep for d in detect_segments(img, cfg))
         assert total <= 2
 
     def test_candidates_can_be_supplied(self):
