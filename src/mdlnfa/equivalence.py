@@ -22,15 +22,27 @@ configuration only through its tail, so a part enters them only through the
 histogram of its `xi` values: its distinct values in increasing order, each
 with the number of configurations that take it.
 
-The producer enumerates configurations as digit matrices:
-`enumerate_configs` yields int64 blocks of at most `BLOCK_ROWS` rows, one
-configuration per row, in lexicographic order.  An ordering function `xi`
-takes such a matrix and returns one value per row.  Each block of a length
-is made once and handed to every part of that length, so a part costs one
-`xi` call per block, and its histogram is merged block by block from
-`np.unique` counts (memory grows with its distinct values, not with |X|^n).
-Past the enumeration cap, `count_ones_histogram` gives the `count_ones`
-histogram in closed form, up to `MAX_HISTOGRAM_LENGTH`.
+The producer of a standard family's histogram computes it exactly, with
+no enumeration: `count_ones_histogram` in closed form (up to
+`MAX_HISTOGRAM_LENGTH`), `weighted_sum_histogram` by a DP over the
+positions (within `MAX_SUM_BYTES`) and `longest_run_histogram` by a
+run-length recurrence for each bound (up to `MAX_RUN_LENGTH`).
+`check_equivalence` takes the histogram of a part whose `xi` is one of
+these families (`XI_HISTOGRAMS`, by identity) from its producer.  Called
+directly, the producers reach past the enumeration cap, and `decide` reads
+those long parts as it reads any other.
+
+Any other `xi` is enumerated, and so is every part of `value_histogram`,
+the producers' oracle: `enumerate_configs` yields the configurations as
+int64 digit matrices of at most `BLOCK_ROWS` rows, one configuration per
+row, in lexicographic order.  An ordering function `xi` takes such a matrix
+and returns one value per row.  Each block of a length is made once and
+handed to every enumerated part of that length, so a part costs one `xi`
+call per block, and its histogram is merged block by block from `np.unique`
+counts (memory grows with its distinct values, not with |X|^n).
+`check_equivalence` checks every part, produced or enumerated, against the
+enumeration cap `MAX_STATES` before any work, so it refuses the same parts
+whichever producer serves them.
 
 The decider forms the tails as exact suffix sums of the counts.  Both rules
 are monotone in the tail, so `decide` bisects for each rule's first
@@ -53,6 +65,8 @@ from .numeric import Fields, rule
 
 MAX_STATES = 2**24   # desk-scale exhaustiveness cap per part
 MAX_HISTOGRAM_LENGTH = 4096   # count_ones_histogram's cap: L + 1 exact big terms
+MAX_RUN_LENGTH = 1024   # longest_run_histogram's cap: L^2 exact big sums
+MAX_SUM_BYTES = 2**29   # weighted_sum_histogram's cap: L times its packed counts' bytes
 BLOCK_ROWS = 2**16   # rows per digit-matrix block: bounds enumeration memory
 
 
@@ -144,14 +158,9 @@ def _xi_rows(spec: PartSpec, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def _histograms(alphabet_size: int, specs) -> list:
-    """Each part's xi histogram, as a sorted float64 array of its distinct
-    values and an int64 array of their counts.
-
-    Every part is checked against the cap before any is enumerated.  Each
-    distinct length is enumerated once, and each of its blocks is scored by
-    every part of that length.
-    """
+def _refuse_past_the_cap(alphabet_size: int, specs) -> None:
+    """Raise EnumerationRefused for the first part of more than `MAX_STATES`
+    configurations."""
     rule("count", ge=2).check("alphabet_size", alphabet_size)
     fits = _max_length(alphabet_size)
     for spec in specs:
@@ -162,6 +171,17 @@ def _histograms(alphabet_size: int, specs) -> list:
             raise EnumerationRefused(
                 f"part {_name(spec)} has {states} configurations, "
                 f"beyond the {MAX_STATES} exhaustive-enumeration cap")
+
+
+def _histograms(alphabet_size: int, specs) -> list:
+    """Each part's xi histogram, as a sorted float64 array of its distinct
+    values and an int64 array of their counts.
+
+    Every part is checked against the cap before any is enumerated.  Each
+    distinct length is enumerated once, and each of its blocks is scored by
+    every part of that length.
+    """
+    _refuse_past_the_cap(alphabet_size, specs)
     by_length: dict[int, list[int]] = {}
     for i, spec in enumerate(specs):
         by_length.setdefault(spec.length, []).append(i)
@@ -201,11 +221,80 @@ def count_ones_histogram(alphabet_size: int, length: int) -> list[tuple[float, i
     T(j) (L - j) / ((j + 1) (|X| - 1)) is an exact integer division."""
     rule("count", ge=2).check("alphabet_size", alphabet_size)
     rule("count", ge=0, le=MAX_HISTOGRAM_LENGTH).check("length", length)
+    alphabet_size, length = int(alphabet_size), int(length)   # no int64 overflow
     other = alphabet_size - 1
     counts = [other ** length]
     for j in range(length):
         counts.append(counts[-1] * (length - j) // ((j + 1) * other))
     return [(float(j), count) for j, count in enumerate(counts)]
+
+
+def weighted_sum_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
+    """`value_histogram` of `xi_weighted_sum` by a DP over the positions,
+    within `MAX_STATES` sums and `MAX_SUM_BYTES`: the counts of the sums
+    s = sum_p p d_p are the coefficients of prod_{p=1..L} (1 + z^p + ... +
+    z^((|X| - 1) p)), and the product up to position p counts the partial
+    sums.  It is held as one int whose base-256^w digits are those
+    coefficients, w bytes holding |X|^L so that no digit carries into the
+    next; each factor is `_times_repunit`.  Every sum from 0 to
+    (|X| - 1) L (L + 1) / 2 is taken.
+
+    Any part within `MAX_STATES` configurations fits both caps: it has at
+    most |X|^L sums, of at most 4 bytes each, and L times their bytes is
+    largest at L = 1, |X| = 2^24 (2^26 bytes)."""
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    rule("count", ge=0).check("length", length)
+    alphabet_size, length = int(alphabet_size), int(length)
+    sums = (alphabet_size - 1) * length * (length + 1) // 2 + 1
+    # Checked first, `sums` bounds L and |X| before |X|^L is formed.
+    if sums > MAX_STATES or length * sums * (
+            width := (alphabet_size ** length).bit_length() // 8 + 1) > MAX_SUM_BYTES:
+        raise ValueError(f"the weighted_sum histogram of length {length} over an "
+                         f"alphabet of {alphabet_size} passes its caps: more "
+                         f"than {MAX_STATES} sums, or L times their packed "
+                         f"bytes more than {MAX_SUM_BYTES}")
+    counts = 1
+    for p in range(1, length + 1):
+        counts = _times_repunit(counts, 8 * width * p, alphabet_size)
+    raw = counts.to_bytes(sums * width, "little")
+    return [(float(s), int.from_bytes(raw[s * width:(s + 1) * width], "little"))
+            for s in range(sums)]
+
+
+def _times_repunit(x: int, shift: int, n: int) -> int:
+    """x * (1 + y + ... + y^(n - 1)) for y = 2^shift, by O(log n) shifted
+    adds: doubling the repunit's length multiplies it by 1 + y^m, and one
+    more term is 1 + y times it."""
+    out, m = 0, 0
+    for bit in bin(n)[2:]:
+        out, m = out + (out << shift * m), 2 * m
+        if bit == "1":
+            out, m = x + (out << shift), m + 1
+    return out
+
+
+def longest_run_histogram(alphabet_size: int, length: int) -> list[tuple[float, int]]:
+    """`value_histogram` of `xi_longest_run` by a run-length recurrence for
+    each bound, for a length up to `MAX_RUN_LENGTH` and an alphabet of at
+    most `MAX_STATES`.  With runs of at most m, T(n) ways fill n positions
+    after a run ends: T(0) = 1 and T(n) = (|X| - 1) S(n), where the window
+    S(n) = T(n - 1) + ... + T(max(0, n - m)); then A_m = |X| S(L)
+    configurations have no run longer than m, and A_m - A_(m-1) have a
+    longest run of m.  The empty configuration's longest run is 1, as
+    `xi_longest_run` gives it."""
+    rule("count", ge=2, le=MAX_STATES).check("alphabet_size", alphabet_size)
+    rule("count", ge=0, le=MAX_RUN_LENGTH).check("length", length)
+    alphabet_size, length = int(alphabet_size), int(length)
+    if not length:
+        return [(1.0, 1)]
+    within = [0]   # within[m] = A_m
+    for bound in range(1, length + 1):
+        fills, window = [1], 0
+        for n in range(1, length + 1):
+            window += fills[n - 1] - (fills[n - 1 - bound] if n > bound else 0)
+            fills.append((alphabet_size - 1) * window)
+        within.append(alphabet_size * window)
+    return [(float(m), within[m] - within[m - 1]) for m in range(1, length + 1)]
 
 
 def _nfa_detects(eta: Fraction, tail: int, states: int) -> bool:
@@ -299,10 +388,12 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
     """Run both decisions on every configuration of every part: each part's
     histogram goes to `decide`, which finds one threshold per rule.
 
-    Every part is checked against `MAX_STATES` before any is enumerated.
-    Requires the risk weights to satisfy the Kraft-style budget
-    sum(1/eta) <= 1 (otherwise the weight family is not a valid allocation
-    and the check is refused).  The theorem asserts zero mismatches.
+    Every part is checked against `MAX_STATES` before any histogram is
+    made; a standard family's comes from its `XI_HISTOGRAMS` producer, and
+    the other parts are enumerated, one pass per length.  Requires the risk
+    weights to satisfy the Kraft-style budget sum(1/eta) <= 1 (otherwise the
+    weight family is not a valid allocation and the check is refused).  The
+    theorem asserts zero mismatches.
     """
     rule("count", ge=2).check("alphabet_size", alphabet_size)
     parts = list(parts)
@@ -312,11 +403,19 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
     if budget > 1:
         raise EnumerationRefused(f"risk weights violate sum(1/eta) <= 1: "
                                  f"sum is {budget}")
+    _refuse_past_the_cap(alphabet_size, parts)
+    # A standard family's histogram comes from its producer, found by
+    # identity (an xi need not be hashable); the other parts are enumerated.
+    producers = [next((make for xi, make in XI_HISTOGRAMS.items() if xi is spec.xi),
+                      None) for spec in parts]
+    enumerated = iter(_histograms(alphabet_size, [
+        spec for spec, make in zip(parts, producers) if make is None]))
     reports = []
-    for spec, (_, counts) in zip(parts, _histograms(alphabet_size, parts)):
+    for spec, make in zip(parts, producers):
+        counts = (next(enumerated)[1].tolist() if make is None else
+                  [count for _, count in make(alphabet_size, spec.length)])
         states = spec.states(alphabet_size)
-        detections, mismatches, boundary = decide(spec.eta, states,
-                                                  counts.tolist())
+        detections, mismatches, boundary = decide(spec.eta, states, counts)
         reports.append(PartReport(name=spec.name, length=spec.length,
                                   eta=spec.eta, n_configs=states,
                                   detections=detections,
@@ -366,4 +465,14 @@ XI_FAMILIES = {
     "count_ones": xi_count_ones,
     "longest_run": xi_longest_run,
     "weighted_sum": xi_weighted_sum,
+}
+
+# Each standard family's exact histogram producer, which `check_equivalence`
+# uses in place of enumeration (`value_histogram` is its oracle).  A wrapper
+# of a family function, such as a tracer installs, is not a key: its parts
+# are enumerated.
+XI_HISTOGRAMS = {
+    xi_count_ones: count_ones_histogram,
+    xi_longest_run: longest_run_histogram,
+    xi_weighted_sum: weighted_sum_histogram,
 }

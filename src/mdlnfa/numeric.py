@@ -207,11 +207,15 @@ def code_length(header: Bits, parts) -> Bits:
     enumerative rank of its pattern.
 
     Terms are summed left to right in that order, so every scorer written
-    as this expression gets the same float bit for bit.
+    as this expression gets the same float bit for bit.  A part with n < 1
+    raises DomainError; the check is the `try`, free on a valid part.
     """
     bits = header
     for n, k in parts:
-        bits += math.log2(n)
+        try:
+            bits += math.log2(n)
+        except ValueError:
+            raise DomainError(f"part n must be >= 1, got {n!r}") from None
         bits += log_binomial(n, k)
     return bits
 

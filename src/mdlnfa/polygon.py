@@ -147,12 +147,16 @@ def polygon_counts(image: BinaryImage, c: int, inside: tuple,
     s = c sides of 2n tests each and q the image density.
     """
     n, ones = image.n, image.count_ones
-    if inside[0] == n:
-        raise DomainError("polygon covers the whole image; no exterior left")
+    _refuse_covering(image, inside)
     header, tests = _terms(n, c)
     outside = (n - inside[0], ones - inside[1])
     return HypothesisCounts(((header, (inside, outside)),), tests, (*inside, ones / n),
                             whole=image.counts if relative else None)
+
+
+def _refuse_covering(image: BinaryImage, inside: tuple) -> None:
+    if inside[0] == image.n:
+        raise DomainError("polygon covers the whole image; no exterior left")
 
 
 def _terms(n: int, c: int) -> tuple[float, float]:
@@ -288,6 +292,7 @@ def bss_simplify(image: BinaryImage, initial: PolygonHypothesis,
     current = initial
     marks = PolygonMarks(current.vertices, image.width, image.height)
     inside = count_region(image, marks.mask())
+    _refuse_covering(image, inside)   # once; `_child_counts` drops such children
     current_score = _child_scores(image, current.c, nfa, tails)[1](inside)
     steps = [BssStep(polygon=current, score=current_score, inside=inside)]
     entries = [None] * current.c

@@ -51,6 +51,12 @@ class TestKernel:
         assert code_length(1.0, [(10, 3)]) == \
             1.0 + math.log2(10) + log_binomial(10, 3)
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_part_without_pixels_refused(self, n):
+        # It used to raise a bare "math domain error" from math.log2(n).
+        with pytest.raises(DomainError, match=f"part n must be >= 1, got {n}"):
+            code_length(0.0, [(n, 0)])
+
     def test_parts_sum_left_to_right(self):
         parts = [(100, 37), (25, 20), (7, 7)]
         expected = 2.5

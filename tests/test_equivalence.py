@@ -14,7 +14,9 @@ import mdlnfa.equivalence as equivalence_module
 from mdlnfa.equivalence import (
     BLOCK_ROWS,
     MAX_HISTOGRAM_LENGTH,
+    MAX_RUN_LENGTH,
     MAX_STATES,
+    MAX_SUM_BYTES,
     XI_FAMILIES,
     EnumerationRefused,
     PartSpec,
@@ -23,13 +25,15 @@ from mdlnfa.equivalence import (
     decide,
     enumerate_configs,
     kraft_sum,
+    longest_run_histogram,
     make_random_xi,
     value_histogram,
+    weighted_sum_histogram,
     xi_count_ones,
     xi_longest_run,
     xi_weighted_sum,
 )
-from mdlnfa.experiments import default_equivalence_runs
+from mdlnfa.experiments import default_equivalence_runs, run_equivalence
 from oracles import check_equivalence_per_config, decide_per_tail
 from oracles import make_random_xi as make_random_xi_per_row
 from oracles import xi_count_ones as xi_count_ones_plain
@@ -518,6 +522,128 @@ class TestCountOnesHistogram:
             with pytest.raises(ValueError, match="length must be an integer >= 0 "
                                                  f"and <= {MAX_HISTOGRAM_LENGTH}"):
                 count_ones_histogram(3, length)
+
+
+PRODUCERS = [(count_ones_histogram, xi_count_ones),
+             (weighted_sum_histogram, xi_weighted_sum),
+             (longest_run_histogram, xi_longest_run)]
+PRODUCER_IDS = ["count_ones", "weighted_sum", "longest_run"]
+
+
+class TestExactProducers:
+    """Each standard family's producer against enumeration, its oracle."""
+
+    @pytest.mark.parametrize("produce,xi", PRODUCERS, ids=PRODUCER_IDS)
+    def test_matches_enumeration(self, produce, xi):
+        for alphabet in range(2, 6):
+            length = 1
+            while alphabet**length <= 2 * 10**4:
+                spec = PartSpec(length=length, eta=2, xi=xi)
+                assert produce(alphabet, length) == value_histogram(spec, alphabet)
+                length += 1
+
+    @pytest.mark.parametrize("produce,xi", PRODUCERS, ids=PRODUCER_IDS)
+    def test_empty_configuration(self, produce, xi):
+        (value,) = xi(np.zeros((1, 0), dtype=np.int64)).tolist()
+        for alphabet in range(2, 6):
+            assert produce(alphabet, 0) == [(value, 1)]
+
+    @pytest.mark.parametrize("produce,xi", PRODUCERS, ids=PRODUCER_IDS)
+    def test_numpy_integers_give_exact_ints(self, produce, xi):
+        # np.int64(3)**64 wraps round: the counts used to be int64.
+        histogram = produce(np.int64(3), np.int64(64))
+        assert histogram == produce(3, 64)
+        assert {type(count) for _, count in histogram} == {int}
+
+    @pytest.mark.parametrize("produce", [weighted_sum_histogram, longest_run_histogram],
+                             ids=PRODUCER_IDS[1:])
+    @pytest.mark.parametrize("alphabet,length", [(2, 64), (3, 64), (2, 256)])
+    def test_decided_past_the_cap_with_a_boundary_case(self, produce, alphabet,
+                                                       length):
+        histogram = produce(alphabet, length)
+        states = alphabet**length
+        assert states > MAX_STATES
+        weights = [count for _, count in histogram]
+        assert sum(weights) == states
+        # Put the configurations of the top 2/5 of the values exactly on the
+        # boundary eta * tail == |X|^L.
+        j = 3 * len(weights) // 5
+        tail = sum(weights[j:])
+        eta = Fraction(states, tail)
+        detections, mismatches, boundary = decide(eta, states, weights)
+        assert (detections, mismatches, boundary) == \
+            decide_per_tail(eta, states, weights)
+        assert mismatches == 0
+        assert boundary == weights[j] > 0
+        assert detections == tail - weights[j]
+
+    @pytest.mark.parametrize("produce", [weighted_sum_histogram, longest_run_histogram],
+                             ids=PRODUCER_IDS[1:])
+    @pytest.mark.parametrize("alphabet,length", [(1, 4), (2.0, 4), (2, -1),
+                                                 (2, 4.0), (2, True)])
+    def test_arguments_checked(self, produce, alphabet, length):
+        with pytest.raises(ValueError):
+            produce(alphabet, length)
+
+    def test_longest_run_capped(self):
+        # Without the caps these would never return.
+        for length in (MAX_RUN_LENGTH + 1, 10**400):
+            with pytest.raises(ValueError, match="length must be an integer >= 0 "
+                                                 f"and <= {MAX_RUN_LENGTH}"):
+                longest_run_histogram(2, length)
+        for alphabet in (MAX_STATES + 1, 10**400):
+            with pytest.raises(ValueError, match="alphabet_size must be an integer "
+                                                 f">= 2 and <= {MAX_STATES}"):
+                longest_run_histogram(alphabet, 2)
+
+    @pytest.mark.parametrize("alphabet,length", [
+        (2, 10**400), (10**400, 1), (MAX_STATES + 2, 1), (2, 512), (3, 256)])
+    def test_weighted_sum_capped(self, alphabet, length):
+        # More than MAX_STATES sums, or L times their packed bytes past
+        # MAX_SUM_BYTES: 512 * 131329 sums * 65 bytes at (2, 512), and
+        # 256 * 65793 * 51 at (3, 256).
+        with pytest.raises(ValueError, match=f"more than {MAX_STATES} sums, or L "
+                                             f"times their packed bytes more "
+                                             f"than {MAX_SUM_BYTES}"):
+            weighted_sum_histogram(alphabet, length)
+
+    @pytest.mark.parametrize("alphabet,length", [(2, 24), (3, 15), (2**12, 2),
+                                                 (2**8, 3)])
+    def test_the_last_enumerable_lengths_produced(self, alphabet, length):
+        for produce, _ in PRODUCERS:
+            histogram = produce(alphabet, length)
+            assert sum(count for _, count in histogram) == alphabet**length
+
+    def test_default_run_enumerates_nothing(self, monkeypatch):
+        # Every part of the default run is a standard family.
+        def refuse(alphabet, length):
+            raise AssertionError("a standard family was enumerated")
+
+        monkeypatch.setattr(equivalence_module, "enumerate_configs", refuse)
+        assert run_equivalence() == [check_equivalence_per_config(alphabet, parts)
+                                     for alphabet, parts in default_equivalence_runs()]
+
+    def test_other_xi_still_enumerated(self, monkeypatch):
+        # A wrapped family is not in the table: the same report, enumerated.
+        lengths = []
+        enumerate_all = equivalence_module.enumerate_configs
+
+        def counting_enumerate(alphabet, length):
+            lengths.append(length)
+            return enumerate_all(alphabet, length)
+
+        monkeypatch.setattr(equivalence_module, "enumerate_configs",
+                            counting_enumerate)
+        parts = [PartSpec(length=5, eta=4, xi=xi, name=name)
+                 for name, xi in XI_FAMILIES.items()]
+        wrapped = [PartSpec(length=6, eta=4, xi=lambda v, xi=xi: xi(v), name=name)
+                   for name, xi in XI_FAMILIES.items()]
+        produced = check_equivalence(3, parts)
+        assert lengths == []
+        assert check_equivalence(3, wrapped) == \
+            check_equivalence_per_config(3, wrapped)
+        assert lengths == [6]
+        assert produced == check_equivalence_per_config(3, parts)
 
 
 class TestXiAgainstPlainVersions:

@@ -539,6 +539,18 @@ class TestCli:
                      "--polygon", str(poly), "--out", str(tmp_path)]) == EXIT_CONFIG
         assert "p.txt:3: " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa", "both"])
+    def test_polygon_covering_the_image_names_the_exterior(self, tmp_path, capsys,
+                                                          criterion):
+        # MDL and both used to exit with a bare "math domain error".
+        (tmp_path / "one.pgm").write_text("P2 1 1 255 0\n")
+        (tmp_path / "tri.txt").write_text("-5 -5\n10 -5\n-5 10\n")
+        assert main(["polygon", "--image", str(tmp_path / "one.pgm"),
+                     "--polygon", str(tmp_path / "tri.txt"), "--criterion", criterion,
+                     "--out", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "polygon covers the whole image; no exterior left" in \
+            capsys.readouterr().err
+
     def test_gen_kinds(self, tmp_path):
         out = str(tmp_path)
         assert main(["gen", "--kind", "single-square", "--out", out,

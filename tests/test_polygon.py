@@ -22,7 +22,13 @@ from mdlnfa.imaging import (
     synthesize_squares,
     zero_area,
 )
-from mdlnfa.numeric import Score, binomial_first_term_log, complement, l0_code_length
+from mdlnfa.numeric import (
+    DomainError,
+    Score,
+    binomial_first_term_log,
+    complement,
+    l0_code_length,
+)
 from mdlnfa.polygon import (
     PolygonHypothesis,
     _child_counts,
@@ -176,6 +182,17 @@ class TestBss:
         poly = PolygonHypothesis(np.asarray(SQUARE_POLY, dtype=float))
         with pytest.raises(ValueError):
             bss_simplify(img, poly, "aic")
+
+    @pytest.mark.parametrize("criterion", ["mdl", "nfa"])
+    def test_start_covering_the_image_refused(self, criterion):
+        # The start is scored from its counts alone; it used to be accepted
+        # (NFA) or to fail in math.log2(0) (MDL), where polygon_counts refuses.
+        img = BinaryImage(np.random.default_rng(0).integers(0, 2, (8, 8)).astype(np.uint8))
+        poly = PolygonHypothesis(np.asarray([(-2, -2), (10, -2), (10, 10), (-2, 10)],
+                                            dtype=float))
+        with pytest.raises(DomainError, match="polygon covers the whole image; "
+                                              "no exterior left"):
+            bss_simplify(img, poly, criterion)
 
 
 def exhaustive_subset_scores(image, vertices, score_fn):
