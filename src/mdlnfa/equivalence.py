@@ -32,17 +32,12 @@ these families (`XI_HISTOGRAMS`, by identity) from its producer.  Called
 directly, the producers reach past the enumeration cap, and `decide` reads
 those long parts as it reads any other.
 
-Any other `xi` is enumerated, and so is every part of `value_histogram`,
-the producers' oracle: `enumerate_configs` yields the configurations as
-int64 digit matrices of at most `BLOCK_ROWS` rows, one configuration per
-row, in lexicographic order.  An ordering function `xi` takes such a matrix
-and returns one value per row.  Each block of a length is made once and
-handed to every enumerated part of that length, so a part costs one `xi`
-call per block, and its histogram is merged block by block from `np.unique`
-counts (memory grows with its distinct values, not with |X|^n).
-`check_equivalence` checks every part, produced or enumerated, against the
-enumeration cap `MAX_STATES` before any work, so it refuses the same parts
-whichever producer serves them.
+Any other part is enumerated by `value_histogram`, the producers' oracle:
+`enumerate_configs` yields the configurations as int64 digit matrices of at
+most `BLOCK_ROWS` rows, one configuration per row, in lexicographic order,
+and `xi` returns one value per row of each.  `check_equivalence` checks
+every part against the enumeration cap `MAX_STATES` before any work, so it
+refuses the same parts whichever path serves them.
 
 The decider forms the tails as exact suffix sums of the counts.  Both rules
 are monotone in the tail, so `decide` bisects for each rule's first
@@ -94,11 +89,16 @@ class PartSpec:
         eta = self.eta   # Fraction reads a numpy float only as a float
         object.__setattr__(self, "eta", Fraction(
             eta if isinstance(eta, (int, np.integer, Fraction)) else float(eta)))
+        object.__setattr__(self, "length", int(self.length))   # no numpy wrap
 
     def states(self, alphabet_size: int) -> int:
         return alphabet_size ** self.length
 
 
+def _alphabet(alphabet_size) -> int:
+    """|X| checked, as a Python int: a numpy int of a narrow dtype wraps."""
+    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    return int(alphabet_size)
 
 
 def enumerate_configs(alphabet_size: int, length: int):
@@ -106,8 +106,9 @@ def enumerate_configs(alphabet_size: int, length: int):
     matrices of at most `BLOCK_ROWS` rows (one configuration per row).
 
     Raises EnumerationRefused where |X|^length would pass `MAX_STATES`."""
-    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    alphabet_size = _alphabet(alphabet_size)
     rule("count", ge=0).check("length", length)
+    length = int(length)
     if length > _max_length(alphabet_size):
         raise EnumerationRefused(
             f"length {length} over an alphabet of {alphabet_size} has more "
@@ -115,12 +116,17 @@ def enumerate_configs(alphabet_size: int, length: int):
     trailing = 0
     while trailing < length and alphabet_size ** (trailing + 1) <= BLOCK_ROWS:
         trailing += 1
-    leading = length - trailing
+    leading, prefixes = length - trailing, alphabet_size ** (length - trailing)
     # Column-major, so that each digit column is contiguous.
     tail = np.indices((alphabet_size,) * trailing, dtype=np.int64).reshape(
         trailing, alphabet_size ** trailing).T
-    return (_with_prefix(tail, prefix, leading, alphabet_size)
-            for prefix in range(alphabet_size ** leading))
+    # A block puts the tail under `step` consecutive prefixes, so a short
+    # tail (none at all where |X| > BLOCK_ROWS) still fills its block.
+    step = BLOCK_ROWS // len(tail)
+    place = np.array([alphabet_size ** k for k in range(leading, -1, -1)])
+    return (_with_prefixes(tail, np.arange(first, min(first + step, prefixes))[:, None]
+                           % place[:-1] // place[1:])
+            for first in range(0, prefixes, step))
 
 
 def _max_length(alphabet_size: int) -> int:
@@ -133,16 +139,14 @@ def _max_length(alphabet_size: int) -> int:
     return fits
 
 
-def _with_prefix(tail: np.ndarray, prefix: int, leading: int,
-                 alphabet_size: int) -> np.ndarray:
-    """The block of configurations whose `leading` digits spell `prefix`."""
-    if not leading:
-        return tail
-    block = np.empty((len(tail), leading + tail.shape[1]), dtype=np.int64,
-                     order="F")
-    block[:, leading:] = tail
-    for j in range(leading - 1, -1, -1):
-        prefix, block[:, j] = divmod(prefix, alphabet_size)
+def _with_prefixes(tail: np.ndarray, prefixes: np.ndarray) -> np.ndarray:
+    """The block of each row of `prefixes` (leading digits) followed by every
+    row of `tail`, in that order."""
+    (count, leading), (rows, trailing) = prefixes.shape, tail.shape
+    block = np.empty((count * rows, leading + trailing), dtype=np.int64, order="F")
+    by_prefix = block.reshape(count, rows, leading + trailing)   # a view
+    by_prefix[:, :, :leading] = prefixes[:, None]
+    by_prefix[:, :, leading:] = tail
     return block
 
 
@@ -150,18 +154,9 @@ def _name(spec: PartSpec):
     return spec.name or spec.length
 
 
-def _xi_rows(spec: PartSpec, rows: np.ndarray) -> np.ndarray:
-    values = np.asarray(spec.xi(rows), dtype=np.float64)
-    if values.shape != (len(rows),):
-        raise ValueError(f"part {_name(spec)}: xi must return one value per "
-                         f"row, got shape {values.shape} for {len(rows)} rows")
-    return values
-
-
 def _refuse_past_the_cap(alphabet_size: int, specs) -> None:
     """Raise EnumerationRefused for the first part of more than `MAX_STATES`
     configurations."""
-    rule("count", ge=2).check("alphabet_size", alphabet_size)
     fits = _max_length(alphabet_size)
     for spec in specs:
         if spec.length > fits:
@@ -173,44 +168,26 @@ def _refuse_past_the_cap(alphabet_size: int, specs) -> None:
                 f"beyond the {MAX_STATES} exhaustive-enumeration cap")
 
 
-def _histograms(alphabet_size: int, specs) -> list:
-    """Each part's xi histogram, as a sorted float64 array of its distinct
-    values and an int64 array of their counts.
-
-    Every part is checked against the cap before any is enumerated.  Each
-    distinct length is enumerated once, and each of its blocks is scored by
-    every part of that length.
-    """
-    _refuse_past_the_cap(alphabet_size, specs)
-    by_length: dict[int, list[int]] = {}
-    for i, spec in enumerate(specs):
-        by_length.setdefault(spec.length, []).append(i)
-    out = [None] * len(specs)
-    for length, members in by_length.items():
-        for block in enumerate_configs(alphabet_size, length):
-            for i in members:
-                seen = np.unique(_xi_rows(specs[i], block), return_counts=True)
-                out[i] = seen if out[i] is None else _merge(out[i], seen)
-        for i in members:
-            if not np.isfinite(out[i][0]).all():
-                raise ValueError(f"part {_name(specs[i])}: xi values must be "
-                                 f"finite (NaN or infinity found)")
-    return out
-
-
-def _merge(held, seen):
-    """The histogram of two sets of configurations from their histograms."""
-    values, where = np.unique(np.concatenate((held[0], seen[0])),
-                              return_inverse=True)
-    counts = np.bincount(where, np.concatenate((held[1], seen[1])),
-                         minlength=len(values))
-    return values, counts.astype(np.int64)
-
-
 def value_histogram(spec: PartSpec, alphabet_size: int) -> list[tuple[float, int]]:
     """(value, count) for each distinct xi value of the part, by enumeration,
-    in increasing order of value."""
-    values, counts = _histograms(alphabet_size, [spec])[0]
+    in increasing order of value: one `xi` call per block, and the blocks'
+    `np.unique` counts merged once (memory grows with their distinct
+    values, not with |X|^n)."""
+    alphabet_size = _alphabet(alphabet_size)
+    _refuse_past_the_cap(alphabet_size, [spec])
+    seen = []
+    for block in enumerate_configs(alphabet_size, spec.length):
+        values = np.asarray(spec.xi(block), dtype=np.float64)
+        if values.shape != (len(block),):
+            raise ValueError(f"part {_name(spec)}: xi must return one value per "
+                             f"row, got shape {values.shape} for {len(block)} rows")
+        seen.append(np.unique(values, return_counts=True))
+    values, counts = map(np.concatenate, zip(*seen))
+    values, where = np.unique(values, return_inverse=True)
+    if not np.isfinite(values).all():
+        raise ValueError(f"part {_name(spec)}: xi values must be finite "
+                         f"(NaN or infinity found)")
+    counts = np.bincount(where, counts).astype(np.int64)
     return list(zip(values.tolist(), counts.tolist()))
 
 
@@ -389,13 +366,13 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
     histogram goes to `decide`, which finds one threshold per rule.
 
     Every part is checked against `MAX_STATES` before any histogram is
-    made; a standard family's comes from its `XI_HISTOGRAMS` producer, and
-    the other parts are enumerated, one pass per length.  Requires the risk
-    weights to satisfy the Kraft-style budget sum(1/eta) <= 1 (otherwise the
-    weight family is not a valid allocation and the check is refused).  The
-    theorem asserts zero mismatches.
+    made; then each part's histogram comes from its family's
+    `XI_HISTOGRAMS` producer, or else from `value_histogram`.  Requires the
+    risk weights to satisfy the Kraft-style budget sum(1/eta) <= 1
+    (otherwise the weight family is not a valid allocation and the check is
+    refused).  The theorem asserts zero mismatches.
     """
-    rule("count", ge=2).check("alphabet_size", alphabet_size)
+    alphabet_size = _alphabet(alphabet_size)
     parts = list(parts)
     if not parts:
         raise ValueError("at least one part is required")
@@ -404,18 +381,16 @@ def check_equivalence(alphabet_size: int, parts) -> EquivalenceReport:
         raise EnumerationRefused(f"risk weights violate sum(1/eta) <= 1: "
                                  f"sum is {budget}")
     _refuse_past_the_cap(alphabet_size, parts)
-    # A standard family's histogram comes from its producer, found by
-    # identity (an xi need not be hashable); the other parts are enumerated.
-    producers = [next((make for xi, make in XI_HISTOGRAMS.items() if xi is spec.xi),
-                      None) for spec in parts]
-    enumerated = iter(_histograms(alphabet_size, [
-        spec for spec, make in zip(parts, producers) if make is None]))
     reports = []
-    for spec, make in zip(parts, producers):
-        counts = (next(enumerated)[1].tolist() if make is None else
-                  [count for _, count in make(alphabet_size, spec.length)])
+    for spec in parts:
+        # A producer is found by identity: an xi need not be hashable.
+        make = next((make for xi, make in XI_HISTOGRAMS.items() if xi is spec.xi),
+                    None)
+        histogram = (value_histogram(spec, alphabet_size) if make is None
+                     else make(alphabet_size, spec.length))
         states = spec.states(alphabet_size)
-        detections, mismatches, boundary = decide(spec.eta, states, counts)
+        detections, mismatches, boundary = decide(
+            spec.eta, states, [count for _, count in histogram])
         reports.append(PartReport(name=spec.name, length=spec.length,
                                   eta=spec.eta, n_configs=states,
                                   detections=detections,

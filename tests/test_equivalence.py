@@ -63,9 +63,10 @@ class TestEnumerateConfigs:
                                                repeat=length)))
         assert block.dtype == np.int64 and np.array_equal(block, want)
 
-    # 2^17 and 3^11 have one leading digit, 2^18 has two.
+    # 2^17 and 3^11 have one leading digit, 2^18 has two, a block of 5^8
+    # holds four prefixes, and 69 632^1 has no trailing digit.
     @pytest.mark.parametrize("alphabet,length", [(2, 1), (2, 17), (3, 11),
-                                                 (2, 18)])
+                                                 (2, 18), (5, 8), (69_632, 1)])
     def test_blocks_in_lexicographic_order(self, alphabet, length):
         # Row r of the enumeration holds the base-|X| digits of r.
         place = alphabet ** np.arange(length - 1, -1, -1)
@@ -103,6 +104,14 @@ class TestEnumerateConfigs:
     def test_largest_lengths_within_the_cap(self, alphabet, length):
         block = next(iter(enumerate_configs(alphabet, length)))
         assert block.shape[1] == length and not block[0].any()
+
+    def test_an_alphabet_past_a_block_fills_its_blocks(self):
+        # Each block used to hold one row here, and the histogram was merged
+        # once per row: quadratic in |X|.
+        assert [len(block) for block in enumerate_configs(69_632, 1)] == \
+            [BLOCK_ROWS, 69_632 - BLOCK_ROWS]
+        spec = PartSpec(length=1, eta=2, xi=lambda v: v[:, 0])
+        assert value_histogram(spec, 69_632) == [(float(d), 1) for d in range(69_632)]
 
 
 class TestTailCount:
@@ -206,9 +215,9 @@ class TestCheckEquivalence:
                            match=r"part huge has 2\^1000.* configurations, beyond"):
             check_equivalence(2, [part])
 
-    def test_one_enumeration_per_length(self, monkeypatch):
-        # Parts of one length share each block: one enumeration per distinct
-        # length, and still one xi call per part per block.
+    def test_one_enumeration_per_part(self, monkeypatch):
+        # Each enumerated part has its own enumeration, in order, and one xi
+        # call per block.
         lengths, calls = [], {}
         enumerate_all = equivalence_module.enumerate_configs
 
@@ -231,7 +240,7 @@ class TestCheckEquivalence:
                                           ("c", 4, xi_longest_run),
                                           ("d", 18, xi_count_ones)]]
         report = check_equivalence(2, parts)
-        assert lengths == [4, 18]
+        assert lengths == [4, 18, 4, 18]
         assert calls == {"a": 1, "b": 4, "c": 1, "d": 4}
         monkeypatch.undo()
         assert report.parts == tuple(check_equivalence(2, [p]).parts[0]
@@ -265,8 +274,21 @@ class TestCheckEquivalence:
             value_histogram(count_ones_part(), alphabet)
 
     def test_numpy_integer_alphabet_accepted(self):
-        assert check_equivalence(np.int64(2), [count_ones_part()]) == \
-            check_equivalence(2, [count_ones_part()])
+        # A narrow dtype used to wrap round in the cap search, which never ended.
+        wrapped = PartSpec(length=2, eta=4, xi=lambda v: xi_longest_run(v),
+                           name="wrapped")
+        parts = [PartSpec(length=2, eta=4, xi=xi, name=name)
+                 for name, xi in XI_FAMILIES.items()] + [wrapped]
+        for alphabet in [np.int64(2), np.uint8(3), np.int8(3), np.int16(3),
+                         np.uint16(300)]:
+            size = int(alphabet)
+            for got, want in zip(enumerate_configs(alphabet, 2),
+                                 enumerate_configs(size, 2), strict=True):
+                assert np.array_equal(got, want)
+            assert value_histogram(wrapped, alphabet) == value_histogram(wrapped, size)
+            report = check_equivalence(alphabet, parts)
+            assert report == check_equivalence(size, parts)
+            assert type(report.alphabet_size) is int
 
 
 class TestXiFamilies:
@@ -339,8 +361,15 @@ class TestXiFamilies:
             PartSpec(length=length, eta=Fraction(2), xi=xi_count_ones)
 
     def test_numpy_integer_length_accepted(self):
-        spec = PartSpec(length=np.int64(4), eta=Fraction(16), xi=xi_count_ones)
-        assert value_histogram(spec, 2) == value_histogram(count_ones_part(), 2)
+        # np.uint8(20) used to give |X|^n = 0, and np.int16(12) reached the report.
+        for length in [np.int64(4), np.uint8(20), np.int16(12)]:
+            spec = count_ones_part(length=length)
+            plain = count_ones_part(length=int(length))
+            assert spec.states(2) == 2**int(length)
+            assert value_histogram(spec, 2) == value_histogram(plain, 2)
+            report = part_report(spec)
+            assert report == part_report(plain)
+            assert type(report.length) is int and type(report.n_configs) is int
 
 
 class TestNonFiniteXi:
@@ -642,8 +671,36 @@ class TestExactProducers:
         assert lengths == []
         assert check_equivalence(3, wrapped) == \
             check_equivalence_per_config(3, wrapped)
-        assert lengths == [6]
+        assert lengths == [6, 6, 6]
         assert produced == check_equivalence_per_config(3, parts)
+
+
+class TestRefusalParity:
+    """A standard family's part checked through its producer and through
+    enumeration (the same xi, wrapped): the same report, or the same
+    exception and message."""
+
+    @pytest.mark.parametrize("name", XI_FAMILIES)
+    @pytest.mark.parametrize("alphabet,length,eta,refusal", [
+        (2, 1, 2, None), (2, 11, 2, None), (3, 1, 2, None), (3, 11, 2, None),
+        (np.int64(3), 1, 2, None), (np.int64(3), 11, 2, None),
+        (2, 25, 2, "enumeration cap"), (2, 4, Fraction(1, 2), "sum\\(1/eta\\)")],
+        ids=["2^1", "2^11", "3^1", "3^11", "int64(3)^1", "int64(3)^11",
+             "2^25", "kraft"])
+    def test_producer_and_enumeration_agree(self, name, alphabet, length, eta,
+                                            refusal):
+        xi = XI_FAMILIES[name]
+        outcomes = []
+        for xi_used in (xi, lambda v: xi(v)):
+            try:
+                outcomes.append(check_equivalence(alphabet, [PartSpec(
+                    length=length, eta=eta, xi=xi_used, name=name)]))
+            except Exception as error:
+                outcomes.append((type(error), str(error)))
+        assert outcomes[0] == outcomes[1]
+        if refusal is not None:
+            kind, message = outcomes[0]
+            assert kind is EnumerationRefused and re.search(refusal, message)
 
 
 class TestXiAgainstPlainVersions:
